@@ -6,10 +6,13 @@
 //! * **Figure sweep** — the five figure benches' cells walked the old way
 //!   (each figure recomputes its own cells serially through the seed
 //!   `replay_wave`, kept as `simulate_kernel_reference`) versus the shared
-//!   parallel memoized [`SweepEngine`] over the optimized simulator.
-//! * **Gate campaign** — the seed injection loop (clone + full shuffle +
-//!   truncate, fresh buffers per input, single-threaded) versus the
-//!   work-stealing allocation-free campaign.
+//!   parallel memoized [`SweepEngine`] over the optimized simulator. Every
+//!   walked cell's engine timing is asserted equal to its reference timing.
+//! * **Gate campaign** — an unpooled injection loop (clone the node list,
+//!   draw every input's whole injection order up front, fresh buffers per
+//!   batch, single-threaded) versus the work-stealing allocation-free
+//!   campaign. Both draw the same sites, so their error and attempt counts
+//!   are asserted equal.
 //! * **Architecture campaign** — four legs on identical trials, single
 //!   threaded: every trial simulated from scratch (`run_trial_reference`,
 //!   the seed path); the fast-forward engine with legacy deep-copy (clone)
@@ -32,8 +35,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use swapcodes_bench::{profile, traces_for, SweepEngine};
 use swapcodes_core::{apply, PredictorSet, Scheme};
 use swapcodes_gates::units::{build_unit, ArithUnit, UnitKind};
@@ -82,8 +84,9 @@ fn measure_reference(w: &Workload, scheme: Scheme) -> Option<KernelTiming> {
     simulate_kernel_reference(&t.kernel, t.launch, &mut mem, &cfg).ok()
 }
 
-/// The seed campaign loop: clone the node list, shuffle it fully, truncate,
-/// and scan with per-chunk allocations, one input after another.
+/// The unpooled campaign loop: clone the node list, draw the input's whole
+/// partial Fisher–Yates order (the production sample) up front, and scan
+/// with per-chunk allocations, one input after another.
 fn campaign_reference(unit: &ArithUnit, inputs: &[[u64; 3]], cfg: &CampaignConfig) -> (u64, u64) {
     let net = unit.netlist();
     let nodes = net.injectable_nodes();
@@ -95,9 +98,12 @@ fn campaign_reference(unit: &ArithUnit, inputs: &[[u64; 3]], cfg: &CampaignConfi
             SmallRng::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let words = &tuple[..n_inputs];
         let mut order = nodes.clone();
-        order.shuffle(&mut rng);
-        order.truncate(cfg.max_attempts_per_input);
-        'scan: for chunk in order.chunks(63) {
+        let k = cfg.max_attempts_per_input.min(order.len());
+        for i in 0..k {
+            let j = rng.gen_range(i..order.len());
+            order.swap(i, j);
+        }
+        'scan: for chunk in order[..k].chunks(63) {
             let batch = net.evaluate_batch(words, chunk);
             let golden = batch.golden(0);
             attempts += chunk.len() as u64;
@@ -129,9 +135,10 @@ fn main() {
     // --- Old path: per-figure serial recomputation, seed replay loop. -----
     let timing_cells = figure_timing_cells();
     let t0 = Instant::now();
-    for &(w, s) in &timing_cells {
-        std::hint::black_box(measure_reference(&workloads[w], s));
-    }
+    let reference_timings: Vec<Option<KernelTiming>> = timing_cells
+        .iter()
+        .map(|&(w, s)| measure_reference(&workloads[w], s))
+        .collect();
     // fig13 profiles (profiling never used the replay loop; unchanged cost).
     for w in &workloads {
         for s in Scheme::figure12_sweep() {
@@ -176,21 +183,24 @@ fn main() {
         engine.cached_cells()
     );
 
-    // Sanity: the optimized sweep reproduces the reference numbers, and no
-    // cell of the matrix degraded to a failure.
-    let spot = &workloads[0];
-    assert_eq!(
-        engine.timing(spot, Scheme::Baseline).value().copied(),
-        measure_reference(spot, Scheme::Baseline),
-        "optimized sweep must reproduce the reference timings"
-    );
+    // Sanity: the optimized sweep reproduces the reference timing of every
+    // walked cell, and no cell of the matrix degraded to a failure.
+    for (&(w, s), reference) in timing_cells.iter().zip(&reference_timings) {
+        assert_eq!(
+            engine.timing(&workloads[w], s).value().copied(),
+            *reference,
+            "optimized sweep must reproduce the reference timing of {} / {}",
+            workloads[w].name,
+            s.label()
+        );
+    }
     assert!(
         engine.failures().is_empty(),
         "sweep cells failed: {:?}",
         engine.failures()
     );
 
-    // --- Gate-level injection campaign: seed loop vs the pool. ------------
+    // --- Gate-level injection campaign: unpooled loop vs the pool. --------
     let unit = build_unit(UnitKind::FxpMad32);
     // `SWAPCODES_FAST` turns the campaign leg into a CI smoke run; the
     // sweep leg always walks the full matrix (memoization is what's under
@@ -213,8 +223,13 @@ fn main() {
     let t3 = Instant::now();
     let res = run_unit_campaign(&unit, &inputs, &cfg);
     let campaign_parallel_s = t3.elapsed().as_secs_f64();
+    assert_eq!(
+        (ref_found, ref_attempts),
+        (res.records.len() as u64, res.attempts),
+        "the pooled campaign must reproduce the unpooled loop's errors and attempts"
+    );
     let campaign_speedup = campaign_serial_s / campaign_parallel_s;
-    println!("  campaign seed loop (1 thread)     {campaign_serial_s:7.2}s ({ref_found} errors, {ref_attempts} attempts)");
+    println!("  campaign unpooled loop (1 thread) {campaign_serial_s:7.2}s ({ref_found} errors, {ref_attempts} attempts)");
     println!(
         "  campaign pool ({threads} thread(s))       {campaign_parallel_s:7.2}s ({campaign_speedup:.1}x, {} errors, {} attempts)",
         res.records.len(),

@@ -235,18 +235,18 @@ impl Netlist {
         let lanes = &scratch.values;
         out.per_output.resize(self.outputs.len(), Vec::new());
         for (bits, words) in self.outputs.iter().zip(out.per_output.iter_mut()) {
-            words.clear();
-            words.resize(flips.len() + 1, 0);
-            for (pos, &bit_node) in bits.iter().enumerate() {
-                let lane_bits = lanes[bit_node as usize];
-                for (lane, w) in words.iter_mut().enumerate() {
-                    // Lane `flips.len()` is the fault-free lane.
-                    let lane_idx = if lane == flips.len() { 63 } else { lane };
-                    if lane_bits >> lane_idx & 1 != 0 {
-                        *w |= 1u64 << pos;
-                    }
-                }
+            assert!(bits.len() <= 64, "output words are at most 64 bits");
+            // Row `pos` holds output bit `pos` of every lane; transposed,
+            // row `lane` is that lane's output word.
+            let mut matrix = [0u64; 64];
+            for (row, &bit_node) in matrix.iter_mut().zip(bits) {
+                *row = lanes[bit_node as usize];
             }
+            transpose64(&mut matrix);
+            words.clear();
+            words.extend_from_slice(&matrix[..flips.len()]);
+            // Lane 63 is the fault-free lane, stored last.
+            words.push(matrix[63]);
         }
     }
 
@@ -321,6 +321,25 @@ impl Netlist {
                 w
             })
             .collect()
+    }
+}
+
+/// Transpose a 64×64 bit matrix in place: bit `c` of row `r` moves to bit
+/// `r` of row `c`. Each round swaps the off-diagonal `j`×`j` blocks of
+/// every `2j`×`2j` block, halving `j` from 32 to 1.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        for base in (0..64).step_by(2 * j) {
+            for k in base..base + j {
+                let t = ((m[k] >> j) ^ m[k + j]) & mask;
+                m[k] ^= t << j;
+                m[k + j] ^= t;
+            }
+        }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }
 

@@ -146,7 +146,9 @@ proptest! {
 
 /// Build a random but well-formed netlist from a gate recipe: each entry
 /// selects a gate kind and operand nodes among the nodes pushed so far.
-fn random_netlist(recipe: &[(u8, u32, u32, u32)]) -> Netlist {
+/// Output word `w` has `widths[w]` bits (up to 64), drawn from the newest
+/// nodes backwards, repeating nodes when the netlist is smaller.
+fn random_netlist(recipe: &[(u8, u32, u32, u32)], widths: &[usize]) -> Netlist {
     let mut net = Netlist::new(2);
     let mut nodes: Vec<NodeId> = Vec::new();
     for word in 0..2u16 {
@@ -174,29 +176,41 @@ fn random_netlist(recipe: &[(u8, u32, u32, u32)]) -> Netlist {
         };
         nodes.push(net.push(gate));
     }
-    let tail: Vec<NodeId> = nodes.iter().rev().take(16).copied().collect();
-    net.add_output(tail);
+    for (w, &width) in widths.iter().enumerate() {
+        let bits: Vec<NodeId> = nodes
+            .iter()
+            .rev()
+            .cycle()
+            .skip(w)
+            .take(width)
+            .copied()
+            .collect();
+        net.add_output(bits);
+    }
     net
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// On arbitrary random netlists, batch evaluation through one reused
-    /// [`EvalScratch`] is bit-identical to a fresh-allocation batch and to
-    /// per-flip serial evaluation — i.e. scratch reuse leaves no residue
-    /// between calls, netlists, or flip sets.
+    /// On arbitrary random netlists with one or two output words of up to
+    /// 64 bits, batch evaluation through one reused [`EvalScratch`] is
+    /// bit-identical to a fresh-allocation batch and to per-flip serial
+    /// evaluation — i.e. scratch reuse leaves no residue between calls,
+    /// netlists, or flip sets, and the per-lane output transpose puts every
+    /// bit where `evaluate_flipped` does.
     #[test]
     fn scratch_reuse_matches_fresh_on_random_netlists(
         recipe in proptest::collection::vec(
             (any::<u8>(), any::<u32>(), any::<u32>(), any::<u32>()),
             4..96,
         ),
+        widths in proptest::collection::vec(1usize..=64, 1..3),
         in_a: u64,
         in_b: u64,
         flip_seed: u64,
     ) {
-        let net = random_netlist(&recipe);
+        let net = random_netlist(&recipe, &widths);
         let nodes = net.injectable_nodes();
         let inputs = [in_a, in_b];
 

@@ -159,7 +159,8 @@ pub struct InputOutcome {
 /// per input once warmed up.
 struct WorkerScratch {
     /// Identity permutation of the injectable nodes between inputs; the
-    /// sampled prefix lives in `order[..k]` while an input is processed.
+    /// sites drawn so far live in `order[..swaps.len()]` while an input is
+    /// processed.
     order: Vec<u32>,
     /// Swap partners of the partial Fisher–Yates, used to undo in reverse.
     swaps: Vec<u32>,
@@ -247,20 +248,24 @@ pub fn run_unit_campaign_slice(
             let words = &tuple[..n_inputs];
             let k = cfg.max_attempts_per_input.min(ws.order.len());
 
-            // Partial Fisher–Yates: draw a uniform k-element injection order
-            // with k RNG calls and k swaps, instead of shuffling the entire
-            // node list only to truncate it.
+            // Partial Fisher–Yates, drawn lazily: a uniform k-element
+            // injection order takes one RNG call and one swap per site, and
+            // sites are drawn one 63-lane batch at a time, so an input that
+            // corrupts early never pays for the rest of its k sites. Site i
+            // is final once drawn, so the order is the eager draw's prefix.
             ws.swaps.clear();
-            for i in 0..k {
-                #[allow(clippy::cast_possible_truncation)]
-                let j = rng.gen_range(i..ws.order.len()) as u32;
-                ws.order.swap(i, j as usize);
-                ws.swaps.push(j);
-            }
-
             let mut attempts = 0u64;
             let mut found = None;
-            'scan: for chunk in ws.order[..k].chunks(63) {
+            'scan: while ws.swaps.len() < k {
+                let start = ws.swaps.len();
+                let end = (start + 63).min(k);
+                for i in start..end {
+                    #[allow(clippy::cast_possible_truncation)]
+                    let j = rng.gen_range(i..ws.order.len()) as u32;
+                    ws.order.swap(i, j as usize);
+                    ws.swaps.push(j);
+                }
+                let chunk = &ws.order[start..end];
                 net.evaluate_batch_with(words, chunk, &mut ws.eval, &mut ws.batch);
                 let golden = ws.batch.golden(0);
                 attempts += chunk.len() as u64;
@@ -429,6 +434,115 @@ mod tests {
         // instead check that splitting the stream in half changes nothing.
         let first = run_unit_campaign(&unit, &inputs[..4], &cfg);
         assert_eq!(&full.records[..first.records.len()], &first.records[..]);
+    }
+
+    /// The campaign loop as it was before sites were drawn lazily: all
+    /// `k` sites of an input's partial Fisher–Yates order up front, then
+    /// 63-lane scans, serial and allocating. Returns each input's record
+    /// (if any) and attempts.
+    fn eager_reference(
+        unit: &ArithUnit,
+        inputs: &[[u64; 3]],
+        cfg: &CampaignConfig,
+    ) -> Vec<(Option<InjectionRecord>, u64)> {
+        let net = unit.netlist();
+        let words = unit.kind().input_count();
+        let mut outcomes = Vec::new();
+        for (index, tuple) in inputs.iter().enumerate() {
+            let mut rng = SmallRng::seed_from_u64(
+                cfg.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            let mut order = net.injectable_nodes();
+            let k = cfg.max_attempts_per_input.min(order.len());
+            for i in 0..k {
+                let j = rng.gen_range(i..order.len());
+                order.swap(i, j);
+            }
+            let (mut found, mut attempts) = (None, 0u64);
+            'scan: for chunk in order[..k].chunks(63) {
+                let batch = net.evaluate_batch(&tuple[..words], chunk);
+                for lane in 0..chunk.len() {
+                    attempts += 1;
+                    if batch.output(0, lane) != batch.golden(0) {
+                        found = Some(InjectionRecord {
+                            golden: batch.golden(0),
+                            faulty: batch.output(0, lane),
+                        });
+                        break 'scan;
+                    }
+                }
+            }
+            outcomes.push((found, attempts));
+        }
+        outcomes
+    }
+
+    /// Drawing sites one batch at a time must not change the sample: for
+    /// every unit, attempt caps on both sides of the 63-lane batch edges
+    /// (inputs that exhaust small caps fully mask), two seeds and 1 and 2
+    /// threads, the campaign equals the eager draw record for record.
+    #[test]
+    fn lazy_draw_matches_eager_partial_fisher_yates() {
+        use swapcodes_gates::units::{build_unit, UnitKind};
+        let kinds = [
+            UnitKind::FxpAdd32,
+            UnitKind::FxpMad32,
+            UnitKind::FpAdd32,
+            UnitKind::FpFma32,
+            UnitKind::FpAdd64,
+            UnitKind::FpFma64,
+        ];
+        let (mut masked_seen, mut late_seen) = (false, false);
+        for kind in kinds {
+            let unit = build_unit(kind);
+            let widths = kind.operand_widths();
+            let inputs: Vec<[u64; 3]> = (0..6u64)
+                .map(|i| {
+                    let mut tuple = [0u64; 3];
+                    for (w, (word, bits)) in tuple.iter_mut().zip(widths).enumerate() {
+                        let x = (i * 3 + w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        *word = if bits >= 64 { x } else { x & ((1 << bits) - 1) };
+                    }
+                    if kind == UnitKind::FxpMad32 && i < 2 {
+                        tuple[1] = 0; // zero multiplicand
+                    }
+                    tuple
+                })
+                .collect();
+            for seed in [0x05AC_0DE5, 0xF1_6000] {
+                for max_attempts_per_input in [1, 62, 63, 64, 126, 127, 4096] {
+                    let cfg = CampaignConfig {
+                        max_attempts_per_input,
+                        seed,
+                        threads: None,
+                    };
+                    let eager = eager_reference(&unit, &inputs, &cfg);
+                    let records: Vec<_> = eager.iter().filter_map(|o| o.0).collect();
+                    let attempts: u64 = eager.iter().map(|o| o.1).sum();
+                    let masked = (eager.len() - records.len()) as u64;
+                    masked_seen |= masked > 0;
+                    late_seen |= eager.iter().any(|o| o.0.is_some() && o.1 > 63);
+                    for threads in [1, 2] {
+                        let lazy = run_unit_campaign(
+                            &unit,
+                            &inputs,
+                            &CampaignConfig {
+                                threads: Some(threads),
+                                ..cfg
+                            },
+                        );
+                        let at = format!(
+                            "{kind:?} seed {seed:#x} cap {max_attempts_per_input} threads {threads}"
+                        );
+                        assert_eq!(lazy.records, records, "{at}");
+                        assert_eq!(lazy.attempts, attempts, "{at}");
+                        assert_eq!(lazy.fully_masked_inputs, masked, "{at}");
+                    }
+                }
+            }
+        }
+        assert!(masked_seen, "no input exhausted its cap");
+        assert!(late_seen, "no input corrupted after its first batch");
     }
 
     #[test]

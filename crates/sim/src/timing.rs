@@ -292,7 +292,160 @@ impl TWarp<'_> {
     }
 }
 
+/// Most source registers any op reads (`DFma`: three 64-bit pairs).
+const MAX_SRCS: usize = 6;
+/// Most destination registers any op writes (a 64-bit pair).
+const MAX_DSTS: usize = 2;
+
+/// What issuing a lowered instruction does beyond the scoreboard and
+/// functional-unit port checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IssueKind {
+    /// `Bar`: park the warp until its whole CTA arrives.
+    Barrier,
+    /// Completes a fixed [`TimedInstr::latency`] after issue.
+    Fixed,
+    /// Shared-memory access: DRAM-pipe queueing plus the shared latency.
+    Shared,
+    /// Global access or atomic: DRAM-pipe queueing plus jittered latency.
+    Global,
+}
+
+/// One kernel instruction lowered to exactly what [`replay_wave`] reads,
+/// derived from the same `Op::uses`/`defs`/`func_unit`/`dep_latency` calls
+/// the reference replay makes on every probe.
+#[derive(Debug, Clone, Copy)]
+struct TimedInstr {
+    srcs: [u8; MAX_SRCS],
+    n_srcs: u8,
+    dsts: [u8; MAX_DSTS],
+    n_dsts: u8,
+    /// Functional-unit slot, indexing `WaveStats::issued_per_fu`.
+    fu: u8,
+    interval_qc: u64,
+    /// Completion latency of an [`IssueKind::Fixed`] instruction.
+    latency: u64,
+    kind: IssueKind,
+}
+
+impl TimedInstr {
+    fn lower(instr: &swapcodes_isa::Instr) -> Self {
+        let op = &instr.op;
+        let uses = op.uses();
+        let defs = op.defs();
+        assert!(
+            uses.len() <= MAX_SRCS && defs.len() <= MAX_DSTS,
+            "{op:?} exceeds the replay's register-operand arrays"
+        );
+        let mut srcs = [0u8; MAX_SRCS];
+        for (slot, r) in srcs.iter_mut().zip(&uses) {
+            *slot = r.0;
+        }
+        let mut dsts = [0u8; MAX_DSTS];
+        for (slot, r) in dsts.iter_mut().zip(&defs) {
+            *slot = r.0;
+        }
+        let fu = op.func_unit();
+        let kind = match op {
+            Op::Bar => IssueKind::Barrier,
+            Op::Ld {
+                space: swapcodes_isa::MemSpace::Shared,
+                ..
+            }
+            | Op::St {
+                space: swapcodes_isa::MemSpace::Shared,
+                ..
+            } => IssueKind::Shared,
+            _ if fu == FuncUnit::Mem => IssueKind::Global,
+            _ => IssueKind::Fixed,
+        };
+        // End-to-end move propagation (Fig. 4): the swapped codeword is
+        // copied register-file-internally without a datapath round trip.
+        let latency = if instr.predicted && matches!(op, Op::Mov { .. }) {
+            2
+        } else {
+            u64::from(op.dep_latency())
+        };
+        #[allow(clippy::cast_possible_truncation)] // bounded by the assert
+        let (n_srcs, n_dsts) = (uses.len() as u8, defs.len() as u8);
+        Self {
+            srcs,
+            n_srcs,
+            dsts,
+            n_dsts,
+            fu: fu_slot(fu),
+            interval_qc: fu_interval_qc(fu),
+            latency,
+            kind,
+        }
+    }
+
+    fn srcs(&self) -> &[u8] {
+        &self.srcs[..usize::from(self.n_srcs)]
+    }
+
+    fn dsts(&self) -> &[u8] {
+        &self.dsts[..usize::from(self.n_dsts)]
+    }
+}
+
+/// Index of a functional unit in `WaveStats::issued_per_fu`.
+fn fu_slot(fu: FuncUnit) -> u8 {
+    match fu {
+        FuncUnit::Int => 0,
+        FuncUnit::F32 => 1,
+        FuncUnit::F64 => 2,
+        FuncUnit::Sfu => 3,
+        FuncUnit::Mem => 4,
+        FuncUnit::Ctrl => 5,
+        FuncUnit::Mov => 6,
+    }
+}
+
+/// A warp of [`replay_wave`]. Its scoreboard lives in the replay's flat
+/// `ready` buffer at `warp index * registers`.
+struct ReplayWarp<'a> {
+    cta: u32,
+    entries: &'a [crate::exec::TraceEntry],
+    pos: usize,
+    /// Cycle at which every source of `entries[pos]` is ready. Only this
+    /// warp's own issues write its scoreboard, and each of them advances
+    /// `pos`, so the value stays exact until it is recomputed there.
+    src_ready: u64,
+    waiting_bar: bool,
+    last_issue: u64,
+}
+
+impl ReplayWarp<'_> {
+    fn done(&self) -> bool {
+        self.pos >= self.entries.len()
+    }
+
+    /// Advance past the current entry; returns whether the warp finished.
+    /// Otherwise caches the next entry's source-ready cycle from `ready`,
+    /// this warp's scoreboard.
+    fn advance(&mut self, table: &[TimedInstr], ready: &[u64]) -> bool {
+        self.pos += 1;
+        let Some(entry) = self.entries.get(self.pos) else {
+            return true;
+        };
+        self.src_ready = table[entry.kidx as usize]
+            .srcs()
+            .iter()
+            .map(|&r| ready[usize::from(r)])
+            .max()
+            .unwrap_or(0);
+        false
+    }
+}
+
 /// Replay one wave of traces on the SM model, returning the cycle count.
+///
+/// Cycle-for-cycle identical to [`replay_wave_reference`] (DESIGN §15):
+/// the kernel is lowered once into a [`TimedInstr`] table, each warp
+/// caches its next entry's source-ready cycle, the greedy-then-oldest
+/// order is maintained by moving issuers to the front, and a live-warp
+/// count replaces the all-done scan.
 #[allow(clippy::too_many_lines)]
 fn replay_wave(
     kernel: &Kernel,
@@ -304,17 +457,22 @@ fn replay_wave(
         return Ok((0, stats));
     }
     let regs = kernel.register_count().max(1) as usize;
-    let mut warps: Vec<TWarp<'_>> = traces
+    let table: Vec<TimedInstr> = kernel.instrs().iter().map(TimedInstr::lower).collect();
+    // Every scoreboard entry starts ready at cycle 0, so every cached
+    // source-ready cycle does too.
+    let mut ready = vec![0u64; traces.len() * regs];
+    let mut warps: Vec<ReplayWarp<'_>> = traces
         .iter()
-        .map(|t| TWarp {
+        .map(|t| ReplayWarp {
             cta: t.cta,
             entries: &t.entries,
             pos: 0,
-            ready: vec![0; regs],
+            src_ready: 0,
             waiting_bar: false,
             last_issue: 0,
         })
         .collect();
+    let mut live = warps.iter().filter(|w| !w.done()).count();
 
     let schedulers = cfg.gpu.schedulers as usize;
     let mut fu_free_qc = [0u64; 7];
@@ -338,11 +496,11 @@ fn replay_wave(
             })
             .collect()
     };
-    // Per-scheduler issue order, kept across cycles. Sorting the persistent
-    // list by `(Reverse(last_issue), warp index)` yields exactly what the
-    // old per-cycle rebuild (index order, then stable sort by
-    // `Reverse(last_issue)`) produced, but on an almost-sorted input the
-    // adaptive sort is near-linear.
+    // Per-scheduler greedy-then-oldest issue order, sorted by
+    // `(Reverse(last_issue), warp index)`: what the reference's per-cycle
+    // stable sort of the index order produces. Index order is sorted while
+    // every key is 0; after that only issues change keys, and a
+    // move-to-front keeps the order sorted.
     let mut orders: Vec<Vec<usize>> = (0..schedulers)
         .map(|s| (0..warps.len()).filter(|i| i % schedulers == s).collect())
         .collect();
@@ -350,20 +508,7 @@ fn replay_wave(
     // the release scan entirely.
     let mut waiting_count: usize = 0;
 
-    let fu_idx = |fu: FuncUnit| match fu {
-        FuncUnit::Int => 0,
-        FuncUnit::F32 => 1,
-        FuncUnit::F64 => 2,
-        FuncUnit::Sfu => 3,
-        FuncUnit::Mem => 4,
-        FuncUnit::Ctrl => 5,
-        FuncUnit::Mov => 6,
-    };
-
-    loop {
-        if warps.iter().all(TWarp::done) {
-            break;
-        }
+    while live > 0 {
         if cycle >= cfg.max_cycles {
             return Err(ExecError::Hang { steps: cycle });
         }
@@ -381,9 +526,14 @@ fn replay_wave(
                 }
                 if alive > 0 && alive == waiting {
                     for &i in members {
-                        if !warps[i].done() {
-                            warps[i].waiting_bar = false;
-                            warps[i].pos += 1; // retire the barrier entry
+                        let w = &mut warps[i];
+                        if !w.done() {
+                            w.waiting_bar = false;
+                            // Retire the barrier entry.
+                            let warp_ready = &ready[i * regs..(i + 1) * regs];
+                            if w.advance(&table, warp_ready) {
+                                live -= 1;
+                            }
                         }
                     }
                     waiting_count -= waiting;
@@ -397,41 +547,35 @@ fn replay_wave(
 
         for order in &mut orders {
             // Greedy-then-oldest: most recently issued first, then oldest,
-            // ties broken by warp id (the trailing `i` in the sort key).
-            order.sort_by_key(|&i| (std::cmp::Reverse(warps[i].last_issue), i));
-
-            let mut issued_this_sched = 0u32;
-            for &wi in order.iter() {
-                let w = &warps[wi];
+            // ties broken by warp id.
+            let mut issued_at = [0usize; 2];
+            let mut issued_this_sched = 0usize;
+            for (p, &wi) in order.iter().enumerate() {
+                let w = &mut warps[wi];
                 if w.done() || w.waiting_bar {
                     continue;
                 }
                 let entry = w.entries[w.pos];
-                let instr = &kernel.instrs()[entry.kidx as usize];
-                let op = &instr.op;
+                let t = &table[entry.kidx as usize];
 
                 // Barrier: mark waiting (retired at release).
-                if matches!(op, Op::Bar) {
-                    warps[wi].waiting_bar = true;
+                if t.kind == IssueKind::Barrier {
+                    w.waiting_bar = true;
                     waiting_count += 1;
                     issued_any = true;
                     break;
                 }
 
-                // Scoreboard: all sources (and the guard-implied reads) ready.
-                let mut src_ready = 0u64;
-                for r in op.uses() {
-                    src_ready = src_ready.max(w.ready[usize::from(r.0)]);
-                }
-                if src_ready > cycle {
-                    next_event = next_event.min(src_ready);
+                // Scoreboard: every register source ready. Predicates,
+                // guards included, are not scoreboarded.
+                if w.src_ready > cycle {
+                    next_event = next_event.min(w.src_ready);
                     stats.scoreboard_rejects += 1;
                     continue;
                 }
 
                 // Structural: functional unit issue port.
-                let fu = op.func_unit();
-                let fi = fu_idx(fu);
+                let fi = usize::from(t.fu);
                 if fu_free_qc[fi] > now_qc {
                     next_event = next_event.min(fu_free_qc[fi].div_ceil(4));
                     stats.fu_rejects += 1;
@@ -439,57 +583,59 @@ fn replay_wave(
                 }
 
                 // Issue.
-                fu_free_qc[fi] = now_qc + fu_interval_qc(fu);
-                let mut complete = cycle + u64::from(op.dep_latency());
-                if instr.predicted && matches!(op, Op::Mov { .. }) {
-                    // End-to-end move propagation (Fig. 4): the swapped
-                    // codeword is copied register-file-internally without a
-                    // datapath round trip.
-                    complete = cycle + 2;
-                }
+                fu_free_qc[fi] = now_qc + t.interval_qc;
                 stats.issued_per_fu[fi] += 1;
-                if fu == FuncUnit::Mem {
+                let complete = if t.kind == IssueKind::Fixed {
+                    cycle + t.latency
+                } else {
                     // Bandwidth queueing for global transactions.
                     let txn_cost = u64::from(entry.txns) * cfg.txn_interval_qc;
                     mem_pipe_qc = mem_pipe_qc.max(now_qc) + txn_cost;
                     let queue_cycles = (mem_pipe_qc - now_qc) / 4;
                     stats.peak_mem_queue = stats.peak_mem_queue.max(queue_cycles);
-                    let lat = match op {
-                        Op::Ld {
-                            space: swapcodes_isa::MemSpace::Shared,
-                            ..
-                        }
-                        | Op::St {
-                            space: swapcodes_isa::MemSpace::Shared,
-                            ..
-                        } => u64::from(cfg.shared_latency),
-                        _ => {
-                            // DRAM bank/row variability: deterministic jitter
-                            // of +/-25% around the base latency decorrelates
-                            // warp wake-ups (a constant latency makes every
-                            // warp convoy in lockstep forever, which no real
-                            // memory system does).
-                            let base = u64::from(cfg.mem_latency);
-                            let h = (wi as u64)
-                                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                                .wrapping_add((w.pos as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-                            let h = (h ^ (h >> 31)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                            base * 3 / 4 + (h >> 33) % (base / 2)
-                        }
+                    let lat = if t.kind == IssueKind::Shared {
+                        u64::from(cfg.shared_latency)
+                    } else {
+                        // DRAM bank/row variability: deterministic jitter
+                        // of +/-25% around the base latency decorrelates
+                        // warp wake-ups (a constant latency makes every
+                        // warp convoy in lockstep forever, which no real
+                        // memory system does).
+                        let base = u64::from(cfg.mem_latency);
+                        let h = (wi as u64)
+                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                            .wrapping_add((w.pos as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+                        let h = (h ^ (h >> 31)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                        base * 3 / 4 + (h >> 33) % (base / 2)
                     };
-                    complete = cycle + lat + queue_cycles;
-                }
-                let w = &mut warps[wi];
-                for r in op.defs() {
-                    let slot = &mut w.ready[usize::from(r.0)];
+                    cycle + lat + queue_cycles
+                };
+                let warp_ready = &mut ready[wi * regs..(wi + 1) * regs];
+                for &r in t.dsts() {
+                    let slot = &mut warp_ready[usize::from(r)];
                     *slot = (*slot).max(complete);
                 }
-                w.pos += 1;
                 w.last_issue = cycle;
+                if w.advance(&table, warp_ready) {
+                    live -= 1;
+                }
                 issued_any = true;
+                issued_at[issued_this_sched] = p;
                 issued_this_sched += 1;
                 if issued_this_sched >= 2 {
                     break; // dual dispatch per scheduler per cycle (Pascal)
+                }
+            }
+            // At cycle 0 the issuers' keys stay 0 like everyone's, so the
+            // order is unchanged. Later, they hold the largest key, `cycle`:
+            // move them to the front, two same-cycle issuers by warp index.
+            if cycle > 0 && issued_this_sched > 0 {
+                order[..=issued_at[0]].rotate_right(1);
+                if issued_this_sched == 2 {
+                    order[1..=issued_at[1]].rotate_right(1);
+                    if order[0] > order[1] {
+                        order.swap(0, 1);
+                    }
                 }
             }
         }
@@ -605,7 +751,8 @@ fn replay_wave_reference(
                     break;
                 }
 
-                // Scoreboard: all sources (and the guard-implied reads) ready.
+                // Scoreboard: all register sources ready (predicates,
+                // guards included, are not scoreboarded).
                 let mut src_ready = 0u64;
                 for r in op.uses() {
                     src_ready = src_ready.max(w.ready[usize::from(r.0)]);
