@@ -13,15 +13,15 @@
 //!   batch, single-threaded) versus the work-stealing allocation-free
 //!   campaign. Both draw the same sites, so their error and attempt counts
 //!   are asserted equal.
-//! * **Architecture campaign** — four legs on identical trials, single
+//! * **Architecture campaign** — three legs on identical trials, single
 //!   threaded: every trial simulated from scratch (`run_trial_reference`,
-//!   the seed path); the fast-forward engine with legacy deep-copy (clone)
-//!   resume; the copy-on-write resume (page-granular memory overlay, lazy
-//!   regfile materialization, dirty-set convergence checks); and CoW plus
-//!   epoch-batched scheduling (trials rung-sorted so batch-mates share one
-//!   `Arc`'d base snapshot). All four tallies are asserted byte-identical
-//!   per cell, and the CoW legs report materialization telemetry
-//!   (`bytes_cloned_per_trial`, `cow_page_hit_rate`, `batch_size_mean`).
+//!   the seed path); the tier-1 fast-forward engine with legacy deep-copy
+//!   (clone) resume; and the production engine — tier 2 with copy-on-write
+//!   resume (page-granular memory overlay, lazy regfile materialization,
+//!   dirty-set convergence checks) — in logical trial order. All three
+//!   tallies are asserted byte-identical per cell, and the CoW leg reports
+//!   materialization telemetry (`bytes_cloned_per_trial`,
+//!   `cow_page_hit_rate`).
 //! * **Tier-2 executor** — the tier-1 fast-forward engine (predecoded
 //!   micro-op interpreter, the previous default) versus the tier-2
 //!   closure-compiled threaded-code engine over the peepholed kernel (the
@@ -239,8 +239,8 @@ fn main() {
     // --- Architecture campaign: from-scratch vs resume-engine legs. -------
     // All legs run on one thread; trials are identical `(seed, index)`
     // draws, and the per-cell tallies must agree outcome-for-outcome — this
-    // is the differential gate guarding the fast-forward engine, the CoW
-    // resume path, and the epoch-batched scheduler at campaign scale.
+    // is the differential gate guarding the fast-forward engine and the CoW
+    // resume path at campaign scale.
     let arch_cells = [("matmul", Scheme::SwapEcc), ("kmeans", Scheme::SwDup)];
     let arch_trials: u64 = if std::env::var_os("SWAPCODES_FAST").is_some() {
         250
@@ -251,14 +251,12 @@ fn main() {
     let mut arch_reference_s = 0.0f64;
     let mut arch_clone_s = 0.0f64;
     let mut arch_cow_s = 0.0f64;
-    let mut arch_batched_s = 0.0f64;
     let mut arch_snapshots = 0usize;
     let mut arch_early_exits = 0u64;
     let mut arch_total = 0u64;
     let mut arch_bytes_cloned = 0u64;
     let mut arch_pages_cloned = 0u64;
     let mut arch_pages_total = 0u64;
-    let mut arch_batches = 0usize;
     // Pinned to the tier-1 interpreter engine without the peephole pass so
     // this gate keeps measuring exactly what it measured before tier 2
     // existed (the tier-2 engine gets its own gate below).
@@ -271,8 +269,8 @@ fn main() {
         let w = by_name(name).expect("workload");
         let campaign =
             ArchCampaign::prepare_with(&w, scheme, arch_seed, tier1_opts).expect("scheme applies");
-        // The CoW and batched legs run the production engine (tier 2 +
-        // peephole + CoW resume) — the stack a real campaign gets from
+        // The CoW leg runs the production engine (tier 2 + peephole + CoW
+        // resume) — the stack a real campaign gets from
         // `CampaignOptions::from_env()` — against the same trial draws.
         let production =
             ArchCampaign::prepare_with(&w, scheme, arch_seed, CampaignOptions::default())
@@ -314,12 +312,6 @@ fn main() {
         let cell_cow_s = t.elapsed().as_secs_f64();
         arch_cow_s += cell_cow_s;
 
-        // Leg 4: CoW resume in epoch-batch order (planning cost included).
-        let t = Instant::now();
-        let batched_tally = production.run_range_classed_batched(0, arch_trials);
-        let cell_batched_s = t.elapsed().as_secs_f64();
-        arch_batched_s += cell_batched_s;
-        arch_batches += production.plan_epoch_batches(0, arch_trials).len();
         arch_total += arch_trials;
 
         assert_eq!(
@@ -334,31 +326,24 @@ fn main() {
             "CoW-resume tallies diverge from the reference path on {name}/{}",
             scheme.label()
         );
-        assert_eq!(
-            batched_tally.aggregate(),
-            reference_tally,
-            "epoch-batched tallies diverge from the reference path on {name}/{}",
-            scheme.label()
-        );
         println!(
-            "  arch {name}/{}: from-scratch {cell_reference_s:6.2}s, clone {cell_clone_s:6.2}s, cow {cell_cow_s:6.2}s, batched {cell_batched_s:6.2}s ({:.1}x, {} snapshots)",
+            "  arch {name}/{}: from-scratch {cell_reference_s:6.2}s, clone {cell_clone_s:6.2}s, cow {cell_cow_s:6.2}s ({:.1}x, {} snapshots)",
             scheme.label(),
-            cell_reference_s / cell_batched_s,
+            cell_reference_s / cell_cow_s,
             campaign.snapshot_count()
         );
     }
     let arch_speedup = arch_reference_s / arch_clone_s;
-    let arch_speedup_cow = arch_reference_s / arch_batched_s;
+    let arch_speedup_cow = arch_reference_s / arch_cow_s;
     let arch_early_rate = arch_early_exits as f64 / arch_total as f64;
     let arch_bytes_per_trial = arch_bytes_cloned as f64 / arch_total as f64;
     let arch_page_hit_rate = 1.0 - arch_pages_cloned as f64 / arch_pages_total as f64;
-    let arch_batch_mean = arch_total as f64 / arch_batches as f64;
     println!(
-        "  arch campaign (1 thread)          {arch_reference_s:7.2}s -> clone {arch_clone_s:7.2}s ({arch_speedup:.1}x) -> cow+batch {arch_batched_s:7.2}s ({arch_speedup_cow:.1}x, {arch_total} trials, {:.0}% early exit)",
+        "  arch campaign (1 thread)          {arch_reference_s:7.2}s -> clone {arch_clone_s:7.2}s ({arch_speedup:.1}x) -> cow {arch_cow_s:7.2}s ({arch_speedup_cow:.1}x, {arch_total} trials, {:.0}% early exit)",
         arch_early_rate * 100.0
     );
     println!(
-        "  arch cow telemetry                {arch_bytes_per_trial:.0} bytes cloned/trial, {:.1}% page hit rate, {arch_batch_mean:.1} trials/batch",
+        "  arch cow telemetry                {arch_bytes_per_trial:.0} bytes cloned/trial, {:.1}% page hit rate",
         arch_page_hit_rate * 100.0
     );
 
@@ -438,7 +423,7 @@ fn main() {
 
     // --- Report. ----------------------------------------------------------
     let json = format!(
-        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"serial_seed_s\": {serial_s:.3},\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"speedup\": {sweep_speedup:.2},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"seed_loop_s\": {campaign_serial_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"speedup\": {campaign_speedup:.2}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_clone_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"batched_s\": {arch_batched_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4},\n    \"batch_size_mean\": {arch_batch_mean:.2}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
+        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"serial_seed_s\": {serial_s:.3},\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"speedup\": {sweep_speedup:.2},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"seed_loop_s\": {campaign_serial_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"speedup\": {campaign_speedup:.2}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_clone_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
         timing_cells.len(),
         engine.cached_cells(),
         inputs.len(),

@@ -445,7 +445,7 @@ impl CampaignOptions {
     /// The engine tag stamped into campaign checkpoints. A checkpoint
     /// written under a different engine is rejected as stale on resume
     /// (restart from trial 0) instead of silently mixing tallies produced
-    /// by different executors — see `ArchCheckpoint::StaleEngine` in
+    /// by different executors — see the checkpointed drivers in
     /// [`crate::harness`].
     #[must_use]
     pub fn engine_tag(self) -> &'static str {
@@ -1187,54 +1187,6 @@ impl<'w> ArchCampaign<'w> {
         (fault.class, outcome)
     }
 
-    /// The epoch-ladder rung trial `trial` resumes from (for its salt-0
-    /// fault draw). This is the epoch-batch sort key: trials sharing a rung
-    /// resume from the same `Arc`'d base state, so running them
-    /// back-to-back keeps that state hot in cache. Purely a scheduling
-    /// heuristic — a containment retry with a different salt may resume
-    /// elsewhere, which affects locality, never correctness.
-    #[must_use]
-    pub fn trial_rung(&self, trial: u64) -> usize {
-        self.cell
-            .engine
-            .resume_rung(&self.trial_fault_salted(trial, 0))
-    }
-
-    /// Group trials `[start, end)` into per-epoch batches: one batch per
-    /// resume rung, batches in rung order, trial indices ascending within
-    /// each batch. Every trial of `[start, end)` appears in exactly one
-    /// batch; tallying is order-independent, so executing batches
-    /// out-of-logical-order and committing results in logical order
-    /// reproduces the serial tallies byte-for-byte.
-    #[must_use]
-    pub fn plan_epoch_batches(&self, start: u64, end: u64) -> Vec<Vec<u64>> {
-        let mut by_rung: Vec<(usize, Vec<u64>)> = Vec::new();
-        for trial in start..end {
-            let rung = self.trial_rung(trial);
-            match by_rung.binary_search_by_key(&rung, |&(r, _)| r) {
-                Ok(i) => by_rung[i].1.push(trial),
-                Err(i) => by_rung.insert(i, (rung, vec![trial])),
-            }
-        }
-        by_rung.into_iter().map(|(_, trials)| trials).collect()
-    }
-
-    /// [`Self::run_range_classed`] executed as epoch batches (trials sorted
-    /// by resume rung) instead of logical order. Tallies are commutative
-    /// counters, so the result is byte-identical to the serial range — this
-    /// equivalence is asserted by the perf baseline on every run.
-    #[must_use]
-    pub fn run_range_classed_batched(&self, start: u64, end: u64) -> FaultClassTallies {
-        let mut out = FaultClassTallies::default();
-        for batch in self.plan_epoch_batches(start, end) {
-            for trial in batch {
-                let (class, outcome) = self.run_trial_classed_salted(trial, 0);
-                out.record(class, outcome);
-            }
-        }
-        out
-    }
-
     /// The fault-class mix this campaign draws from.
     #[must_use]
     pub fn mix(&self) -> FaultMix {
@@ -1249,21 +1201,6 @@ impl<'w> ArchCampaign<'w> {
     #[must_use]
     pub fn run_trial_recovering(&self, trial: u64, rcfg: &RecoveryConfig) -> RecoveredTrial {
         self.run_trial_recovering_salted(trial, 0, rcfg)
-    }
-
-    /// [`Self::run_trial_recovering_salted`] plus the drawn fault's class —
-    /// the recovery ladder exercised against mixed-class campaigns (warp
-    /// replay re-checkpoints barrier state, relaunch keeps stuck-at sites
-    /// armed).
-    #[must_use]
-    pub fn run_trial_recovering_classed_salted(
-        &self,
-        trial: u64,
-        salt: u32,
-        rcfg: &RecoveryConfig,
-    ) -> (FaultClass, RecoveredTrial) {
-        let class = self.trial_fault_salted(trial, salt).class;
-        (class, self.run_trial_recovering_salted(trial, salt, rcfg))
     }
 
     /// [`Self::run_trial_recovering`] with a containment-retry salt.

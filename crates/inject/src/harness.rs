@@ -14,7 +14,10 @@
 //!   [`write_atomic`] (write-temp-then-rename), so a campaign killed by a
 //!   crash, OOM or SIGKILL resumes from its last checkpoint — and because
 //!   trials are pure functions of `(seed, index)`, the resumed tallies are
-//!   byte-identical to an uninterrupted run.
+//!   byte-identical to an uninterrupted run;
+//! * the three architecture-level drivers — whole campaign, recovery
+//!   campaign and service shard — are wrappers around one in-order trial
+//!   loop over a range `[start, end)` and share one checkpoint format.
 //!
 //! Checkpoints and the anomaly log live in the directory named by the
 //! `SWAPCODES_CHECKPOINT_DIR` environment variable (or an explicit
@@ -202,24 +205,6 @@ pub fn checkpoint_dir_from_env() -> Option<PathBuf> {
         .filter(|p| !p.is_empty())
         .map(PathBuf::from)
 }
-
-/// Engine tag of the tier-1 fast-forward engine over the *unpeepholed*
-/// kernel (snapshot resume + convergence pruning). Plain arch-campaign
-/// checkpoints are stamped with the prepared campaign's actual tag —
-/// [`crate::arch::CampaignOptions::engine_tag`]: `"ff1"`/`"ff2"` for
-/// tier 1/tier 2, with a `p` suffix when the peephole pass ran — and a
-/// checkpoint carrying any other tag (or none, from before tagging
-/// existed) is rejected with a logged anomaly instead of silently resumed:
-/// the peephole pass changes the eligible-op numbering, so tallies from
-/// different engines must never be mixed.
-pub const ENGINE_FAST_FORWARD: &str = "ff1";
-
-/// Engine tag stamped into recovery-campaign checkpoints over the
-/// unpeepholed kernel: recovery trials run on the classic executor
-/// (in-executor rollback needs the full warp machinery). With the peephole
-/// pass enabled (the default) the tag is
-/// [`crate::arch::CampaignOptions::recovery_engine_tag`]'s `"classicp"`.
-pub const ENGINE_CLASSIC: &str = "classic";
 
 /// Write `contents` to `path` atomically: write and fsync a sibling
 /// temporary file, then rename it over the target. A crash at any point
@@ -544,15 +529,15 @@ pub struct CampaignRun {
     pub finished: bool,
     /// Unrecoverable items logged during this invocation.
     pub anomalies: u64,
-    /// A checkpoint matching this campaign's identity was found but was
-    /// written by a different trial engine or fault-class mix; it was
-    /// rejected (with a logged anomaly) and the campaign restarted from
-    /// trial 0.
+    /// A checkpoint was found at this campaign's path but not adopted —
+    /// written by a different trial engine or fault-class mix, by another
+    /// campaign or an older checkpoint format, or torn. It was rejected
+    /// with a logged anomaly and the campaign restarted from trial 0.
     pub stale_engine: bool,
 }
 
 // ---------------------------------------------------------------------------
-// Architecture-level campaign with checkpointing
+// Architecture-level campaigns with checkpointing
 // ---------------------------------------------------------------------------
 
 /// Serialize one tally's ten buckets with a per-class key prefix
@@ -591,117 +576,140 @@ fn parse_outcome_fields(f: &[(String, String)], prefix: &str) -> Option<ArchOutc
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn arch_checkpoint_json(
-    mode: &str,
-    engine: &str,
-    mix: &str,
-    workload: &str,
-    scheme: &str,
+/// Everything a checkpoint must match to be resumed. The `mode` keeps a
+/// recovery campaign from resuming a plain campaign's tallies (and vice
+/// versa): same trials, different bucket semantics. A whole campaign is
+/// the range `[0, trials)`; a service shard is its own range.
+struct CheckpointId {
+    /// `"plain"` or `"recover"`.
+    mode: &'static str,
+    /// The trial engine tag: a checkpoint from another engine is stale.
+    engine: &'static str,
+    /// The fault-mix tag: a checkpoint drawn under another mix is stale.
+    mix: String,
+    workload: &'static str,
+    scheme: String,
     seed: u64,
     fuel: u64,
-    trials: u64,
-    completed: u64,
-    classes: &FaultClassTallies,
-    rs: &RecoveryStats,
-) -> String {
+    start: u64,
+    end: u64,
+}
+
+impl CheckpointId {
+    fn new(
+        campaign: &ArchCampaign<'_>,
+        mode: &'static str,
+        engine: &'static str,
+        start: u64,
+        end: u64,
+    ) -> Self {
+        Self {
+            mode,
+            engine,
+            mix: campaign.mix().tag(),
+            workload: campaign.workload().name,
+            scheme: campaign.scheme().label(),
+            seed: campaign.seed(),
+            fuel: campaign.fuel,
+            start,
+            end,
+        }
+    }
+}
+
+/// Progress over trials `[start, cursor)`: per-class tallies and the
+/// recovery work summed over them (zero outside recovery campaigns).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Progress {
+    cursor: u64,
+    classes: FaultClassTallies,
+    stats: RecoveryStats,
+}
+
+/// The one checkpoint format: a single flat JSON line holding the
+/// identity, the cursor, the aggregate and per-class buckets, and the
+/// recovery stats.
+fn checkpoint_json(id: &CheckpointId, p: &Progress) -> String {
     format!(
-        "{{\"campaign\":\"arch\",\"mode\":\"{mode}\",\"engine\":\"{engine}\",\
-         \"faultmix\":\"{}\",\"workload\":\"{}\",\"scheme\":\"{}\",\
-         \"seed\":{seed},\"fuel\":{fuel},\"trials\":{trials},\"completed\":{completed},\
-         {},{},{},{},\
+        "{{\"campaign\":\"arch\",\"mode\":\"{}\",\"engine\":\"{}\",\"faultmix\":\"{}\",\
+         \"workload\":\"{}\",\"scheme\":\"{}\",\"seed\":{},\"fuel\":{},\
+         \"start\":{},\"end\":{},\"cursor\":{},{},{},{},{},\
          \"ckpts\":{},\"replays\":{},\"replayed\":{},\"corrections\":{},\"relaunches\":{}}}",
-        json_escape(mix),
-        json_escape(workload),
-        json_escape(scheme),
-        outcome_fields("", &classes.aggregate()),
-        outcome_fields("t_", &classes.transient),
-        outcome_fields("c_", &classes.control),
-        outcome_fields("s_", &classes.stuck_at),
-        rs.checkpoints,
-        rs.replays,
-        rs.replayed_instructions,
-        rs.corrections,
-        rs.relaunches
+        json_escape(id.mode),
+        json_escape(id.engine),
+        json_escape(&id.mix),
+        json_escape(id.workload),
+        json_escape(&id.scheme),
+        id.seed,
+        id.fuel,
+        id.start,
+        id.end,
+        p.cursor,
+        outcome_fields("", &p.classes.aggregate()),
+        outcome_fields("t_", &p.classes.transient),
+        outcome_fields("c_", &p.classes.control),
+        outcome_fields("s_", &p.classes.stuck_at),
+        p.stats.checkpoints,
+        p.stats.replays,
+        p.stats.replayed_instructions,
+        p.stats.corrections,
+        p.stats.relaunches
     )
 }
 
-/// What loading an arch checkpoint found. The resumable payload dwarfs the
-/// rejection variants, but exactly one value exists per campaign launch, so
+/// What loading a checkpoint found. The resumable payload dwarfs the
+/// rejection variants, but exactly one value exists per driver call, so
 /// boxing it would buy nothing.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
-pub enum ArchCheckpoint {
-    /// Identity, engine and fault mix match: resume from
-    /// `(completed, per-class tallies, stats)`.
-    Resumable(u64, FaultClassTallies, RecoveryStats),
+enum ArchCheckpoint {
+    /// Identity, engine and fault mix match: resume from this progress.
+    Resumable(Progress),
     /// Identity matches but the checkpoint was written by a different (or
-    /// pre-tagging) trial engine: it describes the *same* campaign, so it
-    /// must not be silently ignored — the caller rejects it loudly and
-    /// restarts from trial 0.
+    /// pre-tagging) trial engine.
     StaleEngine {
         /// The engine tag found in the file (empty when absent).
         found: String,
     },
     /// Identity and engine match but the checkpoint was drawn under a
     /// different fault-class mix (or predates mix tagging): per-trial
-    /// draws differ, so resuming would mix incomparable tallies. Rejected
-    /// loudly, campaign restarts from trial 0.
+    /// draws differ, so resuming would mix incomparable tallies.
     StaleFaultMix {
         /// The mix tag found in the file (empty when absent).
         found: String,
     },
-    /// A different campaign's checkpoint (or a torn/foreign file): ignored.
+    /// Another campaign's or range's checkpoint, an older format, a torn
+    /// file, or progress that disagrees with itself.
     Mismatch,
 }
 
-/// Parse an arch checkpoint, classifying it against this campaign's
-/// identity — a stale checkpoint from a different
-/// mode/workload/scheme/seed/fuel/trial-count is ignored, not misapplied.
-/// The `mode` field keeps a recovery campaign from resuming a plain
-/// campaign's tallies (and vice versa): same trials, different bucket
-/// semantics. The `engine` field keeps a checkpoint written by an older
-/// trial engine (pre fast-forward) from resuming into tallies produced by
-/// the new one, and `faultmix` does the same for the fault-class sampling
-/// mix (which changes every per-trial draw).
-#[allow(clippy::too_many_arguments)]
-fn load_arch_checkpoint(
-    path: &Path,
-    mode: &str,
-    engine: &str,
-    mix: &str,
-    workload: &str,
-    scheme: &str,
-    seed: u64,
-    fuel: u64,
-    trials: u64,
-) -> ArchCheckpoint {
+/// Parse the checkpoint at `path` and classify it against `id`.
+fn load_checkpoint(path: &Path, id: &CheckpointId) -> ArchCheckpoint {
     let inner = || -> Option<ArchCheckpoint> {
-        let text = fs::read_to_string(path).ok()?;
-        let f = parse_flat(&text)?;
+        let f = parse_flat(&fs::read_to_string(path).ok()?)?;
         if field(&f, "campaign")? != "arch"
-            || field(&f, "mode")? != mode
-            || field(&f, "workload")? != workload
-            || field(&f, "scheme")? != scheme
-            || field_u64(&f, "seed")? != seed
-            || field_u64(&f, "fuel")? != fuel
-            || field_u64(&f, "trials")? != trials
+            || field(&f, "mode")? != id.mode
+            || field(&f, "workload")? != id.workload
+            || field(&f, "scheme")? != id.scheme
+            || field_u64(&f, "seed")? != id.seed
+            || field_u64(&f, "fuel")? != id.fuel
+            || field_u64(&f, "start")? != id.start
+            || field_u64(&f, "end")? != id.end
         {
             return None;
         }
-        let found_engine = field(&f, "engine").unwrap_or("");
-        if found_engine != engine {
+        let found = field(&f, "engine").unwrap_or("");
+        if found != id.engine {
             return Some(ArchCheckpoint::StaleEngine {
-                found: found_engine.to_owned(),
+                found: found.to_owned(),
             });
         }
-        let found_mix = field(&f, "faultmix").unwrap_or("");
-        if found_mix != mix {
+        let found = field(&f, "faultmix").unwrap_or("");
+        if found != id.mix {
             return Some(ArchCheckpoint::StaleFaultMix {
-                found: found_mix.to_owned(),
+                found: found.to_owned(),
             });
         }
-        let completed = field_u64(&f, "completed")?;
         let classes = FaultClassTallies {
             transient: parse_outcome_fields(&f, "t_")?,
             control: parse_outcome_fields(&f, "c_")?,
@@ -712,161 +720,22 @@ fn load_arch_checkpoint(
         if parse_outcome_fields(&f, "")? != classes.aggregate() {
             return None;
         }
-        let stats = RecoveryStats {
-            checkpoints: field_u64(&f, "ckpts")?,
-            replays: field_u64(&f, "replays")?,
-            replayed_instructions: field_u64(&f, "replayed")?,
-            corrections: field_u64(&f, "corrections")?,
-            relaunches: u32::try_from(field_u64(&f, "relaunches")?).ok()?,
+        let p = Progress {
+            cursor: field_u64(&f, "cursor")?,
+            classes,
+            stats: RecoveryStats {
+                checkpoints: field_u64(&f, "ckpts")?,
+                replays: field_u64(&f, "replays")?,
+                replayed_instructions: field_u64(&f, "replayed")?,
+                corrections: field_u64(&f, "corrections")?,
+                relaunches: u32::try_from(field_u64(&f, "relaunches")?).ok()?,
+            },
         };
-        (completed <= trials && classes.total() == completed)
-            .then_some(ArchCheckpoint::Resumable(completed, classes, stats))
+        (id.start <= p.cursor && p.cursor <= id.end && classes.total() == p.cursor - id.start)
+            .then_some(ArchCheckpoint::Resumable(p))
     };
     inner().unwrap_or(ArchCheckpoint::Mismatch)
 }
-
-/// Run (or resume) an architecture-level campaign with panic containment,
-/// anomaly logging and periodic atomic checkpoints.
-///
-/// Because trials are pure in `(seed, index)`, a resumed campaign tallies
-/// byte-identically to an uninterrupted one. Unrecoverable trials are
-/// logged and conservatively counted as `crash`.
-///
-/// # Errors
-///
-/// Propagates [`PrepError`] when the campaign cannot start at all.
-pub fn run_arch_campaign_checkpointed(
-    workload: &Workload,
-    scheme: Scheme,
-    trials: u64,
-    seed: u64,
-    ck: &CheckpointConfig,
-) -> Result<CampaignRun, PrepError> {
-    let campaign = ArchCampaign::prepare(workload, scheme, seed)?;
-    let engine = campaign.engine_tag();
-    let mix_tag = campaign.mix().tag();
-    let scheme_label = scheme.label();
-    let name = format!("arch-{}-{}", slug(workload.name), slug(&scheme_label));
-    let ckpt_path = ck.dir.as_ref().map(|d| {
-        let _ = fs::create_dir_all(d);
-        d.join(format!("{name}.ckpt.json"))
-    });
-
-    let mut log = AnomalyLog::new(ck.dir.as_deref());
-    for msg in take_env_anomalies() {
-        log.record(&name, 0, 0, &msg);
-    }
-    let mut stale_engine = false;
-    let (mut completed, mut classes) = match ckpt_path.as_deref().map(|p| {
-        load_arch_checkpoint(
-            p,
-            "plain",
-            engine,
-            &mix_tag,
-            workload.name,
-            &scheme_label,
-            seed,
-            campaign.fuel,
-            trials,
-        )
-    }) {
-        Some(ArchCheckpoint::Resumable(completed, classes, _)) => (completed, classes),
-        Some(ArchCheckpoint::StaleEngine { found }) => {
-            stale_engine = true;
-            log.record(
-                &name,
-                0,
-                0,
-                &format!(
-                    "checkpoint engine \"{found}\" is incompatible with \
-                     \"{engine}\"; restarting from trial 0"
-                ),
-            );
-            (0, FaultClassTallies::default())
-        }
-        Some(ArchCheckpoint::StaleFaultMix { found }) => {
-            stale_engine = true;
-            log.record(
-                &name,
-                0,
-                0,
-                &format!(
-                    "checkpoint fault mix \"{found}\" is incompatible with \
-                     \"{mix_tag}\"; restarting from trial 0"
-                ),
-            );
-            (0, FaultClassTallies::default())
-        }
-        Some(ArchCheckpoint::Mismatch) | None => (0, FaultClassTallies::default()),
-    };
-
-    let save = |completed: u64, classes: &FaultClassTallies| {
-        if let Some(p) = &ckpt_path {
-            let _ = write_atomic(
-                p,
-                &arch_checkpoint_json(
-                    "plain",
-                    engine,
-                    &mix_tag,
-                    workload.name,
-                    &scheme_label,
-                    seed,
-                    campaign.fuel,
-                    trials,
-                    completed,
-                    classes,
-                    &RecoveryStats::default(),
-                ),
-            );
-        }
-    };
-
-    let mut done_this_run = 0u64;
-    while completed < trials {
-        if ck.stop_after == Some(done_this_run) {
-            save(completed, &classes);
-            return Ok(CampaignRun {
-                outcomes: classes.aggregate(),
-                classes,
-                completed,
-                finished: false,
-                anomalies: log.count,
-                stale_engine,
-            });
-        }
-        let (class, outcome) = contain(ck.max_retries, |salt| {
-            campaign.run_trial_classed_salted(completed, salt)
-        })
-        .unwrap_or_else(|panic_msg| {
-            log.record(&name, completed, ck.max_retries, &panic_msg);
-            // Attribute the contained crash to the salt-0 draw's class —
-            // the deterministic one a re-run would see first.
-            (
-                campaign.trial_fault_salted(completed, 0).class,
-                TrialOutcome::Crash,
-            )
-        });
-        classes.record(class, outcome);
-        completed += 1;
-        done_this_run += 1;
-        if ck.interval > 0 && completed % ck.interval == 0 {
-            save(completed, &classes);
-        }
-    }
-    save(completed, &classes);
-    Ok(CampaignRun {
-        outcomes: classes.aggregate(),
-        classes,
-        completed,
-        finished: true,
-        anomalies: log.count,
-        stale_engine,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Shard driver for the campaign service
-// ---------------------------------------------------------------------------
 
 /// A contiguous trial range `[start, end)` of one campaign cell, owned by
 /// exactly one worker at a time. Because trials are pure in
@@ -886,7 +755,8 @@ pub struct ShardSpec {
 
 /// Progress events streamed by [`run_arch_shard_checkpointed`] to its
 /// caller (the campaign service forwards them over a channel as tally
-/// deltas; tests use them to interrupt the shard mid-flight).
+/// deltas and beats its worker heartbeat on each; tests use them to
+/// interrupt the shard mid-flight).
 #[derive(Debug)]
 pub enum ShardEvent<'a> {
     /// A matching shard checkpoint was adopted: `classes` already covers
@@ -948,87 +818,248 @@ pub struct ShardRun {
     pub anomalies: u64,
 }
 
-fn shard_checkpoint_json(
-    identity: &ShardIdentity<'_>,
-    shard: &ShardSpec,
-    cursor: u64,
-    classes: &FaultClassTallies,
-) -> String {
-    format!(
-        "{{\"campaign\":\"arch-shard\",\"engine\":\"{}\",\"faultmix\":\"{}\",\
-         \"workload\":\"{}\",\"scheme\":\"{}\",\"seed\":{},\"fuel\":{},\
-         \"start\":{},\"end\":{},\"cursor\":{cursor},{},{},{},{}}}",
-        json_escape(identity.engine),
-        json_escape(identity.mix),
-        json_escape(identity.workload),
-        json_escape(identity.scheme),
-        identity.seed,
-        identity.fuel,
-        shard.start,
-        shard.end,
-        outcome_fields("", &classes.aggregate()),
-        outcome_fields("t_", &classes.transient),
-        outcome_fields("c_", &classes.control),
-        outcome_fields("s_", &classes.stuck_at),
-    )
+/// One trial's fault class, outcome and recovery work, or `None` when an
+/// armed cancellation token cut the trial short.
+type TrialResult = Option<(FaultClass, TrialOutcome, RecoveryStats)>;
+
+/// Where a checkpointed run keeps its state.
+struct Store {
+    /// The checkpoint file; `None` keeps no on-disk state.
+    path: Option<PathBuf>,
+    log: AnomalyLog,
+    /// Campaign label of this run's anomaly lines.
+    label: String,
 }
 
-/// The campaign-cell identity a shard checkpoint must match to be adopted.
-struct ShardIdentity<'a> {
-    engine: &'a str,
-    mix: &'a str,
-    workload: &'a str,
-    scheme: &'a str,
-    seed: u64,
-    fuel: u64,
-}
-
-/// Parse a shard checkpoint against this shard's identity and range.
-/// Anything that does not match exactly — foreign cell, different range,
-/// different engine or fault mix, torn file, cursor out of `[start, end]`,
-/// tallies disagreeing with the cursor — yields `None` and the shard
-/// restarts from `start`. Shard checkpoints are cheap to discard (one
-/// shard, not a whole campaign), so there is no stale-vs-mismatch split
-/// here; the service logs an anomaly whenever a file existed but did not
-/// adopt.
-fn load_shard_checkpoint(
-    path: &Path,
-    identity: &ShardIdentity<'_>,
-    shard: &ShardSpec,
-) -> Option<(u64, FaultClassTallies)> {
-    let text = fs::read_to_string(path).ok()?;
-    let f = parse_flat(&text)?;
-    if field(&f, "campaign")? != "arch-shard"
-        || field(&f, "engine")? != identity.engine
-        || field(&f, "faultmix")? != identity.mix
-        || field(&f, "workload")? != identity.workload
-        || field(&f, "scheme")? != identity.scheme
-        || field_u64(&f, "seed")? != identity.seed
-        || field_u64(&f, "fuel")? != identity.fuel
-        || field_u64(&f, "start")? != shard.start
-        || field_u64(&f, "end")? != shard.end
-    {
-        return None;
+impl Store {
+    /// `<stem>.ckpt.json` under the configured directory (created on
+    /// demand), logging to `log`.
+    fn new(ck: &CheckpointConfig, stem: &str, log: AnomalyLog, label: String) -> Self {
+        let path = ck.dir.as_ref().map(|d| {
+            let _ = fs::create_dir_all(d);
+            d.join(format!("{stem}.ckpt.json"))
+        });
+        Self { path, log, label }
     }
-    let cursor = field_u64(&f, "cursor")?;
-    let classes = FaultClassTallies {
-        transient: parse_outcome_fields(&f, "t_")?,
-        control: parse_outcome_fields(&f, "c_")?,
-        stuck_at: parse_outcome_fields(&f, "s_")?,
+
+    fn save(&self, id: &CheckpointId, p: &Progress) {
+        if let Some(path) = &self.path {
+            let _ = write_atomic(path, &checkpoint_json(id, p));
+        }
+    }
+}
+
+/// How one invocation of [`run_range`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Exit {
+    /// Ran to the end of the range (checkpoint flushed).
+    Finished,
+    /// The `stop_after` hook fired (checkpoint flushed).
+    Stopped,
+    /// The cancellation token fired (checkpoint flushed).
+    Cancelled,
+    /// `on_event` returned [`ShardControl::Die`] (nothing flushed).
+    Abandoned,
+}
+
+/// What [`run_range`] hands back to the public drivers.
+struct RangeRun {
+    progress: Progress,
+    exit: Exit,
+    /// A checkpoint file existed but was not adopted.
+    rejected: bool,
+    anomalies: u64,
+}
+
+/// The one in-order trial loop behind every architecture-level driver.
+///
+/// It first resumes `[id.start, id.end)` from a matching checkpoint in
+/// `store` (emitting [`ShardEvent::Adopted`]), or rejects an existing
+/// checkpoint that does not match with an anomaly line and starts at
+/// `id.start`. Then each step, in trial order:
+///
+/// 1. polls `cancel` and checks `ck.stop_after` — either flushes the
+///    checkpoint and returns;
+/// 2. runs the trial under [`contain`] — a trial that keeps panicking is
+///    logged and tallied as `Crash` in its salt-0 fault class; a trial cut
+///    short by `cancel` is discarded and re-runs in full on resume;
+/// 3. records it and emits [`ShardEvent::Trial`];
+/// 4. every `ck.interval` trials *of this invocation*, flushes the
+///    checkpoint and emits [`ShardEvent::Checkpointed`].
+///
+/// [`ShardControl::Die`] from any event returns at once without flushing.
+/// Because trials are pure in `(seed, index, salt)`, any sequence of
+/// interruptions and resumes tallies byte-identically to one pass.
+fn run_range(
+    campaign: &ArchCampaign<'_>,
+    id: &CheckpointId,
+    mut store: Store,
+    ck: &CheckpointConfig,
+    cancel: Option<&CancelToken>,
+    mut trial: impl FnMut(u64, u32) -> TrialResult,
+    mut on_event: impl FnMut(ShardEvent<'_>) -> ShardControl,
+) -> RangeRun {
+    for msg in take_env_anomalies() {
+        store.log.record(&store.label, 0, 0, &msg);
+    }
+    let mut p = Progress {
+        cursor: id.start,
+        ..Progress::default()
     };
-    if parse_outcome_fields(&f, "")? != classes.aggregate() {
-        return None;
+    let mut rejected = false;
+    let mut adopted = false;
+    if let Some(path) = store.path.as_deref().filter(|path| path.exists()) {
+        let why = match load_checkpoint(path, id) {
+            ArchCheckpoint::Resumable(saved) => {
+                p = saved;
+                adopted = true;
+                None
+            }
+            ArchCheckpoint::StaleEngine { found } => Some(format!(
+                "engine \"{found}\" is incompatible with \"{}\"",
+                id.engine
+            )),
+            ArchCheckpoint::StaleFaultMix { found } => Some(format!(
+                "fault mix \"{found}\" is incompatible with \"{}\"",
+                id.mix
+            )),
+            ArchCheckpoint::Mismatch => {
+                Some("other campaign, range or format, or a torn file".to_owned())
+            }
+        };
+        if let Some(why) = why {
+            rejected = true;
+            store.log.record(
+                &store.label,
+                id.start,
+                0,
+                &format!(
+                    "checkpoint did not match: {why}; restarting from trial {}",
+                    id.start
+                ),
+            );
+        }
     }
-    (shard.start <= cursor && cursor <= shard.end && classes.total() == cursor - shard.start)
-        .then_some((cursor, classes))
+    let exit = 'run: {
+        if adopted
+            && on_event(ShardEvent::Adopted {
+                classes: &p.classes,
+                cursor: p.cursor,
+            }) == ShardControl::Die
+        {
+            break 'run Exit::Abandoned;
+        }
+        let mut done_this_run = 0u64;
+        while p.cursor < id.end {
+            let stop = if cancel.is_some_and(CancelToken::is_cancelled) {
+                Some(Exit::Cancelled)
+            } else {
+                (ck.stop_after == Some(done_this_run)).then_some(Exit::Stopped)
+            };
+            if let Some(exit) = stop {
+                store.save(id, &p);
+                break 'run exit;
+            }
+            let index = p.cursor;
+            let (class, outcome, stats) = match contain(ck.max_retries, |salt| trial(index, salt)) {
+                Ok(Some(ran)) => ran,
+                Ok(None) => {
+                    store.save(id, &p);
+                    break 'run Exit::Cancelled;
+                }
+                Err(panic_msg) => {
+                    store
+                        .log
+                        .record(&store.label, index, ck.max_retries, &panic_msg);
+                    // The salt-0 draw is the deterministic one a re-run
+                    // sees first.
+                    (
+                        campaign.trial_fault_salted(index, 0).class,
+                        TrialOutcome::Crash,
+                        RecoveryStats::default(),
+                    )
+                }
+            };
+            p.classes.record(class, outcome);
+            p.stats.merge(&stats);
+            p.cursor += 1;
+            done_this_run += 1;
+            if on_event(ShardEvent::Trial {
+                trial: index,
+                class,
+                outcome,
+            }) == ShardControl::Die
+            {
+                break 'run Exit::Abandoned;
+            }
+            if ck.interval > 0 && done_this_run.is_multiple_of(ck.interval) {
+                store.save(id, &p);
+                if on_event(ShardEvent::Checkpointed { cursor: p.cursor }) == ShardControl::Die {
+                    break 'run Exit::Abandoned;
+                }
+            }
+        }
+        store.save(id, &p);
+        Exit::Finished
+    };
+    RangeRun {
+        progress: p,
+        exit,
+        rejected,
+        anomalies: store.log.count,
+    }
 }
 
-/// Trials scheduled per epoch-batch window by the shard driver. Windows
-/// bound the reorder buffer (and how much executed work a cancellation can
-/// discard) while staying large enough that rung-sorting finds batch-mates
-/// to share a resume snapshot with. Scheduling-only: any window size yields
-/// byte-identical checkpoints and tallies.
-const SHARD_BATCH_WINDOW: u64 = 128;
+/// A whole campaign is the single range `[0, id.end)`, checkpointed as
+/// `<prefix>-<workload>-<scheme>.ckpt.json` beside the shared
+/// `anomalies.jsonl`.
+fn run_whole(
+    campaign: &ArchCampaign<'_>,
+    id: &CheckpointId,
+    prefix: &str,
+    ck: &CheckpointConfig,
+    trial: impl FnMut(u64, u32) -> TrialResult,
+) -> RangeRun {
+    let name = format!("{prefix}-{}-{}", slug(id.workload), slug(&id.scheme));
+    let store = Store::new(ck, &name, AnomalyLog::new(ck.dir.as_deref()), name.clone());
+    run_range(campaign, id, store, ck, None, trial, |_| {
+        ShardControl::Continue
+    })
+}
+
+/// Run (or resume) an architecture-level campaign with panic containment,
+/// anomaly logging and periodic atomic checkpoints.
+///
+/// Because trials are pure in `(seed, index)`, a resumed campaign tallies
+/// byte-identically to an uninterrupted one. Unrecoverable trials are
+/// logged and conservatively counted as `crash`.
+///
+/// # Errors
+///
+/// Propagates [`PrepError`] when the campaign cannot start at all.
+pub fn run_arch_campaign_checkpointed(
+    workload: &Workload,
+    scheme: Scheme,
+    trials: u64,
+    seed: u64,
+    ck: &CheckpointConfig,
+) -> Result<CampaignRun, PrepError> {
+    let campaign = ArchCampaign::prepare(workload, scheme, seed)?;
+    let id = CheckpointId::new(&campaign, "plain", campaign.engine_tag(), 0, trials);
+    let run = run_whole(&campaign, &id, "arch", ck, |trial, salt| {
+        let (class, outcome) = campaign.run_trial_classed_salted(trial, salt);
+        Some((class, outcome, RecoveryStats::default()))
+    });
+    let classes = run.progress.classes;
+    Ok(CampaignRun {
+        outcomes: classes.aggregate(),
+        classes,
+        completed: run.progress.cursor,
+        finished: run.exit == Exit::Finished,
+        anomalies: run.anomalies,
+        stale_engine: run.rejected,
+    })
+}
 
 /// Run (or resume) one shard of an architecture-level campaign against an
 /// already-prepared [`ArchCampaign`], with panic containment, a per-shard
@@ -1042,232 +1073,48 @@ const SHARD_BATCH_WINDOW: u64 = 128;
 ///   immediately *without* flushing, modelling a worker lost mid-shard —
 ///   the durable state is the last checkpoint's trusted prefix.
 ///
-/// The caller observes every tallied trial through `on_event`, which is the
-/// service's delta stream into its merge-on-read aggregator.
-///
-/// Internally trials execute in epoch-batch order (windows of
-/// `SHARD_BATCH_WINDOW` trials, rung-sorted via
-/// [`ArchCampaign::plan_epoch_batches`]) and commit through a reorder
-/// buffer in logical order, so everything observable — events,
-/// checkpoints, tallies, anomaly lines — is byte-identical to a serial
-/// in-order driver.
+/// Trials run one at a time in index order, and the caller observes each
+/// one through `on_event` as soon as it is tallied: the service's delta
+/// stream into its merge-on-read aggregator, and its worker heartbeat.
+/// Checkpoints are flushed every `ck.interval` trials of this invocation.
 pub fn run_arch_shard_checkpointed(
     campaign: &ArchCampaign<'_>,
     shard: &ShardSpec,
     ck: &CheckpointConfig,
     cancel: Option<&CancelToken>,
-    mut on_event: impl FnMut(ShardEvent<'_>) -> ShardControl,
+    on_event: impl FnMut(ShardEvent<'_>) -> ShardControl,
 ) -> ShardRun {
-    let engine = campaign.engine_tag();
-    let mix_tag = campaign.mix().tag();
-    let scheme_label = campaign.scheme().label();
-    let identity = ShardIdentity {
-        engine,
-        mix: &mix_tag,
-        workload: campaign.workload().name,
-        scheme: &scheme_label,
-        seed: campaign.seed(),
-        fuel: campaign.fuel,
-    };
-    let ckpt_path = ck.dir.as_ref().map(|d| {
-        let _ = fs::create_dir_all(d);
-        d.join(format!("{}.ckpt.json", slug(&shard.tag)))
-    });
-
-    let mut log = AnomalyLog::for_shard(ck.dir.as_deref(), &shard.tag);
-    for msg in take_env_anomalies() {
-        log.record(&shard.tag, 0, 0, &msg);
-    }
-
-    let mut cursor = shard.start;
-    let mut classes = FaultClassTallies::default();
-    if let Some(path) = ckpt_path.as_deref() {
-        if path.exists() {
-            match load_shard_checkpoint(path, &identity, shard) {
-                Some((c, t)) => {
-                    cursor = c;
-                    classes = t;
-                    if on_event(ShardEvent::Adopted {
-                        classes: &classes,
-                        cursor,
-                    }) == ShardControl::Die
-                    {
-                        return ShardRun {
-                            classes,
-                            cursor,
-                            finished: false,
-                            cancelled: false,
-                            abandoned: true,
-                            anomalies: log.count,
-                        };
-                    }
-                }
-                None => log.record(
-                    &shard.tag,
-                    0,
-                    0,
-                    "shard checkpoint did not match this shard's identity; \
-                     restarting from the shard start",
-                ),
-            }
-        }
-    }
-
-    let save = |cursor: u64, classes: &FaultClassTallies| {
-        if let Some(p) = &ckpt_path {
-            let _ = write_atomic(p, &shard_checkpoint_json(&identity, shard, cursor, classes));
-        }
-    };
-
-    // Trials are *executed* in epoch-batch order (grouped by resume rung so
-    // batch-mates share one `Arc`'d base snapshot, hot in cache) but
-    // *committed* — tallied, streamed through `on_event`, checkpointed —
-    // strictly in logical trial order through a reorder buffer. Every
-    // durable artifact (checkpoint files, event stream, anomaly log lines)
-    // is therefore byte-identical to the serial reference: the commit loop
-    // below replays the serial loop's exact cancel/stop/Die decision points,
-    // and trial purity in `(seed, trial, salt)` means any result discarded
-    // uncommitted is reproduced identically on resume.
-    let mut done_this_run = 0u64;
-    while cursor < shard.end {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            save(cursor, &classes);
-            return ShardRun {
-                classes,
-                cursor,
-                finished: false,
-                cancelled: true,
-                abandoned: false,
-                anomalies: log.count,
+    let id = CheckpointId::new(
+        campaign,
+        "plain",
+        campaign.engine_tag(),
+        shard.start,
+        shard.end,
+    );
+    let log = AnomalyLog::for_shard(ck.dir.as_deref(), &shard.tag);
+    let store = Store::new(ck, &slug(&shard.tag), log, shard.tag.clone());
+    let run = run_range(
+        campaign,
+        &id,
+        store,
+        ck,
+        cancel,
+        |trial, salt| {
+            let (class, outcome) = match cancel {
+                Some(token) => campaign.run_trial_classed_cancellable(trial, salt, token)?,
+                None => campaign.run_trial_classed_salted(trial, salt),
             };
-        }
-        if ck.stop_after == Some(done_this_run) {
-            save(cursor, &classes);
-            return ShardRun {
-                classes,
-                cursor,
-                finished: false,
-                cancelled: false,
-                abandoned: false,
-                anomalies: log.count,
-            };
-        }
-        // One scheduling window. Capping at `stop_after`'s remainder keeps
-        // the serial invariant that the stop check only ever fires at the
-        // loop head: the window never executes a trial the serial loop
-        // would not have reached.
-        let mut window = SHARD_BATCH_WINDOW.min(shard.end - cursor);
-        if let Some(stop) = ck.stop_after {
-            window = window.min(stop - done_this_run);
-        }
-        let win_end = cursor + window;
-        let mut buf: Vec<Option<Result<(FaultClass, TrialOutcome), String>>> =
-            vec![None; window as usize];
-        'execute: for batch in campaign.plan_epoch_batches(cursor, win_end) {
-            for trial in batch {
-                if cancel.is_some_and(CancelToken::is_cancelled) {
-                    break 'execute;
-                }
-                let ran = contain(ck.max_retries, |salt| match cancel {
-                    Some(token) => campaign.run_trial_classed_cancellable(trial, salt, token),
-                    None => Some(campaign.run_trial_classed_salted(trial, salt)),
-                });
-                buf[(trial - cursor) as usize] = match ran {
-                    Ok(Some(pair)) => Some(Ok(pair)),
-                    // Cancelled mid-trial: leave the slot empty; the commit
-                    // loop flushes the contiguous logical prefix and the
-                    // trial re-runs in full on resume.
-                    Ok(None) => break 'execute,
-                    Err(panic_msg) => Some(Err(panic_msg)),
-                };
-            }
-        }
-        for slot in buf {
-            // Replay of the serial loop head: poll cancellation before
-            // *each* commit, so a token fired from an `on_event` callback
-            // stops the cursor exactly where the serial driver would —
-            // executed-but-uncommitted batch results are discarded.
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                save(cursor, &classes);
-                return ShardRun {
-                    classes,
-                    cursor,
-                    finished: false,
-                    cancelled: true,
-                    abandoned: false,
-                    anomalies: log.count,
-                };
-            }
-            let trial = cursor;
-            let (class, outcome) = match slot {
-                Some(Ok(pair)) => pair,
-                Some(Err(panic_msg)) => {
-                    // Anomalies are logged at commit time, not execution
-                    // time, so the log's line order matches the serial run.
-                    log.record(&shard.tag, trial, ck.max_retries, &panic_msg);
-                    // Attribute the contained crash to the salt-0 draw's
-                    // class — the deterministic one a re-run would see
-                    // first.
-                    (
-                        campaign.trial_fault_salted(trial, 0).class,
-                        TrialOutcome::Crash,
-                    )
-                }
-                // Execution was cut short by cancellation before this
-                // logical trial completed.
-                None => {
-                    save(cursor, &classes);
-                    return ShardRun {
-                        classes,
-                        cursor,
-                        finished: false,
-                        cancelled: true,
-                        abandoned: false,
-                        anomalies: log.count,
-                    };
-                }
-            };
-            classes.record(class, outcome);
-            cursor += 1;
-            done_this_run += 1;
-            if on_event(ShardEvent::Trial {
-                trial,
-                class,
-                outcome,
-            }) == ShardControl::Die
-            {
-                return ShardRun {
-                    classes,
-                    cursor,
-                    finished: false,
-                    cancelled: false,
-                    abandoned: true,
-                    anomalies: log.count,
-                };
-            }
-            if ck.interval > 0 && done_this_run.is_multiple_of(ck.interval) {
-                save(cursor, &classes);
-                if on_event(ShardEvent::Checkpointed { cursor }) == ShardControl::Die {
-                    return ShardRun {
-                        classes,
-                        cursor,
-                        finished: false,
-                        cancelled: false,
-                        abandoned: true,
-                        anomalies: log.count,
-                    };
-                }
-            }
-        }
-    }
-    save(cursor, &classes);
+            Some((class, outcome, RecoveryStats::default()))
+        },
+        on_event,
+    );
     ShardRun {
-        classes,
-        cursor,
-        finished: true,
-        cancelled: false,
-        abandoned: false,
-        anomalies: log.count,
+        classes: run.progress.classes,
+        cursor: run.progress.cursor,
+        finished: run.exit == Exit::Finished,
+        cancelled: run.exit == Exit::Cancelled,
+        abandoned: run.exit == Exit::Abandoned,
+        anomalies: run.anomalies,
     }
 }
 
@@ -1287,8 +1134,8 @@ pub struct RecoveryCampaignRun {
     pub finished: bool,
     /// Unrecoverable items logged during this invocation.
     pub anomalies: u64,
-    /// A matching checkpoint from a different trial engine was rejected and
-    /// the campaign restarted from trial 0 (see [`CampaignRun::stale_engine`]).
+    /// A checkpoint at this campaign's path was rejected and the campaign
+    /// restarted from trial 0 (see [`CampaignRun::stale_engine`]).
     pub stale_engine: bool,
 }
 
@@ -1312,130 +1159,27 @@ pub fn run_recovery_campaign_checkpointed(
     ck: &CheckpointConfig,
 ) -> Result<RecoveryCampaignRun, PrepError> {
     let campaign = ArchCampaign::prepare(workload, scheme, seed)?;
-    let engine = campaign.recovery_engine_tag();
-    let mix_tag = campaign.mix().tag();
-    let scheme_label = scheme.label();
-    let name = format!("recover-{}-{}", slug(workload.name), slug(&scheme_label));
-    let ckpt_path = ck.dir.as_ref().map(|d| {
-        let _ = fs::create_dir_all(d);
-        d.join(format!("{name}.ckpt.json"))
+    let id = CheckpointId::new(
+        &campaign,
+        "recover",
+        campaign.recovery_engine_tag(),
+        0,
+        trials,
+    );
+    let run = run_whole(&campaign, &id, "recover", ck, |trial, salt| {
+        let class = campaign.trial_fault_salted(trial, salt).class;
+        let ran = campaign.run_trial_recovering_salted(trial, salt, &rcfg.recovery);
+        Some((class, ran.outcome, ran.stats))
     });
-
-    let mut log = AnomalyLog::new(ck.dir.as_deref());
-    for msg in take_env_anomalies() {
-        log.record(&name, 0, 0, &msg);
-    }
-    let mut stale_engine = false;
-    let (mut completed, mut classes, mut stats) = match ckpt_path.as_deref().map(|p| {
-        load_arch_checkpoint(
-            p,
-            "recover",
-            engine,
-            &mix_tag,
-            workload.name,
-            &scheme_label,
-            seed,
-            campaign.fuel,
-            trials,
-        )
-    }) {
-        Some(ArchCheckpoint::Resumable(completed, classes, stats)) => (completed, classes, stats),
-        Some(ArchCheckpoint::StaleEngine { found }) => {
-            stale_engine = true;
-            log.record(
-                &name,
-                0,
-                0,
-                &format!(
-                    "checkpoint engine \"{found}\" is incompatible with \
-                     \"{engine}\"; restarting from trial 0"
-                ),
-            );
-            (0, FaultClassTallies::default(), RecoveryStats::default())
-        }
-        Some(ArchCheckpoint::StaleFaultMix { found }) => {
-            stale_engine = true;
-            log.record(
-                &name,
-                0,
-                0,
-                &format!(
-                    "checkpoint fault mix \"{found}\" is incompatible with \
-                     \"{mix_tag}\"; restarting from trial 0"
-                ),
-            );
-            (0, FaultClassTallies::default(), RecoveryStats::default())
-        }
-        Some(ArchCheckpoint::Mismatch) | None => {
-            (0, FaultClassTallies::default(), RecoveryStats::default())
-        }
-    };
-
-    let save = |completed: u64, classes: &FaultClassTallies, stats: &RecoveryStats| {
-        if let Some(p) = &ckpt_path {
-            let _ = write_atomic(
-                p,
-                &arch_checkpoint_json(
-                    "recover",
-                    engine,
-                    &mix_tag,
-                    workload.name,
-                    &scheme_label,
-                    seed,
-                    campaign.fuel,
-                    trials,
-                    completed,
-                    classes,
-                    stats,
-                ),
-            );
-        }
-    };
-
-    let mut done_this_run = 0u64;
-    while completed < trials {
-        if ck.stop_after == Some(done_this_run) {
-            save(completed, &classes, &stats);
-            return Ok(RecoveryCampaignRun {
-                outcomes: classes.aggregate(),
-                classes,
-                stats,
-                completed,
-                finished: false,
-                anomalies: log.count,
-                stale_engine,
-            });
-        }
-        let (class, trial) = contain(ck.max_retries, |salt| {
-            campaign.run_trial_recovering_classed_salted(completed, salt, &rcfg.recovery)
-        })
-        .unwrap_or_else(|panic_msg| {
-            log.record(&name, completed, ck.max_retries, &panic_msg);
-            (
-                campaign.trial_fault_salted(completed, 0).class,
-                crate::arch::RecoveredTrial {
-                    outcome: TrialOutcome::Crash,
-                    stats: RecoveryStats::default(),
-                },
-            )
-        });
-        classes.record(class, trial.outcome);
-        stats.merge(&trial.stats);
-        completed += 1;
-        done_this_run += 1;
-        if ck.interval > 0 && completed % ck.interval == 0 {
-            save(completed, &classes, &stats);
-        }
-    }
-    save(completed, &classes, &stats);
+    let classes = run.progress.classes;
     Ok(RecoveryCampaignRun {
         outcomes: classes.aggregate(),
         classes,
-        stats,
-        completed,
-        finished: true,
-        anomalies: log.count,
-        stale_engine,
+        stats: run.progress.stats,
+        completed: run.progress.cursor,
+        finished: run.exit == Exit::Finished,
+        anomalies: run.anomalies,
+        stale_engine: run.rejected,
     })
 }
 
@@ -1668,6 +1412,7 @@ pub fn run_unit_campaign_checkpointed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::CampaignOptions;
 
     #[test]
     fn malformed_env_overrides_surface_once() {
@@ -1760,26 +1505,21 @@ mod tests {
             corrections: 14,
             relaunches: 15,
         };
-        let line = arch_checkpoint_json(
-            "recover",
-            ENGINE_CLASSIC,
-            "t1c1s1",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            100,
-            80,
-            &classes,
-            &rs,
-        );
+        let engine = CampaignOptions::default().recovery_engine_tag();
+        let id = test_id("recover", engine, "t1c1s1", 0, 100);
+        let progress = Progress {
+            cursor: 80,
+            classes,
+            stats: rs,
+        };
+        let line = checkpoint_json(&id, &progress);
         let f = parse_flat(&line).expect("parses");
         assert_eq!(field(&f, "mode"), Some("recover"));
-        assert_eq!(field(&f, "engine"), Some("classic"));
+        assert_eq!(field(&f, "engine"), Some(engine));
         assert_eq!(field(&f, "faultmix"), Some("t1c1s1"));
         assert_eq!(field(&f, "workload"), Some("bfs"));
         assert_eq!(field(&f, "scheme"), Some("Swap-ECC"));
-        assert_eq!(field_u64(&f, "completed"), Some(80));
+        assert_eq!(field_u64(&f, "cursor"), Some(80));
         // Aggregate fields merge the classes; per-class fields round-trip.
         assert_eq!(field_u64(&f, "hang"), Some(21));
         assert_eq!(field_u64(&f, "due"), Some(13));
@@ -1792,6 +1532,11 @@ mod tests {
         assert_eq!(parse_outcome_fields(&f, "c_"), Some(classes.control));
         assert_eq!(parse_outcome_fields(&f, "s_"), Some(classes.stuck_at));
         assert_eq!(parse_outcome_fields(&f, ""), Some(classes.aggregate()));
+        // The loader reads back exactly what the writer wrote.
+        match load_line("roundtrip", &line, &id) {
+            ArchCheckpoint::Resumable(back) => assert_eq!(back, progress),
+            other => panic!("own checkpoint must resume, got {other:?}"),
+        }
     }
 
     fn masked_classes(n: u64) -> FaultClassTallies {
@@ -1804,56 +1549,96 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mode_mismatch_rejects_checkpoint() {
-        let line = arch_checkpoint_json(
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-            3,
-            &masked_classes(3),
-            &RecoveryStats::default(),
-        );
+    /// The identity every checkpoint test starts from: `bfs` under
+    /// Swap-ECC, seed 9, fuel 1000, trials `[start, end)`.
+    fn test_id(
+        mode: &'static str,
+        engine: &'static str,
+        mix: &str,
+        start: u64,
+        end: u64,
+    ) -> CheckpointId {
+        CheckpointId {
+            mode,
+            engine,
+            mix: mix.to_owned(),
+            workload: "bfs",
+            scheme: "Swap-ECC".to_owned(),
+            seed: 9,
+            fuel: 1000,
+            start,
+            end,
+        }
+    }
+
+    /// A checkpoint of `id` three trials past its start, all masked.
+    fn three_done(id: &CheckpointId) -> String {
+        checkpoint_json(
+            id,
+            &Progress {
+                cursor: id.start + 3,
+                classes: masked_classes(3),
+                stats: RecoveryStats::default(),
+            },
+        )
+    }
+
+    /// Write `line` to a scratch file named after `tag` and load it
+    /// against `id`.
+    fn load_line(tag: &str, line: &str, id: &CheckpointId) -> ArchCheckpoint {
         let path = std::env::temp_dir().join(format!(
-            "swapcodes-harness-mode-{}.ckpt.json",
+            "swapcodes-harness-{tag}-{}.ckpt.json",
             std::process::id()
         ));
-        write_atomic(&path, &line).expect("write");
+        write_atomic(&path, line).expect("write");
+        let loaded = load_checkpoint(&path, id);
+        let _ = fs::remove_file(&path);
+        loaded
+    }
+
+    #[test]
+    fn mode_mismatch_rejects_checkpoint() {
+        let opts = CampaignOptions::default();
+        let plain = test_id("plain", opts.engine_tag(), "t1c0s0", 0, 40);
+        let line = three_done(&plain);
         // A recovery campaign must not resume a plain campaign's tallies.
+        let recover = test_id("recover", opts.recovery_engine_tag(), "t1c0s0", 0, 40);
         assert!(matches!(
-            load_arch_checkpoint(
-                &path,
-                "recover",
-                ENGINE_CLASSIC,
-                "t1c0s0",
-                "bfs",
-                "Swap-ECC",
-                9,
-                1000,
-                40
-            ),
+            load_line("mode", &line, &recover),
             ArchCheckpoint::Mismatch
         ));
         assert!(matches!(
-            load_arch_checkpoint(
-                &path,
-                "plain",
-                ENGINE_FAST_FORWARD,
-                "t1c0s0",
-                "bfs",
-                "Swap-ECC",
-                9,
-                1000,
-                40
-            ),
-            ArchCheckpoint::Resumable(3, _, _)
+            load_line("mode", &line, &plain),
+            ArchCheckpoint::Resumable(Progress { cursor: 3, .. })
         ));
-        let _ = fs::remove_file(&path);
+
+        // A shard adopts only a checkpoint of exactly its own range...
+        let shard = test_id("plain", opts.engine_tag(), "t1c0s0", 16, 32);
+        let line = three_done(&shard);
+        assert!(matches!(
+            load_line("mode", &line, &shard),
+            ArchCheckpoint::Resumable(Progress { cursor: 19, .. })
+        ));
+        for (start, end) in [(0, 40), (0, 32), (16, 40), (17, 32)] {
+            let other = test_id("plain", opts.engine_tag(), "t1c0s0", start, end);
+            assert!(
+                matches!(load_line("mode", &line, &other), ArchCheckpoint::Mismatch),
+                "range [{start}, {end}) adopted a [16, 32) checkpoint"
+            );
+        }
+        // ...and never a torn file or one whose aggregate disagrees with
+        // its class buckets.
+        let torn = &line[..line.len() / 2];
+        assert!(matches!(
+            load_line("mode", torn, &shard),
+            ArchCheckpoint::Mismatch
+        ));
+        let skewed = line.replacen("\"masked\":3,", "\"masked\":2,", 1);
+        assert_ne!(skewed, line, "the aggregate field was rewritten");
+        assert!(matches!(
+            load_line("mode", &skewed, &shard),
+            ArchCheckpoint::Mismatch
+        ));
     }
 
     #[test]
@@ -1862,40 +1647,20 @@ mod tests {
         // field at all; one written by a future engine has a different tag.
         // Both describe *this* campaign, so both must surface as StaleEngine
         // rather than being silently ignored or resumed.
-        let untagged = arch_checkpoint_json(
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-            3,
-            &masked_classes(3),
-            &RecoveryStats::default(),
-        )
-        .replace(&format!("\"engine\":\"{ENGINE_FAST_FORWARD}\","), "");
-        let path = std::env::temp_dir().join(format!(
-            "swapcodes-harness-engine-{}.ckpt.json",
-            std::process::id()
-        ));
-        write_atomic(&path, &untagged).expect("write");
-        match load_arch_checkpoint(
-            &path,
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-        ) {
+        let engine = CampaignOptions::default().engine_tag();
+        let id = test_id("plain", engine, "t1c0s0", 0, 40);
+        let untagged = three_done(&id).replace(&format!("\"engine\":\"{engine}\","), "");
+        match load_line("engine", &untagged, &id) {
             ArchCheckpoint::StaleEngine { found } => assert_eq!(found, ""),
             _ => panic!("untagged checkpoint must be stale"),
         }
-        let _ = fs::remove_file(&path);
+        // The same holds for a shard range written by another engine.
+        let shard = test_id("plain", engine, "t1c0s0", 16, 32);
+        let other = test_id("plain", "ff1", "t1c0s0", 16, 32);
+        match load_line("engine", &three_done(&other), &shard) {
+            ArchCheckpoint::StaleEngine { found } => assert_eq!(found, "ff1"),
+            other => panic!("shard engine mismatch must be StaleEngine, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1905,55 +1670,24 @@ mod tests {
         // checkpoint must be rejected loudly (not resumed, not silently
         // ignored). A pre-taxonomy checkpoint with no faultmix field at all
         // gets the same treatment.
-        let line = arch_checkpoint_json(
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c1s1",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-            3,
-            &masked_classes(3),
-            &RecoveryStats::default(),
-        );
-        let path = std::env::temp_dir().join(format!(
-            "swapcodes-harness-mix-{}.ckpt.json",
-            std::process::id()
-        ));
-        write_atomic(&path, &line).expect("write");
-        match load_arch_checkpoint(
-            &path,
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-        ) {
+        let engine = CampaignOptions::default().engine_tag();
+        let line = three_done(&test_id("plain", engine, "t1c1s1", 0, 40));
+        let id = test_id("plain", engine, "t1c0s0", 0, 40);
+        match load_line("mix", &line, &id) {
             ArchCheckpoint::StaleFaultMix { found } => assert_eq!(found, "t1c1s1"),
             other => panic!("mix mismatch must be StaleFaultMix, got {other:?}"),
         }
         let unmixed = line.replace("\"faultmix\":\"t1c1s1\",", "");
-        write_atomic(&path, &unmixed).expect("write");
-        match load_arch_checkpoint(
-            &path,
-            "plain",
-            ENGINE_FAST_FORWARD,
-            "t1c0s0",
-            "bfs",
-            "Swap-ECC",
-            9,
-            1000,
-            40,
-        ) {
+        match load_line("mix", &unmixed, &id) {
             ArchCheckpoint::StaleFaultMix { found } => assert_eq!(found, ""),
             other => panic!("pre-taxonomy checkpoint must be StaleFaultMix, got {other:?}"),
         }
-        let _ = fs::remove_file(&path);
+        // The same holds for a shard range drawn under another mix.
+        let line = three_done(&test_id("plain", engine, "t1c1s1", 16, 32));
+        match load_line("mix", &line, &test_id("plain", engine, "t1c0s0", 16, 32)) {
+            ArchCheckpoint::StaleFaultMix { found } => assert_eq!(found, "t1c1s1"),
+            other => panic!("shard mix mismatch must be StaleFaultMix, got {other:?}"),
+        }
     }
 
     #[test]

@@ -46,9 +46,8 @@ pub use harness::{
     run_arch_campaign_checkpointed, run_arch_shard_checkpointed,
     run_recovery_campaign_checkpointed, run_unit_campaign_checkpointed, serve_workers_from_env,
     shard_timeout_ms_from_env, slug, snapshot_interval_from_env, take_env_anomalies,
-    threads_from_env, write_atomic, AnomalyLog, ArchCheckpoint, CampaignRun, CheckpointConfig,
-    RecoveryCampaignRun, ShardControl, ShardEvent, ShardRun, ShardSpec, UnitCampaignRun,
-    ANOMALY_LOG_CAP_BYTES, ENGINE_CLASSIC, ENGINE_FAST_FORWARD,
+    threads_from_env, write_atomic, AnomalyLog, CampaignRun, CheckpointConfig, RecoveryCampaignRun,
+    ShardControl, ShardEvent, ShardRun, ShardSpec, UnitCampaignRun, ANOMALY_LOG_CAP_BYTES,
 };
 pub use oracle::{
     avf_calibration, campaign_avf, control_fault_gap, differential_oracle, recovery_oracle,

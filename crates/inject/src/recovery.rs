@@ -18,8 +18,8 @@
 //! executor records. The warp checkpoints themselves share the
 //! [`swapcodes_sim::snapshot::WarpSnapshot`] representation with the
 //! campaign epoch ladder, so both paths roll state back through one
-//! mechanism. Checkpoints written by recovery campaigns are tagged
-//! [`crate::harness::ENGINE_CLASSIC`] accordingly.
+//! mechanism. Checkpoints written by recovery campaigns are tagged with
+//! [`crate::arch::CampaignOptions::recovery_engine_tag`] accordingly.
 
 use serde::{Deserialize, Serialize};
 use swapcodes_core::Scheme;

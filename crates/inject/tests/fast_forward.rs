@@ -8,9 +8,11 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::{
-    run_arch_campaign_checkpointed, ArchCampaign, CheckpointConfig, TrialOutcome,
+    run_arch_campaign_checkpointed, run_recovery_campaign_checkpointed, ArchCampaign, CampaignRun,
+    CheckpointConfig, RecoveryCampaignConfig, TrialOutcome,
 };
-use swapcodes_workloads::by_name;
+use swapcodes_sim::recovery::RecoveryStats;
+use swapcodes_workloads::{by_name, Workload};
 
 /// The (workload, scheme) cells the differential property samples from —
 /// every scheme family, including the unprotected baseline (whose SDC-heavy
@@ -125,17 +127,54 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// One run of a whole-campaign driver — the plain one, or (`recover`) the
+/// recovery one seen as a plain run plus its recovery stats (zero for the
+/// plain driver).
+fn run_driver(
+    recover: bool,
+    w: &Workload,
+    scheme: Scheme,
+    trials: u64,
+    seed: u64,
+    ck: &CheckpointConfig,
+) -> (CampaignRun, RecoveryStats) {
+    if !recover {
+        let run = run_arch_campaign_checkpointed(w, scheme, trials, seed, ck).expect("prepare");
+        return (run, RecoveryStats::default());
+    }
+    let rcfg = RecoveryCampaignConfig::default();
+    let r =
+        run_recovery_campaign_checkpointed(w, scheme, trials, seed, &rcfg, ck).expect("prepare");
+    let run = CampaignRun {
+        outcomes: r.outcomes,
+        classes: r.classes,
+        completed: r.completed,
+        finished: r.finished,
+        anomalies: r.anomalies,
+        stale_engine: r.stale_engine,
+    };
+    (run, r.stats)
+}
+
 /// Kill-and-resume across an engine change: a checkpoint written by the
 /// pre-fast-forward harness (no `engine` tag) matches the campaign identity
 /// but must NOT be resumed — the run restarts from trial 0, flags
 /// `stale_engine`, records an anomaly, and still converges to the
-/// uninterrupted tallies.
+/// uninterrupted tallies. Both whole-campaign drivers: the plain one (tier
+/// 2, peepholed: `ff2p`) and the recovery one (classic executor over the
+/// peepholed kernel: `classicp`).
 #[test]
 fn stale_engine_checkpoint_restarts_from_zero() {
+    for (recover, engine) in [(false, "ff2p"), (true, "classicp")] {
+        stale_engine_restarts(recover, engine);
+    }
+}
+
+fn stale_engine_restarts(recover: bool, engine: &str) {
     let w = by_name("kmeans").expect("workload");
     let trials = 12u64;
     let seed = 0xFA57_0001u64;
-    let dir = scratch_dir("stale");
+    let dir = scratch_dir(&format!("stale-{engine}"));
     let ck = |stop_after: Option<u64>| CheckpointConfig {
         dir: Some(dir.clone()),
         interval: 2,
@@ -143,7 +182,8 @@ fn stale_engine_checkpoint_restarts_from_zero() {
         ..CheckpointConfig::default()
     };
 
-    let reference = run_arch_campaign_checkpointed(
+    let (reference, reference_stats) = run_driver(
+        recover,
         &w,
         Scheme::SwapEcc,
         trials,
@@ -152,12 +192,10 @@ fn stale_engine_checkpoint_restarts_from_zero() {
             dir: None,
             ..CheckpointConfig::default()
         },
-    )
-    .expect("prepare");
+    );
 
     // Leave a half-finished, correctly tagged checkpoint behind...
-    let first = run_arch_campaign_checkpointed(&w, Scheme::SwapEcc, trials, seed, &ck(Some(5)))
-        .expect("prepare");
+    let (first, _) = run_driver(recover, &w, Scheme::SwapEcc, trials, seed, &ck(Some(5)));
     assert!(!first.finished);
     assert!(!first.stale_engine);
     assert_eq!(first.completed, 5);
@@ -171,15 +209,15 @@ fn stale_engine_checkpoint_restarts_from_zero() {
         .find(|p| p.to_string_lossy().ends_with(".ckpt.json"))
         .expect("checkpoint file");
     let tagged = std::fs::read_to_string(&ckpt).expect("read checkpoint");
+    let tag = format!("\"engine\":\"{engine}\"");
     assert!(
-        tagged.contains("\"engine\":\"ff2p\""),
-        "checkpoint carries the default engine tag (tier 2, peepholed)"
+        tagged.contains(&tag),
+        "checkpoint carries the default engine tag {engine}"
     );
-    std::fs::write(&ckpt, tagged.replace("\"engine\":\"ff2p\",", "")).expect("rewrite");
+    std::fs::write(&ckpt, tagged.replace(&format!("{tag},"), "")).expect("rewrite");
 
     // The resume must refuse the stale file and start over from trial 0.
-    let second = run_arch_campaign_checkpointed(&w, Scheme::SwapEcc, trials, seed, &ck(Some(3)))
-        .expect("prepare");
+    let (second, _) = run_driver(recover, &w, Scheme::SwapEcc, trials, seed, &ck(Some(3)));
     assert!(second.stale_engine, "stale engine must be flagged");
     assert_eq!(
         second.completed, 3,
@@ -194,12 +232,12 @@ fn stale_engine_checkpoint_restarts_from_zero() {
 
     // The restarted run re-tags its checkpoints, so finishing out resumes
     // normally and lands on the uninterrupted tallies.
-    let last = run_arch_campaign_checkpointed(&w, Scheme::SwapEcc, trials, seed, &ck(None))
-        .expect("prepare");
+    let (last, last_stats) = run_driver(recover, &w, Scheme::SwapEcc, trials, seed, &ck(None));
     assert!(last.finished);
     assert!(!last.stale_engine);
     assert_eq!(last.completed, trials);
     assert_eq!(last.outcomes, reference.outcomes);
+    assert_eq!(last_stats, reference_stats);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -19,10 +19,12 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use proptest::prelude::*;
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::{
-    run_arch_campaign_checkpointed, ArchCampaign, CampaignOptions, CheckpointConfig, FaultMix,
+    run_arch_campaign_checkpointed, run_recovery_campaign_checkpointed, ArchCampaign,
+    CampaignOptions, CampaignRun, CheckpointConfig, FaultMix, RecoveryCampaignConfig,
 };
+use swapcodes_sim::recovery::RecoveryStats;
 use swapcodes_sim::{FaultSpec, FaultTarget};
-use swapcodes_workloads::by_name;
+use swapcodes_workloads::{by_name, Workload};
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("swapcodes-fmix-{}-{tag}", std::process::id()));
@@ -168,18 +170,54 @@ fn mixed_campaign_kill_and_resume_is_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One run of a whole-campaign driver — the plain one, or (`recover`) the
+/// recovery one seen as a plain run plus its recovery stats (zero for the
+/// plain driver).
+fn run_driver(
+    recover: bool,
+    w: &Workload,
+    scheme: Scheme,
+    trials: u64,
+    seed: u64,
+    ck: &CheckpointConfig,
+) -> (CampaignRun, RecoveryStats) {
+    if !recover {
+        let run = run_arch_campaign_checkpointed(w, scheme, trials, seed, ck).expect("prepare");
+        return (run, RecoveryStats::default());
+    }
+    let rcfg = RecoveryCampaignConfig::default();
+    let r =
+        run_recovery_campaign_checkpointed(w, scheme, trials, seed, &rcfg, ck).expect("prepare");
+    let run = CampaignRun {
+        outcomes: r.outcomes,
+        classes: r.classes,
+        completed: r.completed,
+        finished: r.finished,
+        anomalies: r.anomalies,
+        stale_engine: r.stale_engine,
+    };
+    (run, r.stats)
+}
+
 /// A checkpoint written under one fault mix must not be resumed by a
 /// campaign running another: the trial→fault mapping differs, so splicing
 /// tallies would mix incomparable draws. The driver rejects the file
 /// (flagging `stale_engine`), restarts from trial 0, and the finished run
-/// matches a checkpoint-free campaign under the new mix.
+/// matches a checkpoint-free campaign under the new mix. Both
+/// whole-campaign drivers — plain and recovery — must behave this way.
 #[test]
 fn changing_fault_mix_invalidates_checkpoint() {
+    for recover in [false, true] {
+        mix_change_restarts(recover);
+    }
+}
+
+fn mix_change_restarts(recover: bool) {
     let _env = MixEnv::set("all");
     let w = by_name("matmul").expect("workload");
     let trials = 16u64;
     let seed = 0xFA_0002u64;
-    let dir = scratch_dir("stale-mix");
+    let dir = scratch_dir(&format!("stale-mix-{recover}"));
     let ck = |stop_after: Option<u64>| CheckpointConfig {
         dir: Some(dir.clone()),
         interval: 2,
@@ -187,14 +225,12 @@ fn changing_fault_mix_invalidates_checkpoint() {
         ..CheckpointConfig::default()
     };
 
-    let partial = run_arch_campaign_checkpointed(&w, Scheme::SwDup, trials, seed, &ck(Some(6)))
-        .expect("prepare");
+    let (partial, _) = run_driver(recover, &w, Scheme::SwDup, trials, seed, &ck(Some(6)));
     assert!(!partial.finished);
     drop(_env);
 
     let _env = MixEnv::set("transient");
-    let resumed = run_arch_campaign_checkpointed(&w, Scheme::SwDup, trials, seed, &ck(None))
-        .expect("prepare");
+    let (resumed, _) = run_driver(recover, &w, Scheme::SwDup, trials, seed, &ck(None));
     assert!(
         resumed.stale_engine,
         "a mixed-class checkpoint must be rejected by a transient-only campaign"
@@ -204,7 +240,8 @@ fn changing_fault_mix_invalidates_checkpoint() {
     assert_eq!(resumed.classes.control.total(), 0);
     assert_eq!(resumed.classes.stuck_at.total(), 0);
 
-    let reference = run_arch_campaign_checkpointed(
+    let (reference, _) = run_driver(
+        recover,
         &w,
         Scheme::SwDup,
         trials,
@@ -213,8 +250,7 @@ fn changing_fault_mix_invalidates_checkpoint() {
             dir: None,
             ..CheckpointConfig::default()
         },
-    )
-    .expect("prepare");
+    );
     assert_eq!(
         resumed.classes, reference.classes,
         "the restarted campaign must match a checkpoint-free transient run"

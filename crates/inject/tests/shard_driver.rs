@@ -168,31 +168,29 @@ fn cancelled_shard_flushes_checkpoint_and_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Worker loss in the middle of an epoch-batch window. The driver executes
-/// trials rung-sorted into a reorder buffer, so at any commit point the
-/// buffer usually holds executed-but-uncommitted results for *later*
-/// logical trials; a `stop_after` cut and then an abrupt `Die` both land
-/// mid-window here, discarding that buffered work. The discarded trials
-/// must re-run on resume with byte-identical results, the Trial event
-/// stream must stay in logical order across every attempt, and the final
-/// tallies must match the serial reference exactly.
+/// A `stop_after` cut and then an abrupt `Die` in the next attempt. The
+/// driver flushes a checkpoint at the stop point and every `interval`
+/// trials *of each invocation*, so the die — 4 trials into the second
+/// attempt, before its first interval flush — loses exactly those 4
+/// trials. They must re-run on resume with byte-identical results, the
+/// Trial event stream must stay in logical order across every attempt, and
+/// the final tallies must match the serial reference exactly.
 #[test]
-fn mid_epoch_batch_kill_and_stop_resume_byte_identically() {
+fn stop_then_die_resume_byte_identically() {
     let c = campaign("hspot", Scheme::SwapEcc, 0xBA7C4);
     let (start, end) = (0u64, 22u64);
     let serial = c.run_range_classed(start, end);
-    let dir = scratch_dir("mid-batch");
+    let dir = scratch_dir("stop-die");
     let shard = ShardSpec {
-        tag: "mid-batch".to_owned(),
+        tag: "stop-die".to_owned(),
         start,
         end,
     };
     let seen_in_order =
         |seen: &[u64], from: u64| seen.iter().enumerate().all(|(i, &t)| t == from + i as u64);
 
-    // Attempt 1: `stop_after` cuts the run after 9 commits — mid-window,
-    // since the scheduling window spans the whole 22-trial shard. The stop
-    // point flushes, exactly like the serial driver.
+    // Attempt 1: `stop_after` cuts the run after 9 trials; the stop point
+    // flushes.
     let mut seen = Vec::new();
     let run = run_arch_shard_checkpointed(
         &c,
@@ -211,14 +209,11 @@ fn mid_epoch_batch_kill_and_stop_resume_byte_identically() {
     );
     assert!(!run.finished && !run.cancelled && !run.abandoned);
     assert_eq!(run.cursor, start + 9);
-    assert!(
-        seen_in_order(&seen, start),
-        "commits out of order: {seen:?}"
-    );
+    assert!(seen_in_order(&seen, start), "trials out of order: {seen:?}");
 
-    // Attempt 2: adopt the stop point, then die abruptly 4 commits into the
-    // next window — before any interval checkpoint (interval 5) flushes, so
-    // the 4 commits *and* the rest of the buffered window are lost.
+    // Attempt 2: adopt the stop point, then die abruptly 4 trials in —
+    // before this invocation's first interval checkpoint (interval 5)
+    // flushes, so those 4 trials are lost.
     let mut seen = Vec::new();
     let mut adopted_cursor = None;
     let run = run_arch_shard_checkpointed(&c, &shard, &ck(Some(dir.clone()), 5), None, |ev| {
@@ -255,7 +250,7 @@ fn mid_epoch_batch_kill_and_stop_resume_byte_identically() {
     assert!(run.finished);
     assert_eq!(run.cursor, end);
     assert!(seen_in_order(&seen, start + 9));
-    assert_eq!(run.classes, serial, "mid-batch kill perturbed tallies");
+    assert_eq!(run.classes, serial, "stop-then-die perturbed tallies");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -342,7 +342,7 @@ impl WarpRegFile {
 
     /// Read a register through the decoder. Takes `&self`: reads never
     /// mutate stored state, which is what lets a copy-on-write resume share
-    /// one base file across every trial of an epoch batch.
+    /// one base file across every trial resuming from the same rung.
     pub fn read(&self, lane: u32, reg: u8) -> (u32, RegFileEvent) {
         let i = self.idx(lane, reg);
         let w = self.words[i];

@@ -409,8 +409,7 @@ impl CampaignEngine {
     /// datapath classes that is "no matching-side eligible access has
     /// reached the strike / activation index yet"; for control strikes it is
     /// "the delivery instruction has not issued yet".
-    #[must_use]
-    pub fn resume_rung(&self, fault: &FaultSpec) -> usize {
+    fn resume_rung(&self, fault: &FaultSpec) -> usize {
         let mut si = 0;
         for (i, s) in self.ladder.snapshots.iter().enumerate() {
             let before_strike = if fault.is_control() {
