@@ -7,6 +7,7 @@ use std::hint::black_box;
 use swapcodes_core::{apply, Scheme};
 use swapcodes_ecc::{CodeKind, HsiaoSecDed, ResidueCode, ResidueMadPredictor, SystematicCode};
 use swapcodes_gates::units::fxp_add32;
+use swapcodes_gates::{transpose64, EvalScratch, NodeId};
 use swapcodes_sim::timing::{simulate_kernel, TimingConfig};
 use swapcodes_workloads::by_name;
 
@@ -50,14 +51,23 @@ fn bench_gates(c: &mut Criterion) {
     g.bench_function("fxp_add32_eval", |b| {
         b.iter(|| black_box(unit.netlist().evaluate(black_box(&[123, 456]))));
     });
+    // One packed pass: 64 lanes, each with its own operands and one flip.
     let nodes = unit.netlist().injectable_nodes();
-    let batch: Vec<_> = nodes.into_iter().take(63).collect();
-    g.bench_function("fxp_add32_batch63_inject", |b| {
+    let flips: Vec<(NodeId, u64)> = (0..64).map(|lane| (nodes[lane * 7], 1 << lane)).collect();
+    let planes: Vec<[u64; 64]> = (0..2)
+        .map(|word| {
+            let mut rows = std::array::from_fn(|lane| (lane as u64 + 1) * (123 + 333 * word));
+            transpose64(&mut rows);
+            rows
+        })
+        .collect();
+    let mut scratch = EvalScratch::new();
+    let mut out = [[0u64; 64]];
+    g.bench_function("fxp_add32_lanes64_inject", |b| {
         b.iter(|| {
-            black_box(
-                unit.netlist()
-                    .evaluate_batch(black_box(&[123, 456]), &batch),
-            )
+            unit.netlist()
+                .evaluate_lanes(black_box(&planes), &flips, &mut scratch, &mut out);
+            black_box(out[0][63])
         });
     });
     g.finish();

@@ -8,11 +8,13 @@
 //!   `replay_wave`, kept as `simulate_kernel_reference`) versus the shared
 //!   parallel memoized [`SweepEngine`] over the optimized simulator. Every
 //!   walked cell's engine timing is asserted equal to its reference timing.
-//! * **Gate campaign** — an unpooled injection loop (clone the node list,
-//!   draw every input's whole injection order up front, fresh buffers per
-//!   batch, single-threaded) versus the work-stealing allocation-free
-//!   campaign. Both draw the same sites, so their error and attempt counts
-//!   are asserted equal.
+//! * **Gate campaign** — the one-site-at-a-time reference
+//!   (`run_unit_campaign_reference`: every input's whole injection order
+//!   drawn up front, one `evaluate_flipped` per site, single-threaded)
+//!   versus the packed work-stealing campaign. Both test the same sites, so
+//!   their error and attempt counts are asserted equal. No ratio is
+//!   reported: a speed-up over a deliberately slow reference only shows
+//!   that the reference is slow.
 //! * **Architecture campaign** — three legs on identical trials, single
 //!   threaded: every trial simulated from scratch (`run_trial_reference`,
 //!   the seed path); the tier-1 fast-forward engine with legacy deep-copy
@@ -34,14 +36,12 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use swapcodes_bench::{profile, traces_for, SweepEngine};
 use swapcodes_core::{apply, PredictorSet, Scheme};
-use swapcodes_gates::units::{build_unit, ArithUnit, UnitKind};
+use swapcodes_gates::units::{build_unit, UnitKind};
 use swapcodes_inject::{
-    default_thread_count, run_unit_campaign, ArchCampaign, ArchOutcomes, CampaignConfig,
-    CampaignOptions,
+    default_thread_count, run_unit_campaign, run_unit_campaign_reference, ArchCampaign,
+    ArchOutcomes, CampaignConfig, CampaignOptions,
 };
 use swapcodes_sim::timing::{simulate_kernel_reference, KernelTiming, TimingConfig};
 use swapcodes_sim::ExecTier;
@@ -82,41 +82,6 @@ fn measure_reference(w: &Workload, scheme: Scheme) -> Option<KernelTiming> {
     let mut mem = w.build_memory();
     let cfg = TimingConfig::default();
     simulate_kernel_reference(&t.kernel, t.launch, &mut mem, &cfg).ok()
-}
-
-/// The unpooled campaign loop: clone the node list, draw the input's whole
-/// partial Fisher–Yates order (the production sample) up front, and scan
-/// with per-chunk allocations, one input after another.
-fn campaign_reference(unit: &ArithUnit, inputs: &[[u64; 3]], cfg: &CampaignConfig) -> (u64, u64) {
-    let net = unit.netlist();
-    let nodes = net.injectable_nodes();
-    let n_inputs = unit.kind().input_count();
-    let mut found = 0u64;
-    let mut attempts = 0u64;
-    for (index, tuple) in inputs.iter().enumerate() {
-        let mut rng =
-            SmallRng::seed_from_u64(cfg.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let words = &tuple[..n_inputs];
-        let mut order = nodes.clone();
-        let k = cfg.max_attempts_per_input.min(order.len());
-        for i in 0..k {
-            let j = rng.gen_range(i..order.len());
-            order.swap(i, j);
-        }
-        'scan: for chunk in order[..k].chunks(63) {
-            let batch = net.evaluate_batch(words, chunk);
-            let golden = batch.golden(0);
-            attempts += chunk.len() as u64;
-            for lane in 0..chunk.len() {
-                if batch.output(0, lane) != golden {
-                    attempts -= (chunk.len() - lane - 1) as u64;
-                    found += 1;
-                    break 'scan;
-                }
-            }
-        }
-    }
-    (found, attempts)
 }
 
 fn main() {
@@ -200,7 +165,7 @@ fn main() {
         engine.failures()
     );
 
-    // --- Gate-level injection campaign: unpooled loop vs the pool. --------
+    // --- Gate-level injection campaign: per-site reference vs the pool. ---
     let unit = build_unit(UnitKind::FxpMad32);
     // `SWAPCODES_FAST` turns the campaign leg into a CI smoke run; the
     // sweep leg always walks the full matrix (memoization is what's under
@@ -218,23 +183,20 @@ fn main() {
         .collect();
     let cfg = CampaignConfig::default();
     let t2 = Instant::now();
-    let (ref_found, ref_attempts) = campaign_reference(&unit, &inputs, &cfg);
-    let campaign_serial_s = t2.elapsed().as_secs_f64();
+    let reference = run_unit_campaign_reference(&unit, &inputs, &cfg, 0);
+    let campaign_reference_s = t2.elapsed().as_secs_f64();
+    let ref_found = reference.iter().filter(|o| o.record.is_some()).count() as u64;
+    let ref_attempts: u64 = reference.iter().map(|o| o.attempts).sum();
     let t3 = Instant::now();
     let res = run_unit_campaign(&unit, &inputs, &cfg);
     let campaign_parallel_s = t3.elapsed().as_secs_f64();
     assert_eq!(
         (ref_found, ref_attempts),
         (res.records.len() as u64, res.attempts),
-        "the pooled campaign must reproduce the unpooled loop's errors and attempts"
+        "the pooled campaign must reproduce the per-site reference's errors and attempts"
     );
-    let campaign_speedup = campaign_serial_s / campaign_parallel_s;
-    println!("  campaign unpooled loop (1 thread) {campaign_serial_s:7.2}s ({ref_found} errors, {ref_attempts} attempts)");
-    println!(
-        "  campaign pool ({threads} thread(s))       {campaign_parallel_s:7.2}s ({campaign_speedup:.1}x, {} errors, {} attempts)",
-        res.records.len(),
-        res.attempts
-    );
+    println!("  campaign per-site reference (1 thread) {campaign_reference_s:7.2}s ({ref_found} errors, {ref_attempts} attempts)");
+    println!("  campaign pool ({threads} thread(s))            {campaign_parallel_s:7.2}s");
 
     // --- Architecture campaign: from-scratch vs resume-engine legs. -------
     // All legs run on one thread; trials are identical `(seed, index)`
@@ -423,7 +385,7 @@ fn main() {
 
     // --- Report. ----------------------------------------------------------
     let json = format!(
-        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"serial_seed_s\": {serial_s:.3},\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"speedup\": {sweep_speedup:.2},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"seed_loop_s\": {campaign_serial_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"speedup\": {campaign_speedup:.2}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_clone_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
+        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"serial_seed_s\": {serial_s:.3},\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"speedup\": {sweep_speedup:.2},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"reference_s\": {campaign_reference_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"errors\": {ref_found},\n    \"attempts\": {ref_attempts}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_clone_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
         timing_cells.len(),
         engine.cached_cells(),
         inputs.len(),

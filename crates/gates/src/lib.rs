@@ -7,7 +7,8 @@
 //! (Table IV). This crate rebuilds that substrate:
 //!
 //! * [`Netlist`] — a flattened gate-level netlist with 64-lane bit-parallel
-//!   evaluation and single-node transient fault injection;
+//!   evaluation, where every lane runs its own inputs and transient node
+//!   flips;
 //! * [`CircuitBuilder`] — a structural builder (wires, bit-vectors, adders,
 //!   shifters, multipliers, comparators) used to elaborate the units;
 //! * [`units`] — the six pipelined arithmetic units of the paper's Fig. 10
@@ -41,5 +42,5 @@ pub mod softfloat;
 pub mod units;
 
 pub use builder::{Bv, CircuitBuilder};
-pub use netlist::{BatchResult, EvalScratch, Gate, Netlist, NodeId};
+pub use netlist::{transpose64, EvalScratch, Gate, Netlist, NodeId};
 pub use sites::{AreaSummary, FaultSite, SiteCatalog};

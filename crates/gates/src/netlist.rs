@@ -182,100 +182,59 @@ impl Netlist {
     /// Panics if `inputs` does not supply every input word.
     #[must_use]
     pub fn evaluate(&self, inputs: &[u64]) -> Vec<u64> {
-        self.evaluate_words(inputs, &[])
+        self.evaluate_broadcast(inputs, &[])
     }
 
     /// Evaluate with a single transient fault: node `flip`'s output is
     /// inverted for this evaluation.
     #[must_use]
     pub fn evaluate_flipped(&self, inputs: &[u64], flip: NodeId) -> Vec<u64> {
-        self.evaluate_words(inputs, &[flip])
+        self.evaluate_broadcast(inputs, &[(flip, u64::MAX)])
     }
 
-    /// Evaluate up to 64 *independent* single-fault experiments in one pass:
-    /// lane `i` of every node value carries the simulation in which
-    /// `flips[i]` is inverted (lanes beyond `flips.len()` are fault-free).
+    /// Evaluate 64 independent experiments in one pass, one per bit lane of
+    /// every node value.
     ///
-    /// Returns, for each output word, a vector of per-lane word values
-    /// indexed like `flips` with one extra trailing entry for the fault-free
-    /// lane.
+    /// Lanes read their primary inputs from bit planes: `planes[word][bit]`
+    /// is the mask of lanes whose input word `word` has bit `bit` set
+    /// ([`transpose64`] turns 64 per-lane words into one word's planes).
+    /// Each `(node, mask)` of `flips` inverts `node`'s output in the lanes
+    /// of `mask`; two flips on one node OR their masks. On return,
+    /// `out[w][lane]` is output word `w` as lane `lane` computed it.
     ///
-    /// Allocates fresh buffers per call; hot callers (injection campaigns)
-    /// should hold an [`EvalScratch`] and a [`BatchResult`] and use
-    /// [`Netlist::evaluate_batch_with`] instead.
+    /// Node values and flip masks live in `scratch`, which serves netlists
+    /// of any size and is reused without per-call allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `flips.len() > 63` or inputs are missing.
-    #[must_use]
-    pub fn evaluate_batch(&self, inputs: &[u64], flips: &[NodeId]) -> BatchResult {
-        let mut scratch = EvalScratch::new();
-        let mut out = BatchResult::default();
-        self.evaluate_batch_with(inputs, flips, &mut scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`Netlist::evaluate_batch`]: node values and
-    /// flip masks live in `scratch`, per-lane output words in `out`, and
-    /// both are reused across calls (the first call sizes them, later calls
-    /// only overwrite).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flips.len() > 63` or inputs are missing.
-    pub fn evaluate_batch_with(
+    /// Panics if `planes` does not supply every input word, if `out` does
+    /// not hold one entry per output word, or if an output word is wider
+    /// than 64 bits.
+    pub fn evaluate_lanes(
         &self,
-        inputs: &[u64],
-        flips: &[NodeId],
+        planes: &[[u64; 64]],
+        flips: &[(NodeId, u64)],
         scratch: &mut EvalScratch,
-        out: &mut BatchResult,
+        out: &mut [[u64; 64]],
     ) {
-        assert!(flips.len() <= 63, "at most 63 faulty lanes per batch");
-        self.evaluate_lanes_into(inputs, flips, scratch);
-        let lanes = &scratch.values;
-        out.per_output.resize(self.outputs.len(), Vec::new());
-        for (bits, words) in self.outputs.iter().zip(out.per_output.iter_mut()) {
-            assert!(bits.len() <= 64, "output words are at most 64 bits");
-            // Row `pos` holds output bit `pos` of every lane; transposed,
-            // row `lane` is that lane's output word.
-            let mut matrix = [0u64; 64];
-            for (row, &bit_node) in matrix.iter_mut().zip(bits) {
-                *row = lanes[bit_node as usize];
-            }
-            transpose64(&mut matrix);
-            words.clear();
-            words.extend_from_slice(&matrix[..flips.len()]);
-            // Lane 63 is the fault-free lane, stored last.
-            words.push(matrix[63]);
-        }
-    }
-
-    /// Per-node lane evaluation into `scratch`. Lane 63 is always
-    /// fault-free; lane `i` (i < flips.len()) has `flips[i]` inverted.
-    ///
-    /// The flip-mask buffer is kept all-zero between calls by sparsely
-    /// resetting exactly the nodes in `flips` on the way out, so no
-    /// node-count-sized buffer is zeroed (or allocated) per call.
-    fn evaluate_lanes_into(&self, inputs: &[u64], flips: &[NodeId], scratch: &mut EvalScratch) {
         assert_eq!(
-            inputs.len(),
+            planes.len(),
             usize::from(self.input_words),
             "wrong number of input words"
         );
+        assert_eq!(
+            out.len(),
+            self.outputs.len(),
+            "one lane buffer per output word"
+        );
         scratch.ensure_capacity(self.nodes.len());
-        for (lane, &node) in flips.iter().enumerate() {
-            scratch.flip_mask[node as usize] |= 1u64 << lane;
+        for &(node, mask) in flips {
+            scratch.flip_mask[node as usize] |= mask;
         }
         let v = &mut scratch.values;
         for (i, gate) in self.nodes.iter().enumerate() {
             let val = match *gate {
-                Gate::Input { word, bit } => {
-                    if inputs[usize::from(word)] >> bit & 1 != 0 {
-                        u64::MAX
-                    } else {
-                        0
-                    }
-                }
+                Gate::Input { word, bit } => planes[usize::from(word)][usize::from(bit)],
                 Gate::Const(c) => {
                     if c {
                         u64::MAX
@@ -298,36 +257,43 @@ impl Netlist {
             };
             v[i] = val ^ scratch.flip_mask[i];
         }
-        // Sparse reset: `flips` is exactly the dirty set.
-        for &node in flips {
+        // Sparse reset: `flips` is exactly the dirty set, so the flip-mask
+        // buffer is all zeros again without re-zeroing it.
+        for &(node, _) in flips {
             scratch.flip_mask[node as usize] = 0;
+        }
+        for (bits, lanes) in self.outputs.iter().zip(out.iter_mut()) {
+            assert!(bits.len() <= 64, "output words are at most 64 bits");
+            // Row `pos` holds output bit `pos` of every lane; transposed,
+            // row `lane` is that lane's output word.
+            *lanes = [0; 64];
+            for (row, &bit_node) in lanes.iter_mut().zip(bits) {
+                *row = v[bit_node as usize];
+            }
+            transpose64(lanes);
         }
     }
 
-    fn evaluate_words(&self, inputs: &[u64], flips: &[NodeId]) -> Vec<u64> {
-        // Single-lane path: run the faulty configuration in lane 0.
-        let mut scratch = EvalScratch::new();
-        self.evaluate_lanes_into(inputs, flips, &mut scratch);
-        let lane = if flips.is_empty() { 63 } else { 0 };
-        self.outputs
+    /// Run one experiment in every lane (broadcast planes) and read lane 0.
+    fn evaluate_broadcast(&self, inputs: &[u64], flips: &[(NodeId, u64)]) -> Vec<u64> {
+        let planes: Vec<[u64; 64]> = inputs
             .iter()
-            .map(|bits| {
-                let mut w = 0u64;
-                for (pos, &bit_node) in bits.iter().enumerate() {
-                    if scratch.values[bit_node as usize] >> lane & 1 != 0 {
-                        w |= 1u64 << pos;
-                    }
-                }
-                w
-            })
-            .collect()
+            .map(|&word| std::array::from_fn(|bit| if word >> bit & 1 != 0 { u64::MAX } else { 0 }))
+            .collect();
+        let mut out = vec![[0u64; 64]; self.outputs.len()];
+        self.evaluate_lanes(&planes, flips, &mut EvalScratch::new(), &mut out);
+        out.iter().map(|lanes| lanes[0]).collect()
     }
 }
 
 /// Transpose a 64×64 bit matrix in place: bit `c` of row `r` moves to bit
 /// `r` of row `c`. Each round swaps the off-diagonal `j`×`j` blocks of
 /// every `2j`×`2j` block, halving `j` from 32 to 1.
-fn transpose64(m: &mut [u64; 64]) {
+///
+/// With row = lane, 64 per-lane input words become the bit planes
+/// [`Netlist::evaluate_lanes`] reads; the evaluator uses it the other way
+/// round to return per-lane output words.
+pub fn transpose64(m: &mut [u64; 64]) {
     let mut j = 32;
     let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
     while j != 0 {
@@ -343,7 +309,7 @@ fn transpose64(m: &mut [u64; 64]) {
     }
 }
 
-/// Reusable evaluation buffers for [`Netlist::evaluate_batch_with`].
+/// Reusable evaluation buffers for [`Netlist::evaluate_lanes`].
 ///
 /// One scratch serves netlists of any size (buffers grow to the largest
 /// netlist seen and are then reused); the flip-mask invariant — all zeros
@@ -369,32 +335,6 @@ impl EvalScratch {
             self.values.resize(nodes, 0);
             self.flip_mask.resize(nodes, 0);
         }
-    }
-}
-
-/// Result of a batched fault-injection evaluation.
-///
-/// `BatchResult::default()` is an empty result intended as a reusable
-/// output buffer for [`Netlist::evaluate_batch_with`].
-#[derive(Debug, Clone, Default)]
-pub struct BatchResult {
-    per_output: Vec<Vec<u64>>,
-}
-
-impl BatchResult {
-    /// Value of output word `out` in fault lane `lane`
-    /// (`lane == number_of_flips` is the fault-free lane).
-    #[must_use]
-    pub fn output(&self, out: usize, lane: usize) -> u64 {
-        self.per_output[out][lane]
-    }
-
-    /// The fault-free value of output word `out`.
-    #[must_use]
-    pub fn golden(&self, out: usize) -> u64 {
-        *self.per_output[out]
-            .last()
-            .expect("batch always carries the fault-free lane")
     }
 }
 
@@ -433,28 +373,49 @@ mod tests {
         assert_eq!(faulty[0], 0b11);
     }
 
-    #[test]
-    fn batch_matches_individual_injections() {
-        let n = half_adder();
-        let flips = n.injectable_nodes();
-        let batch = n.evaluate_batch(&[1, 1], &flips);
-        for (lane, &f) in flips.iter().enumerate() {
-            assert_eq!(batch.output(0, lane), n.evaluate_flipped(&[1, 1], f)[0]);
-        }
-        assert_eq!(batch.golden(0), n.evaluate(&[1, 1])[0]);
+    /// Bit planes of a two-word input where lane `l` reads `a = l & 1` and
+    /// `b = l >> 1 & 1`.
+    fn half_adder_planes() -> Vec<[u64; 64]> {
+        (0..2)
+            .map(|word| {
+                let mut rows: [u64; 64] = std::array::from_fn(|lane| (lane as u64) >> word & 1);
+                transpose64(&mut rows);
+                rows
+            })
+            .collect()
+    }
 
-        // The scratch-reusing form is bit-identical across repeated calls on
-        // the same buffers (the flip-mask sparse reset must leave no residue
-        // between batches with different flip sets and inputs).
+    #[test]
+    fn lanes_match_individual_injections() {
+        let n = half_adder();
+        let planes = half_adder_planes();
+        let lane_inputs = |lane: usize| [lane as u64 & 1, lane as u64 >> 1 & 1];
+        // Lanes 0-3 run clean; lanes 4.. flip the sum or the carry, and
+        // lanes 8-15 are flipped by two OR-ed entries on one node.
+        let sum_lanes = 0x5555_5555_5555_5550u64;
+        let carry_lanes = 0xAAAA_AAAA_AAAA_AAA0u64;
+        let flip_sets: [&[(NodeId, u64)]; 3] = [
+            &[(2, sum_lanes), (3, carry_lanes)],
+            &[(2, sum_lanes & 0xFF00), (3, carry_lanes), (2, sum_lanes)],
+            &[],
+        ];
+
+        // One scratch across flip sets: the sparse flip-mask reset must
+        // leave no residue between calls.
         let mut scratch = EvalScratch::new();
-        let mut out = BatchResult::default();
-        for inputs in [[1u64, 1], [1, 0], [0, 1], [0, 0]] {
-            for flip_set in [&flips[..], &flips[..1], &[]] {
-                n.evaluate_batch_with(&inputs, flip_set, &mut scratch, &mut out);
-                for (lane, &f) in flip_set.iter().enumerate() {
-                    assert_eq!(out.output(0, lane), n.evaluate_flipped(&inputs, f)[0]);
-                }
-                assert_eq!(out.golden(0), n.evaluate(&inputs)[0]);
+        let mut out = [[0u64; 64]];
+        for flips in flip_sets {
+            n.evaluate_lanes(&planes, flips, &mut scratch, &mut out);
+            for (lane, &got) in out[0].iter().enumerate() {
+                let flipped = flips
+                    .iter()
+                    .find(|&&(_, mask)| mask >> lane & 1 != 0)
+                    .map(|&(node, _)| node);
+                let want = match flipped {
+                    Some(node) => n.evaluate_flipped(&lane_inputs(lane), node)[0],
+                    None => n.evaluate(&lane_inputs(lane))[0],
+                };
+                assert_eq!(got, want, "lane {lane}, flips {flips:?}");
             }
         }
     }
@@ -468,12 +429,13 @@ mod tests {
         small.add_output(vec![inv]);
 
         let mut scratch = EvalScratch::new();
-        let mut out = BatchResult::default();
-        big.evaluate_batch_with(&[1, 1], &big.injectable_nodes(), &mut scratch, &mut out);
-        assert_eq!(out.golden(0), 0b10);
-        small.evaluate_batch_with(&[1], &[inv], &mut scratch, &mut out);
-        assert_eq!(out.golden(0), 0);
-        assert_eq!(out.output(0, 0), 1, "flipping the inverter restores 1");
+        let mut out = [[0u64; 64]];
+        big.evaluate_lanes(&half_adder_planes(), &[(3, 1 << 5)], &mut scratch, &mut out);
+        assert_eq!(out[0][3], 0b10, "lane 3 adds 1 + 1");
+        assert_eq!(out[0][5], 0b11, "lane 5 adds 1 + 0 with the carry flipped");
+        small.evaluate_lanes(&[[u64::MAX; 64]], &[(inv, 1)], &mut scratch, &mut out);
+        assert_eq!(out[0][0], 1, "flipping the inverter restores 1");
+        assert_eq!(out[0][1], 0);
     }
 
     #[test]

@@ -7,7 +7,19 @@ use swapcodes_gates::softfloat::{BINARY32, BINARY64};
 use swapcodes_gates::units::{
     build_unit, mad_residue_predictor, residue_encoder, secded_decoder, UnitKind,
 };
-use swapcodes_gates::{EvalScratch, Gate, Netlist, NodeId};
+use swapcodes_gates::{transpose64, EvalScratch, Gate, Netlist, NodeId};
+
+/// The bit planes of 64 lanes' input words (`lanes[l][w]` is lane `l`'s
+/// word `w`).
+fn lane_planes<const W: usize>(lanes: &[[u64; W]]) -> Vec<[u64; 64]> {
+    (0..W)
+        .map(|w| {
+            let mut rows: [u64; 64] = std::array::from_fn(|l| lanes[l][w]);
+            transpose64(&mut rows);
+            rows
+        })
+        .collect()
+}
 
 /// A strategy for normal (or zero) binary32 encodings.
 fn normal32() -> impl Strategy<Value = u64> {
@@ -130,17 +142,21 @@ proptest! {
         }
     }
 
-    /// Single-node injection changes at most the output (sanity: the golden
-    /// lane of a batch is never affected by the faulty lanes).
+    /// A flip-free lane stays clean while every other lane of the pass
+    /// flips a node.
     #[test]
-    fn batch_golden_lane_is_clean(a: u32, b: u32, pick in 0usize..600) {
+    fn flip_free_lane_is_clean(a: u32, b: u32, pick in 0usize..600, clean in 0usize..64) {
         let unit = build_unit(UnitKind::FxpAdd32);
-        let nodes = unit.netlist().injectable_nodes();
+        let net = unit.netlist();
+        let nodes = net.injectable_nodes();
         let node = nodes[pick % nodes.len()];
-        let batch = unit
-            .netlist()
-            .evaluate_batch(&[u64::from(a), u64::from(b)], &[node]);
-        prop_assert_eq!(batch.golden(0), u64::from(a.wrapping_add(b)));
+        // Lane `l` adds `a` rotated by `l` to `b`.
+        let lane_a = |lane: usize| a.rotate_left(lane as u32);
+        let lanes: Vec<[u64; 2]> = (0..64).map(|l| [u64::from(lane_a(l)), u64::from(b)]).collect();
+        let mut out = [[0u64; 64]];
+        let flips = [(node, !(1u64 << clean))];
+        net.evaluate_lanes(&lane_planes(&lanes), &flips, &mut EvalScratch::new(), &mut out);
+        prop_assert_eq!(out[0][clean], u64::from(lane_a(clean).wrapping_add(b)));
     }
 }
 
@@ -194,11 +210,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// On arbitrary random netlists with one or two output words of up to
-    /// 64 bits, batch evaluation through one reused [`EvalScratch`] is
-    /// bit-identical to a fresh-allocation batch and to per-flip serial
-    /// evaluation — i.e. scratch reuse leaves no residue between calls,
-    /// netlists, or flip sets, and the per-lane output transpose puts every
-    /// bit where `evaluate_flipped` does.
+    /// 64 bits, every lane of a pass equals the single-lane evaluation of
+    /// its own inputs: `evaluate_flipped` for a lane with one or two flips
+    /// (two flips of a lane hit one node and OR, and lanes share flipped
+    /// nodes), `evaluate` for a flip-free lane. All rounds share one
+    /// [`EvalScratch`], so reuse must leave no residue between calls or
+    /// flip sets, and the per-lane output transpose must put every bit
+    /// where the single-lane path does.
     #[test]
     fn scratch_reuse_matches_fresh_on_random_netlists(
         recipe in proptest::collection::vec(
@@ -206,37 +224,55 @@ proptest! {
             4..96,
         ),
         widths in proptest::collection::vec(1usize..=64, 1..3),
-        in_a: u64,
-        in_b: u64,
-        flip_seed: u64,
+        seed: u64,
     ) {
         let net = random_netlist(&recipe, &widths);
         let nodes = net.injectable_nodes();
-        let inputs = [in_a, in_b];
+        prop_assume!(!nodes.is_empty());
+        // SplitMix64 over `seed`: per-lane inputs and flips.
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
 
         let mut scratch = EvalScratch::new();
-        let mut out = swapcodes_gates::BatchResult::default();
-        // Several flip sets of different sizes through the same scratch.
-        for round in 0..4u64 {
-            let k = 1 + (flip_seed.rotate_left(8 * round as u32) as usize) % 63.min(nodes.len());
-            let flips: Vec<NodeId> = (0..k)
-                .map(|i| {
-                    let ix = flip_seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(round * 1_000 + i as u64);
-                    nodes[ix as usize % nodes.len()]
-                })
-                .collect();
-            net.evaluate_batch_with(&inputs, &flips, &mut scratch, &mut out);
-            let fresh = net.evaluate_batch(&inputs, &flips);
-            for w in 0..net.output_words() {
-                prop_assert_eq!(out.golden(w), fresh.golden(w), "golden lane, word {}", w);
-                prop_assert_eq!(out.golden(w), net.evaluate(&inputs)[w]);
-                for (lane, &flip) in flips.iter().enumerate() {
+        let mut out = vec![[0u64; 64]; net.output_words()];
+        for _round in 0..4 {
+            let inputs: Vec<[u64; 2]> = (0..64).map(|_| [next(), next()]).collect();
+            let mut lane_flip: [Option<NodeId>; 64] = [None; 64];
+            let mut flips: Vec<(NodeId, u64)> = Vec::new();
+            for (lane, slot) in lane_flip.iter_mut().enumerate() {
+                let r = next();
+                // Six candidate nodes, so lanes often share one.
+                let node = nodes[(r >> 8) as usize % nodes.len().min(6)];
+                match r % 3 {
+                    0 => {}
+                    // One flip joins the node's multi-lane entry.
+                    1 => match flips.iter_mut().find(|f| f.0 == node) {
+                        Some(f) => f.1 |= 1 << lane,
+                        None => flips.push((node, 1 << lane)),
+                    },
+                    // Two single-lane entries on one node.
+                    _ => flips.extend([(node, 1 << lane), (node, 1 << lane)]),
+                }
+                if r % 3 != 0 {
+                    *slot = Some(node);
+                }
+            }
+            net.evaluate_lanes(&lane_planes(&inputs), &flips, &mut scratch, &mut out);
+            for (lane, (words, flip)) in inputs.iter().zip(lane_flip).enumerate() {
+                let want = match flip {
+                    Some(node) => net.evaluate_flipped(words, node),
+                    None => net.evaluate(words),
+                };
+                for (w, lanes) in out.iter().enumerate() {
                     prop_assert_eq!(
-                        out.output(w, lane),
-                        net.evaluate_flipped(&inputs, flip)[w],
-                        "lane {} flipping node {}", lane, flip
+                        lanes[lane], want[w],
+                        "lane {} word {} flipping {:?}", lane, w, flip
                     );
                 }
             }

@@ -2,13 +2,15 @@
 //! §IV-A): for every input pair, flip the output of randomly chosen gates or
 //! flip-flops until one corrupts the unit output.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use swapcodes_gates::units::ArithUnit;
-use swapcodes_gates::{BatchResult, EvalScratch};
+use swapcodes_gates::{transpose64, EvalScratch, Netlist, NodeId};
 
 use crate::stats::Proportion;
 
@@ -154,28 +156,122 @@ pub struct InputOutcome {
     pub attempts: u64,
 }
 
-/// Per-worker reusable buffers: injection order, the Fisher–Yates undo
-/// journal, and the netlist evaluation scratch. Nothing here is allocated
-/// per input once warmed up.
-struct WorkerScratch {
-    /// Identity permutation of the injectable nodes between inputs; the
-    /// sites drawn so far live in `order[..swaps.len()]` while an input is
-    /// processed.
-    order: Vec<u32>,
-    /// Swap partners of the partial Fisher–Yates, used to undo in reverse.
-    swaps: Vec<u32>,
+/// Bit lanes of one netlist pass.
+const LANES: usize = 64;
+
+/// One input of a block: its fault-free output and its partial
+/// Fisher–Yates draw, made lazily, one pass's worth of sites at a time.
+struct InputState {
+    index: u64,
+    rng: SmallRng,
+    /// Sparse overlay of the draw's permutation of the injectable nodes:
+    /// the node now at each position an earlier swap moved. Every other
+    /// position still holds its identity-order node.
+    moved: HashMap<usize, u32>,
+    /// Sites drawn so far; once a pass is evaluated, all of them are tested.
+    drawn: usize,
+    golden: u64,
+    /// Lanes holding this input's sites in the current pass, in draw order.
+    lanes: Range<usize>,
+    outcome: Option<InputOutcome>,
+}
+
+impl InputState {
+    fn new(seed: u64, index: u64) -> Self {
+        Self {
+            index,
+            rng: SmallRng::seed_from_u64(seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            moved: HashMap::new(),
+            drawn: 0,
+            golden: 0,
+            lanes: 0..0,
+            outcome: None,
+        }
+    }
+
+    /// Start over as input `index`, keeping the overlay's allocation.
+    fn reset(&mut self, seed: u64, index: u64) {
+        let mut moved = std::mem::take(&mut self.moved);
+        moved.clear();
+        *self = Self {
+            moved,
+            ..Self::new(seed, index)
+        };
+    }
+
+    /// Step `i = drawn` of the partial Fisher–Yates over `nodes`: swap
+    /// position `i` with a uniform `j` in `i..n` and return the node now at
+    /// `i`. Later steps read only positions above `i`, so only position `j`
+    /// is written back.
+    fn draw(&mut self, nodes: &[u32]) -> u32 {
+        let i = self.drawn;
+        let j = self.rng.gen_range(i..nodes.len());
+        let at = |p: usize| self.moved.get(&p).copied().unwrap_or(nodes[p]);
+        let (site, displaced) = (at(j), at(i));
+        self.moved.insert(j, displaced);
+        self.drawn += 1;
+        site
+    }
+
+    fn decide(&mut self, faulty: Option<u64>, attempts: usize) {
+        self.outcome = Some(InputOutcome {
+            index: self.index,
+            record: faulty.map(|faulty| InjectionRecord {
+                golden: self.golden,
+                faulty,
+            }),
+            attempts: attempts as u64,
+        });
+    }
+}
+
+/// The buffers of one netlist pass: which block input each lane runs,
+/// the input planes, the flips, the per-lane outputs and the node values.
+#[derive(Default)]
+struct Pass {
+    /// Block input each lane runs; idle lanes keep a stale owner and no
+    /// flip, and nothing reads their outputs.
+    owner: Vec<usize>,
+    planes: Vec<[u64; LANES]>,
+    flips: Vec<(NodeId, u64)>,
+    out: Vec<[u64; LANES]>,
     eval: EvalScratch,
-    batch: BatchResult,
+}
+
+impl Pass {
+    /// Evaluate `net` with lane `l` running block input `owner[l]` under
+    /// the flips of `flips`.
+    fn run(&mut self, net: &Netlist, block: &[[u64; 3]]) {
+        self.planes
+            .resize(usize::from(net.input_words()), [0; LANES]);
+        self.out.resize(net.output_words(), [0; LANES]);
+        for (w, plane) in self.planes.iter_mut().enumerate() {
+            *plane = std::array::from_fn(|lane| block[self.owner[lane]][w]);
+            transpose64(plane);
+        }
+        net.evaluate_lanes(&self.planes, &self.flips, &mut self.eval, &mut self.out);
+    }
+}
+
+/// Per-worker reusable buffers: one state per input of the current block,
+/// the undecided list, and the pass buffers. Nothing here is allocated per
+/// pass once warmed up.
+#[derive(Default)]
+struct WorkerScratch {
+    inputs: Vec<InputState>,
+    undecided: Vec<usize>,
+    pass: Pass,
 }
 
 /// Run the injection campaign for one unit over the given operand stream:
-/// per input, random single-node flips until the output corrupts (evaluated
-/// 63 faults at a time through the netlist's batched lanes).
+/// per input, random single-node flips until the output corrupts. The 64
+/// bit lanes of every netlist pass hold (input, site) trials of up to 64
+/// inputs at once.
 ///
-/// Inputs are distributed over the worker pool through a work-stealing
-/// index counter rather than fixed chunks: per-input cost varies by orders
-/// of magnitude (an early-corrupting input finishes after one batch, a
-/// fully-masked one scans `max_attempts_per_input` nodes), so static
+/// Inputs are distributed over the worker pool in blocks of 64 through a
+/// work-stealing counter rather than fixed chunks: per-input cost varies by
+/// orders of magnitude (an early-corrupting input is done after one pass, a
+/// fully-masked one tests `max_attempts_per_input` sites), so static
 /// chunking leaves whole threads idle behind one unlucky chunk. Results are
 /// byte-identical for any thread count because every input derives its RNG
 /// from `(seed, input index)` alone.
@@ -215,10 +311,23 @@ pub fn run_unit_campaign(
 /// absolute index `first_index` of the full operand stream, returning
 /// per-input outcomes sorted by index.
 ///
-/// Each input's RNG derives from `(seed, absolute index)` alone, so
-/// processing a stream in arbitrary slices — the resume path of
-/// [`crate::harness::run_unit_campaign_checkpointed`] — yields exactly the
-/// same outcomes as one uninterrupted pass.
+/// Each input tests the sites of its own partial Fisher–Yates draw, in draw
+/// order, up to `k = min(max_attempts_per_input, nodes)` of them. It is
+/// decided at its first corrupting site, with attempts = that site's
+/// position + 1, or fully masked after `k` attempts. Workers take blocks of
+/// 64 consecutive inputs. A flip-free pass gives each input of the block
+/// its golden output, one lane per input. Every later pass splits the 64
+/// lanes evenly over the `a` undecided inputs (`⌊64/a⌋` or `⌈64/a⌉` each,
+/// never past `k`), each lane testing the input's next site. Sites an input
+/// drew beyond its first corrupting one in the same pass are discarded.
+///
+/// An input's outcome depends only on its golden output and its site
+/// sequence, and the sequence only on its RNG, seeded from `(seed,
+/// absolute index)`. So it does not depend on which inputs share its passes,
+/// on the thread count, or on how a caller slices the stream — the resume
+/// path of [`crate::harness::run_unit_campaign_checkpointed`] yields exactly
+/// the outcomes of one uninterrupted pass, and [`run_unit_campaign_reference`]
+/// yields them one site at a time.
 ///
 /// # Panics
 ///
@@ -237,90 +346,96 @@ pub fn run_unit_campaign_slice(
     );
     let net = unit.netlist();
     let nodes = net.injectable_nodes();
-    let n_inputs = unit.kind().input_count();
+    let k = cfg.max_attempts_per_input.min(nodes.len());
 
-    // Per-input deterministic seeding keeps results identical regardless of
-    // thread count or input-set size.
-    let run_one =
-        |index: u64, tuple: &[u64; 3], ws: &mut WorkerScratch| -> (Option<InjectionRecord>, u64) {
-            let mut rng =
-                SmallRng::seed_from_u64(cfg.seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let words = &tuple[..n_inputs];
-            let k = cfg.max_attempts_per_input.min(ws.order.len());
+    // Decide every input of one block, absolute indices from `first`.
+    let run_block = |first: u64, block: &[[u64; 3]], ws: &mut WorkerScratch| {
+        for i in 0..block.len() {
+            let index = first + i as u64;
+            match ws.inputs.get_mut(i) {
+                Some(state) => state.reset(cfg.seed, index),
+                None => ws.inputs.push(InputState::new(cfg.seed, index)),
+            }
+        }
+        let inputs = &mut ws.inputs[..block.len()];
+        let pass = &mut ws.pass;
 
-            // Partial Fisher–Yates, drawn lazily: a uniform k-element
-            // injection order takes one RNG call and one swap per site, and
-            // sites are drawn one 63-lane batch at a time, so an input that
-            // corrupts early never pays for the rest of its k sites. Site i
-            // is final once drawn, so the order is the eager draw's prefix.
-            ws.swaps.clear();
-            let mut attempts = 0u64;
-            let mut found = None;
-            'scan: while ws.swaps.len() < k {
-                let start = ws.swaps.len();
-                let end = (start + 63).min(k);
-                for i in start..end {
-                    #[allow(clippy::cast_possible_truncation)]
-                    let j = rng.gen_range(i..ws.order.len()) as u32;
-                    ws.order.swap(i, j as usize);
-                    ws.swaps.push(j);
+        // The golden pass: lane `i` runs input `i` without flips.
+        pass.owner.clear();
+        pass.owner.extend(0..block.len());
+        pass.owner.resize(LANES, 0);
+        pass.flips.clear();
+        pass.run(net, block);
+        for (state, &golden) in inputs.iter_mut().zip(&pass.out[0]) {
+            state.golden = golden;
+        }
+        let undecided = &mut ws.undecided;
+        undecided.clear();
+        undecided.extend(0..block.len());
+        loop {
+            undecided.retain(|&i| {
+                let state = &mut inputs[i];
+                if state.outcome.is_none() && state.drawn == k {
+                    state.decide(None, k);
                 }
-                let chunk = &ws.order[start..end];
-                net.evaluate_batch_with(words, chunk, &mut ws.eval, &mut ws.batch);
-                let golden = ws.batch.golden(0);
-                attempts += chunk.len() as u64;
-                for lane in 0..chunk.len() {
-                    let out = ws.batch.output(0, lane);
-                    if out != golden {
-                        // Count only up to (and including) the corrupting try.
-                        attempts -= (chunk.len() - lane - 1) as u64;
-                        found = Some(InjectionRecord {
-                            golden,
-                            faulty: out,
-                        });
-                        break 'scan;
-                    }
+                state.outcome.is_none()
+            });
+            if undecided.is_empty() {
+                break;
+            }
+            let (share, extra) = (LANES / undecided.len(), LANES % undecided.len());
+            pass.flips.clear();
+            let mut lane = 0;
+            for (rank, &i) in undecided.iter().enumerate() {
+                let state = &mut inputs[i];
+                let take = (share + usize::from(rank < extra)).min(k - state.drawn);
+                state.lanes = lane..lane + take;
+                for _ in 0..take {
+                    pass.owner[lane] = i;
+                    pass.flips.push((state.draw(&nodes), 1 << lane));
+                    lane += 1;
                 }
             }
-
-            // Undo the swaps in reverse so `order` is the identity permutation
-            // again — the next input's sample must not depend on this one.
-            for (i, &j) in ws.swaps.iter().enumerate().rev() {
-                ws.order.swap(i, j as usize);
+            pass.run(net, block);
+            for &i in undecided.iter() {
+                let state = &mut inputs[i];
+                let outs = &pass.out[0][state.lanes.clone()];
+                if let Some(pos) = outs.iter().position(|&out| out != state.golden) {
+                    let tested_before = state.drawn - outs.len();
+                    state.decide(Some(outs[pos]), tested_before + pos + 1);
+                }
             }
-            (found, attempts)
-        };
+        }
+    };
 
+    let blocks = inputs.len().div_ceil(LANES);
     let threads = cfg
         .threads
         .unwrap_or_else(default_thread_count)
-        .clamp(1, inputs.len());
-    let next_input = AtomicUsize::new(0);
+        .clamp(1, blocks);
+    let next_block = AtomicUsize::new(0);
     let collected = parking_lot::Mutex::new(Vec::with_capacity(inputs.len()));
     crossbeam::scope(|scope| {
         for _ in 0..threads {
-            let next_input = &next_input;
+            let next_block = &next_block;
             let collected = &collected;
-            let run_one = &run_one;
-            let nodes = &nodes;
+            let run_block = &run_block;
             scope.spawn(move |_| {
-                let mut ws = WorkerScratch {
-                    order: nodes.clone(),
-                    swaps: Vec::with_capacity(cfg.max_attempts_per_input.min(nodes.len())),
-                    eval: EvalScratch::new(),
-                    batch: BatchResult::default(),
-                };
+                let mut ws = WorkerScratch::default();
                 let mut local: Vec<InputOutcome> = Vec::new();
                 loop {
-                    let i = next_input.fetch_add(1, Ordering::Relaxed);
-                    let Some(tuple) = inputs.get(i) else { break };
-                    let index = first_index + i as u64;
-                    let (found, a) = run_one(index, tuple, &mut ws);
-                    local.push(InputOutcome {
-                        index,
-                        record: found,
-                        attempts: a,
-                    });
+                    let b = next_block.fetch_add(1, Ordering::Relaxed);
+                    if b >= blocks {
+                        break;
+                    }
+                    let lo = b * LANES;
+                    let block = &inputs[lo..(lo + LANES).min(inputs.len())];
+                    run_block(first_index + lo as u64, block, &mut ws);
+                    local.extend(
+                        ws.inputs[..block.len()]
+                            .iter()
+                            .map(|s| s.outcome.expect("every input is decided")),
+                    );
                 }
                 collected.lock().append(&mut local);
             });
@@ -331,6 +446,59 @@ pub fn run_unit_campaign_slice(
     let mut all = collected.into_inner();
     all.sort_unstable_by_key(|o| o.index);
     all
+}
+
+/// The reference for [`run_unit_campaign_slice`]: serial, it draws each
+/// input's whole partial Fisher–Yates order up front and tests one site at
+/// a time with [`Netlist::evaluate_flipped`](swapcodes_gates::Netlist::evaluate_flipped)
+/// against [`Netlist::evaluate`](swapcodes_gates::Netlist::evaluate). It
+/// shares neither the lane packing nor the campaign loop, so differential
+/// tests hold the production driver to it outcome for outcome.
+///
+/// # Panics
+///
+/// Panics if `inputs` is empty.
+#[must_use]
+pub fn run_unit_campaign_reference(
+    unit: &ArithUnit,
+    inputs: &[[u64; 3]],
+    cfg: &CampaignConfig,
+    first_index: u64,
+) -> Vec<InputOutcome> {
+    assert!(
+        !inputs.is_empty(),
+        "no operand stream for {:?}",
+        unit.kind()
+    );
+    let net = unit.netlist();
+    let words = unit.kind().input_count();
+    let mut outcomes = Vec::with_capacity(inputs.len());
+    for (offset, tuple) in inputs.iter().enumerate() {
+        let index = first_index + offset as u64;
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut order = net.injectable_nodes();
+        let k = cfg.max_attempts_per_input.min(order.len());
+        for i in 0..k {
+            let j = rng.gen_range(i..order.len());
+            order.swap(i, j);
+        }
+        let golden = net.evaluate(&tuple[..words])[0];
+        let mut outcome = InputOutcome {
+            index,
+            record: None,
+            attempts: k as u64,
+        };
+        for (pos, &site) in order[..k].iter().enumerate() {
+            let faulty = net.evaluate_flipped(&tuple[..words], site)[0];
+            if faulty != golden {
+                outcome.record = Some(InjectionRecord { golden, faulty });
+                outcome.attempts = pos as u64 + 1;
+                break;
+            }
+        }
+        outcomes.push(outcome);
+    }
+    outcomes
 }
 
 #[cfg(test)]
@@ -379,11 +547,12 @@ mod tests {
     /// Work-stealing must not leak scheduling into results: any thread
     /// count (and therefore any `SWAPCODES_THREADS` setting, which only
     /// feeds the default of `CampaignConfig::threads`) produces the same
-    /// records, masking counts and attempt totals.
+    /// records, masking counts and attempt totals. 200 inputs make four
+    /// 64-input blocks, so up to four workers take part.
     #[test]
     fn campaign_is_thread_count_independent() {
         let unit = fxp_add32();
-        let inputs: Vec<[u64; 3]> = (0..40)
+        let inputs: Vec<[u64; 3]> = (0..200)
             .map(|i| [i * 0x0101_0101 % 0xFFFF_FFFF, i * 77 + 13, 0])
             .collect();
         let serial = run_unit_campaign(
@@ -412,78 +581,43 @@ mod tests {
         }
     }
 
-    /// The partial Fisher–Yates must restore the identity permutation after
-    /// every input: a worker that processes inputs in a different
-    /// interleaving must still sample the same injection order per input.
-    /// Running the same input set through pools whose workers see disjoint
-    /// subsets (threads=inputs) vs one worker seeing all inputs (threads=1)
-    /// already covers this, but pin the per-input independence directly by
-    /// reversing the input order and matching records input-by-input.
+    /// An input's outcome is keyed by its absolute index alone, not by the
+    /// inputs that share its passes or came before it: run alone at its
+    /// index through `run_unit_campaign_slice`, every input of a stream
+    /// longer than one 64-input block gets exactly its outcome in the full
+    /// run.
     #[test]
     fn per_input_samples_are_position_keyed_not_history_keyed() {
-        let unit = fxp_add32();
-        let inputs: Vec<[u64; 3]> = (0..8).map(|i| [i * 3 + 1, i * 5 + 2, 0]).collect();
-        let cfg = CampaignConfig {
-            threads: Some(1),
-            ..CampaignConfig::default()
-        };
-        let full = run_unit_campaign(&unit, &inputs, &cfg);
-        // Each singleton campaign at index 0 uses index-0 seeding, so to
-        // compare against the full run, re-run each input at its original
-        // position within a one-input-at-its-index stream is impossible —
-        // instead check that splitting the stream in half changes nothing.
-        let first = run_unit_campaign(&unit, &inputs[..4], &cfg);
-        assert_eq!(&full.records[..first.records.len()], &first.records[..]);
-    }
-
-    /// The campaign loop as it was before sites were drawn lazily: all
-    /// `k` sites of an input's partial Fisher–Yates order up front, then
-    /// 63-lane scans, serial and allocating. Returns each input's record
-    /// (if any) and attempts.
-    fn eager_reference(
-        unit: &ArithUnit,
-        inputs: &[[u64; 3]],
-        cfg: &CampaignConfig,
-    ) -> Vec<(Option<InjectionRecord>, u64)> {
-        let net = unit.netlist();
-        let words = unit.kind().input_count();
-        let mut outcomes = Vec::new();
-        for (index, tuple) in inputs.iter().enumerate() {
-            let mut rng = SmallRng::seed_from_u64(
-                cfg.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let mut order = net.injectable_nodes();
-            let k = cfg.max_attempts_per_input.min(order.len());
-            for i in 0..k {
-                let j = rng.gen_range(i..order.len());
-                order.swap(i, j);
+        use swapcodes_gates::units::{build_unit, UnitKind};
+        for kind in [UnitKind::FxpAdd32, UnitKind::FpFma32] {
+            let unit = build_unit(kind);
+            let inputs: Vec<[u64; 3]> = (0..70u64)
+                .map(|i| {
+                    let x = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    [x & 0xFFFF_FFFF, x >> 32, x.rotate_left(23) & 0xFFFF_FFFF]
+                })
+                .collect();
+            let cfg = CampaignConfig {
+                threads: Some(1),
+                ..CampaignConfig::default()
+            };
+            let full = run_unit_campaign_slice(&unit, &inputs, &cfg, 0);
+            for (i, tuple) in inputs.iter().enumerate() {
+                let alone = run_unit_campaign_slice(&unit, &[*tuple], &cfg, i as u64);
+                assert_eq!(alone, [full[i]], "{kind:?} input {i}");
             }
-            let (mut found, mut attempts) = (None, 0u64);
-            'scan: for chunk in order[..k].chunks(63) {
-                let batch = net.evaluate_batch(&tuple[..words], chunk);
-                for lane in 0..chunk.len() {
-                    attempts += 1;
-                    if batch.output(0, lane) != batch.golden(0) {
-                        found = Some(InjectionRecord {
-                            golden: batch.golden(0),
-                            faulty: batch.output(0, lane),
-                        });
-                        break 'scan;
-                    }
-                }
-            }
-            outcomes.push((found, attempts));
         }
-        outcomes
     }
 
-    /// Drawing sites one batch at a time must not change the sample: for
-    /// every unit, attempt caps on both sides of the 63-lane batch edges
-    /// (inputs that exhaust small caps fully mask), two seeds and 1 and 2
-    /// threads, the campaign equals the eager draw record for record.
+    /// The packed driver equals the one-site-at-a-time reference outcome
+    /// for outcome: every unit, 130 inputs (two full 64-input blocks and a
+    /// tail) in a slice starting at a non-zero index, attempt caps on both
+    /// sides of one and two passes' worth of lanes (inputs that exhaust
+    /// small caps fully mask), two seeds, and 1, 2 and 3 threads.
     #[test]
     fn lazy_draw_matches_eager_partial_fisher_yates() {
         use swapcodes_gates::units::{build_unit, UnitKind};
+        const FIRST_INDEX: u64 = 1_000_003;
         let kinds = [
             UnitKind::FxpAdd32,
             UnitKind::FxpMad32,
@@ -496,14 +630,14 @@ mod tests {
         for kind in kinds {
             let unit = build_unit(kind);
             let widths = kind.operand_widths();
-            let inputs: Vec<[u64; 3]> = (0..6u64)
+            let inputs: Vec<[u64; 3]> = (0..130u64)
                 .map(|i| {
                     let mut tuple = [0u64; 3];
                     for (w, (word, bits)) in tuple.iter_mut().zip(widths).enumerate() {
                         let x = (i * 3 + w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                         *word = if bits >= 64 { x } else { x & ((1 << bits) - 1) };
                     }
-                    if kind == UnitKind::FxpMad32 && i < 2 {
+                    if kind == UnitKind::FxpMad32 && i % 8 < 2 {
                         tuple[1] = 0; // zero multiplicand
                     }
                     tuple
@@ -516,33 +650,25 @@ mod tests {
                         seed,
                         threads: None,
                     };
-                    let eager = eager_reference(&unit, &inputs, &cfg);
-                    let records: Vec<_> = eager.iter().filter_map(|o| o.0).collect();
-                    let attempts: u64 = eager.iter().map(|o| o.1).sum();
-                    let masked = (eager.len() - records.len()) as u64;
-                    masked_seen |= masked > 0;
-                    late_seen |= eager.iter().any(|o| o.0.is_some() && o.1 > 63);
-                    for threads in [1, 2] {
-                        let lazy = run_unit_campaign(
-                            &unit,
-                            &inputs,
-                            &CampaignConfig {
-                                threads: Some(threads),
-                                ..cfg
-                            },
-                        );
-                        let at = format!(
+                    let eager = run_unit_campaign_reference(&unit, &inputs, &cfg, FIRST_INDEX);
+                    masked_seen |= eager.iter().any(|o| o.record.is_none());
+                    late_seen |= eager.iter().any(|o| o.record.is_some() && o.attempts > 63);
+                    for threads in [1, 2, 3] {
+                        let cfg = CampaignConfig {
+                            threads: Some(threads),
+                            ..cfg
+                        };
+                        let packed = run_unit_campaign_slice(&unit, &inputs, &cfg, FIRST_INDEX);
+                        assert_eq!(
+                            packed, eager,
                             "{kind:?} seed {seed:#x} cap {max_attempts_per_input} threads {threads}"
                         );
-                        assert_eq!(lazy.records, records, "{at}");
-                        assert_eq!(lazy.attempts, attempts, "{at}");
-                        assert_eq!(lazy.fully_masked_inputs, masked, "{at}");
                     }
                 }
             }
         }
         assert!(masked_seen, "no input exhausted its cap");
-        assert!(late_seen, "no input corrupted after its first batch");
+        assert!(late_seen, "no input corrupted after its first 63 sites");
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub use arch::{
 };
 pub use detection::{sdc_risk, DetectionTally};
 pub use gate::{
-    default_thread_count, run_unit_campaign, run_unit_campaign_slice, CampaignConfig, InputOutcome,
-    PatternCounts, UnitCampaignResult,
+    default_thread_count, run_unit_campaign, run_unit_campaign_reference, run_unit_campaign_slice,
+    CampaignConfig, InputOutcome, PatternCounts, UnitCampaignResult,
 };
 pub use harness::{
     checkpoint_dir_from_env, contain, exec_tier_from_env, fault_mix_from_env, fuel_from_env,

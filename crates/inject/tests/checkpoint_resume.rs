@@ -185,38 +185,46 @@ fn recovery_campaign_resumes_byte_identically_after_interruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A unit campaign killed between checkpoints resumes to the uninterrupted
+/// result. The second case spans three 64-input blocks, and its resumed
+/// chunks start mid-block (at inputs 77 and 127).
 #[test]
 fn unit_campaign_resumes_byte_identically_after_interruption() {
     let unit = fxp_add32();
-    let inputs: Vec<[u64; 3]> = (0..40)
-        .map(|i| [i * 0x1234_5678 % 0xFFFF_FFFF, i * 999 + 7, 0])
-        .collect();
-    let cfg = CampaignConfig::default();
+    for (count, interval, stop_after) in [(40u64, 8u64, 13u64), (150, 50, 77)] {
+        let inputs: Vec<[u64; 3]> = (0..count)
+            .map(|i| [i * 0x1234_5678 % 0xFFFF_FFFF, i * 999 + 7, 0])
+            .collect();
+        let cfg = CampaignConfig::default();
 
-    // Reference semantics: the plain (non-checkpointed) campaign driver.
-    let reference = run_unit_campaign(&unit, &inputs, &cfg);
+        // Reference semantics: the plain (non-checkpointed) campaign driver.
+        let reference = run_unit_campaign(&unit, &inputs, &cfg);
 
-    let dir = scratch_dir("unit");
-    let ck = |stop_after: Option<u64>| CheckpointConfig {
-        dir: Some(dir.clone()),
-        interval: 8,
-        stop_after,
-        ..CheckpointConfig::default()
-    };
-    let first = run_unit_campaign_checkpointed(&unit, &inputs, &cfg, &ck(Some(13)));
-    assert!(!first.finished);
-    assert!(first.result.is_none(), "interrupted runs carry no result");
-    assert_eq!(first.completed, 13);
+        let dir = scratch_dir(&format!("unit-{count}"));
+        let ck = |stop_after: Option<u64>| CheckpointConfig {
+            dir: Some(dir.clone()),
+            interval,
+            stop_after,
+            ..CheckpointConfig::default()
+        };
+        let first = run_unit_campaign_checkpointed(&unit, &inputs, &cfg, &ck(Some(stop_after)));
+        assert!(!first.finished);
+        assert!(first.result.is_none(), "interrupted runs carry no result");
+        assert_eq!(first.completed, stop_after);
 
-    let second = run_unit_campaign_checkpointed(&unit, &inputs, &cfg, &ck(None));
-    assert!(second.finished);
-    assert_eq!(second.completed, inputs.len() as u64);
-    let resumed = second.result.expect("finished runs carry a result");
-    assert_eq!(resumed.records, reference.records);
-    assert_eq!(resumed.fully_masked_inputs, reference.fully_masked_inputs);
-    assert_eq!(resumed.attempts, reference.attempts);
+        let second = run_unit_campaign_checkpointed(&unit, &inputs, &cfg, &ck(None));
+        assert!(second.finished);
+        assert_eq!(second.completed, count);
+        let resumed = second.result.expect("finished runs carry a result");
+        assert_eq!(resumed.records, reference.records, "{count} inputs");
+        assert_eq!(
+            resumed.fully_masked_inputs, reference.fully_masked_inputs,
+            "{count} inputs"
+        );
+        assert_eq!(resumed.attempts, reference.attempts, "{count} inputs");
 
-    let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
