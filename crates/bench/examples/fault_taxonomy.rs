@@ -29,8 +29,7 @@ use swapcodes_inject::{
 };
 use swapcodes_workloads::by_name;
 
-/// One class bucket as a JSON object (hand-rolled — the vendored serde is a
-/// facade, so every on-disk artifact in this repo writes its own bytes).
+/// One class bucket as a JSON object.
 fn outcomes_json(o: &ArchOutcomes) -> String {
     format!(
         "{{\"trap\": {}, \"due\": {}, \"crash\": {}, \"hang\": {}, \"masked\": {}, \

@@ -2,14 +2,13 @@
 //! before anything executes (the static counterpart of the Fig. 13 dynamic
 //! profile).
 
-use serde::{Deserialize, Serialize};
 use swapcodes_isa::{Kernel, Role};
 use swapcodes_sim::Launch;
 
 use crate::scheme::{Scheme, TransformError};
 
 /// Static summary of one scheme application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TransformReport {
     /// Human-readable scheme label.
     pub scheme: String,

@@ -1,6 +1,5 @@
 //! Protection scheme descriptors.
 
-use serde::{Deserialize, Serialize};
 use swapcodes_isa::{Kernel, Op};
 use swapcodes_sim::{Launch, Protection};
 
@@ -9,7 +8,7 @@ use crate::{interthread, swapecc, swdup};
 /// Which operations a Swap-Predict configuration covers with hardware
 /// check-bit prediction units (the Fig. 12 / Fig. 16 ladder). Sets are
 /// cumulative: each named preset includes everything below it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PredictorSet {
     /// Fixed-point add/subtract (residue EAC adders).
     pub fxp_add_sub: bool,
@@ -114,7 +113,7 @@ impl PredictorSet {
 }
 
 /// A pipeline error protection scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// The un-duplicated program.
     Baseline,

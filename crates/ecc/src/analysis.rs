@@ -3,12 +3,10 @@
 //! separately for storage errors (anywhere in the word) and pipeline errors
 //! (confined to the data segment, as SwapCodes construction guarantees).
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{RawDecode, SystematicCode};
 
 /// Outcome counts for one error-weight class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoverageReport {
     /// Errors corrected back to the original data.
     pub corrected: u64,

@@ -1,7 +1,5 @@
 //! The [`SystematicCode`] trait and the [`AnyCode`] runtime-selectable wrapper.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{HsiaoSecDed, ParityCode, ResidueCode, SecCode};
 
 /// Result of decoding a stored (data, check) pair with a systematic code.
@@ -10,7 +8,7 @@ use crate::{HsiaoSecDed, ParityCode, ResidueCode, SecCode};
 /// correction is actually applied is decided by the error-reporting policy
 /// layered on top (see [`crate::report`]), which is exactly where SwapCodes
 /// intervenes to avoid miscorrecting pipeline errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RawDecode {
     /// The word is a codeword; no error observed.
     Clean,
@@ -70,7 +68,7 @@ pub trait SystematicCode {
 
 /// Identifies one of the register-file code configurations evaluated in the
 /// paper (Fig. 11 and §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodeKind {
     /// Single-bit even parity.
     Parity,

@@ -17,13 +17,11 @@
 //! * [`RowLayout::interleaved`] — Fig. 7: data and check bits of the four
 //!   words spaced so that adjacent cells always belong to different words.
 
-use serde::{Deserialize, Serialize};
-
 use crate::report::{DpWord, SecDp};
 use crate::{parity32, SystematicCode};
 
 /// Role of one physical bit cell within a register-file row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BitRole {
     /// Data bit `bit` of word `word`.
     Data {
@@ -50,7 +48,7 @@ pub enum BitRole {
 
 /// A physical row layout: an ordered list of bit cells. Adjacency in the
 /// vector models physical adjacency in the SRAM.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RowLayout {
     cells: Vec<BitRole>,
     words: u8,
@@ -237,7 +235,7 @@ fn is_problematic(a: BitRole, b: BitRole) -> bool {
 }
 
 /// Outcome summary of an adjacent-double-bit upset sweep over one layout.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LayoutReport {
     /// Number of adjacent cell pairs swept.
     pub total_pairs: usize,

@@ -14,8 +14,6 @@
 //!   parity stays consistent — the decoder raises a DUE instead of
 //!   miscorrecting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{RawDecode, SystematicCode};
 use crate::{parity32, HsiaoSecDed, SecCode};
 
@@ -23,7 +21,7 @@ use crate::{parity32, HsiaoSecDed, SecCode};
 ///
 /// `check` is written by the shadow instruction (the swap); `data` and
 /// `data_parity` are written by the original instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DpWord {
     /// The 32-bit data segment.
     pub data: u32,
@@ -35,7 +33,7 @@ pub struct DpWord {
 
 /// What a register read observed, for the augmented error-reporting subsystem
 /// (Table II: "separate storage from pipeline errors").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReadEvent {
     /// No inconsistency.
     Clean,

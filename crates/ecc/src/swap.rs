@@ -14,13 +14,11 @@
 //! * [`classify_strike64`] — the 64-bit-output rule (an error is detected if
 //!   *either* constituent 32-bit register produces a DUE).
 
-use serde::{Deserialize, Serialize};
-
 use crate::code::{RawDecode, SystematicCode};
 
 /// A register-file word as stored under Swap-ECC with a detection-only code
 /// (no data-parity bit needed; see [`crate::report`] for correcting codes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SwappedWord {
     /// Data segment, from the original instruction.
     pub data: u32,
@@ -42,7 +40,7 @@ pub fn compose<C: SystematicCode>(code: &C, original: u32, shadow: u32) -> Swapp
 }
 
 /// Which of the duplicated instruction pair a pipeline error struck.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrikeTarget {
     /// The data-producing original instruction.
     Original,
@@ -52,7 +50,7 @@ pub enum StrikeTarget {
 
 /// Outcome of a pipeline error under SwapCodes, as seen at the next register
 /// read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrikeOutcome {
     /// The faulty value equals the golden value: the error was masked before
     /// reaching the register.

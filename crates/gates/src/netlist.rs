@@ -1,14 +1,12 @@
 //! Flattened gate-level netlists with bit-parallel evaluation and transient
 //! fault injection.
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a node (gate, flip-flop, input or constant) within a [`Netlist`].
 pub type NodeId = u32;
 
 /// One node of a netlist. Inputs reference earlier nodes only, so the vector
 /// order is a topological order and evaluation is a single forward pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// Bit `bit` of primary input word `word`.
     Input {
@@ -54,7 +52,7 @@ pub enum Gate {
 /// gate or flip-flop output flip observed through one evaluation of the
 /// (unrolled) pipeline; [`Netlist::evaluate_flipped`] reproduces exactly
 /// that.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Netlist {
     nodes: Vec<Gate>,
     /// Output words: each is a list of node ids, LSB first.

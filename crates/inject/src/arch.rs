@@ -19,7 +19,6 @@ use std::sync::{Arc, OnceLock};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use swapcodes_core::{PeepholeStats, Scheme};
 use swapcodes_gates::units::{build_unit, UnitKind};
 use swapcodes_gates::SiteCatalog;
@@ -43,7 +42,7 @@ use swapcodes_workloads::Workload;
 /// The default — pure transient — draws faults in the *exact* RNG order the
 /// pre-taxonomy campaign used, so every historical tally (and the
 /// fast-forward differential gate in `perf_baseline`) stays byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultMix {
     /// Weight of the transient single/multi-bit XOR datapath class.
     pub transient: u32,
@@ -172,7 +171,7 @@ impl FaultMix {
 /// three buckets always equals what a single [`ArchOutcomes`] would have
 /// tallied; the split is what Fig.-style reporting per class needs — control
 /// faults land overwhelmingly in hang/SDC where transients land in DUE.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultClassTallies {
     /// Outcomes of transient-class trials.
     pub transient: ArchOutcomes,
@@ -238,7 +237,7 @@ impl FaultClassTallies {
 /// exhaustion). All four count toward DUE coverage but are reported
 /// separately so figure-style detection numbers can distinguish
 /// timeout-detected from code-detected errors.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ArchOutcomes {
     /// Detected by an explicit software check (trap).
     pub trap: u64,
@@ -337,7 +336,7 @@ impl ArchOutcomes {
 }
 
 /// The program-level outcome of a single injected trial.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrialOutcome {
     /// A software-duplication checking trap fired.
     Trap,
@@ -391,8 +390,8 @@ impl std::error::Error for PrepError {}
 /// golden capture and every trial run on, and whether the
 /// [`mod@swapcodes_core::peephole`] cleanup pass runs over the transformed
 /// kernel first. The default — tier 2 over a peepholed kernel — is the
-/// fast path; [`CampaignOptions::from_env`] lets `SWAPCODES_EXEC_TIER`
-/// drop back to the tier-1 interpreter for differential debugging.
+/// production path; tier 1 is the interpreter the differential tests and
+/// `perf_baseline` compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignOptions {
     /// Execution tier trials (and the golden capture) run on.
@@ -423,21 +422,15 @@ impl Default for CampaignOptions {
 }
 
 impl CampaignOptions {
-    /// The defaults, with `SWAPCODES_EXEC_TIER` (when set and well-formed)
-    /// overriding the tier and `SWAPCODES_FAULT_MODEL` the fault-class mix.
-    /// A malformed value is surfaced once as an anomaly (see
+    /// The defaults, with `SWAPCODES_FAULT_MODEL` (when set and
+    /// well-formed) overriding the fault-class mix. A malformed value is
+    /// surfaced once as an anomaly (see
     /// [`crate::harness::take_env_anomalies`]) and ignored.
     #[must_use]
     pub fn from_env() -> Self {
         let mut opts = Self::default();
-        if let Some(tier) = crate::harness::exec_tier_from_env() {
-            opts.tier = tier;
-        }
         if let Some(mix) = crate::harness::fault_mix_from_env() {
             opts.mix = mix;
-        }
-        if let Some(words) = crate::harness::cow_page_words_from_env() {
-            opts.cow_page_words = words;
         }
         opts
     }
@@ -686,7 +679,7 @@ pub struct TrialTelemetry {
 impl<'w> ArchCampaign<'w> {
     /// Transform the workload under `scheme` and run the fault-free golden
     /// execution, under [`CampaignOptions::from_env`] (tier 2 over a
-    /// peepholed kernel unless `SWAPCODES_EXEC_TIER` says otherwise).
+    /// peepholed kernel).
     ///
     /// # Errors
     ///

@@ -7,7 +7,6 @@
 //! results the error counts as detected if *either* 32-bit register raises a
 //! DUE.
 
-use serde::{Deserialize, Serialize};
 use swapcodes_ecc::swap::{classify_strike32, classify_strike64, StrikeOutcome, StrikeTarget};
 use swapcodes_ecc::{AnyCode, CodeKind};
 
@@ -15,7 +14,7 @@ use crate::gate::UnitCampaignResult;
 use crate::stats::Proportion;
 
 /// Detection outcome tally for one (unit, code) pair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectionTally {
     /// Errors flagged as DUEs.
     pub detected: u64,

@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use swapcodes_gates::units::ArithUnit;
 use swapcodes_gates::{transpose64, EvalScratch, Netlist, NodeId};
 
@@ -50,7 +49,7 @@ impl Default for CampaignConfig {
 }
 
 /// One unmasked injection: the fault-free and corrupted outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectionRecord {
     /// Fault-free output.
     pub golden: u64,
@@ -68,7 +67,7 @@ impl InjectionRecord {
 
 /// Severity-pattern counts over the unmasked injections (Fig. 10's three
 /// categories, in increasing order of coding complexity).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatternCounts {
     /// Exactly one erroneous output bit.
     pub one_bit: u64,
@@ -106,7 +105,7 @@ impl PatternCounts {
 }
 
 /// Result of one unit's campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UnitCampaignResult {
     /// Display label of the unit.
     pub unit_label: &'static str,

@@ -23,8 +23,8 @@
 //! `SWAPCODES_CHECKPOINT_DIR` environment variable (or an explicit
 //! [`CheckpointConfig::dir`]); with no directory configured the harness
 //! still contains panics but keeps no on-disk state. All on-disk formats
-//! are single-line flat JSON written by this module (the workspace vendors
-//! a no-op `serde` stub, so serialization is hand-rolled).
+//! are single-line flat JSON, written with [`escape`] and read back with
+//! [`Json::parse`].
 
 use std::fs;
 use std::io::Write as _;
@@ -34,6 +34,7 @@ use std::sync::{Mutex, OnceLock};
 
 use swapcodes_core::Scheme;
 use swapcodes_gates::units::ArithUnit;
+use swapcodes_json::{escape, Json};
 use swapcodes_workloads::Workload;
 
 use swapcodes_sim::recovery::RecoveryStats;
@@ -133,28 +134,6 @@ pub fn fuel_from_env() -> Option<u64> {
 #[must_use]
 pub fn snapshot_interval_from_env() -> Option<u64> {
     env_parsed("SWAPCODES_SNAPSHOT_INTERVAL", parse_positive)
-}
-
-/// The `SWAPCODES_EXEC_TIER` override: the execution tier
-/// [`crate::arch::CampaignOptions::from_env`] selects (`"tier1"` keeps the
-/// micro-op interpreter, `"tier2"` the compiled threaded-code buffer).
-/// Malformed values are surfaced once and ignored.
-#[must_use]
-pub fn exec_tier_from_env() -> Option<swapcodes_sim::ExecTier> {
-    env_parsed("SWAPCODES_EXEC_TIER", swapcodes_sim::ExecTier::parse)
-}
-
-/// The `SWAPCODES_COW_PAGE_WORDS` override: copy-on-write page size (in
-/// 32-bit words) for snapshot resume (see
-/// [`crate::arch::CampaignOptions::cow_page_words`]); rounded up to a power
-/// of two at engine capture. Outcome-invariant — it tunes resume cost,
-/// never trial results. Malformed values are surfaced once and ignored.
-#[must_use]
-pub fn cow_page_words_from_env() -> Option<usize> {
-    env_parsed("SWAPCODES_COW_PAGE_WORDS", |v| {
-        let n = parse_positive(v)?;
-        usize::try_from(n).map_err(|e| format!("{e}"))
-    })
 }
 
 /// The `SWAPCODES_THREADS` worker-pool override (see
@@ -273,86 +252,6 @@ pub fn slug(s: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Flat JSON (the vendored serde is a no-op stub, so this is hand-rolled).
-// ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Parse one flat JSON object (`{"key":value,...}`) into raw `(key, value)`
-/// string pairs. Values are numbers, `true`/`false`, or strings without
-/// escapes beyond `\"`/`\\` — exactly what this module writes. Returns
-/// `None` on anything malformed (a torn or foreign line).
-fn parse_flat(line: &str) -> Option<Vec<(String, String)>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = Vec::new();
-    let mut rest = body.trim();
-    while !rest.is_empty() {
-        rest = rest.strip_prefix('"')?;
-        let close = rest.find('"')?;
-        let key = rest[..close].to_owned();
-        rest = rest[close + 1..]
-            .trim_start()
-            .strip_prefix(':')?
-            .trim_start();
-        let value;
-        if let Some(after) = rest.strip_prefix('"') {
-            let mut end = None;
-            let mut prev_backslash = false;
-            for (i, c) in after.char_indices() {
-                if prev_backslash {
-                    prev_backslash = false;
-                } else if c == '\\' {
-                    prev_backslash = true;
-                } else if c == '"' {
-                    end = Some(i);
-                    break;
-                }
-            }
-            let end = end?;
-            value = after[..end].replace("\\\"", "\"").replace("\\\\", "\\");
-            rest = after[end + 1..].trim_start();
-        } else {
-            let end = rest.find(',').unwrap_or(rest.len());
-            value = rest[..end].trim().to_owned();
-            rest = &rest[end..];
-        }
-        fields.push((key, value));
-        rest = rest.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else {
-            break;
-        }
-    }
-    Some(fields)
-}
-
-fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-}
-
-fn field_u64(fields: &[(String, String)], key: &str) -> Option<u64> {
-    field(fields, key)?.parse().ok()
-}
-
-// ---------------------------------------------------------------------------
 // Anomaly log
 // ---------------------------------------------------------------------------
 
@@ -409,8 +308,8 @@ impl AnomalyLog {
         let Some(path) = &self.path else { return };
         let line = format!(
             "{{\"campaign\":\"{}\",\"item\":{item},\"retries\":{retries},\"panic\":\"{}\"}}\n",
-            json_escape(campaign),
-            json_escape(panic_msg)
+            escape(campaign),
+            escape(panic_msg)
         );
         // The lock lives on a sibling file that is never rotated or renamed,
         // so every writer — in this process or another — locks the same
@@ -462,9 +361,9 @@ fn rotate_anomaly_log(path: &Path, cap: u64) {
     for line in text.lines() {
         // A previous rotation's marker carries its dropped count forward
         // instead of being retained as an ordinary line.
-        if let Some(f) = parse_flat(line) {
-            if field(&f, "rotated") == Some("true") {
-                dropped += field_u64(&f, "dropped").unwrap_or(0);
+        if let Ok(f) = Json::parse(line) {
+            if f.get("rotated").and_then(Json::as_bool) == Some(true) {
+                dropped += f.get("dropped").and_then(Json::as_u64).unwrap_or(0);
                 continue;
             }
         }
@@ -560,8 +459,8 @@ fn outcome_fields(prefix: &str, t: &ArchOutcomes) -> String {
     )
 }
 
-fn parse_outcome_fields(f: &[(String, String)], prefix: &str) -> Option<ArchOutcomes> {
-    let g = |k: &str| field_u64(f, &format!("{prefix}{k}"));
+fn parse_outcome_fields(f: &Json, prefix: &str) -> Option<ArchOutcomes> {
+    let g = |k: &str| f.get(&format!("{prefix}{k}")).and_then(Json::as_u64);
     Some(ArchOutcomes {
         trap: g("trap")?,
         due: g("due")?,
@@ -635,11 +534,11 @@ fn checkpoint_json(id: &CheckpointId, p: &Progress) -> String {
          \"workload\":\"{}\",\"scheme\":\"{}\",\"seed\":{},\"fuel\":{},\
          \"start\":{},\"end\":{},\"cursor\":{},{},{},{},{},\
          \"ckpts\":{},\"replays\":{},\"replayed\":{},\"corrections\":{},\"relaunches\":{}}}",
-        json_escape(id.mode),
-        json_escape(id.engine),
-        json_escape(&id.mix),
-        json_escape(id.workload),
-        json_escape(&id.scheme),
+        escape(id.mode),
+        escape(id.engine),
+        escape(&id.mix),
+        escape(id.workload),
+        escape(&id.scheme),
         id.seed,
         id.fuel,
         id.start,
@@ -686,25 +585,27 @@ enum ArchCheckpoint {
 /// Parse the checkpoint at `path` and classify it against `id`.
 fn load_checkpoint(path: &Path, id: &CheckpointId) -> ArchCheckpoint {
     let inner = || -> Option<ArchCheckpoint> {
-        let f = parse_flat(&fs::read_to_string(path).ok()?)?;
-        if field(&f, "campaign")? != "arch"
-            || field(&f, "mode")? != id.mode
-            || field(&f, "workload")? != id.workload
-            || field(&f, "scheme")? != id.scheme
-            || field_u64(&f, "seed")? != id.seed
-            || field_u64(&f, "fuel")? != id.fuel
-            || field_u64(&f, "start")? != id.start
-            || field_u64(&f, "end")? != id.end
+        let f = Json::parse(&fs::read_to_string(path).ok()?).ok()?;
+        let s = |k: &str| f.get(k).and_then(Json::as_str);
+        let u = |k: &str| f.get(k).and_then(Json::as_u64);
+        if s("campaign")? != "arch"
+            || s("mode")? != id.mode
+            || s("workload")? != id.workload
+            || s("scheme")? != id.scheme
+            || u("seed")? != id.seed
+            || u("fuel")? != id.fuel
+            || u("start")? != id.start
+            || u("end")? != id.end
         {
             return None;
         }
-        let found = field(&f, "engine").unwrap_or("");
+        let found = s("engine").unwrap_or("");
         if found != id.engine {
             return Some(ArchCheckpoint::StaleEngine {
                 found: found.to_owned(),
             });
         }
-        let found = field(&f, "faultmix").unwrap_or("");
+        let found = s("faultmix").unwrap_or("");
         if found != id.mix {
             return Some(ArchCheckpoint::StaleFaultMix {
                 found: found.to_owned(),
@@ -721,14 +622,14 @@ fn load_checkpoint(path: &Path, id: &CheckpointId) -> ArchCheckpoint {
             return None;
         }
         let p = Progress {
-            cursor: field_u64(&f, "cursor")?,
+            cursor: u("cursor")?,
             classes,
             stats: RecoveryStats {
-                checkpoints: field_u64(&f, "ckpts")?,
-                replays: field_u64(&f, "replays")?,
-                replayed_instructions: field_u64(&f, "replayed")?,
-                corrections: field_u64(&f, "corrections")?,
-                relaunches: u32::try_from(field_u64(&f, "relaunches")?).ok()?,
+                checkpoints: u("ckpts")?,
+                replays: u("replays")?,
+                replayed_instructions: u("replayed")?,
+                corrections: u("corrections")?,
+                relaunches: u32::try_from(u("relaunches")?).ok()?,
             },
         };
         (id.start <= p.cursor && p.cursor <= id.end && classes.total() == p.cursor - id.start)
@@ -1204,7 +1105,7 @@ fn unit_checkpoint_json(unit: &str, seed: u64, inputs: u64, completed: u64) -> S
     format!(
         "{{\"campaign\":\"unit\",\"unit\":\"{}\",\"seed\":{seed},\"inputs\":{inputs},\
          \"completed\":{completed}}}",
-        json_escape(unit)
+        escape(unit)
     )
 }
 
@@ -1222,21 +1123,20 @@ fn outcome_json(o: &InputOutcome) -> String {
 }
 
 fn parse_outcome(line: &str) -> Option<InputOutcome> {
-    let f = parse_flat(line)?;
-    let index = field_u64(&f, "i")?;
-    let attempts = field_u64(&f, "attempts")?;
-    let record = if field(&f, "masked") == Some("true") {
+    let f = Json::parse(line).ok()?;
+    let u = |k: &str| f.get(k).and_then(Json::as_u64);
+    let record = if f.get("masked").and_then(Json::as_bool) == Some(true) {
         None
     } else {
         Some(crate::gate::InjectionRecord {
-            golden: field_u64(&f, "golden")?,
-            faulty: field_u64(&f, "faulty")?,
+            golden: u("golden")?,
+            faulty: u("faulty")?,
         })
     };
     Some(InputOutcome {
-        index,
+        index: u("i")?,
         record,
-        attempts,
+        attempts: u("attempts")?,
     })
 }
 
@@ -1306,12 +1206,13 @@ pub fn run_unit_campaign_checkpointed(
         let loaded = fs::read_to_string(ckpt)
             .ok()
             .and_then(|text| {
-                let f = parse_flat(&text)?;
-                (field(&f, "campaign")? == "unit"
-                    && field(&f, "unit")? == label
-                    && field_u64(&f, "seed")? == cfg.seed
-                    && field_u64(&f, "inputs")? == total)
-                    .then(|| field_u64(&f, "completed"))?
+                let f = Json::parse(&text).ok()?;
+                let u = |k: &str| f.get(k).and_then(Json::as_u64);
+                (f.get("campaign")?.as_str()? == "unit"
+                    && f.get("unit")?.as_str()? == label
+                    && u("seed")? == cfg.seed
+                    && u("inputs")? == total)
+                    .then(|| u("completed"))?
             })
             .filter(|&c| c <= total)
             .and_then(|c| Some((c, load_unit_records(records, c)?)));
@@ -1420,12 +1321,12 @@ mod tests {
         // defaults), so setting them here cannot skew concurrently running
         // tests — but the parse error must surface exactly once.
         std::env::set_var("SWAPCODES_FUEL", "not-a-number");
-        std::env::set_var("SWAPCODES_EXEC_TIER", "tier9");
+        std::env::set_var("SWAPCODES_SHARD_TIMEOUT_MS", "soon");
         assert_eq!(fuel_from_env(), None);
         assert_eq!(fuel_from_env(), None);
-        assert_eq!(exec_tier_from_env(), None);
+        assert_eq!(shard_timeout_ms_from_env(), None);
         std::env::remove_var("SWAPCODES_FUEL");
-        std::env::remove_var("SWAPCODES_EXEC_TIER");
+        std::env::remove_var("SWAPCODES_SHARD_TIMEOUT_MS");
         let msgs = take_env_anomalies();
         assert_eq!(
             msgs.iter().filter(|m| m.contains("SWAPCODES_FUEL")).count(),
@@ -1434,10 +1335,10 @@ mod tests {
         );
         assert_eq!(
             msgs.iter()
-                .filter(|m| m.contains("SWAPCODES_EXEC_TIER"))
+                .filter(|m| m.contains("SWAPCODES_SHARD_TIMEOUT_MS"))
                 .count(),
             1,
-            "tier parse error is surfaced: {msgs:?}"
+            "timeout parse error is surfaced: {msgs:?}"
         );
         // Once surfaced (and drained), the same variable never queues again.
         assert_eq!(fuel_from_env(), None);
@@ -1472,9 +1373,9 @@ mod tests {
         assert_eq!(out, Err("boom 1".to_owned()));
     }
 
-    #[test]
-    fn flat_json_roundtrips() {
-        let classes = FaultClassTallies {
+    /// Per-class tallies with a distinct value in most buckets (80 trials).
+    fn sample_classes() -> FaultClassTallies {
+        FaultClassTallies {
             transient: ArchOutcomes {
                 trap: 1,
                 due: 2,
@@ -1497,37 +1398,45 @@ mod tests {
                 masked: 4,
                 ..ArchOutcomes::default()
             },
-        };
-        let rs = RecoveryStats {
-            checkpoints: 11,
-            replays: 12,
-            replayed_instructions: 13,
-            corrections: 14,
-            relaunches: 15,
-        };
+        }
+    }
+
+    const SAMPLE_STATS: RecoveryStats = RecoveryStats {
+        checkpoints: 11,
+        replays: 12,
+        replayed_instructions: 13,
+        corrections: 14,
+        relaunches: 15,
+    };
+
+    #[test]
+    fn flat_json_roundtrips() {
+        let classes = sample_classes();
         let engine = CampaignOptions::default().recovery_engine_tag();
         let id = test_id("recover", engine, "t1c1s1", 0, 100);
         let progress = Progress {
             cursor: 80,
             classes,
-            stats: rs,
+            stats: SAMPLE_STATS,
         };
         let line = checkpoint_json(&id, &progress);
-        let f = parse_flat(&line).expect("parses");
-        assert_eq!(field(&f, "mode"), Some("recover"));
-        assert_eq!(field(&f, "engine"), Some(engine));
-        assert_eq!(field(&f, "faultmix"), Some("t1c1s1"));
-        assert_eq!(field(&f, "workload"), Some("bfs"));
-        assert_eq!(field(&f, "scheme"), Some("Swap-ECC"));
-        assert_eq!(field_u64(&f, "cursor"), Some(80));
+        let f = Json::parse(&line).expect("parses");
+        let s = |k: &str| f.get(k).and_then(Json::as_str);
+        let u = |k: &str| f.get(k).and_then(Json::as_u64);
+        assert_eq!(s("mode"), Some("recover"));
+        assert_eq!(s("engine"), Some(engine));
+        assert_eq!(s("faultmix"), Some("t1c1s1"));
+        assert_eq!(s("workload"), Some("bfs"));
+        assert_eq!(s("scheme"), Some("Swap-ECC"));
+        assert_eq!(u("cursor"), Some(80));
         // Aggregate fields merge the classes; per-class fields round-trip.
-        assert_eq!(field_u64(&f, "hang"), Some(21));
-        assert_eq!(field_u64(&f, "due"), Some(13));
-        assert_eq!(field_u64(&f, "t_rec_replay"), Some(8));
-        assert_eq!(field_u64(&f, "c_hang"), Some(17));
-        assert_eq!(field_u64(&f, "s_due"), Some(11));
-        assert_eq!(field_u64(&f, "miscorrected"), Some(1));
-        assert_eq!(field_u64(&f, "replayed"), Some(13));
+        assert_eq!(u("hang"), Some(21));
+        assert_eq!(u("due"), Some(13));
+        assert_eq!(u("t_rec_replay"), Some(8));
+        assert_eq!(u("c_hang"), Some(17));
+        assert_eq!(u("s_due"), Some(11));
+        assert_eq!(u("miscorrected"), Some(1));
+        assert_eq!(u("replayed"), Some(13));
         assert_eq!(parse_outcome_fields(&f, "t_"), Some(classes.transient));
         assert_eq!(parse_outcome_fields(&f, "c_"), Some(classes.control));
         assert_eq!(parse_outcome_fields(&f, "s_"), Some(classes.stuck_at));
@@ -1537,6 +1446,96 @@ mod tests {
             ArchCheckpoint::Resumable(back) => assert_eq!(back, progress),
             other => panic!("own checkpoint must resume, got {other:?}"),
         }
+    }
+
+    // Golden lines: each writer's exact bytes for fixed inputs. Files
+    // already on disk hold these bytes, so a writer change that breaks one
+    // of these tests can also break resuming them.
+
+    #[test]
+    fn checkpoint_line_matches_golden() {
+        let id = CheckpointId {
+            seed: u64::MAX - 58,
+            ..test_id("recover", "ff2p", "t2c1s1", 16, 116)
+        };
+        let progress = Progress {
+            cursor: 96,
+            classes: sample_classes(),
+            stats: SAMPLE_STATS,
+        };
+        assert_eq!(
+            checkpoint_json(&id, &progress),
+            concat!(
+                r#"{"campaign":"arch","mode":"recover","engine":"ff2p","faultmix":"t2c1s1","#,
+                r#""workload":"bfs","scheme":"Swap-ECC","seed":18446744073709551557,"#,
+                r#""fuel":1000,"start":16,"end":116,"cursor":96,"#,
+                r#""trap":1,"due":13,"crash":3,"hang":21,"masked":9,"sdc":8,"rec_correct":7,"#,
+                r#""rec_replay":8,"rec_relaunch":9,"miscorrected":1,"#,
+                r#""t_trap":1,"t_due":2,"t_crash":3,"t_hang":4,"t_masked":5,"t_sdc":6,"#,
+                r#""t_rec_correct":7,"t_rec_replay":8,"t_rec_relaunch":9,"t_miscorrected":1,"#,
+                r#""c_trap":0,"c_due":0,"c_crash":0,"c_hang":17,"c_masked":0,"c_sdc":2,"#,
+                r#""c_rec_correct":0,"c_rec_replay":0,"c_rec_relaunch":0,"c_miscorrected":0,"#,
+                r#""s_trap":0,"s_due":11,"s_crash":0,"s_hang":0,"s_masked":4,"s_sdc":0,"#,
+                r#""s_rec_correct":0,"s_rec_replay":0,"s_rec_relaunch":0,"s_miscorrected":0,"#,
+                r#""ckpts":11,"replays":12,"replayed":13,"corrections":14,"relaunches":15}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn unit_lines_match_golden() {
+        assert_eq!(
+            unit_checkpoint_json("Fp \"FMA\" 64", 0x5EED, 400, 128),
+            r#"{"campaign":"unit","unit":"Fp \"FMA\" 64","seed":24301,"inputs":400,"completed":128}"#
+        );
+        let hit = InputOutcome {
+            index: 7,
+            record: Some(crate::gate::InjectionRecord {
+                golden: u64::MAX,
+                faulty: 0x7FF8_0000_0000_0001,
+            }),
+            attempts: 63,
+        };
+        assert_eq!(
+            outcome_json(&hit),
+            r#"{"i":7,"golden":18446744073709551615,"faulty":9221120237041090561,"attempts":63}"#
+        );
+        let masked = InputOutcome {
+            index: 8,
+            record: None,
+            attempts: 4096,
+        };
+        assert_eq!(
+            outcome_json(&masked),
+            r#"{"i":8,"masked":true,"attempts":4096}"#
+        );
+    }
+
+    #[test]
+    fn anomaly_line_matches_golden_and_reads_back() {
+        let dir =
+            std::env::temp_dir().join(format!("swapcodes-harness-golden-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        let msg = "index 7 out of range\n\tat\r \\ \u{1}\u{1f} \u{e9}";
+        AnomalyLog::new(Some(&dir)).record("unit-fp \"fma\"", 41, 3, msg);
+        let text = fs::read_to_string(dir.join("anomalies.jsonl")).expect("log exists");
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(
+            text,
+            concat!(
+                r#"{"campaign":"unit-fp \"fma\"","item":41,"retries":3,"#,
+                r#""panic":"index 7 out of range\n\tat\r \\ \u0001\u001f é"}"#,
+                "\n"
+            )
+        );
+        // What the log writes, it reads back: control characters included.
+        let line = Json::parse(&text).expect("the line parses");
+        assert_eq!(line.get("panic").and_then(Json::as_str), Some(msg));
+        assert_eq!(
+            line.get("campaign").and_then(Json::as_str),
+            Some("unit-fp \"fma\"")
+        );
     }
 
     fn masked_classes(n: u64) -> FaultClassTallies {
@@ -1711,14 +1710,17 @@ mod tests {
             text.len()
         );
         let first = text.lines().next().expect("non-empty");
-        let f = parse_flat(first).expect("marker parses");
-        assert_eq!(field(&f, "rotated"), Some("true"));
-        let dropped = field_u64(&f, "dropped").expect("dropped count");
+        let f = Json::parse(first).expect("marker parses");
+        assert_eq!(f.get("rotated"), Some(&Json::Bool(true)));
+        let dropped = f
+            .get("dropped")
+            .and_then(Json::as_u64)
+            .expect("dropped count");
         assert!(dropped > 0, "old lines were dropped");
         // The newest line always survives rotation.
         let last = text.lines().last().expect("non-empty");
-        let lf = parse_flat(last).expect("tail line parses");
-        assert_eq!(field_u64(&lf, "item"), Some(39));
+        let lf = Json::parse(last).expect("tail line parses");
+        assert_eq!(lf.get("item").and_then(Json::as_u64), Some(39));
         // Dropped + retained = everything ever logged.
         let retained = text.lines().count() as u64 - 1;
         assert_eq!(dropped + retained, 40);
@@ -1726,17 +1728,28 @@ mod tests {
     }
 
     #[test]
-    fn parse_flat_rejects_torn_lines() {
-        assert!(parse_flat("{\"a\":1").is_none());
-        assert!(parse_flat("").is_none());
-        assert!(parse_flat("{\"a\"}").is_none());
+    fn torn_lines_are_rejected() {
+        assert!(Json::parse("{\"a\":1").is_err());
+        assert!(Json::parse("").is_err());
+        assert!(Json::parse("{\"a\"}").is_err());
+        // A record line cut short by a crash is skipped, not half-read.
+        let line = outcome_json(&InputOutcome {
+            index: 3,
+            record: None,
+            attempts: 64,
+        });
+        assert!(parse_outcome(&line).is_some());
+        assert!(parse_outcome(&line[..line.len() - 1]).is_none());
     }
 
     #[test]
-    fn json_escape_handles_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        let f = parse_flat("{\"panic\":\"index \\\"x\\\" out of range\"}").expect("parses");
-        assert_eq!(field(&f, "panic"), Some("index \"x\" out of range"));
+    fn quotes_and_control_chars_are_escaped() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let f = Json::parse("{\"panic\":\"index \\\"x\\\" out of range\"}").expect("parses");
+        assert_eq!(
+            f.get("panic").and_then(Json::as_str),
+            Some("index \"x\" out of range")
+        );
     }
 
     #[test]

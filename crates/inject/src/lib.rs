@@ -42,7 +42,7 @@ pub use gate::{
     CampaignConfig, InputOutcome, PatternCounts, UnitCampaignResult,
 };
 pub use harness::{
-    checkpoint_dir_from_env, contain, exec_tier_from_env, fault_mix_from_env, fuel_from_env,
+    checkpoint_dir_from_env, contain, fault_mix_from_env, fuel_from_env,
     run_arch_campaign_checkpointed, run_arch_shard_checkpointed,
     run_recovery_campaign_checkpointed, run_unit_campaign_checkpointed, serve_workers_from_env,
     shard_timeout_ms_from_env, slug, snapshot_interval_from_env, take_env_anomalies,

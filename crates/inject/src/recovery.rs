@@ -21,7 +21,6 @@
 //! mechanism. Checkpoints written by recovery campaigns are tagged with
 //! [`crate::arch::CampaignOptions::recovery_engine_tag`] accordingly.
 
-use serde::{Deserialize, Serialize};
 use swapcodes_core::Scheme;
 use swapcodes_sim::recovery::{RecoveryConfig, RecoveryStats};
 use swapcodes_sim::timing::{simulate_kernel, RecoveryCostModel, TimingConfig};
@@ -30,7 +29,7 @@ use swapcodes_workloads::Workload;
 use crate::arch::{ArchCampaign, ArchOutcomes, PrepError, TrialOutcome};
 
 /// Configuration of a detect-and-recover campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryCampaignConfig {
     /// The recovery ladder handed to every trial.
     pub recovery: RecoveryConfig,
@@ -54,7 +53,7 @@ impl Default for RecoveryCampaignConfig {
 }
 
 /// One (workload, scheme) cell of a detect-and-recover sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryCell {
     /// Workload name.
     pub workload: String,

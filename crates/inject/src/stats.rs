@@ -1,9 +1,7 @@
 //! Binomial proportion statistics (Wilson score interval, 95%).
 
-use serde::{Deserialize, Serialize};
-
 /// A binomial proportion: `successes` out of `trials`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Proportion {
     /// Number of successes.
     pub successes: u64,

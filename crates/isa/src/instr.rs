@@ -1,13 +1,11 @@
 //! Predicated instructions with SwapCodes metadata.
 
-use serde::{Deserialize, Serialize};
-
 use crate::op::Op;
 use crate::reg::Pred;
 
 /// Why an instruction exists, for the dynamic code-mix accounting of the
 /// paper's Fig. 13.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Role {
     /// Original program instruction.
     Original,
@@ -20,7 +18,7 @@ pub enum Role {
 }
 
 /// One predicated instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instr {
     /// The operation.
     pub op: Op,

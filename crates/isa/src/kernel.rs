@@ -1,7 +1,5 @@
 //! Kernels and the label-resolving kernel builder.
 
-use serde::{Deserialize, Serialize};
-
 use crate::instr::Instr;
 use crate::op::Op;
 
@@ -11,7 +9,7 @@ pub struct Label(usize);
 
 /// A compiled kernel: a straight vector of instructions with resolved branch
 /// targets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Kernel {
     name: String,
     instrs: Vec<Instr>,

@@ -1,11 +1,9 @@
 //! The instruction set: opcodes, operands, and static properties.
 
-use serde::{Deserialize, Serialize};
-
 use crate::reg::{Pred, Reg};
 
 /// A scalar source operand: register or immediate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Src {
     /// Register operand.
     Reg(Reg),
@@ -31,7 +29,7 @@ impl From<Reg> for Src {
 }
 
 /// Comparison operator for [`Op::SetP`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum CmpOp {
     Eq,
@@ -43,7 +41,7 @@ pub enum CmpOp {
 }
 
 /// Operand interpretation for comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum CmpTy {
     I32,
@@ -52,7 +50,7 @@ pub enum CmpTy {
 }
 
 /// Memory space of a load/store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum MemSpace {
     Global,
@@ -60,7 +58,7 @@ pub enum MemSpace {
 }
 
 /// Access width of a load/store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum MemWidth {
     W32,
@@ -68,7 +66,7 @@ pub enum MemWidth {
 }
 
 /// Special (read-only) registers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum SpecialReg {
     TidX,
@@ -80,7 +78,7 @@ pub enum SpecialReg {
 }
 
 /// Warp-shuffle addressing mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShflMode {
     /// Read from an absolute lane index.
     Idx(Src),
@@ -93,7 +91,7 @@ pub enum ShflMode {
 }
 
 /// The functional unit class an instruction executes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum FuncUnit {
     Int,
@@ -116,7 +114,7 @@ pub enum RegRole {
 /// One operation of the SASS-like ISA.
 ///
 /// 64-bit operations name the base register of an even-aligned pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Op {
     Mov {

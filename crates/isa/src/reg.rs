@@ -1,12 +1,10 @@
 //! Register and predicate identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// A 32-bit general-purpose register. `Reg(255)` is [`RZ`], hard-wired zero.
 ///
 /// 64-bit values occupy the pair `(Reg(n), Reg(n+1))`, addressed by the base
 /// register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Reg(pub u8);
 
 /// The zero register: reads as 0, writes are discarded.
@@ -42,7 +40,7 @@ impl std::fmt::Display for Reg {
 }
 
 /// A 1-bit predicate register. `Pred(7)` is [`PT`], hard-wired true.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pred(pub u8);
 
 /// The always-true predicate.

@@ -18,8 +18,8 @@ use swapcodes_inject::stats::Proportion;
 use swapcodes_inject::{slug, ArchOutcomes, FaultClassTallies, ShardSpec};
 use swapcodes_sim::CancelToken;
 
-use crate::json::escape;
 use crate::spec::CampaignSpec;
+use swapcodes_json::escape;
 
 /// Lifecycle of one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -505,7 +505,7 @@ mod tests {
         assert!(results.contains("\"coverage\":{"));
         assert!(results.contains("\"wilson_lo\""));
         // Both parse back through the crate's own JSON reader.
-        crate::json::Json::parse(&status).expect("status is valid JSON");
-        crate::json::Json::parse(&results).expect("results are valid JSON");
+        swapcodes_json::Json::parse(&status).expect("status is valid JSON");
+        swapcodes_json::Json::parse(&results).expect("results are valid JSON");
     }
 }

@@ -27,13 +27,11 @@
 
 pub mod board;
 pub mod http;
-pub mod json;
 pub mod queue;
 pub mod service;
 pub mod spec;
 
 pub use board::{Board, Cell, Job, JobState, Lease, Shard, ShardStatus};
-pub use json::Json;
 pub use queue::{JobQueue, ShardJob};
 pub use service::{
     ChaosAction, ChaosConfig, Service, ServiceConfig, ServiceMetrics, SubmitError, STEPS_PER_MS,

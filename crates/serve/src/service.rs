@@ -50,9 +50,9 @@ use swapcodes_sim::FaultClass;
 use swapcodes_workloads::by_name;
 
 use crate::board::{Board, Job, JobState, Lease, ShardStatus};
-use crate::json::Json;
 use crate::queue::{JobQueue, ShardJob};
 use crate::spec::{verify_gate, CampaignSpec, GateError, SpecError};
+use swapcodes_json::Json;
 
 /// Simulator throughput assumed when deriving wall-clock deadlines from
 /// fuel: a conservative lower bound on executed instructions per

@@ -29,7 +29,7 @@ use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::FaultMix;
 use swapcodes_workloads::by_name;
 
-use crate::json::{escape, Json};
+use swapcodes_json::{escape, Json};
 
 /// Default per-cell trial count when the spec omits `trials`.
 pub const DEFAULT_TRIALS: u64 = 240;

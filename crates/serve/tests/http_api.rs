@@ -1,7 +1,7 @@
 //! HTTP front-end round trip over an ephemeral port: submit, status,
 //! results, cancel, and the structured `422` rejection paths (including
 //! the verify gate surfacing a non-applicable cell's reason in the error
-//! body).
+//! body, and a body nested too deep to parse).
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -131,6 +131,23 @@ fn http_rejects_inapplicable_cell_with_structured_body() {
         "{body}"
     );
     assert!(body.contains("\"detail\":"), "{body}");
+
+    stop.store(true, Ordering::SeqCst);
+    handle.join().expect("serve thread");
+    service.shutdown();
+}
+
+/// A body nested far past any spec's depth must answer `422` — not
+/// overflow the stack of the thread that serves every request.
+#[test]
+fn http_rejects_deeply_nested_body_and_keeps_serving() {
+    let (service, addr, stop, handle) = start_api(1);
+    let nested = "[".repeat(1 << 20);
+    let (status, body) = http::request(&addr, "POST", "/jobs", Some(&nested)).expect("post");
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("\"error\":\"bad_json\""), "{body}");
+    let (status, body) = http::request(&addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!((status, body.as_str()), (200, "{\"ok\":true}"));
 
     stop.store(true, Ordering::SeqCst);
     handle.join().expect("serve thread");

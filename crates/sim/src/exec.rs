@@ -6,7 +6,6 @@
 //! at the earliest join point — serialising divergent paths exactly like a
 //! hardware SIMT stack.
 
-use serde::{Deserialize, Serialize};
 use swapcodes_isa::{
     CmpOp, CmpTy, Instr, Kernel, MemSpace, MemWidth, Op, Reg, Role, ShflMode, SpecialReg, Src,
 };
@@ -20,7 +19,7 @@ use crate::snapshot::{Fragment, WarpSnapshot};
 use crate::tier2::ExecTier;
 
 /// Kernel launch geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Launch {
     /// Number of CTAs in the grid.
     pub ctas: u32,
@@ -149,7 +148,7 @@ impl Default for ExecConfig {
 }
 
 /// One executed warp-instruction in a dynamic trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Index of the instruction within the kernel.
     pub kidx: u32,
@@ -161,7 +160,7 @@ pub struct TraceEntry {
 }
 
 /// The dynamic trace of one warp.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WarpTrace {
     /// CTA index.
     pub cta: u32,
@@ -172,7 +171,7 @@ pub struct WarpTrace {
 }
 
 /// How (and whether) an error was detected during execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Detection {
     /// Nothing detected.
     None,
@@ -210,7 +209,7 @@ pub enum Detection {
 /// what the simulated GPU's protection hardware observes. Injection
 /// campaigns map these into outcome buckets (a hung kernel is a
 /// timeout-detected DUE) instead of panicking or looping forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecError {
     /// The step budget ([`ExecConfig::fuel`]) was exhausted: the kernel is
     /// treated as hung and killed by the driver watchdog.

@@ -20,15 +20,13 @@
 //! faults bypass the duplicated datapath entirely, which is exactly why
 //! they probe the coverage boundary of instruction-duplication codes.
 
-use serde::{Deserialize, Serialize};
-
 /// Warp width: lanes are indexed `0..32`.
 pub const WARP_WIDTH: u32 = 32;
 /// Architectural result width in bits: single-bit strikes pick `0..32`.
 pub const RESULT_WIDTH: u32 = 32;
 
 /// Which instruction of a duplicated pair the fault strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultTarget {
     /// The data-producing instruction (an `ecc_only` shadow is never hit by
     /// this target).
@@ -39,7 +37,7 @@ pub enum FaultTarget {
 }
 
 /// Which piece of control state a [`FaultClass::Control`] strike corrupts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlTarget {
     /// XOR the per-lane predicate byte of `lane` with the low 8 bits of the
     /// strike mask: subsequent guarded instructions mispredicate.
@@ -58,7 +56,7 @@ pub enum ControlTarget {
 }
 
 /// Parameters of a [`FaultClass::StuckAt`] defect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StuckAtSpec {
     /// Stuck level: `true` forces the masked bits to 1, `false` to 0.
     pub value: bool,
@@ -72,7 +70,7 @@ pub struct StuckAtSpec {
 }
 
 /// The fault class: what kind of physical defect the strike models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultClass {
     /// One-shot particle strike on a datapath result before write-back.
     Transient,
@@ -122,7 +120,7 @@ impl std::fmt::Display for FaultSpecError {
 impl std::error::Error for FaultSpecError {}
 
 /// A single fault to inject during functional execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// For datapath classes (`Transient`, `StuckAt`): strike / activate at
     /// the `n`-th *duplication-eligible* dynamic warp-instruction (counted

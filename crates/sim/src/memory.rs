@@ -223,7 +223,7 @@ impl SharedMemory {
 }
 
 /// Default copy-on-write page size in words (256 bytes). Overridable per
-/// engine through `ExecConfig::cow_page_words` / `SWAPCODES_COW_PAGE_WORDS`.
+/// engine through `ExecConfig::cow_page_words`.
 pub const DEFAULT_COW_PAGE_WORDS: usize = 64;
 
 /// Copy-on-write global memory: an `Arc`'d base image (a golden epoch

@@ -3,10 +3,8 @@
 //! doubling per-thread registers can halve the resident warps and with them
 //! the SM's latency-hiding ability.
 
-use serde::{Deserialize, Serialize};
-
 /// GPU hardware limits (defaults approximate a Tesla P100 SM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GpuConfig {
     /// Streaming multiprocessors on the device.
     pub sms: u32,
@@ -39,7 +37,7 @@ impl Default for GpuConfig {
 }
 
 /// What capped the occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Limiter {
     Warps,
@@ -51,7 +49,7 @@ pub enum Limiter {
 }
 
 /// Resident-work summary for one SM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Occupancy {
     /// Resident CTAs per SM.
     pub ctas: u32,

@@ -2,14 +2,13 @@
 //! substitute: the paper samples board power with `nvprof`; here energy is
 //! accumulated per dynamic instruction class over the timing result).
 
-use serde::{Deserialize, Serialize};
 use swapcodes_isa::{FuncUnit, Kernel, Op};
 
 use crate::exec::WarpTrace;
 use crate::timing::KernelTiming;
 
 /// Per-warp-instruction dynamic energy, in picojoules, plus static power.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PowerModel {
     /// Integer/move/control instruction energy (pJ per warp instruction).
     pub int_pj: f64,
@@ -45,7 +44,7 @@ impl Default for PowerModel {
 }
 
 /// Estimated power/energy for one kernel execution.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PowerEstimate {
     /// Average SM power in watts during the kernel.
     pub power_w: f64,

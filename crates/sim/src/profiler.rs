@@ -3,12 +3,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use swapcodes_isa::{Instr, Op, Role};
 
 /// Raw dynamic warp-instruction counts by provenance, the inputs to the
 /// Fig. 13 code-mix categories.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileCounts {
     /// Original instructions that are not duplication-eligible
     /// (loads/stores/atomics/control/predicates/shuffles).
@@ -88,7 +87,7 @@ impl ProfileCounts {
 /// Arithmetic unit classes traced for gate-level injection (the Fig. 10
 /// units). Mirrors `swapcodes_gates::units::UnitKind` without depending on
 /// that crate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum TracedUnit {
     FxpAdd32,
@@ -131,7 +130,7 @@ pub fn traced_unit(op: &Op) -> Option<TracedUnit> {
 
 /// Captured operand streams per arithmetic unit, for realistic gate-level
 /// error injection (the paper traces Rodinia inputs the same way).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct OperandTrace {
     streams: HashMap<TracedUnit, Vec<[u64; 3]>>,
     cap_per_unit: usize,

@@ -32,7 +32,6 @@
 //! always terminates, even when every attempt hangs, because every rung is
 //! bounded and every attempt is fueled.
 
-use serde::{Deserialize, Serialize};
 use swapcodes_isa::Kernel;
 
 use crate::exec::{Detection, ExecConfig, ExecError, ExecOutcome, Executor, Launch};
@@ -40,7 +39,7 @@ use crate::memory::GlobalMemory;
 
 /// The recovery policy that (last) acted on a run — ordered by cost, which
 /// is also the escalation order of the ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RecoveryPolicy {
     /// A correctable syndrome was rewritten in place at the register file.
     EccCorrect,
@@ -65,7 +64,7 @@ impl RecoveryPolicy {
 
 /// In-executor recovery knobs (the part of the ladder the executor itself
 /// implements; see [`crate::exec::ExecConfig::recovery`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoverySpec {
     /// Snapshot each warp's state every this many executed instructions
     /// (checkpoints are also refreshed at every barrier release, which is
@@ -91,7 +90,7 @@ impl Default for RecoverySpec {
 }
 
 /// Work performed by the recovery machinery during one or more attempts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Warp checkpoints taken.
     pub checkpoints: u64,
@@ -140,7 +139,7 @@ impl RecoveryStats {
 }
 
 /// Full ladder configuration for a [`RecoveryEngine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// In-executor policies (checkpoint/replay and optional correction).
     pub spec: RecoverySpec,
@@ -175,7 +174,7 @@ impl RecoveryConfig {
 }
 
 /// How a [`RecoveryEngine::run`] ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryOutcome {
     /// No detection at all: the run completed without recovery acting.
     Clean,

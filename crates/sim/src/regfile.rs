@@ -11,13 +11,12 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use swapcodes_ecc::report::{DpWord, ReadEvent, SecDedDp, SecDp};
 use swapcodes_ecc::swap::{self, SwappedWord};
 use swapcodes_ecc::{parity32, AnyCode, CodeKind, RawDecode, SystematicCode};
 
 /// Register-file protection configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protection {
     /// No ECC (or ECC modelling disabled).
     None,
@@ -31,7 +30,7 @@ pub enum Protection {
 }
 
 /// What a protected register read observed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegFileEvent {
     /// Word decoded cleanly.
     Clean,

@@ -101,22 +101,6 @@ pub enum ExecTier {
 }
 
 impl ExecTier {
-    /// Parse a tier name as accepted by `SWAPCODES_EXEC_TIER`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the accepted values when `s`
-    /// names no tier.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "1" | "tier1" | "interp" | "interpreter" => Ok(Self::Tier1),
-            "2" | "tier2" | "compiled" | "threaded" => Ok(Self::Tier2),
-            other => Err(format!(
-                "unknown execution tier {other:?} (expected \"tier1\" or \"tier2\")"
-            )),
-        }
-    }
-
     /// Canonical lowercase name (`"tier1"` / `"tier2"`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -632,12 +616,8 @@ mod tests {
     }
 
     #[test]
-    fn tier_parses_and_displays() {
-        assert_eq!(ExecTier::parse("tier1").unwrap(), ExecTier::Tier1);
-        assert_eq!(ExecTier::parse(" TIER2 ").unwrap(), ExecTier::Tier2);
-        assert_eq!(ExecTier::parse("2").unwrap(), ExecTier::Tier2);
-        assert_eq!(ExecTier::parse("interpreter").unwrap(), ExecTier::Tier1);
-        assert!(ExecTier::parse("tier3").is_err());
+    fn tier_displays() {
+        assert_eq!(ExecTier::Tier1.to_string(), "tier1");
         assert_eq!(ExecTier::Tier2.to_string(), "tier2");
         assert_eq!(ExecTier::default(), ExecTier::Tier1);
     }

@@ -7,7 +7,6 @@
 //! throughput from doubled operations — while remaining fast enough to sweep
 //! every workload under every protection scheme.
 
-use serde::{Deserialize, Serialize};
 use swapcodes_isa::{FuncUnit, Kernel, Op};
 
 use crate::exec::{ExecConfig, ExecError, Executor, Launch, WarpTrace};
@@ -17,7 +16,7 @@ use crate::regfile::Protection;
 
 /// Timing-model parameters (defaults approximate a P100-class SM; times in
 /// quarter-cycles where noted).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimingConfig {
     /// Hardware limits.
     pub gpu: GpuConfig,
@@ -59,7 +58,7 @@ fn fu_interval_qc(fu: FuncUnit) -> u64 {
 }
 
 /// Per-wave resource-pressure statistics from the cycle-level replay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaveStats {
     /// Cycles in which no scheduler issued anything (all warps stalled).
     pub idle_cycles: u64,
@@ -87,7 +86,7 @@ impl WaveStats {
 }
 
 /// Timing result for one kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelTiming {
     /// Estimated cycles for the whole grid.
     pub cycles: u64,
@@ -139,7 +138,7 @@ impl KernelTiming {
 /// their true cost — corrections are nearly free, warp replays cost a
 /// rollback plus the re-executed instructions, and relaunches pay the whole
 /// kernel again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryCostModel {
     /// Cycles to snapshot one warp's architectural state (register file
     /// drain to the checkpoint buffer).

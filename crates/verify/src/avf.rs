@@ -185,55 +185,6 @@ impl AvfReport {
             .iter()
             .any(|s| s.pc == pc && s.kind == kind)
     }
-
-    /// Render as a JSON object (hand-rolled; the workspace vendors no
-    /// serializer). `top` bounds the emitted site list.
-    #[must_use]
-    pub fn to_json(&self, top: usize) -> String {
-        let classes: Vec<String> = self
-            .classes()
-            .into_iter()
-            .map(|c| {
-                format!(
-                    "{{\"class\":\"{}\",\"coverage\":{:.6},\"ace\":{:.6},\"tolerance\":{:.3}}}",
-                    c.class, c.coverage, c.ace, c.tolerance
-                )
-            })
-            .collect();
-        let sites: Vec<String> = self
-            .control_sites
-            .iter()
-            .take(top)
-            .map(|s| {
-                format!(
-                    "{{\"pc\":{},\"kind\":\"{}\",\"issues\":{},\"sdc_weight\":{:.8}}}",
-                    s.pc,
-                    kind_label(s.kind),
-                    s.issues,
-                    s.sdc_weight
-                )
-            })
-            .collect();
-        let area = self.area.map_or_else(
-            || "null".to_owned(),
-            |a| {
-                format!(
-                    "{{\"total_milli\":{},\"ff_milli\":{},\"sites\":{}}}",
-                    a.total_milli, a.ff_milli, a.sites
-                )
-            },
-        );
-        format!(
-            "{{\"scheme\":\"{}\",\"reg_ace\":{:.6},\"pred_ace\":{:.6},\"classes\":[{}],\"control_sites\":{{\"count\":{},\"top\":[{}]}},\"area\":{}}}",
-            self.scheme.replace('"', "\\\""),
-            self.reg_ace,
-            self.pred_ace,
-            classes.join(","),
-            self.control_sites.len(),
-            sites.join(","),
-            area
-        )
-    }
 }
 
 impl std::fmt::Display for AvfReport {
@@ -719,7 +670,7 @@ mod tests {
     }
 
     #[test]
-    fn report_json_and_display_carry_key_facts() {
+    fn report_display_carries_key_facts() {
         let k = straightline();
         let r = analyze(
             Scheme::SwapEcc,
@@ -731,12 +682,9 @@ mod tests {
                 sites: 12,
             }),
         );
-        let j = r.to_json(3);
-        assert!(j.contains("\"scheme\":\"Swap-ECC\""));
-        assert!(j.contains("\"class\":\"transient\""));
-        assert!(j.contains("\"ff_milli\":400"));
-        assert!(j.contains("\"count\":"));
         let d = r.to_string();
+        assert!(d.starts_with("Swap-ECC: reg ACE"));
+        assert!(d.contains("transient predicted coverage"));
         assert!(d.contains("predicted coverage"));
         assert!(r.prediction("control").is_some());
         assert!(r.prediction("nope").is_none());

@@ -63,12 +63,12 @@ mod interthread;
 mod swapecc;
 mod swdup;
 
-use serde::Serialize;
 use swapcodes_core::Scheme;
 use swapcodes_isa::{Kernel, Reg};
+use swapcodes_json::escape;
 
 /// A verifier rule: one way a scheme's protection invariant can be broken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum Rule {
     /// SW-Dup: a duplicated value reached an unduplicated consumer without a
@@ -149,7 +149,7 @@ impl std::fmt::Display for Rule {
 }
 
 /// One protection hole found by the verifier.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Which invariant is violated.
     pub rule: Rule,
@@ -186,7 +186,7 @@ impl std::fmt::Display for Finding {
 /// The *point* granularity matches each scheme's fault model: eligible
 /// (duplicated/predicted) instruction definitions for the intra-thread
 /// schemes and store/atomic operand slots for inter-thread duplication.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Coverage {
     /// What a point is, for report labelling.
     pub kind: &'static str,
@@ -210,7 +210,7 @@ impl Coverage {
 }
 
 /// The result of verifying one kernel under one scheme.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Report {
     /// The scheme label the kernel was verified against.
     pub scheme: String,
@@ -228,12 +228,9 @@ impl Report {
     }
 
     /// Render the report as a JSON object — the machine-readable form CI
-    /// consumes. (Hand-rolled: the workspace vendors no serializer crate.)
+    /// consumes.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         let findings: Vec<String> = self
             .findings
             .iter()
@@ -253,9 +250,9 @@ impl Report {
             .collect();
         format!(
             "{{\"scheme\":\"{}\",\"clean\":{},\"coverage\":{{\"kind\":\"{}\",\"points\":{},\"covered\":{},\"fraction\":{:.6}}},\"findings\":[{}]}}",
-            esc(&self.scheme),
+            escape(&self.scheme),
             self.is_clean(),
-            esc(self.coverage.kind),
+            escape(self.coverage.kind),
             self.coverage.points,
             self.coverage.covered,
             self.coverage.fraction(),
