@@ -8,8 +8,8 @@
 //! workload, fig12 and fig16 share four schemes, and so on.
 //!
 //! [`SweepEngine`] computes each cell of the matrix exactly once, caches it
-//! behind a [`parking_lot::RwLock`] keyed by `(workload name, scheme)`, and
-//! fans batch requests over a crossbeam-scoped worker pool with a
+//! behind a [`std::sync::RwLock`] keyed by `(workload name, scheme)`, and
+//! fans batch requests over a pool of [`std::thread::scope`] workers with a
 //! work-stealing index counter. All simulations are deterministic pure
 //! functions of `(workload, scheme)`, so cell values are identical no matter
 //! which thread computes them or in what order — results are byte-identical
@@ -19,9 +19,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use parking_lot::RwLock;
 use swapcodes_core::Scheme;
 use swapcodes_inject::{contain, default_thread_count};
 use swapcodes_sim::profiler::ProfileCounts;
@@ -33,6 +32,17 @@ use crate::{measure, profile, Cell, TracesAndTiming};
 /// Cache key: workload names are `&'static str` interned in the workload
 /// table, so the key is `Copy` and hashing never touches the kernel body.
 type Key = (&'static str, Scheme);
+
+/// Shared access to a cache. A poisoned lock is recovered, not propagated:
+/// every write inserts one finished cell, so the map is valid at every step.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Exclusive access to a cache, recovering a poisoned lock like [`read`].
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Which artefact of a matrix cell a prewarm request should produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,13 +107,12 @@ impl SweepEngine {
     /// to the workload, `Failed` when the simulation errored or panicked.
     /// Computes and caches on miss.
     pub fn timing(&self, w: &Workload, scheme: Scheme) -> Arc<Cell<KernelTiming>> {
-        if let Some(hit) = self.timings.read().get(&(w.name, scheme)) {
+        if let Some(hit) = read(&self.timings).get(&(w.name, scheme)) {
             return Arc::clone(hit);
         }
         let value = Arc::new(contain(1, |_| measure(w, scheme)).unwrap_or_else(Cell::Failed));
         Arc::clone(
-            self.timings
-                .write()
+            write(&self.timings)
                 .entry((w.name, scheme))
                 .or_insert(value),
         )
@@ -111,13 +120,12 @@ impl SweepEngine {
 
     /// Dynamic-instruction profile for one cell; cached on miss.
     pub fn profile(&self, w: &Workload, scheme: Scheme) -> Arc<Cell<ProfileCounts>> {
-        if let Some(hit) = self.profiles.read().get(&(w.name, scheme)) {
+        if let Some(hit) = read(&self.profiles).get(&(w.name, scheme)) {
             return Arc::clone(hit);
         }
         let value = Arc::new(contain(1, |_| profile(w, scheme)).unwrap_or_else(Cell::Failed));
         Arc::clone(
-            self.profiles
-                .write()
+            write(&self.profiles)
                 .entry((w.name, scheme))
                 .or_insert(value),
         )
@@ -127,7 +135,7 @@ impl SweepEngine {
     /// miss. The timing half comes through the timing cache, so a traces
     /// cell whose timing was already swept costs only the traced execution.
     pub fn traces_and_timing(&self, w: &Workload, scheme: Scheme) -> Arc<Cell<TracesAndTiming>> {
-        if let Some(hit) = self.traces.read().get(&(w.name, scheme)) {
+        if let Some(hit) = read(&self.traces).get(&(w.name, scheme)) {
             return Arc::clone(hit);
         }
         let value = Arc::new(match &*self.timing(w, scheme) {
@@ -140,7 +148,7 @@ impl SweepEngine {
             Cell::NotApplicable => Cell::NotApplicable,
             Cell::Failed(why) => Cell::Failed(why.clone()),
         });
-        Arc::clone(self.traces.write().entry((w.name, scheme)).or_insert(value))
+        Arc::clone(write(&self.traces).entry((w.name, scheme)).or_insert(value))
     }
 
     /// Fill the timing cache for the full `workloads × schemes` matrix in
@@ -164,7 +172,7 @@ impl SweepEngine {
     /// reporting hook).
     #[must_use]
     pub fn cached_cells(&self) -> usize {
-        self.timings.read().len() + self.profiles.read().len() + self.traces.read().len()
+        read(&self.timings).len() + read(&self.profiles).len() + read(&self.traces).len()
     }
 
     /// Every failed cell across all three artefact caches, sorted by
@@ -177,7 +185,7 @@ impl SweepEngine {
             artefact: &'static str,
             out: &mut Vec<SweepFailure>,
         ) {
-            for ((workload, scheme), cell) in map.read().iter() {
+            for ((workload, scheme), cell) in read(map).iter() {
                 if let Some(reason) = cell.failure() {
                     out.push(SweepFailure {
                         workload,
@@ -235,9 +243,9 @@ impl SweepEngine {
 
     fn is_cached(&self, key: Key, what: Artefact) -> bool {
         match what {
-            Artefact::Timing => self.timings.read().contains_key(&key),
-            Artefact::Profile => self.profiles.read().contains_key(&key),
-            Artefact::Traces => self.traces.read().contains_key(&key),
+            Artefact::Timing => read(&self.timings).contains_key(&key),
+            Artefact::Profile => read(&self.profiles).contains_key(&key),
+            Artefact::Traces => read(&self.traces).contains_key(&key),
         }
     }
 
@@ -256,16 +264,15 @@ impl SweepEngine {
         // unclaimed cell, so a slow cell (snap under SwDup) never idles the
         // rest of the pool behind a static chunk boundary.
         let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&(w, s)) = tasks.get(i) else { break };
                     self.compute_into_cache(w, s, what);
                 });
             }
-        })
-        .expect("sweep worker panicked");
+        });
     }
 
     fn compute_into_cache(&self, w: &Workload, s: Scheme, what: Artefact) {

@@ -28,14 +28,6 @@ pub enum RawDecode {
     Detected,
 }
 
-impl RawDecode {
-    /// Whether the decoder observed any inconsistency at all.
-    #[must_use]
-    pub fn is_error(self) -> bool {
-        self != RawDecode::Clean
-    }
-}
-
 /// A systematic error code protecting a 32-bit data word.
 ///
 /// A *systematic* code keeps data and check bits in fixed, separate positions;

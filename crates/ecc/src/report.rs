@@ -64,17 +64,6 @@ impl ReadEvent {
     pub fn is_due(self) -> bool {
         matches!(self, ReadEvent::DuePipeline | ReadEvent::DueStorage)
     }
-
-    /// Whether a (safe) correction was performed.
-    #[must_use]
-    pub fn is_correction(self) -> bool {
-        matches!(
-            self,
-            ReadEvent::CorrectedData { .. }
-                | ReadEvent::CorrectedCheck { .. }
-                | ReadEvent::CorrectedParity
-        )
-    }
 }
 
 /// The value returned by a protected register read, with its event.

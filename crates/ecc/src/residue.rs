@@ -191,13 +191,6 @@ impl ResidueCode {
         Residue::canon(acc as u16, self.a)
     }
 
-    /// Residue of a signed 64-bit value (two's complement semantics: the
-    /// residue of the unsigned bit pattern).
-    #[must_use]
-    pub fn of_bits_i64(self, x: i64) -> Residue {
-        self.of_u64(x as u64)
-    }
-
     /// The residue with canonical value `v`.
     ///
     /// # Panics

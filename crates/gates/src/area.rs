@@ -31,15 +31,6 @@ pub struct AreaReport {
     pub logic_gates: usize,
 }
 
-impl AreaReport {
-    /// Relative overhead of this report against a baseline area, as the
-    /// fraction `self.total / base.total`.
-    #[must_use]
-    pub fn overhead_vs(&self, base: &AreaReport) -> f64 {
-        self.nand2_total / base.nand2_total
-    }
-}
-
 /// Compute the NAND2-equivalent area of a netlist.
 #[must_use]
 pub fn area(netlist: &Netlist) -> AreaReport {

@@ -180,25 +180,6 @@ impl CircuitBuilder {
         Bv::from_bits(bits)
     }
 
-    /// Bitwise AND of equal-width vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn bv_and(&mut self, a: &Bv, b: &Bv) -> Bv {
-        self.zip2(a, b, Gate::And)
-    }
-
-    /// Bitwise OR.
-    pub fn bv_or(&mut self, a: &Bv, b: &Bv) -> Bv {
-        self.zip2(a, b, Gate::Or)
-    }
-
-    /// Bitwise XOR.
-    pub fn bv_xor(&mut self, a: &Bv, b: &Bv) -> Bv {
-        self.zip2(a, b, Gate::Xor)
-    }
-
     /// AND every bit of `a` with the single wire `s` (operand gating).
     pub fn bv_gate(&mut self, a: &Bv, s: NodeId) -> Bv {
         let bits = a.bits.iter().map(|&x| self.and(x, s)).collect();
@@ -335,12 +316,6 @@ impl CircuitBuilder {
     pub fn sub(&mut self, a: &Bv, b: &Bv) -> (Bv, NodeId) {
         let nb = self.bv_not(b);
         self.add(a, &nb, self.one)
-    }
-
-    /// Increment by one. Returns `(a + 1, carry_out)`.
-    pub fn inc(&mut self, a: &Bv) -> (Bv, NodeId) {
-        let one_v = self.constant(1, a.width());
-        self.add(a, &one_v, self.zero)
     }
 
     /// Unsigned `a < b`.

@@ -83,12 +83,6 @@ impl UnitKind {
             UnitKind::FxpMad32 | UnitKind::FpAdd64 | UnitKind::FpFma64 => 64,
         }
     }
-
-    /// Whether the unit operates on floating-point encodings.
-    #[must_use]
-    pub fn is_float(self) -> bool {
-        !matches!(self, UnitKind::FxpAdd32 | UnitKind::FxpMad32)
-    }
 }
 
 /// A pipelined arithmetic unit: a netlist plus its operational metadata.

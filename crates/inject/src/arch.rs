@@ -435,11 +435,11 @@ impl CampaignOptions {
         opts
     }
 
-    /// The engine tag stamped into campaign checkpoints. A checkpoint
-    /// written under a different engine is rejected as stale on resume
-    /// (restart from trial 0) instead of silently mixing tallies produced
-    /// by different executors — see the checkpointed drivers in
-    /// [`crate::harness`].
+    /// The engine tag stamped into shard checkpoints. A checkpoint written
+    /// under a different engine is rejected as stale on resume (restart
+    /// from the shard's first trial) instead of silently mixing tallies
+    /// produced by different executors — see
+    /// [`crate::harness::run_arch_shard_checkpointed`].
     #[must_use]
     pub fn engine_tag(self) -> &'static str {
         match (self.tier, self.peephole) {
@@ -447,20 +447,6 @@ impl CampaignOptions {
             (ExecTier::Tier1, true) => "ff1p",
             (ExecTier::Tier2, false) => "ff2",
             (ExecTier::Tier2, true) => "ff2p",
-        }
-    }
-
-    /// The engine tag for recovery-campaign checkpoints. Recovery trials
-    /// always run on the classic executor (the tier is irrelevant to
-    /// them), but the peephole pass renumbers eligible ops and so changes
-    /// the per-trial fault draws — tallies over peepholed and unpeepholed
-    /// kernels must never be mixed on resume.
-    #[must_use]
-    pub fn recovery_engine_tag(self) -> &'static str {
-        if self.peephole {
-            "classicp"
-        } else {
-            "classic"
         }
     }
 }
@@ -745,13 +731,6 @@ impl<'w> ArchCampaign<'w> {
     #[must_use]
     pub fn engine_tag(&self) -> &'static str {
         self.options().engine_tag()
-    }
-
-    /// The recovery-campaign checkpoint engine tag (see
-    /// [`CampaignOptions::recovery_engine_tag`]).
-    #[must_use]
-    pub fn recovery_engine_tag(&self) -> &'static str {
-        self.options().recovery_engine_tag()
     }
 
     /// Peephole statistics over the transformed kernel (all zero when the
@@ -1066,31 +1045,18 @@ impl<'w> ArchCampaign<'w> {
             // golden, so the output will match (see DESIGN §9).
             TrialOutcome::Masked
         } else if let Some(e) = t.error {
-            match e {
-                // Budget exhaustion and scheduler deadlock are both what
-                // the driver watchdog sees as a hung kernel.
-                ExecError::Hang { .. } | ExecError::Trap { .. } => TrialOutcome::Hang,
-                // Structural errors cannot occur on a faulted run (memory
-                // violations are trapped), but map conservatively.
-                _ => TrialOutcome::Crash,
-            }
+            error_outcome(e)
         } else {
-            match t.detection {
-                Detection::Trap { .. } => TrialOutcome::Trap,
-                Detection::Due { .. } => TrialOutcome::Due,
-                Detection::MemFault { .. } => TrialOutcome::Crash,
-                Detection::Hang { .. } => TrialOutcome::Hang,
-                Detection::None => {
-                    // O(output-region) check against the CoW view — the
-                    // trial's memory must never be flattened here.
-                    let (addr, words) = self.cell.workload.output;
-                    if t.mem.read_u32_slice(addr, words as usize) == self.cell.golden {
-                        TrialOutcome::Masked
-                    } else {
-                        TrialOutcome::Sdc
-                    }
+            detection_outcome(t.detection).unwrap_or_else(|| {
+                // O(output-region) check against the CoW view — the
+                // trial's memory must never be flattened here.
+                let (addr, words) = self.cell.workload.output;
+                if t.mem.read_u32_slice(addr, words as usize) == self.cell.golden {
+                    TrialOutcome::Masked
+                } else {
+                    TrialOutcome::Sdc
                 }
-            }
+            })
         };
         Some((outcome, telemetry))
     }
@@ -1119,25 +1085,14 @@ impl<'w> ArchCampaign<'w> {
             },
         };
         match exec.run(&self.cell.kernel, self.cell.launch, &mut mem) {
-            Ok(r) => match r.detection {
-                Detection::Trap { .. } => TrialOutcome::Trap,
-                Detection::Due { .. } => TrialOutcome::Due,
-                Detection::MemFault { .. } => TrialOutcome::Crash,
-                Detection::Hang { .. } => TrialOutcome::Hang,
-                Detection::None => {
-                    if self.cell.workload.output_words(&mem) == self.cell.golden {
-                        TrialOutcome::Masked
-                    } else {
-                        TrialOutcome::Sdc
-                    }
+            Ok(r) => detection_outcome(r.detection).unwrap_or_else(|| {
+                if self.cell.workload.output_words(&mem) == self.cell.golden {
+                    TrialOutcome::Masked
+                } else {
+                    TrialOutcome::Sdc
                 }
-            },
-            // Budget exhaustion and scheduler deadlock are both what the
-            // driver watchdog sees as a hung kernel.
-            Err(ExecError::Hang { .. } | ExecError::Trap { .. }) => TrialOutcome::Hang,
-            // Structural errors cannot occur on a faulted run (memory
-            // violations are trapped), but map conservatively.
-            Err(_) => TrialOutcome::Crash,
+            }),
+            Err(e) => error_outcome(e),
         }
     }
 
@@ -1193,18 +1148,7 @@ impl<'w> ArchCampaign<'w> {
     /// detection into a success.
     #[must_use]
     pub fn run_trial_recovering(&self, trial: u64, rcfg: &RecoveryConfig) -> RecoveredTrial {
-        self.run_trial_recovering_salted(trial, 0, rcfg)
-    }
-
-    /// [`Self::run_trial_recovering`] with a containment-retry salt.
-    #[must_use]
-    pub fn run_trial_recovering_salted(
-        &self,
-        trial: u64,
-        salt: u32,
-        rcfg: &RecoveryConfig,
-    ) -> RecoveredTrial {
-        let fault = self.trial_fault_salted(trial, salt);
+        let fault = self.trial_fault(trial);
         let input = self.cell.workload.build_memory();
         let engine = RecoveryEngine {
             exec: ExecConfig {
@@ -1235,23 +1179,37 @@ impl<'w> ArchCampaign<'w> {
             }
             // Ladder exhausted: the residual detection (or watchdog error)
             // stands, bucketed as in the unrecovered campaign.
-            RecoveryOutcome::Unrecoverable { .. } => match run.detection {
-                Detection::Trap { .. } => TrialOutcome::Trap,
-                Detection::Due { .. } => TrialOutcome::Due,
-                Detection::MemFault { .. } => TrialOutcome::Crash,
-                Detection::Hang { .. } => TrialOutcome::Hang,
-                Detection::None => match run.error {
-                    Some(ExecError::Hang { .. } | ExecError::Trap { .. }) | None => {
-                        TrialOutcome::Hang
-                    }
-                    Some(_) => TrialOutcome::Crash,
-                },
-            },
+            RecoveryOutcome::Unrecoverable { .. } => detection_outcome(run.detection)
+                .unwrap_or_else(|| run.error.map_or(TrialOutcome::Hang, error_outcome)),
         };
         RecoveredTrial {
             outcome,
             stats: run.stats,
         }
+    }
+}
+
+/// The outcome a raised detection stands for; `None` when nothing was
+/// detected and the output decides.
+fn detection_outcome(detection: Detection) -> Option<TrialOutcome> {
+    match detection {
+        Detection::Trap { .. } => Some(TrialOutcome::Trap),
+        Detection::Due { .. } => Some(TrialOutcome::Due),
+        Detection::MemFault { .. } => Some(TrialOutcome::Crash),
+        Detection::Hang { .. } => Some(TrialOutcome::Hang),
+        Detection::None => None,
+    }
+}
+
+/// The outcome of a run the executor aborted.
+fn error_outcome(error: ExecError) -> TrialOutcome {
+    match error {
+        // Budget exhaustion and scheduler deadlock are both what the
+        // driver watchdog sees as a hung kernel.
+        ExecError::Hang { .. } | ExecError::Trap { .. } => TrialOutcome::Hang,
+        // Structural errors cannot occur on a faulted run (memory
+        // violations are trapped), but map conservatively.
+        _ => TrialOutcome::Crash,
     }
 }
 

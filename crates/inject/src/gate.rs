@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -323,16 +324,14 @@ pub fn run_unit_campaign(
 /// An input's outcome depends only on its golden output and its site
 /// sequence, and the sequence only on its RNG, seeded from `(seed,
 /// absolute index)`. So it does not depend on which inputs share its passes,
-/// on the thread count, or on how a caller slices the stream — the resume
-/// path of [`crate::harness::run_unit_campaign_checkpointed`] yields exactly
-/// the outcomes of one uninterrupted pass, and [`run_unit_campaign_reference`]
-/// yields them one site at a time.
+/// on the thread count, or on how a caller slices the stream, and
+/// [`run_unit_campaign_reference`] yields the same outcomes one site at a
+/// time.
 ///
 /// # Panics
 ///
 /// Panics if `inputs` is empty.
-#[must_use]
-pub fn run_unit_campaign_slice(
+fn run_unit_campaign_slice(
     unit: &ArithUnit,
     inputs: &[[u64; 3]],
     cfg: &CampaignConfig,
@@ -413,13 +412,13 @@ pub fn run_unit_campaign_slice(
         .unwrap_or_else(default_thread_count)
         .clamp(1, blocks);
     let next_block = AtomicUsize::new(0);
-    let collected = parking_lot::Mutex::new(Vec::with_capacity(inputs.len()));
-    crossbeam::scope(|scope| {
+    let collected = Mutex::new(Vec::with_capacity(inputs.len()));
+    std::thread::scope(|scope| {
         for _ in 0..threads {
             let next_block = &next_block;
             let collected = &collected;
             let run_block = &run_block;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut ws = WorkerScratch::default();
                 let mut local: Vec<InputOutcome> = Vec::new();
                 loop {
@@ -436,20 +435,26 @@ pub fn run_unit_campaign_slice(
                             .map(|s| s.outcome.expect("every input is decided")),
                     );
                 }
-                collected.lock().append(&mut local);
+                collected
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .append(&mut local);
             });
         }
-    })
-    .expect("injection workers do not panic");
+    });
 
-    let mut all = collected.into_inner();
+    let mut all = collected
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     all.sort_unstable_by_key(|o| o.index);
     all
 }
 
-/// The reference for [`run_unit_campaign_slice`]: serial, it draws each
-/// input's whole partial Fisher–Yates order up front and tests one site at
-/// a time with [`Netlist::evaluate_flipped`](swapcodes_gates::Netlist::evaluate_flipped)
+/// The reference for the packed driver behind [`run_unit_campaign`], over
+/// a slice of the operand stream whose first input sits at absolute index
+/// `first_index`: serial, it draws each input's whole partial Fisher–Yates
+/// order up front and tests one site at a time with
+/// [`Netlist::evaluate_flipped`](swapcodes_gates::Netlist::evaluate_flipped)
 /// against [`Netlist::evaluate`](swapcodes_gates::Netlist::evaluate). It
 /// shares neither the lane packing nor the campaign loop, so differential
 /// tests hold the production driver to it outcome for outcome.

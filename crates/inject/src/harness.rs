@@ -15,15 +15,16 @@
 //!   crash, OOM or SIGKILL resumes from its last checkpoint — and because
 //!   trials are pure functions of `(seed, index)`, the resumed tallies are
 //!   byte-identical to an uninterrupted run;
-//! * the three architecture-level drivers — whole campaign, recovery
-//!   campaign and service shard — are wrappers around one in-order trial
-//!   loop over a range `[start, end)` and share one checkpoint format.
+//! * the one checkpointed driver, [`run_arch_shard_checkpointed`], runs a
+//!   trial range `[start, end)` of an architecture-level campaign in order.
+//!   The campaign service (`swapcodes-serve`) splits every campaign into
+//!   such shards; a whole campaign is the single range `[0, trials)`.
 //!
-//! Checkpoints and the anomaly log live in the directory named by the
-//! `SWAPCODES_CHECKPOINT_DIR` environment variable (or an explicit
-//! [`CheckpointConfig::dir`]); with no directory configured the harness
-//! still contains panics but keeps no on-disk state. All on-disk formats
-//! are single-line flat JSON, written with [`escape`] and read back with
+//! Checkpoints and the anomaly log live in [`CheckpointConfig::dir`] (by
+//! default the directory named by the `SWAPCODES_CHECKPOINT_DIR`
+//! environment variable); with no directory configured the harness still
+//! contains panics but keeps no on-disk state. All on-disk formats are
+//! single-line flat JSON, written with [`escape`] and read back with
 //! [`Json::parse`].
 
 use std::fs;
@@ -32,17 +33,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
-use swapcodes_core::Scheme;
-use swapcodes_gates::units::ArithUnit;
 use swapcodes_json::{escape, Json};
-use swapcodes_workloads::Workload;
-
-use swapcodes_sim::recovery::RecoveryStats;
 use swapcodes_sim::{CancelToken, FaultClass};
 
-use crate::arch::{ArchCampaign, ArchOutcomes, FaultClassTallies, PrepError, TrialOutcome};
-use crate::gate::{run_unit_campaign_slice, CampaignConfig, InputOutcome, UnitCampaignResult};
-use crate::recovery::RecoveryCampaignConfig;
+use crate::arch::{ArchCampaign, ArchOutcomes, FaultClassTallies, TrialOutcome};
 
 /// Once-per-variable registry of malformed environment overrides. The
 /// first time a variable fails to parse the error is printed to stderr and
@@ -73,8 +67,8 @@ fn surface_env_anomaly(var: &'static str, msg: String) {
 }
 
 /// Drain the malformed-environment messages queued since the last call.
-/// The checkpointed campaign drivers call this once per campaign and
-/// append the messages to the [`AnomalyLog`], so a typo'd override is
+/// The checkpointed shard driver calls this once per shard and appends
+/// the messages to the [`AnomalyLog`], so a typo'd override is
 /// visible in the campaign's on-disk record instead of only on a
 /// scrolled-away stderr.
 #[must_use]
@@ -255,7 +249,7 @@ pub fn slug(s: &str) -> String {
 // Anomaly log
 // ---------------------------------------------------------------------------
 
-/// Size cap for `anomalies.jsonl`. When an append pushes the file past
+/// Size cap for an anomaly log. When an append pushes the file past
 /// this, the log rotates in place: the oldest lines are dropped and a
 /// retained-tail marker (`{"rotated":true,"dropped":K}`) is written as the
 /// first line, so a pathological campaign (every trial panicking) cannot
@@ -274,18 +268,9 @@ pub struct AnomalyLog {
 }
 
 impl AnomalyLog {
-    /// A log writing to `anomalies.jsonl` under `dir` (or a counting-only
-    /// log when no directory is configured).
-    #[must_use]
-    pub fn new(dir: Option<&Path>) -> Self {
-        Self {
-            path: dir.map(|d| d.join("anomalies.jsonl")),
-            count: 0,
-        }
-    }
-
-    /// A log writing to `anomalies-<shard>.jsonl` under `dir`, so shards of
-    /// one service campaign never contend on a single file. The shard tag is
+    /// A log writing to `anomalies-<shard>.jsonl` under `dir` (or a
+    /// counting-only log when no directory is configured), so shards of one
+    /// service campaign never contend on a single file. The shard tag is
     /// [`slug`]ged into the filename.
     #[must_use]
     pub fn for_shard(dir: Option<&Path>, shard: &str) -> Self {
@@ -298,9 +283,9 @@ impl AnomalyLog {
     /// Record one unrecoverable item. Logging is best-effort: a failed
     /// append must not kill the campaign the log exists to protect.
     ///
-    /// Concurrent writers on the same checkpoint directory (service shards,
-    /// or two campaign processes pointed at one `SWAPCODES_CHECKPOINT_DIR`)
-    /// serialize on an advisory lock held for the whole append+rotate pair —
+    /// Concurrent writers on one log file (two service processes pointed at
+    /// one state directory, or tags that slug alike) serialize on an
+    /// advisory lock held for the whole append+rotate pair —
     /// without it, one writer's rotation (read, trim, rename-over) can
     /// silently drop a line another writer appended after the read.
     pub fn record(&mut self, campaign: &str, item: u64, retries: u32, panic_msg: &str) {
@@ -384,10 +369,10 @@ fn rotate_anomaly_log(path: &Path, cap: u64) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint configuration
+// Checkpointed shard driver
 // ---------------------------------------------------------------------------
 
-/// How a checkpointed campaign persists and contains its work.
+/// How a checkpointed shard persists and contains its work.
 #[derive(Debug, Clone)]
 pub struct CheckpointConfig {
     /// Checkpoint/anomaly directory; `None` disables on-disk state (the
@@ -412,32 +397,6 @@ impl Default for CheckpointConfig {
         }
     }
 }
-
-/// Progress of a checkpointed campaign invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CampaignRun {
-    /// Aggregate tallies over every completed trial (resumed + this
-    /// invocation) — always `classes.aggregate()`.
-    pub outcomes: ArchOutcomes,
-    /// The same tallies split by fault class.
-    pub classes: FaultClassTallies,
-    /// Trials completed so far.
-    pub completed: u64,
-    /// Whether the campaign ran to its trial target (false when the
-    /// `stop_after` hook cut it short).
-    pub finished: bool,
-    /// Unrecoverable items logged during this invocation.
-    pub anomalies: u64,
-    /// A checkpoint was found at this campaign's path but not adopted —
-    /// written by a different trial engine or fault-class mix, by another
-    /// campaign or an older checkpoint format, or torn. It was rejected
-    /// with a logged anomaly and the campaign restarted from trial 0.
-    pub stale_engine: bool,
-}
-
-// ---------------------------------------------------------------------------
-// Architecture-level campaigns with checkpointing
-// ---------------------------------------------------------------------------
 
 /// Serialize one tally's ten buckets with a per-class key prefix
 /// (`""` for the aggregate, `"t_"`/`"c_"`/`"s_"` for the classes).
@@ -475,13 +434,9 @@ fn parse_outcome_fields(f: &Json, prefix: &str) -> Option<ArchOutcomes> {
     })
 }
 
-/// Everything a checkpoint must match to be resumed. The `mode` keeps a
-/// recovery campaign from resuming a plain campaign's tallies (and vice
-/// versa): same trials, different bucket semantics. A whole campaign is
-/// the range `[0, trials)`; a service shard is its own range.
+/// Everything a checkpoint must match to be resumed: the campaign's
+/// identity and the shard's trial range.
 struct CheckpointId {
-    /// `"plain"` or `"recover"`.
-    mode: &'static str,
     /// The trial engine tag: a checkpoint from another engine is stale.
     engine: &'static str,
     /// The fault-mix tag: a checkpoint drawn under another mix is stale.
@@ -495,46 +450,34 @@ struct CheckpointId {
 }
 
 impl CheckpointId {
-    fn new(
-        campaign: &ArchCampaign<'_>,
-        mode: &'static str,
-        engine: &'static str,
-        start: u64,
-        end: u64,
-    ) -> Self {
+    fn new(campaign: &ArchCampaign<'_>, shard: &ShardSpec) -> Self {
         Self {
-            mode,
-            engine,
+            engine: campaign.engine_tag(),
             mix: campaign.mix().tag(),
             workload: campaign.workload().name,
             scheme: campaign.scheme().label(),
             seed: campaign.seed(),
             fuel: campaign.fuel,
-            start,
-            end,
+            start: shard.start,
+            end: shard.end,
         }
     }
 }
 
-/// Progress over trials `[start, cursor)`: per-class tallies and the
-/// recovery work summed over them (zero outside recovery campaigns).
+/// Progress over trials `[start, cursor)`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Progress {
     cursor: u64,
     classes: FaultClassTallies,
-    stats: RecoveryStats,
 }
 
-/// The one checkpoint format: a single flat JSON line holding the
-/// identity, the cursor, the aggregate and per-class buckets, and the
-/// recovery stats.
+/// The checkpoint format: a single flat JSON line holding the identity,
+/// the cursor, and the aggregate and per-class buckets.
 fn checkpoint_json(id: &CheckpointId, p: &Progress) -> String {
     format!(
-        "{{\"campaign\":\"arch\",\"mode\":\"{}\",\"engine\":\"{}\",\"faultmix\":\"{}\",\
+        "{{\"campaign\":\"arch\",\"engine\":\"{}\",\"faultmix\":\"{}\",\
          \"workload\":\"{}\",\"scheme\":\"{}\",\"seed\":{},\"fuel\":{},\
-         \"start\":{},\"end\":{},\"cursor\":{},{},{},{},{},\
-         \"ckpts\":{},\"replays\":{},\"replayed\":{},\"corrections\":{},\"relaunches\":{}}}",
-        escape(id.mode),
+         \"start\":{},\"end\":{},\"cursor\":{},{},{},{},{}}}",
         escape(id.engine),
         escape(&id.mix),
         escape(id.workload),
@@ -547,12 +490,7 @@ fn checkpoint_json(id: &CheckpointId, p: &Progress) -> String {
         outcome_fields("", &p.classes.aggregate()),
         outcome_fields("t_", &p.classes.transient),
         outcome_fields("c_", &p.classes.control),
-        outcome_fields("s_", &p.classes.stuck_at),
-        p.stats.checkpoints,
-        p.stats.replays,
-        p.stats.replayed_instructions,
-        p.stats.corrections,
-        p.stats.relaunches
+        outcome_fields("s_", &p.classes.stuck_at)
     )
 }
 
@@ -582,14 +520,16 @@ enum ArchCheckpoint {
     Mismatch,
 }
 
-/// Parse the checkpoint at `path` and classify it against `id`.
+/// Parse the checkpoint at `path` and classify it against `id`. Fields the
+/// format does not read are ignored: checkpoints written while a recovery
+/// driver shared the format carry a `mode` tag and five recovery counters,
+/// and still resume.
 fn load_checkpoint(path: &Path, id: &CheckpointId) -> ArchCheckpoint {
     let inner = || -> Option<ArchCheckpoint> {
         let f = Json::parse(&fs::read_to_string(path).ok()?).ok()?;
         let s = |k: &str| f.get(k).and_then(Json::as_str);
         let u = |k: &str| f.get(k).and_then(Json::as_u64);
         if s("campaign")? != "arch"
-            || s("mode")? != id.mode
             || s("workload")? != id.workload
             || s("scheme")? != id.scheme
             || u("seed")? != id.seed
@@ -624,13 +564,6 @@ fn load_checkpoint(path: &Path, id: &CheckpointId) -> ArchCheckpoint {
         let p = Progress {
             cursor: u("cursor")?,
             classes,
-            stats: RecoveryStats {
-                checkpoints: u("ckpts")?,
-                replays: u("replays")?,
-                replayed_instructions: u("replayed")?,
-                corrections: u("corrections")?,
-                relaunches: u32::try_from(u("relaunches")?).ok()?,
-            },
         };
         (id.start <= p.cursor && p.cursor <= id.end && classes.total() == p.cursor - id.start)
             .then_some(ArchCheckpoint::Resumable(p))
@@ -719,38 +652,7 @@ pub struct ShardRun {
     pub anomalies: u64,
 }
 
-/// One trial's fault class, outcome and recovery work, or `None` when an
-/// armed cancellation token cut the trial short.
-type TrialResult = Option<(FaultClass, TrialOutcome, RecoveryStats)>;
-
-/// Where a checkpointed run keeps its state.
-struct Store {
-    /// The checkpoint file; `None` keeps no on-disk state.
-    path: Option<PathBuf>,
-    log: AnomalyLog,
-    /// Campaign label of this run's anomaly lines.
-    label: String,
-}
-
-impl Store {
-    /// `<stem>.ckpt.json` under the configured directory (created on
-    /// demand), logging to `log`.
-    fn new(ck: &CheckpointConfig, stem: &str, log: AnomalyLog, label: String) -> Self {
-        let path = ck.dir.as_ref().map(|d| {
-            let _ = fs::create_dir_all(d);
-            d.join(format!("{stem}.ckpt.json"))
-        });
-        Self { path, log, label }
-    }
-
-    fn save(&self, id: &CheckpointId, p: &Progress) {
-        if let Some(path) = &self.path {
-            let _ = write_atomic(path, &checkpoint_json(id, p));
-        }
-    }
-}
-
-/// How one invocation of [`run_range`] ended.
+/// How one invocation of [`run_arch_shard_checkpointed`] ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Exit {
     /// Ran to the end of the range (checkpoint flushed).
@@ -763,54 +665,66 @@ enum Exit {
     Abandoned,
 }
 
-/// What [`run_range`] hands back to the public drivers.
-struct RangeRun {
-    progress: Progress,
-    exit: Exit,
-    /// A checkpoint file existed but was not adopted.
-    rejected: bool,
-    anomalies: u64,
-}
-
-/// The one in-order trial loop behind every architecture-level driver.
+/// Run (or resume) one shard of an architecture-level campaign against an
+/// already-prepared [`ArchCampaign`], with panic containment, a per-shard
+/// anomaly log, periodic atomic checkpoints, and two distinct stop paths:
 ///
-/// It first resumes `[id.start, id.end)` from a matching checkpoint in
-/// `store` (emitting [`ShardEvent::Adopted`]), or rejects an existing
-/// checkpoint that does not match with an anomaly line and starts at
-/// `id.start`. Then each step, in trial order:
+/// * **cancellation** (`cancel` token, polled between trials *and* at every
+///   issue boundary inside a trial) flushes the checkpoint and returns with
+///   `cancelled` set — the in-flight trial is discarded untallied and
+///   re-runs in full on resume, preserving byte-identity;
+/// * **abandonment** ([`ShardControl::Die`] from `on_event`) returns
+///   immediately *without* flushing, modelling a worker lost mid-shard —
+///   the durable state is the last checkpoint's trusted prefix.
+///
+/// The shard first resumes from its checkpoint, `<tag>.ckpt.json` under
+/// `ck.dir` with the tag [`slug`]ged, when it matches (emitting
+/// [`ShardEvent::Adopted`]). A checkpoint that exists but does not match is
+/// rejected with a `checkpoint did not match` anomaly line, and the shard
+/// starts at `shard.start`. Then each step, in trial order:
 ///
 /// 1. polls `cancel` and checks `ck.stop_after` — either flushes the
 ///    checkpoint and returns;
 /// 2. runs the trial under [`contain`] — a trial that keeps panicking is
 ///    logged and tallied as `Crash` in its salt-0 fault class; a trial cut
 ///    short by `cancel` is discarded and re-runs in full on resume;
-/// 3. records it and emits [`ShardEvent::Trial`];
+/// 3. records it and emits [`ShardEvent::Trial`], so the caller observes
+///    each trial as soon as it is tallied: the service's delta stream into
+///    its merge-on-read aggregator, and its worker heartbeat;
 /// 4. every `ck.interval` trials *of this invocation*, flushes the
 ///    checkpoint and emits [`ShardEvent::Checkpointed`].
 ///
 /// [`ShardControl::Die`] from any event returns at once without flushing.
 /// Because trials are pure in `(seed, index, salt)`, any sequence of
 /// interruptions and resumes tallies byte-identically to one pass.
-fn run_range(
+pub fn run_arch_shard_checkpointed(
     campaign: &ArchCampaign<'_>,
-    id: &CheckpointId,
-    mut store: Store,
+    shard: &ShardSpec,
     ck: &CheckpointConfig,
     cancel: Option<&CancelToken>,
-    mut trial: impl FnMut(u64, u32) -> TrialResult,
     mut on_event: impl FnMut(ShardEvent<'_>) -> ShardControl,
-) -> RangeRun {
+) -> ShardRun {
+    let id = CheckpointId::new(campaign, shard);
+    let mut log = AnomalyLog::for_shard(ck.dir.as_deref(), &shard.tag);
+    let path = ck.dir.as_ref().map(|d| {
+        let _ = fs::create_dir_all(d);
+        d.join(format!("{}.ckpt.json", slug(&shard.tag)))
+    });
+    let save = |p: &Progress| {
+        if let Some(path) = &path {
+            let _ = write_atomic(path, &checkpoint_json(&id, p));
+        }
+    };
     for msg in take_env_anomalies() {
-        store.log.record(&store.label, 0, 0, &msg);
+        log.record(&shard.tag, 0, 0, &msg);
     }
     let mut p = Progress {
-        cursor: id.start,
+        cursor: shard.start,
         ..Progress::default()
     };
-    let mut rejected = false;
     let mut adopted = false;
-    if let Some(path) = store.path.as_deref().filter(|path| path.exists()) {
-        let why = match load_checkpoint(path, id) {
+    if let Some(path) = path.as_deref().filter(|path| path.exists()) {
+        let why = match load_checkpoint(path, &id) {
             ArchCheckpoint::Resumable(saved) => {
                 p = saved;
                 adopted = true;
@@ -829,14 +743,13 @@ fn run_range(
             }
         };
         if let Some(why) = why {
-            rejected = true;
-            store.log.record(
-                &store.label,
-                id.start,
+            log.record(
+                &shard.tag,
+                shard.start,
                 0,
                 &format!(
                     "checkpoint did not match: {why}; restarting from trial {}",
-                    id.start
+                    shard.start
                 ),
             );
         }
@@ -851,38 +764,36 @@ fn run_range(
             break 'run Exit::Abandoned;
         }
         let mut done_this_run = 0u64;
-        while p.cursor < id.end {
+        while p.cursor < shard.end {
             let stop = if cancel.is_some_and(CancelToken::is_cancelled) {
                 Some(Exit::Cancelled)
             } else {
                 (ck.stop_after == Some(done_this_run)).then_some(Exit::Stopped)
             };
             if let Some(exit) = stop {
-                store.save(id, &p);
+                save(&p);
                 break 'run exit;
             }
             let index = p.cursor;
-            let (class, outcome, stats) = match contain(ck.max_retries, |salt| trial(index, salt)) {
+            let ran = contain(ck.max_retries, |salt| match cancel {
+                Some(token) => campaign.run_trial_classed_cancellable(index, salt, token),
+                None => Some(campaign.run_trial_classed_salted(index, salt)),
+            });
+            let (class, outcome) = match ran {
                 Ok(Some(ran)) => ran,
                 Ok(None) => {
-                    store.save(id, &p);
+                    save(&p);
                     break 'run Exit::Cancelled;
                 }
                 Err(panic_msg) => {
-                    store
-                        .log
-                        .record(&store.label, index, ck.max_retries, &panic_msg);
+                    log.record(&shard.tag, index, ck.max_retries, &panic_msg);
                     // The salt-0 draw is the deterministic one a re-run
                     // sees first.
-                    (
-                        campaign.trial_fault_salted(index, 0).class,
-                        TrialOutcome::Crash,
-                        RecoveryStats::default(),
-                    )
+                    let class = campaign.trial_fault_salted(index, 0).class;
+                    (class, TrialOutcome::Crash)
                 }
             };
             p.classes.record(class, outcome);
-            p.stats.merge(&stats);
             p.cursor += 1;
             done_this_run += 1;
             if on_event(ShardEvent::Trial {
@@ -894,418 +805,21 @@ fn run_range(
                 break 'run Exit::Abandoned;
             }
             if ck.interval > 0 && done_this_run.is_multiple_of(ck.interval) {
-                store.save(id, &p);
+                save(&p);
                 if on_event(ShardEvent::Checkpointed { cursor: p.cursor }) == ShardControl::Die {
                     break 'run Exit::Abandoned;
                 }
             }
         }
-        store.save(id, &p);
+        save(&p);
         Exit::Finished
     };
-    RangeRun {
-        progress: p,
-        exit,
-        rejected,
-        anomalies: store.log.count,
-    }
-}
-
-/// A whole campaign is the single range `[0, id.end)`, checkpointed as
-/// `<prefix>-<workload>-<scheme>.ckpt.json` beside the shared
-/// `anomalies.jsonl`.
-fn run_whole(
-    campaign: &ArchCampaign<'_>,
-    id: &CheckpointId,
-    prefix: &str,
-    ck: &CheckpointConfig,
-    trial: impl FnMut(u64, u32) -> TrialResult,
-) -> RangeRun {
-    let name = format!("{prefix}-{}-{}", slug(id.workload), slug(&id.scheme));
-    let store = Store::new(ck, &name, AnomalyLog::new(ck.dir.as_deref()), name.clone());
-    run_range(campaign, id, store, ck, None, trial, |_| {
-        ShardControl::Continue
-    })
-}
-
-/// Run (or resume) an architecture-level campaign with panic containment,
-/// anomaly logging and periodic atomic checkpoints.
-///
-/// Because trials are pure in `(seed, index)`, a resumed campaign tallies
-/// byte-identically to an uninterrupted one. Unrecoverable trials are
-/// logged and conservatively counted as `crash`.
-///
-/// # Errors
-///
-/// Propagates [`PrepError`] when the campaign cannot start at all.
-pub fn run_arch_campaign_checkpointed(
-    workload: &Workload,
-    scheme: Scheme,
-    trials: u64,
-    seed: u64,
-    ck: &CheckpointConfig,
-) -> Result<CampaignRun, PrepError> {
-    let campaign = ArchCampaign::prepare(workload, scheme, seed)?;
-    let id = CheckpointId::new(&campaign, "plain", campaign.engine_tag(), 0, trials);
-    let run = run_whole(&campaign, &id, "arch", ck, |trial, salt| {
-        let (class, outcome) = campaign.run_trial_classed_salted(trial, salt);
-        Some((class, outcome, RecoveryStats::default()))
-    });
-    let classes = run.progress.classes;
-    Ok(CampaignRun {
-        outcomes: classes.aggregate(),
-        classes,
-        completed: run.progress.cursor,
-        finished: run.exit == Exit::Finished,
-        anomalies: run.anomalies,
-        stale_engine: run.rejected,
-    })
-}
-
-/// Run (or resume) one shard of an architecture-level campaign against an
-/// already-prepared [`ArchCampaign`], with panic containment, a per-shard
-/// anomaly log, periodic atomic checkpoints, and two distinct stop paths:
-///
-/// * **cancellation** (`cancel` token, polled between trials *and* at every
-///   issue boundary inside a trial) flushes the checkpoint and returns with
-///   `cancelled` set — the in-flight trial is discarded untallied and
-///   re-runs in full on resume, preserving byte-identity;
-/// * **abandonment** ([`ShardControl::Die`] from `on_event`) returns
-///   immediately *without* flushing, modelling a worker lost mid-shard —
-///   the durable state is the last checkpoint's trusted prefix.
-///
-/// Trials run one at a time in index order, and the caller observes each
-/// one through `on_event` as soon as it is tallied: the service's delta
-/// stream into its merge-on-read aggregator, and its worker heartbeat.
-/// Checkpoints are flushed every `ck.interval` trials of this invocation.
-pub fn run_arch_shard_checkpointed(
-    campaign: &ArchCampaign<'_>,
-    shard: &ShardSpec,
-    ck: &CheckpointConfig,
-    cancel: Option<&CancelToken>,
-    on_event: impl FnMut(ShardEvent<'_>) -> ShardControl,
-) -> ShardRun {
-    let id = CheckpointId::new(
-        campaign,
-        "plain",
-        campaign.engine_tag(),
-        shard.start,
-        shard.end,
-    );
-    let log = AnomalyLog::for_shard(ck.dir.as_deref(), &shard.tag);
-    let store = Store::new(ck, &slug(&shard.tag), log, shard.tag.clone());
-    let run = run_range(
-        campaign,
-        &id,
-        store,
-        ck,
-        cancel,
-        |trial, salt| {
-            let (class, outcome) = match cancel {
-                Some(token) => campaign.run_trial_classed_cancellable(trial, salt, token)?,
-                None => campaign.run_trial_classed_salted(trial, salt),
-            };
-            Some((class, outcome, RecoveryStats::default()))
-        },
-        on_event,
-    );
     ShardRun {
-        classes: run.progress.classes,
-        cursor: run.progress.cursor,
-        finished: run.exit == Exit::Finished,
-        cancelled: run.exit == Exit::Cancelled,
-        abandoned: run.exit == Exit::Abandoned,
-        anomalies: run.anomalies,
-    }
-}
-
-/// Progress of a checkpointed detect-and-recover campaign invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryCampaignRun {
-    /// Aggregate tallies over every completed trial (resumed + this
-    /// invocation), including the `recovered_*`/`miscorrected` buckets.
-    pub outcomes: ArchOutcomes,
-    /// The same tallies split by fault class.
-    pub classes: FaultClassTallies,
-    /// Recovery work summed over every completed trial.
-    pub stats: RecoveryStats,
-    /// Trials completed so far.
-    pub completed: u64,
-    /// Whether the campaign ran to its trial target.
-    pub finished: bool,
-    /// Unrecoverable items logged during this invocation.
-    pub anomalies: u64,
-    /// A checkpoint at this campaign's path was rejected and the campaign
-    /// restarted from trial 0 (see [`CampaignRun::stale_engine`]).
-    pub stale_engine: bool,
-}
-
-/// Run (or resume) a detect-and-recover campaign with panic containment,
-/// anomaly logging and periodic atomic checkpoints — the recovery analogue
-/// of [`run_arch_campaign_checkpointed`], persisting the recovery-stat
-/// counters alongside the tallies so overhead accounting survives a crash.
-///
-/// Trials remain pure in `(seed, index)` (the ladder adds no randomness),
-/// so a resumed campaign tallies byte-identically to an uninterrupted one.
-///
-/// # Errors
-///
-/// Propagates [`PrepError`] when the campaign cannot start at all.
-pub fn run_recovery_campaign_checkpointed(
-    workload: &Workload,
-    scheme: Scheme,
-    trials: u64,
-    seed: u64,
-    rcfg: &RecoveryCampaignConfig,
-    ck: &CheckpointConfig,
-) -> Result<RecoveryCampaignRun, PrepError> {
-    let campaign = ArchCampaign::prepare(workload, scheme, seed)?;
-    let id = CheckpointId::new(
-        &campaign,
-        "recover",
-        campaign.recovery_engine_tag(),
-        0,
-        trials,
-    );
-    let run = run_whole(&campaign, &id, "recover", ck, |trial, salt| {
-        let class = campaign.trial_fault_salted(trial, salt).class;
-        let ran = campaign.run_trial_recovering_salted(trial, salt, &rcfg.recovery);
-        Some((class, ran.outcome, ran.stats))
-    });
-    let classes = run.progress.classes;
-    Ok(RecoveryCampaignRun {
-        outcomes: classes.aggregate(),
-        classes,
-        stats: run.progress.stats,
-        completed: run.progress.cursor,
-        finished: run.exit == Exit::Finished,
-        anomalies: run.anomalies,
-        stale_engine: run.rejected,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Gate-level unit campaign with checkpointing
-// ---------------------------------------------------------------------------
-
-/// Progress of a checkpointed unit campaign invocation.
-#[derive(Debug)]
-pub struct UnitCampaignRun {
-    /// The assembled result — present only when the campaign finished.
-    pub result: Option<UnitCampaignResult>,
-    /// Inputs completed so far.
-    pub completed: u64,
-    /// Whether every input was processed.
-    pub finished: bool,
-    /// Unrecoverable items logged during this invocation.
-    pub anomalies: u64,
-}
-
-fn unit_checkpoint_json(unit: &str, seed: u64, inputs: u64, completed: u64) -> String {
-    format!(
-        "{{\"campaign\":\"unit\",\"unit\":\"{}\",\"seed\":{seed},\"inputs\":{inputs},\
-         \"completed\":{completed}}}",
-        escape(unit)
-    )
-}
-
-fn outcome_json(o: &InputOutcome) -> String {
-    match o.record {
-        Some(r) => format!(
-            "{{\"i\":{},\"golden\":{},\"faulty\":{},\"attempts\":{}}}",
-            o.index, r.golden, r.faulty, o.attempts
-        ),
-        None => format!(
-            "{{\"i\":{},\"masked\":true,\"attempts\":{}}}",
-            o.index, o.attempts
-        ),
-    }
-}
-
-fn parse_outcome(line: &str) -> Option<InputOutcome> {
-    let f = Json::parse(line).ok()?;
-    let u = |k: &str| f.get(k).and_then(Json::as_u64);
-    let record = if f.get("masked").and_then(Json::as_bool) == Some(true) {
-        None
-    } else {
-        Some(crate::gate::InjectionRecord {
-            golden: u("golden")?,
-            faulty: u("faulty")?,
-        })
-    };
-    Some(InputOutcome {
-        index: u("i")?,
-        record,
-        attempts: u("attempts")?,
-    })
-}
-
-/// Load the trusted prefix of a unit campaign's records sidecar: lines with
-/// `i < completed`, deduplicated keep-first (a crash between a sidecar
-/// append and the checkpoint rename leaves untrusted or duplicate lines
-/// behind — they are simply re-run). Returns `None` unless the prefix is
-/// complete, in which case the campaign restarts from scratch.
-fn load_unit_records(path: &Path, completed: u64) -> Option<Vec<InputOutcome>> {
-    let text = fs::read_to_string(path).ok()?;
-    let mut by_index: Vec<Option<InputOutcome>> = std::iter::repeat_with(|| None)
-        .take(usize::try_from(completed).ok()?)
-        .collect();
-    for line in text.lines() {
-        let Some(o) = parse_outcome(line) else {
-            continue;
-        };
-        if o.index < completed {
-            let slot = &mut by_index[usize::try_from(o.index).ok()?];
-            if slot.is_none() {
-                *slot = Some(o);
-            }
-        }
-    }
-    by_index.into_iter().collect()
-}
-
-/// Run (or resume) a gate-level unit campaign with panic containment and
-/// periodic atomic checkpoints. Per-input outcomes stream to a
-/// `unit-<label>.records.jsonl` sidecar; the checkpoint records how many of
-/// those lines are trusted.
-///
-/// Unrecoverable chunks are anomaly-logged and their inputs counted as
-/// fully masked (they produced no record).
-///
-/// # Panics
-///
-/// Panics if `inputs` is empty.
-#[must_use]
-pub fn run_unit_campaign_checkpointed(
-    unit: &ArithUnit,
-    inputs: &[[u64; 3]],
-    cfg: &CampaignConfig,
-    ck: &CheckpointConfig,
-) -> UnitCampaignRun {
-    assert!(
-        !inputs.is_empty(),
-        "no operand stream for {:?}",
-        unit.kind()
-    );
-    let label = unit.kind().label();
-    let name = format!("unit-{}", slug(label));
-    let total = inputs.len() as u64;
-    let paths = ck.dir.as_ref().map(|d| {
-        let _ = fs::create_dir_all(d);
-        (
-            d.join(format!("{name}.ckpt.json")),
-            d.join(format!("{name}.records.jsonl")),
-        )
-    });
-
-    // Resume: trust the checkpoint only when its identity matches and the
-    // sidecar actually contains the full completed prefix.
-    let mut outcomes: Vec<InputOutcome> = Vec::with_capacity(inputs.len());
-    let mut completed = 0u64;
-    if let Some((ckpt, records)) = &paths {
-        let loaded = fs::read_to_string(ckpt)
-            .ok()
-            .and_then(|text| {
-                let f = Json::parse(&text).ok()?;
-                let u = |k: &str| f.get(k).and_then(Json::as_u64);
-                (f.get("campaign")?.as_str()? == "unit"
-                    && f.get("unit")?.as_str()? == label
-                    && u("seed")? == cfg.seed
-                    && u("inputs")? == total)
-                    .then(|| u("completed"))?
-            })
-            .filter(|&c| c <= total)
-            .and_then(|c| Some((c, load_unit_records(records, c)?)));
-        if let Some((c, recs)) = loaded {
-            completed = c;
-            outcomes = recs;
-        }
-    }
-
-    let mut log = AnomalyLog::new(ck.dir.as_deref());
-    let append_and_checkpoint = |chunk: &[InputOutcome], completed: u64| {
-        if let Some((ckpt, records)) = &paths {
-            let mut lines = String::new();
-            for o in chunk {
-                lines.push_str(&outcome_json(o));
-                lines.push('\n');
-            }
-            let _ = fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(records)
-                .and_then(|mut f| {
-                    f.write_all(lines.as_bytes())?;
-                    f.sync_all()
-                });
-            let _ = write_atomic(
-                ckpt,
-                &unit_checkpoint_json(label, cfg.seed, total, completed),
-            );
-        }
-    };
-
-    let chunk_len = if ck.interval > 0 { ck.interval } else { total };
-    let mut done_this_run = 0u64;
-    while completed < total {
-        let remaining_budget = ck
-            .stop_after
-            .map_or(u64::MAX, |s| s.saturating_sub(done_this_run));
-        if remaining_budget == 0 {
-            return UnitCampaignRun {
-                result: None,
-                completed,
-                finished: false,
-                anomalies: log.count,
-            };
-        }
-        let end = (completed + chunk_len.min(remaining_budget)).min(total);
-        let lo = usize::try_from(completed).expect("input index fits usize");
-        let hi = usize::try_from(end).expect("input index fits usize");
-        let chunk = contain(ck.max_retries, |salt| {
-            // Retry re-seeds every input in the chunk deterministically.
-            let salted = CampaignConfig {
-                seed: cfg.seed ^ u64::from(salt).wrapping_mul(0xA076_1D64_78BD_642F),
-                ..*cfg
-            };
-            run_unit_campaign_slice(unit, &inputs[lo..hi], &salted, completed)
-        })
-        .unwrap_or_else(|panic_msg| {
-            log.record(&name, completed, ck.max_retries, &panic_msg);
-            (completed..end)
-                .map(|index| InputOutcome {
-                    index,
-                    record: None,
-                    attempts: 0,
-                })
-                .collect()
-        });
-        append_and_checkpoint(&chunk, end);
-        outcomes.extend(chunk);
-        done_this_run += end - completed;
-        completed = end;
-    }
-
-    let mut records = Vec::with_capacity(outcomes.len());
-    let mut fully_masked = 0u64;
-    let mut attempts = 0u64;
-    for o in &outcomes {
-        attempts += o.attempts;
-        match o.record {
-            Some(r) => records.push(r),
-            None => fully_masked += 1,
-        }
-    }
-    UnitCampaignRun {
-        result: Some(UnitCampaignResult {
-            unit_label: label,
-            output_bits: unit.kind().output_bits(),
-            records,
-            fully_masked_inputs: fully_masked,
-            attempts,
-        }),
-        completed,
-        finished: true,
+        classes: p.classes,
+        cursor: p.cursor,
+        finished: exit == Exit::Finished,
+        cancelled: exit == Exit::Cancelled,
+        abandoned: exit == Exit::Abandoned,
         anomalies: log.count,
     }
 }
@@ -1401,29 +915,19 @@ mod tests {
         }
     }
 
-    const SAMPLE_STATS: RecoveryStats = RecoveryStats {
-        checkpoints: 11,
-        replays: 12,
-        replayed_instructions: 13,
-        corrections: 14,
-        relaunches: 15,
-    };
-
     #[test]
     fn flat_json_roundtrips() {
         let classes = sample_classes();
-        let engine = CampaignOptions::default().recovery_engine_tag();
-        let id = test_id("recover", engine, "t1c1s1", 0, 100);
+        let engine = CampaignOptions::default().engine_tag();
+        let id = test_id(engine, "t1c1s1", 0, 100);
         let progress = Progress {
             cursor: 80,
             classes,
-            stats: SAMPLE_STATS,
         };
         let line = checkpoint_json(&id, &progress);
         let f = Json::parse(&line).expect("parses");
         let s = |k: &str| f.get(k).and_then(Json::as_str);
         let u = |k: &str| f.get(k).and_then(Json::as_u64);
-        assert_eq!(s("mode"), Some("recover"));
         assert_eq!(s("engine"), Some(engine));
         assert_eq!(s("faultmix"), Some("t1c1s1"));
         assert_eq!(s("workload"), Some("bfs"));
@@ -1436,7 +940,6 @@ mod tests {
         assert_eq!(u("c_hang"), Some(17));
         assert_eq!(u("s_due"), Some(11));
         assert_eq!(u("miscorrected"), Some(1));
-        assert_eq!(u("replayed"), Some(13));
         assert_eq!(parse_outcome_fields(&f, "t_"), Some(classes.transient));
         assert_eq!(parse_outcome_fields(&f, "c_"), Some(classes.control));
         assert_eq!(parse_outcome_fields(&f, "s_"), Some(classes.stuck_at));
@@ -1456,17 +959,16 @@ mod tests {
     fn checkpoint_line_matches_golden() {
         let id = CheckpointId {
             seed: u64::MAX - 58,
-            ..test_id("recover", "ff2p", "t2c1s1", 16, 116)
+            ..test_id("ff2p", "t2c1s1", 16, 116)
         };
         let progress = Progress {
             cursor: 96,
             classes: sample_classes(),
-            stats: SAMPLE_STATS,
         };
         assert_eq!(
             checkpoint_json(&id, &progress),
             concat!(
-                r#"{"campaign":"arch","mode":"recover","engine":"ff2p","faultmix":"t2c1s1","#,
+                r#"{"campaign":"arch","engine":"ff2p","faultmix":"t2c1s1","#,
                 r#""workload":"bfs","scheme":"Swap-ECC","seed":18446744073709551557,"#,
                 r#""fuel":1000,"start":16,"end":116,"cursor":96,"#,
                 r#""trap":1,"due":13,"crash":3,"hang":21,"masked":9,"sdc":8,"rec_correct":7,"#,
@@ -1476,38 +978,8 @@ mod tests {
                 r#""c_trap":0,"c_due":0,"c_crash":0,"c_hang":17,"c_masked":0,"c_sdc":2,"#,
                 r#""c_rec_correct":0,"c_rec_replay":0,"c_rec_relaunch":0,"c_miscorrected":0,"#,
                 r#""s_trap":0,"s_due":11,"s_crash":0,"s_hang":0,"s_masked":4,"s_sdc":0,"#,
-                r#""s_rec_correct":0,"s_rec_replay":0,"s_rec_relaunch":0,"s_miscorrected":0,"#,
-                r#""ckpts":11,"replays":12,"replayed":13,"corrections":14,"relaunches":15}"#,
+                r#""s_rec_correct":0,"s_rec_replay":0,"s_rec_relaunch":0,"s_miscorrected":0}"#,
             )
-        );
-    }
-
-    #[test]
-    fn unit_lines_match_golden() {
-        assert_eq!(
-            unit_checkpoint_json("Fp \"FMA\" 64", 0x5EED, 400, 128),
-            r#"{"campaign":"unit","unit":"Fp \"FMA\" 64","seed":24301,"inputs":400,"completed":128}"#
-        );
-        let hit = InputOutcome {
-            index: 7,
-            record: Some(crate::gate::InjectionRecord {
-                golden: u64::MAX,
-                faulty: 0x7FF8_0000_0000_0001,
-            }),
-            attempts: 63,
-        };
-        assert_eq!(
-            outcome_json(&hit),
-            r#"{"i":7,"golden":18446744073709551615,"faulty":9221120237041090561,"attempts":63}"#
-        );
-        let masked = InputOutcome {
-            index: 8,
-            record: None,
-            attempts: 4096,
-        };
-        assert_eq!(
-            outcome_json(&masked),
-            r#"{"i":8,"masked":true,"attempts":4096}"#
         );
     }
 
@@ -1517,14 +989,16 @@ mod tests {
             std::env::temp_dir().join(format!("swapcodes-harness-golden-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("mkdir");
+        let tag = "j7-fp \"fma\"-s2";
         let msg = "index 7 out of range\n\tat\r \\ \u{1}\u{1f} \u{e9}";
-        AnomalyLog::new(Some(&dir)).record("unit-fp \"fma\"", 41, 3, msg);
-        let text = fs::read_to_string(dir.join("anomalies.jsonl")).expect("log exists");
+        AnomalyLog::for_shard(Some(&dir), tag).record(tag, 41, 3, msg);
+        let text = fs::read_to_string(dir.join(format!("anomalies-{}.jsonl", slug(tag))))
+            .expect("log exists");
         let _ = fs::remove_dir_all(&dir);
         assert_eq!(
             text,
             concat!(
-                r#"{"campaign":"unit-fp \"fma\"","item":41,"retries":3,"#,
+                r#"{"campaign":"j7-fp \"fma\"-s2","item":41,"retries":3,"#,
                 r#""panic":"index 7 out of range\n\tat\r \\ \u0001\u001f é"}"#,
                 "\n"
             )
@@ -1532,10 +1006,7 @@ mod tests {
         // What the log writes, it reads back: control characters included.
         let line = Json::parse(&text).expect("the line parses");
         assert_eq!(line.get("panic").and_then(Json::as_str), Some(msg));
-        assert_eq!(
-            line.get("campaign").and_then(Json::as_str),
-            Some("unit-fp \"fma\"")
-        );
+        assert_eq!(line.get("campaign").and_then(Json::as_str), Some(tag));
     }
 
     fn masked_classes(n: u64) -> FaultClassTallies {
@@ -1550,15 +1021,8 @@ mod tests {
 
     /// The identity every checkpoint test starts from: `bfs` under
     /// Swap-ECC, seed 9, fuel 1000, trials `[start, end)`.
-    fn test_id(
-        mode: &'static str,
-        engine: &'static str,
-        mix: &str,
-        start: u64,
-        end: u64,
-    ) -> CheckpointId {
+    fn test_id(engine: &'static str, mix: &str, start: u64, end: u64) -> CheckpointId {
         CheckpointId {
-            mode,
             engine,
             mix: mix.to_owned(),
             workload: "bfs",
@@ -1577,7 +1041,6 @@ mod tests {
             &Progress {
                 cursor: id.start + 3,
                 classes: masked_classes(3),
-                stats: RecoveryStats::default(),
             },
         )
     }
@@ -1596,32 +1059,19 @@ mod tests {
     }
 
     #[test]
-    fn mode_mismatch_rejects_checkpoint() {
-        let opts = CampaignOptions::default();
-        let plain = test_id("plain", opts.engine_tag(), "t1c0s0", 0, 40);
-        let line = three_done(&plain);
-        // A recovery campaign must not resume a plain campaign's tallies.
-        let recover = test_id("recover", opts.recovery_engine_tag(), "t1c0s0", 0, 40);
-        assert!(matches!(
-            load_line("mode", &line, &recover),
-            ArchCheckpoint::Mismatch
-        ));
-        assert!(matches!(
-            load_line("mode", &line, &plain),
-            ArchCheckpoint::Resumable(Progress { cursor: 3, .. })
-        ));
-
+    fn range_mismatch_or_torn_file_rejects_checkpoint() {
+        let engine = CampaignOptions::default().engine_tag();
         // A shard adopts only a checkpoint of exactly its own range...
-        let shard = test_id("plain", opts.engine_tag(), "t1c0s0", 16, 32);
+        let shard = test_id(engine, "t1c0s0", 16, 32);
         let line = three_done(&shard);
         assert!(matches!(
-            load_line("mode", &line, &shard),
+            load_line("range", &line, &shard),
             ArchCheckpoint::Resumable(Progress { cursor: 19, .. })
         ));
         for (start, end) in [(0, 40), (0, 32), (16, 40), (17, 32)] {
-            let other = test_id("plain", opts.engine_tag(), "t1c0s0", start, end);
+            let other = test_id(engine, "t1c0s0", start, end);
             assert!(
-                matches!(load_line("mode", &line, &other), ArchCheckpoint::Mismatch),
+                matches!(load_line("range", &line, &other), ArchCheckpoint::Mismatch),
                 "range [{start}, {end}) adopted a [16, 32) checkpoint"
             );
         }
@@ -1629,13 +1079,13 @@ mod tests {
         // its class buckets.
         let torn = &line[..line.len() / 2];
         assert!(matches!(
-            load_line("mode", torn, &shard),
+            load_line("range", torn, &shard),
             ArchCheckpoint::Mismatch
         ));
         let skewed = line.replacen("\"masked\":3,", "\"masked\":2,", 1);
         assert_ne!(skewed, line, "the aggregate field was rewritten");
         assert!(matches!(
-            load_line("mode", &skewed, &shard),
+            load_line("range", &skewed, &shard),
             ArchCheckpoint::Mismatch
         ));
     }
@@ -1647,15 +1097,15 @@ mod tests {
         // Both describe *this* campaign, so both must surface as StaleEngine
         // rather than being silently ignored or resumed.
         let engine = CampaignOptions::default().engine_tag();
-        let id = test_id("plain", engine, "t1c0s0", 0, 40);
+        let id = test_id(engine, "t1c0s0", 0, 40);
         let untagged = three_done(&id).replace(&format!("\"engine\":\"{engine}\","), "");
         match load_line("engine", &untagged, &id) {
             ArchCheckpoint::StaleEngine { found } => assert_eq!(found, ""),
             _ => panic!("untagged checkpoint must be stale"),
         }
         // The same holds for a shard range written by another engine.
-        let shard = test_id("plain", engine, "t1c0s0", 16, 32);
-        let other = test_id("plain", "ff1", "t1c0s0", 16, 32);
+        let shard = test_id(engine, "t1c0s0", 16, 32);
+        let other = test_id("ff1", "t1c0s0", 16, 32);
         match load_line("engine", &three_done(&other), &shard) {
             ArchCheckpoint::StaleEngine { found } => assert_eq!(found, "ff1"),
             other => panic!("shard engine mismatch must be StaleEngine, got {other:?}"),
@@ -1670,8 +1120,8 @@ mod tests {
         // ignored). A pre-taxonomy checkpoint with no faultmix field at all
         // gets the same treatment.
         let engine = CampaignOptions::default().engine_tag();
-        let line = three_done(&test_id("plain", engine, "t1c1s1", 0, 40));
-        let id = test_id("plain", engine, "t1c0s0", 0, 40);
+        let line = three_done(&test_id(engine, "t1c1s1", 0, 40));
+        let id = test_id(engine, "t1c0s0", 0, 40);
         match load_line("mix", &line, &id) {
             ArchCheckpoint::StaleFaultMix { found } => assert_eq!(found, "t1c1s1"),
             other => panic!("mix mismatch must be StaleFaultMix, got {other:?}"),
@@ -1682,8 +1132,8 @@ mod tests {
             other => panic!("pre-taxonomy checkpoint must be StaleFaultMix, got {other:?}"),
         }
         // The same holds for a shard range drawn under another mix.
-        let line = three_done(&test_id("plain", engine, "t1c1s1", 16, 32));
-        match load_line("mix", &line, &test_id("plain", engine, "t1c0s0", 16, 32)) {
+        let line = three_done(&test_id(engine, "t1c1s1", 16, 32));
+        match load_line("mix", &line, &test_id(engine, "t1c0s0", 16, 32)) {
             ArchCheckpoint::StaleFaultMix { found } => assert_eq!(found, "t1c1s1"),
             other => panic!("shard mix mismatch must be StaleFaultMix, got {other:?}"),
         }
@@ -1694,10 +1144,10 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("swapcodes-harness-rotate-{}", std::process::id()));
         fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("anomalies.jsonl");
+        let path = dir.join("anomalies-rotate.jsonl");
         let _ = fs::remove_file(&path);
         // Force a tiny cap by rotating manually around ordinary appends.
-        let mut log = AnomalyLog::new(Some(&dir));
+        let mut log = AnomalyLog::for_shard(Some(&dir), "rotate");
         let long_msg = "x".repeat(100);
         for i in 0..40u64 {
             log.record("rotate-test", i, 3, &long_msg);
@@ -1728,21 +1178,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_lines_are_rejected() {
-        assert!(Json::parse("{\"a\":1").is_err());
-        assert!(Json::parse("").is_err());
-        assert!(Json::parse("{\"a\"}").is_err());
-        // A record line cut short by a crash is skipped, not half-read.
-        let line = outcome_json(&InputOutcome {
-            index: 3,
-            record: None,
-            attempts: 64,
-        });
-        assert!(parse_outcome(&line).is_some());
-        assert!(parse_outcome(&line[..line.len() - 1]).is_none());
-    }
-
-    #[test]
     fn quotes_and_control_chars_are_escaped() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let f = Json::parse("{\"panic\":\"index \\\"x\\\" out of range\"}").expect("parses");
@@ -1750,29 +1185,6 @@ mod tests {
             f.get("panic").and_then(Json::as_str),
             Some("index \"x\" out of range")
         );
-    }
-
-    #[test]
-    fn outcome_lines_roundtrip() {
-        let hit = InputOutcome {
-            index: 7,
-            record: Some(crate::gate::InjectionRecord {
-                golden: 10,
-                faulty: 14,
-            }),
-            attempts: 63,
-        };
-        let masked = InputOutcome {
-            index: 8,
-            record: None,
-            attempts: 4096,
-        };
-        for o in [hit, masked] {
-            let back = parse_outcome(&outcome_json(&o)).expect("roundtrip");
-            assert_eq!(back.index, o.index);
-            assert_eq!(back.record, o.record);
-            assert_eq!(back.attempts, o.attempts);
-        }
     }
 
     #[test]

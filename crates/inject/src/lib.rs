@@ -13,8 +13,9 @@
 //!   output, under a fueled executor that cannot hang the host;
 //! * [`oracle`] — the differential oracle pitting the static protection
 //!   verifier against dynamic injection over the same transformed kernel;
-//! * [`harness`] — panic containment, anomaly logging and crash-safe
-//!   checkpoint/resume around both campaign drivers;
+//! * [`harness`] — panic containment, anomaly logging and the one
+//!   crash-safe checkpointed driver, which runs a shard of an arch
+//!   campaign for the campaign service;
 //! * [`stats`] — Wilson 95% binomial confidence intervals (the error bars of
 //!   Figs. 10–11);
 //! * [`trace`] — operand capture from the workload suite, standing in for
@@ -38,16 +39,14 @@ pub use arch::{
 };
 pub use detection::{sdc_risk, DetectionTally};
 pub use gate::{
-    default_thread_count, run_unit_campaign, run_unit_campaign_reference, run_unit_campaign_slice,
-    CampaignConfig, InputOutcome, PatternCounts, UnitCampaignResult,
+    default_thread_count, run_unit_campaign, run_unit_campaign_reference, CampaignConfig,
+    InputOutcome, PatternCounts, UnitCampaignResult,
 };
 pub use harness::{
     checkpoint_dir_from_env, contain, fault_mix_from_env, fuel_from_env,
-    run_arch_campaign_checkpointed, run_arch_shard_checkpointed,
-    run_recovery_campaign_checkpointed, run_unit_campaign_checkpointed, serve_workers_from_env,
-    shard_timeout_ms_from_env, slug, snapshot_interval_from_env, take_env_anomalies,
-    threads_from_env, write_atomic, AnomalyLog, CampaignRun, CheckpointConfig, RecoveryCampaignRun,
-    ShardControl, ShardEvent, ShardRun, ShardSpec, UnitCampaignRun, ANOMALY_LOG_CAP_BYTES,
+    run_arch_shard_checkpointed, serve_workers_from_env, shard_timeout_ms_from_env, slug,
+    snapshot_interval_from_env, take_env_anomalies, threads_from_env, write_atomic, AnomalyLog,
+    CheckpointConfig, ShardControl, ShardEvent, ShardRun, ShardSpec, ANOMALY_LOG_CAP_BYTES,
 };
 pub use oracle::{
     avf_calibration, campaign_avf, control_fault_gap, differential_oracle, recovery_oracle,

@@ -42,15 +42,6 @@ pub struct OracleVerdict {
 }
 
 impl OracleVerdict {
-    /// `true` when statics and dynamics agree: a clean proof saw no SDC
-    /// escape. A dirty report is also "sound" in the logical sense (the
-    /// verifier promised nothing), but [`Self::is_clean_and_sound`] is what
-    /// stock transform outputs must satisfy.
-    #[must_use]
-    pub fn is_sound(&self) -> bool {
-        !self.report.is_clean() || self.escapes.is_empty()
-    }
-
     /// Clean static proof AND no dynamic escape.
     #[must_use]
     pub fn is_clean_and_sound(&self) -> bool {

@@ -18,8 +18,7 @@
 //! executor records. The warp checkpoints themselves share the
 //! [`swapcodes_sim::snapshot::WarpSnapshot`] representation with the
 //! campaign epoch ladder, so both paths roll state back through one
-//! mechanism. Checkpoints written by recovery campaigns are tagged with
-//! [`crate::arch::CampaignOptions::recovery_engine_tag`] accordingly.
+//! mechanism.
 
 use swapcodes_core::Scheme;
 use swapcodes_sim::recovery::{RecoveryConfig, RecoveryStats};

@@ -1,18 +1,18 @@
 //! Fast-forward engine validation: the snapshot-resuming trial path must be
-//! outcome-identical to the from-scratch reference executor, and campaign
+//! outcome-identical to the from-scratch reference executor, and shard
 //! checkpoints written before the engine existed must be rejected loudly
-//! (restart from trial 0 + anomaly record), never silently resumed.
+//! (restart from the shard's first trial + anomaly record), never silently
+//! resumed.
 
 use std::path::PathBuf;
 
 use proptest::prelude::*;
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::{
-    run_arch_campaign_checkpointed, run_recovery_campaign_checkpointed, ArchCampaign, CampaignRun,
-    CheckpointConfig, RecoveryCampaignConfig, TrialOutcome,
+    run_arch_shard_checkpointed, ArchCampaign, CheckpointConfig, ShardControl, ShardSpec,
+    TrialOutcome,
 };
-use swapcodes_sim::recovery::RecoveryStats;
-use swapcodes_workloads::{by_name, Workload};
+use swapcodes_workloads::by_name;
 
 /// The (workload, scheme) cells the differential property samples from —
 /// every scheme family, including the unprotected baseline (whose SDC-heavy
@@ -127,117 +127,68 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One run of a whole-campaign driver — the plain one, or (`recover`) the
-/// recovery one seen as a plain run plus its recovery stats (zero for the
-/// plain driver).
-fn run_driver(
-    recover: bool,
-    w: &Workload,
-    scheme: Scheme,
-    trials: u64,
-    seed: u64,
-    ck: &CheckpointConfig,
-) -> (CampaignRun, RecoveryStats) {
-    if !recover {
-        let run = run_arch_campaign_checkpointed(w, scheme, trials, seed, ck).expect("prepare");
-        return (run, RecoveryStats::default());
-    }
-    let rcfg = RecoveryCampaignConfig::default();
-    let r =
-        run_recovery_campaign_checkpointed(w, scheme, trials, seed, &rcfg, ck).expect("prepare");
-    let run = CampaignRun {
-        outcomes: r.outcomes,
-        classes: r.classes,
-        completed: r.completed,
-        finished: r.finished,
-        anomalies: r.anomalies,
-        stale_engine: r.stale_engine,
-    };
-    (run, r.stats)
-}
-
-/// Kill-and-resume across an engine change: a checkpoint written by the
-/// pre-fast-forward harness (no `engine` tag) matches the campaign identity
-/// but must NOT be resumed — the run restarts from trial 0, flags
-/// `stale_engine`, records an anomaly, and still converges to the
-/// uninterrupted tallies. Both whole-campaign drivers: the plain one (tier
-/// 2, peepholed: `ff2p`) and the recovery one (classic executor over the
-/// peepholed kernel: `classicp`).
+/// Kill-and-resume across an engine change: a shard checkpoint written by
+/// the pre-fast-forward harness (no `engine` tag) matches the campaign
+/// identity but must NOT be resumed — the shard restarts from trial 0,
+/// records an anomaly, and still converges to the uninterrupted tallies.
 #[test]
 fn stale_engine_checkpoint_restarts_from_zero() {
-    for (recover, engine) in [(false, "ff2p"), (true, "classicp")] {
-        stale_engine_restarts(recover, engine);
-    }
-}
-
-fn stale_engine_restarts(recover: bool, engine: &str) {
     let w = by_name("kmeans").expect("workload");
+    let campaign = ArchCampaign::prepare(&w, Scheme::SwapEcc, 0xFA57_0001).expect("applies");
     let trials = 12u64;
-    let seed = 0xFA57_0001u64;
-    let dir = scratch_dir(&format!("stale-{engine}"));
-    let ck = |stop_after: Option<u64>| CheckpointConfig {
-        dir: Some(dir.clone()),
-        interval: 2,
-        stop_after,
-        ..CheckpointConfig::default()
+    let dir = scratch_dir("stale-engine");
+    let shard = ShardSpec {
+        tag: "stale-engine".to_owned(),
+        start: 0,
+        end: trials,
+    };
+    let run = |stop_after: Option<u64>| {
+        let ck = CheckpointConfig {
+            dir: Some(dir.clone()),
+            interval: 2,
+            max_retries: 3,
+            stop_after,
+        };
+        run_arch_shard_checkpointed(&campaign, &shard, &ck, None, |_| ShardControl::Continue)
     };
 
-    let (reference, reference_stats) = run_driver(
-        recover,
-        &w,
-        Scheme::SwapEcc,
-        trials,
-        seed,
-        &CheckpointConfig {
-            dir: None,
-            ..CheckpointConfig::default()
-        },
-    );
-
     // Leave a half-finished, correctly tagged checkpoint behind...
-    let (first, _) = run_driver(recover, &w, Scheme::SwapEcc, trials, seed, &ck(Some(5)));
+    let first = run(Some(5));
     assert!(!first.finished);
-    assert!(!first.stale_engine);
-    assert_eq!(first.completed, 5);
+    assert_eq!(first.cursor, 5);
 
     // ...then rewrite it as a pre-fast-forward checkpoint by stripping the
     // engine tag, exactly what a file from an older build looks like.
-    let ckpt = std::fs::read_dir(&dir)
-        .expect("dir")
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .find(|p| p.to_string_lossy().ends_with(".ckpt.json"))
-        .expect("checkpoint file");
+    let ckpt = dir.join("stale-engine.ckpt.json");
     let tagged = std::fs::read_to_string(&ckpt).expect("read checkpoint");
-    let tag = format!("\"engine\":\"{engine}\"");
+    let tag = format!("\"engine\":\"{}\"", campaign.engine_tag());
     assert!(
         tagged.contains(&tag),
-        "checkpoint carries the default engine tag {engine}"
+        "checkpoint carries the campaign's engine tag {tag}"
     );
     std::fs::write(&ckpt, tagged.replace(&format!("{tag},"), "")).expect("rewrite");
 
     // The resume must refuse the stale file and start over from trial 0.
-    let (second, _) = run_driver(recover, &w, Scheme::SwapEcc, trials, seed, &ck(Some(3)));
-    assert!(second.stale_engine, "stale engine must be flagged");
+    let second = run(Some(3));
     assert_eq!(
-        second.completed, 3,
+        second.cursor, 3,
         "run must restart from trial 0, not resume at 5"
     );
-    let anomalies =
-        std::fs::read_to_string(dir.join("anomalies.jsonl")).expect("anomaly log exists");
+    let log = dir.join("anomalies-stale-engine.jsonl");
+    let anomalies = std::fs::read_to_string(&log).expect("anomaly log exists");
     assert!(
         anomalies.contains("incompatible"),
         "rejection must be recorded: {anomalies}"
     );
 
     // The restarted run re-tags its checkpoints, so finishing out resumes
-    // normally and lands on the uninterrupted tallies.
-    let (last, last_stats) = run_driver(recover, &w, Scheme::SwapEcc, trials, seed, &ck(None));
+    // normally — no second rejection — and lands on the uninterrupted
+    // tallies.
+    let last = run(None);
     assert!(last.finished);
-    assert!(!last.stale_engine);
-    assert_eq!(last.completed, trials);
-    assert_eq!(last.outcomes, reference.outcomes);
-    assert_eq!(last_stats, reference_stats);
+    assert_eq!(last.classes, campaign.run_range_classed(0, trials));
+    let anomalies = std::fs::read_to_string(&log).expect("anomaly log exists");
+    assert_eq!(anomalies.matches("did not match").count(), 1, "{anomalies}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

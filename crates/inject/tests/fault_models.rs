@@ -7,24 +7,23 @@
 //! lets the executor re-assert a permanent defect on every access without
 //! tracking whether it already fired).
 //!
-//! The checkpointed driver reads `SWAPCODES_FAULT_MODEL` through
+//! [`ArchCampaign::prepare`] reads `SWAPCODES_FAULT_MODEL` through
 //! [`CampaignOptions::from_env`]; the tests that set it serialize on a
 //! process-local mutex so the parallel test runner never observes a
 //! half-configured environment. Everything else pins its mix through
 //! [`ArchCampaign::prepare_with`] and ignores the environment entirely.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use proptest::prelude::*;
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::{
-    run_arch_campaign_checkpointed, run_recovery_campaign_checkpointed, ArchCampaign,
-    CampaignOptions, CampaignRun, CheckpointConfig, FaultMix, RecoveryCampaignConfig,
+    run_arch_shard_checkpointed, ArchCampaign, CampaignOptions, CheckpointConfig, FaultMix,
+    ShardControl, ShardRun, ShardSpec,
 };
-use swapcodes_sim::recovery::RecoveryStats;
 use swapcodes_sim::{FaultSpec, FaultTarget};
-use swapcodes_workloads::{by_name, Workload};
+use swapcodes_workloads::by_name;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("swapcodes-fmix-{}-{tag}", std::process::id()));
@@ -110,6 +109,30 @@ fn mixed_class_matrix_accounts_every_trial() {
     }
 }
 
+/// Run trials `[0, end)` of `campaign` as shard `tag`, checkpointing into
+/// `dir` every `interval` trials and stopping after `stop_after`.
+fn run_shard(
+    campaign: &ArchCampaign<'_>,
+    tag: &str,
+    end: u64,
+    dir: &Path,
+    interval: u64,
+    stop_after: Option<u64>,
+) -> ShardRun {
+    let shard = ShardSpec {
+        tag: tag.to_owned(),
+        start: 0,
+        end,
+    };
+    let ck = CheckpointConfig {
+        dir: Some(dir.to_path_buf()),
+        interval,
+        max_retries: 3,
+        stop_after,
+    };
+    run_arch_shard_checkpointed(campaign, &shard, &ck, None, |_| ShardControl::Continue)
+}
+
 /// A mixed-class campaign interrupted twice resumes from its on-disk
 /// checkpoint and finishes with *per-class* tallies identical to an
 /// uninterrupted run — the checkpoint round-trips all thirty class-bucket
@@ -119,140 +142,72 @@ fn mixed_campaign_kill_and_resume_is_byte_identical() {
     let _env = MixEnv::set("all");
     let w = by_name("kmeans").expect("workload");
     let trials = 24u64;
-    let seed = 0xFA_0001u64;
+    let campaign =
+        ArchCampaign::prepare(&w, Scheme::SwapEcc, 0xFA_0001).expect("swap-ecc applies to kmeans");
 
-    let reference = run_arch_campaign_checkpointed(
-        &w,
-        Scheme::SwapEcc,
-        trials,
-        seed,
-        &CheckpointConfig {
-            dir: None,
-            ..CheckpointConfig::default()
-        },
-    )
-    .expect("swap-ecc applies to kmeans");
-    assert!(reference.finished);
-    assert_eq!(reference.classes.total(), trials);
+    let reference = campaign.run_range_classed(0, trials);
     assert!(
-        reference.classes.control.total() > 0 && reference.classes.stuck_at.total() > 0,
-        "the env mix must actually reach the driver: {:?}",
-        reference.classes
+        reference.control.total() > 0 && reference.stuck_at.total() > 0,
+        "the env mix must actually reach the campaign: {reference:?}"
     );
 
     let dir = scratch_dir("resume");
-    let ck = |stop_after: Option<u64>| CheckpointConfig {
-        dir: Some(dir.clone()),
-        interval: 4,
-        stop_after,
-        ..CheckpointConfig::default()
-    };
-    let first = run_arch_campaign_checkpointed(&w, Scheme::SwapEcc, trials, seed, &ck(Some(9)))
-        .expect("prepare");
+    let first = run_shard(&campaign, "mixed", trials, &dir, 4, Some(9));
     assert!(!first.finished, "stop_after must interrupt the run");
-    assert_eq!(first.completed, 9);
+    assert_eq!(first.cursor, 9);
 
-    let second = run_arch_campaign_checkpointed(&w, Scheme::SwapEcc, trials, seed, &ck(Some(7)))
-        .expect("prepare");
+    let second = run_shard(&campaign, "mixed", trials, &dir, 4, Some(7));
     assert!(!second.finished);
-    assert_eq!(second.completed, 16, "second run resumes at trial 9");
+    assert_eq!(second.cursor, 16, "second run resumes at trial 9");
 
-    let last = run_arch_campaign_checkpointed(&w, Scheme::SwapEcc, trials, seed, &ck(None))
-        .expect("prepare");
+    let last = run_shard(&campaign, "mixed", trials, &dir, 4, None);
     assert!(last.finished);
-    assert!(!last.stale_engine, "same mix must resume, not restart");
-    assert_eq!(last.completed, trials);
+    assert_eq!(last.cursor, trials);
     assert_eq!(
-        last.classes, reference.classes,
+        last.classes, reference,
         "resumed per-class tallies diverge from the uninterrupted run"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One run of a whole-campaign driver — the plain one, or (`recover`) the
-/// recovery one seen as a plain run plus its recovery stats (zero for the
-/// plain driver).
-fn run_driver(
-    recover: bool,
-    w: &Workload,
-    scheme: Scheme,
-    trials: u64,
-    seed: u64,
-    ck: &CheckpointConfig,
-) -> (CampaignRun, RecoveryStats) {
-    if !recover {
-        let run = run_arch_campaign_checkpointed(w, scheme, trials, seed, ck).expect("prepare");
-        return (run, RecoveryStats::default());
-    }
-    let rcfg = RecoveryCampaignConfig::default();
-    let r =
-        run_recovery_campaign_checkpointed(w, scheme, trials, seed, &rcfg, ck).expect("prepare");
-    let run = CampaignRun {
-        outcomes: r.outcomes,
-        classes: r.classes,
-        completed: r.completed,
-        finished: r.finished,
-        anomalies: r.anomalies,
-        stale_engine: r.stale_engine,
-    };
-    (run, r.stats)
-}
-
 /// A checkpoint written under one fault mix must not be resumed by a
 /// campaign running another: the trial→fault mapping differs, so splicing
-/// tallies would mix incomparable draws. The driver rejects the file
-/// (flagging `stale_engine`), restarts from trial 0, and the finished run
-/// matches a checkpoint-free campaign under the new mix. Both
-/// whole-campaign drivers — plain and recovery — must behave this way.
+/// tallies would mix incomparable draws. The shard driver rejects the file
+/// with a logged anomaly, restarts from trial 0, and the finished run
+/// matches a checkpoint-free campaign under the new mix.
 #[test]
 fn changing_fault_mix_invalidates_checkpoint() {
-    for recover in [false, true] {
-        mix_change_restarts(recover);
-    }
-}
-
-fn mix_change_restarts(recover: bool) {
-    let _env = MixEnv::set("all");
     let w = by_name("matmul").expect("workload");
     let trials = 16u64;
-    let seed = 0xFA_0002u64;
-    let dir = scratch_dir(&format!("stale-mix-{recover}"));
-    let ck = |stop_after: Option<u64>| CheckpointConfig {
-        dir: Some(dir.clone()),
-        interval: 2,
-        stop_after,
-        ..CheckpointConfig::default()
+    let prepare = |mix: &str| {
+        let _env = MixEnv::set(mix);
+        ArchCampaign::prepare(&w, Scheme::SwDup, 0xFA_0002).expect("prepare")
     };
+    let (mixed, transient) = (prepare("all"), prepare("transient"));
+    let dir = scratch_dir("stale-mix");
 
-    let (partial, _) = run_driver(recover, &w, Scheme::SwDup, trials, seed, &ck(Some(6)));
-    assert!(!partial.finished);
-    drop(_env);
+    let partial = run_shard(&mixed, "stale-mix", trials, &dir, 2, Some(6));
+    assert_eq!(partial.cursor, 6);
 
-    let _env = MixEnv::set("transient");
-    let (resumed, _) = run_driver(recover, &w, Scheme::SwDup, trials, seed, &ck(None));
-    assert!(
-        resumed.stale_engine,
+    let probe = run_shard(&transient, "stale-mix", trials, &dir, 2, Some(0));
+    assert_eq!(
+        probe.cursor, 0,
         "a mixed-class checkpoint must be rejected by a transient-only campaign"
     );
+    let log = std::fs::read_to_string(dir.join("anomalies-stale-mix.jsonl")).expect("anomaly log");
+    assert!(
+        log.contains("fault mix"),
+        "rejection must be recorded: {log}"
+    );
+
+    let resumed = run_shard(&transient, "stale-mix", trials, &dir, 2, None);
     assert!(resumed.finished);
-    assert_eq!(resumed.completed, trials);
     assert_eq!(resumed.classes.control.total(), 0);
     assert_eq!(resumed.classes.stuck_at.total(), 0);
-
-    let (reference, _) = run_driver(
-        recover,
-        &w,
-        Scheme::SwDup,
-        trials,
-        seed,
-        &CheckpointConfig {
-            dir: None,
-            ..CheckpointConfig::default()
-        },
-    );
     assert_eq!(
-        resumed.classes, reference.classes,
+        resumed.classes,
+        transient.run_range_classed(0, trials),
         "the restarted campaign must match a checkpoint-free transient run"
     );
 

@@ -94,8 +94,8 @@ fn views_of_a_shared_cell_match_fresh_prepares() {
                         "{what}: reference trial {trial} differs"
                     );
                     assert_eq!(
-                        view.run_trial_recovering_salted(trial, 0, &rcfg),
-                        fresh.run_trial_recovering_salted(trial, 0, &rcfg),
+                        view.run_trial_recovering(trial, &rcfg),
+                        fresh.run_trial_recovering(trial, &rcfg),
                         "{what}: recovering trial {trial} differs"
                     );
                 }

@@ -314,8 +314,8 @@ fn per_shard_anomaly_logs_are_disjoint_files() {
 }
 
 /// The append+rotate race the file lock exists for: many writers hammering
-/// *one* log path concurrently, with payloads big enough to trigger
-/// rotation repeatedly. Without the advisory lock, one writer's rotation
+/// *one* log path concurrently (all under one shard tag), with payloads big
+/// enough to trigger rotation repeatedly. Without the advisory lock, one writer's rotation
 /// (read, trim, rename-over) silently discards lines another writer
 /// appended after the read — observable as `retained + dropped < written`
 /// or as torn (unparseable) lines.
@@ -336,7 +336,7 @@ fn concurrent_anomaly_writers_never_tear_or_lose_lines() {
             let filler = &filler;
             let written = &written;
             scope.spawn(move || {
-                let mut log = AnomalyLog::new(Some(dir));
+                let mut log = AnomalyLog::for_shard(Some(dir), "race");
                 for i in 0..per_writer {
                     log.record(&format!("writer-{w}"), i, 3, filler);
                     written.fetch_add(1, Ordering::Relaxed);
@@ -345,7 +345,8 @@ fn concurrent_anomaly_writers_never_tear_or_lose_lines() {
         }
     });
 
-    let text = std::fs::read_to_string(dir.join("anomalies.jsonl")).expect("log exists");
+    let path = dir.join("anomalies-race.jsonl");
+    let text = std::fs::read_to_string(&path).expect("log exists");
     let mut retained = 0u64;
     let mut dropped = 0u64;
     for line in text.lines() {
@@ -372,7 +373,7 @@ fn concurrent_anomaly_writers_never_tear_or_lose_lines() {
         "every line must be either retained or accounted for by rotation"
     );
     assert!(dropped > 0, "the test must actually exercise rotation");
-    let meta = std::fs::metadata(dir.join("anomalies.jsonl")).expect("meta");
+    let meta = std::fs::metadata(&path).expect("meta");
     // The last append before quiescence may overshoot before its own
     // rotation check; one line of slack.
     assert!(

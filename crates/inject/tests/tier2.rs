@@ -135,14 +135,6 @@ fn engine_tags_cover_the_option_grid() {
     assert_eq!(opts(ExecTier::Tier1, true).engine_tag(), "ff1p");
     assert_eq!(opts(ExecTier::Tier2, false).engine_tag(), "ff2");
     assert_eq!(opts(ExecTier::Tier2, true).engine_tag(), "ff2p");
-    assert_eq!(
-        opts(ExecTier::Tier2, true).recovery_engine_tag(),
-        "classicp"
-    );
-    assert_eq!(
-        opts(ExecTier::Tier1, false).recovery_engine_tag(),
-        "classic"
-    );
     assert_eq!(CampaignOptions::default().engine_tag(), "ff2p");
 
     let w = by_name("matmul").expect("workload");

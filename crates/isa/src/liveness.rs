@@ -102,16 +102,6 @@ impl LiveSet {
         self.preds.count_ones()
     }
 
-    /// Iterate the live registers in ascending index order.
-    pub fn live_regs(&self) -> impl Iterator<Item = Reg> + '_ {
-        (0u16..=255).map(|i| Reg(i as u8)).filter(|&r| self.reg(r))
-    }
-
-    /// Iterate the live predicates in ascending index order.
-    pub fn live_preds(&self) -> impl Iterator<Item = Pred> + '_ {
-        (0u8..8).map(Pred).filter(|&p| self.pred(p))
-    }
-
     /// The per-instruction backward transfer: mutate a live-**out** set into
     /// the corresponding live-**in** set.
     ///

@@ -347,6 +347,8 @@ mod tests {
         for bad in [
             "",
             "{",
+            "{\"a\":1",
+            "{\"a\"}",
             "[1,]",
             "{\"a\":}",
             "{\"a\":1} extra",

@@ -408,13 +408,6 @@ impl FaultSpec {
         }
     }
 
-    /// Does the fault hit the duplicated datapath (and therefore consult
-    /// the eligible counters)?
-    #[must_use]
-    pub fn is_datapath(&self) -> bool {
-        !self.is_control()
-    }
-
     /// Does the defect survive a relaunch from the input snapshot? A
     /// transient or control strike already happened and does not recur; a
     /// stuck-at site is physically broken and re-asserts on re-execution.

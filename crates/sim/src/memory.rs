@@ -107,13 +107,6 @@ impl GlobalMemory {
         }
     }
 
-    /// Copy a slice of u32 values to byte address `addr`.
-    pub fn write_u32_slice(&mut self, addr: u32, data: &[u32]) {
-        for (i, &v) in data.iter().enumerate() {
-            self.write(addr + 4 * i as u32, v);
-        }
-    }
-
     /// Read `n` f32 values from byte address `addr`.
     #[must_use]
     pub fn read_f32_slice(&self, addr: u32, n: usize) -> Vec<f32> {

@@ -195,14 +195,6 @@ pub enum RecoveryOutcome {
     },
 }
 
-impl RecoveryOutcome {
-    /// `true` for [`RecoveryOutcome::Recovered`].
-    #[must_use]
-    pub fn is_recovered(self) -> bool {
-        matches!(self, Self::Recovered { .. })
-    }
-}
-
 /// Result of one engine run: the final outcome, accounting, and the memory
 /// of the accepted (or last) attempt.
 #[derive(Debug)]
