@@ -588,9 +588,9 @@ pub struct ShardSpec {
 }
 
 /// Progress events streamed by [`run_arch_shard_checkpointed`] to its
-/// caller (the campaign service forwards them over a channel as tally
-/// deltas and beats its worker heartbeat on each; tests use them to
-/// interrupt the shard mid-flight).
+/// caller (a campaign service worker commits each as a tally delta to its
+/// board and beats its heartbeat on each; tests use them to interrupt the
+/// shard mid-flight).
 #[derive(Debug)]
 pub enum ShardEvent<'a> {
     /// A matching shard checkpoint was adopted: `classes` already covers
@@ -689,8 +689,8 @@ enum Exit {
 ///    logged and tallied as `Crash` in its salt-0 fault class; a trial cut
 ///    short by `cancel` is discarded and re-runs in full on resume;
 /// 3. records it and emits [`ShardEvent::Trial`], so the caller observes
-///    each trial as soon as it is tallied: the service's delta stream into
-///    its merge-on-read aggregator, and its worker heartbeat;
+///    each trial as soon as it is tallied: the service worker's delta
+///    commit to its merge-on-read board, and its heartbeat;
 /// 4. every `ck.interval` trials *of this invocation*, flushes the
 ///    checkpoint and emits [`ShardEvent::Checkpointed`].
 ///

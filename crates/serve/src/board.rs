@@ -1,11 +1,12 @@
 //! The campaign board: authoritative in-memory state of every job, cell
 //! and shard, plus the merge-on-read result views.
 //!
-//! Workers stream per-trial deltas into the board through the service's
-//! aggregator; readers (`status`/`results` endpoints) merge shard tallies
-//! on demand. Every mutation is attempt-guarded: a delta stamped with an
-//! attempt the board has moved past (a zombie worker whose shard was
-//! requeued) is dropped, so a lost-and-replaced worker can never
+//! The board is also the service's work queue: workers lease `Queued`
+//! shards off it and commit per-trial deltas to it themselves, under the
+//! service's one board lock; readers (`status`/`results` endpoints) merge
+//! shard tallies on demand. Every commit is attempt-guarded: a delta
+//! stamped with an attempt the board has moved past (a zombie worker whose
+//! shard was requeued) is dropped, so a lost-and-replaced worker can never
 //! double-count. Dropping zombie deltas is also what keeps the final merge
 //! byte-identical to a serial run — the replacement attempt re-runs the
 //! same pure trials from the checkpointed trusted prefix.
@@ -24,7 +25,7 @@ use swapcodes_json::escape;
 /// Lifecycle of one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardStatus {
-    /// Waiting in (or headed back to) the job queue.
+    /// Waiting for a worker to lease it, once `ready_at_ms` has passed.
     Queued,
     /// Leased to a worker.
     Running,
@@ -57,8 +58,6 @@ pub struct Lease {
     /// Set by the monitor to tell the (possibly zombie) worker to abandon
     /// the shard at its next event boundary.
     pub abandon: Arc<AtomicBool>,
-    /// Lease start, ms since service epoch.
-    pub started_ms: u64,
     /// Max silence between beats before the worker is declared lost. One
     /// trial is fuel-bounded, so a healthy worker always beats within this
     /// window.
@@ -74,11 +73,17 @@ pub struct Shard {
     pub spec: ShardSpec,
     /// Lifecycle state.
     pub status: ShardStatus,
-    /// The attempt the board currently recognizes. Messages stamped with
+    /// The attempt the board currently recognizes. Commits stamped with
     /// any other attempt are stale and dropped.
     pub attempt: u32,
     /// Attempts that ended in loss/failure (for the retry budget).
     pub failures: u32,
+    /// Retry backoff: while `Queued`, no worker leases the shard before
+    /// this time, in ms since service epoch (`0` until a retry).
+    pub ready_at_ms: u64,
+    /// When the monitor declared the last attempt lost, in ms since service
+    /// epoch; the lease that replaces it takes this to time the recovery.
+    pub lost_at_ms: Option<u64>,
     /// Live tallies for the current attempt (authoritative once `Done`).
     pub classes: FaultClassTallies,
     /// One past the last tallied trial of the current attempt.
@@ -212,6 +217,8 @@ impl Job {
                         status: ShardStatus::Queued,
                         attempt: 0,
                         failures: 0,
+                        ready_at_ms: 0,
+                        lost_at_ms: None,
                         classes: FaultClassTallies::default(),
                         cursor: start,
                         lease: None,

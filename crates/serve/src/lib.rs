@@ -4,10 +4,10 @@
 //! A tenant submits a **campaign spec** — a (workload × scheme) matrix, a
 //! fault-class mix, a trial count and a seed ([`spec`]). The service splits
 //! every cell into **shard jobs** (contiguous trial ranges keyed by the
-//! campaign's pure per-trial seeding), pushes them onto a work queue
-//! ([`queue`]) and executes them on a supervised worker pool ([`service`])
-//! that streams per-trial tally deltas into a merge-on-read aggregation
-//! board ([`board`]) serving live Wilson-interval coverage.
+//! campaign's pure per-trial seeding) on a merge-on-read board ([`board`])
+//! serving live Wilson-interval coverage. The board is also the work
+//! queue: a supervised worker pool ([`service`]) leases queued shards off
+//! it and commits each trial's tally to it, all under one lock.
 //!
 //! The supervisor treats workers as unreliable: per-shard fuel-derived
 //! deadlines, heartbeat-based loss detection, bounded exponential-backoff
@@ -27,12 +27,10 @@
 
 pub mod board;
 pub mod http;
-pub mod queue;
 pub mod service;
 pub mod spec;
 
 pub use board::{Board, Cell, Job, JobState, Lease, Shard, ShardStatus};
-pub use queue::{JobQueue, ShardJob};
 pub use service::{
     ChaosAction, ChaosConfig, Service, ServiceConfig, ServiceMetrics, SubmitError, STEPS_PER_MS,
 };

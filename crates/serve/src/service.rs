@@ -1,6 +1,20 @@
-//! The campaign service: a supervised worker pool executing shard jobs,
-//! an aggregator merging streamed tally deltas, and a monitor enforcing
+//! The campaign service: a supervised worker pool that leases shards off
+//! the board and commits their tallies to it, and a monitor enforcing
 //! per-shard deadlines and heartbeat-based worker-loss detection.
+//!
+//! # One lock
+//!
+//! The board is the service's only shared shard state, and its work queue:
+//! an idle worker waits on a condvar paired with the board mutex and leases
+//! the first `Queued` shard, in board order, whose retry backoff has
+//! passed. Each worker commits its own shard events under the board lock.
+//! Three invariants keep that lock safe to share:
+//!
+//! * No prepare, trial, checkpoint flush or chaos action runs under it, so
+//!   a panicking attempt cannot poison the board.
+//! * Every change an idle worker waits for (submit, requeue, shutdown) is
+//!   made under it before the notify, so no wakeup is lost.
+//! * A cancelled job's shards are never leased.
 //!
 //! # Robustness model
 //!
@@ -10,14 +24,14 @@
 //!   past that window (or blowing the shard's fuel-derived wall-clock
 //!   deadline) means the worker is lost and the monitor requeues the shard
 //!   from its last checkpoint's trusted prefix.
-//! * **Attempts guard against zombies.** Every queue entry, lease and
-//!   message is stamped with an attempt number; the board only accepts
-//!   messages matching the shard's current attempt, so a presumed-dead
-//!   worker that wakes up cannot double-count into a requeued shard.
+//! * **Attempts guard against zombies.** Every lease and every commit is
+//!   stamped with an attempt number; the board only accepts commits
+//!   matching the shard's current attempt, so a presumed-dead worker that
+//!   wakes up cannot double-count into a requeued shard.
 //! * **Retries are bounded and backed off.** A lost or failed attempt is
-//!   requeued with exponential backoff until the per-shard budget is
-//!   exhausted, at which point the shard — not the campaign — fails and the
-//!   cell degrades. The service never wedges.
+//!   requeued with exponential backoff, kept on the shard, until the
+//!   per-shard budget is exhausted, at which point the shard — not the
+//!   campaign — fails and the cell degrades. The service never wedges.
 //! * **Cells are prepared once.** A shard needs its cell's transformed
 //!   kernel, golden output and fast-forward engine, none of which depend
 //!   on the seed or the fault mix. Each service keeps prepared cells in a
@@ -35,7 +49,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -44,13 +57,12 @@ use swapcodes_core::Scheme;
 use swapcodes_inject::{
     contain, run_arch_shard_checkpointed, serve_workers_from_env, shard_timeout_ms_from_env,
     write_atomic, ArchCampaign, CampaignOptions, CellConfig, CheckpointConfig, FaultClassTallies,
-    PreparedCell, ShardControl, ShardEvent, ShardSpec,
+    PreparedCell, ShardControl, ShardEvent, ShardSpec, TrialOutcome,
 };
 use swapcodes_sim::FaultClass;
 use swapcodes_workloads::by_name;
 
-use crate::board::{Board, Job, JobState, Lease, ShardStatus};
-use crate::queue::{JobQueue, ShardJob};
+use crate::board::{Board, Job, JobState, Lease, Shard, ShardStatus};
 use crate::spec::{verify_gate, CampaignSpec, GateError, SpecError};
 use swapcodes_json::Json;
 
@@ -303,76 +315,110 @@ impl std::error::Error for SubmitError {}
 /// `(job index, cell index, shard index)` — a shard's position on the board.
 type ShardKey = (usize, usize, usize);
 
-/// Worker → aggregator messages. Every message is attempt-stamped.
-enum Msg {
+/// A worker's report on its leased shard, applied by `Inner::commit`.
+enum Report {
     /// A shard checkpoint was adopted: reset the live view to its prefix.
-    Adopted {
-        key: ShardKey,
-        attempt: u32,
-        classes: FaultClassTallies,
-        cursor: u64,
-    },
+    Adopted(FaultClassTallies, u64),
     /// One trial tallied.
-    Delta {
-        key: ShardKey,
-        attempt: u32,
-        class: FaultClass,
-        outcome: swapcodes_inject::TrialOutcome,
-    },
-    /// The shard ran to its end; `classes` is authoritative.
-    Done {
-        key: ShardKey,
-        attempt: u32,
-        classes: FaultClassTallies,
-        cursor: u64,
-    },
-    /// The attempt failed (panic, preparation error, unknown workload).
-    Failed {
-        key: ShardKey,
-        attempt: u32,
-        reason: String,
-    },
+    Trial(FaultClass, TrialOutcome),
+    /// The shard ran to its end; these tallies are authoritative.
+    Done(FaultClassTallies, u64),
     /// The attempt stopped at a cancellation point with a flushed
     /// checkpoint.
-    Cancelled {
-        key: ShardKey,
-        attempt: u32,
-        classes: FaultClassTallies,
-        cursor: u64,
-    },
+    Cancelled(FaultClassTallies, u64),
+    /// The attempt failed (panic, preparation error, unknown workload).
+    Failed(String),
 }
 
 struct Inner {
+    /// Every job, cell and shard: the service's only shared shard state,
+    /// and its work queue.
     board: Mutex<Board>,
-    queue: JobQueue,
+    /// Paired with `board`: signalled when a shard may have become
+    /// leasable (submit, requeue) and at shutdown.
+    work: Condvar,
+    /// Paired with `board`: signalled wherever a job settles (done, retry
+    /// budget spent, cancel).
+    settled: Condvar,
     cfg: ServiceConfig,
     epoch: Instant,
+    /// Set under the board lock; the monitor polls it.
     shutdown: AtomicBool,
     requeues_total: AtomicU64,
-    /// Worker-loss detections: `(key, detected_at_ms)` awaiting re-lease,
-    /// drained into `recovery_latencies_ms` when a replacement adopts.
-    pending_recovery: Mutex<Vec<(ShardKey, u64)>>,
-    recovery_latencies_ms: Mutex<Vec<u64>>,
-    /// Signalled wherever a job settles: done, retry budget spent, cancel.
-    settled: Condvar,
+    /// Lost shards re-leased, and the sum and max of their
+    /// detection-to-re-lease latencies. Written under the board lock.
+    recoveries: AtomicU64,
+    recovery_ms_sum: AtomicU64,
+    recovery_ms_max: AtomicU64,
     cells: CellCache,
 }
 
 impl Inner {
+    fn new(cfg: ServiceConfig) -> Self {
+        Self {
+            board: Mutex::new(Board::default()),
+            work: Condvar::new(),
+            settled: Condvar::new(),
+            cfg,
+            epoch: Instant::now(),
+            shutdown: AtomicBool::new(false),
+            requeues_total: AtomicU64::new(0),
+            recoveries: AtomicU64::new(0),
+            recovery_ms_sum: AtomicU64::new(0),
+            recovery_ms_max: AtomicU64::new(0),
+            cells: CellCache::default(),
+        }
+    }
+
     fn now_ms(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
-    fn backoff(&self, failures: u32) -> Duration {
-        let exp = failures.saturating_sub(1).min(10);
-        Duration::from_millis(self.cfg.backoff_base_ms.saturating_mul(1 << exp))
+    /// Apply a worker's report to shard `key` if it is still running
+    /// `attempt`. A stale report — a zombie's, whose shard the monitor
+    /// requeued, or one aimed at a shard that is not running — changes
+    /// nothing, so a lost-and-replaced worker can never double-count.
+    fn commit(&self, key: ShardKey, attempt: u32, report: Report) {
+        let mut board = self.board.lock().expect("board poisoned");
+        let Some(shard) = current_attempt(&mut board, key, attempt) else {
+            return;
+        };
+        match report {
+            Report::Adopted(classes, cursor) => {
+                shard.classes = classes;
+                shard.cursor = cursor;
+            }
+            Report::Trial(class, outcome) => {
+                shard.classes.record(class, outcome);
+                shard.cursor += 1;
+            }
+            Report::Done(classes, cursor) => {
+                shard.classes = classes;
+                shard.cursor = cursor;
+                shard.status = ShardStatus::Done;
+                shard.lease = None;
+                board.jobs[key.0].settle();
+                self.settled.notify_all();
+            }
+            Report::Cancelled(classes, cursor) => {
+                shard.classes = classes;
+                shard.cursor = cursor;
+                shard.status = ShardStatus::Queued;
+                shard.lease = None;
+            }
+            Report::Failed(reason) => {
+                shard.last_error = Some(reason);
+                self.requeue_locked(&mut board, key, false);
+            }
+        }
     }
 
     /// Requeue one shard after a lost/failed attempt, or fail it when the
     /// budget is gone. Caller holds the board lock and has verified the
-    /// shard is `Running` under `attempt`.
+    /// shard is `Running` under its current attempt.
     fn requeue_locked(&self, board: &mut Board, key: ShardKey, lost: bool) {
         let (ji, ci, si) = key;
+        let now = self.now_ms();
         let job = &mut board.jobs[ji];
         let shard = &mut job.cells[ci].shards[si];
         shard.failures += 1;
@@ -390,20 +436,14 @@ impl Inner {
         }
         shard.attempt += 1;
         shard.status = ShardStatus::Queued;
-        let entry = ShardJob {
-            job: ji,
-            cell: ci,
-            shard: si,
-            attempt: shard.attempt,
-        };
-        let backoff = self.backoff(shard.failures);
+        let exp = (shard.failures - 1).min(10);
+        shard.ready_at_ms = now.saturating_add(self.cfg.backoff_base_ms.saturating_mul(1 << exp));
         if lost {
-            self.pending_recovery
-                .lock()
-                .expect("recovery list poisoned")
-                .push((key, self.now_ms()));
+            shard.lost_at_ms = Some(now);
         }
-        self.queue.push_after(entry, backoff);
+        // The requeue is on the board, under the lock, before this notify:
+        // an idle worker either sees it or is woken to rescan.
+        self.work.notify_all();
     }
 
     fn persist_job(&self, job: &Job) {
@@ -429,40 +469,20 @@ pub struct Service {
 
 impl Service {
     /// Start the service: resume persisted jobs from `cfg.dir` (if any),
-    /// then spawn the worker pool, the aggregator and the monitor.
+    /// then spawn the worker pool and the monitor.
     #[must_use]
     pub fn start(cfg: ServiceConfig) -> Self {
         let workers = cfg.workers;
-        let inner = Arc::new(Inner {
-            board: Mutex::new(Board::default()),
-            queue: JobQueue::new(),
-            cfg,
-            epoch: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            requeues_total: AtomicU64::new(0),
-            pending_recovery: Mutex::new(Vec::new()),
-            recovery_latencies_ms: Mutex::new(Vec::new()),
-            settled: Condvar::new(),
-            cells: CellCache::default(),
-        });
+        let inner = Arc::new(Inner::new(cfg));
         resume_persisted_jobs(&inner);
 
-        let (tx, rx) = channel::<Msg>();
         let mut handles = Vec::new();
         for _ in 0..workers {
             let inner2 = Arc::clone(&inner);
-            let tx2 = tx.clone();
-            handles.push(std::thread::spawn(move || worker_loop(&inner2, &tx2)));
+            handles.push(std::thread::spawn(move || worker_loop(&inner2)));
         }
-        drop(tx);
-        {
-            let inner2 = Arc::clone(&inner);
-            handles.push(std::thread::spawn(move || aggregator_loop(&inner2, &rx)));
-        }
-        {
-            let inner2 = Arc::clone(&inner);
-            handles.push(std::thread::spawn(move || monitor_loop(&inner2)));
-        }
+        let inner2 = Arc::clone(&inner);
+        handles.push(std::thread::spawn(move || monitor_loop(&inner2)));
         Self {
             inner,
             handles: Mutex::new(handles),
@@ -484,25 +504,10 @@ impl Service {
         let id = board.jobs.iter().map(|j| j.id + 1).max().unwrap_or(0);
         let job = Job::new(id, spec);
         self.inner.persist_job(&job);
-        let ji = board.jobs.len();
-        let entries: Vec<ShardJob> = job
-            .cells
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, cell)| {
-                (0..cell.shards.len()).map(move |si| ShardJob {
-                    job: ji,
-                    cell: ci,
-                    shard: si,
-                    attempt: 0,
-                })
-            })
-            .collect();
         board.jobs.push(job);
-        drop(board);
-        for e in entries {
-            self.inner.queue.push(e);
-        }
+        // The job's shards are on the board, under the lock, before this
+        // notify: no idle worker misses them.
+        self.inner.work.notify_all();
         Ok(id)
     }
 
@@ -531,7 +536,7 @@ impl Service {
     }
 
     /// Cancel a job: running shards stop at their next issue boundary
-    /// (flushing checkpoints), queued shards are dropped on pop. Returns
+    /// (flushing checkpoints), queued shards are never leased. Returns
     /// `false` for an unknown id.
     #[must_use]
     pub fn cancel(&self, id: u64) -> bool {
@@ -581,22 +586,25 @@ impl Service {
     /// Service-level robustness metrics.
     #[must_use]
     pub fn metrics(&self) -> ServiceMetrics {
-        let lat = self
-            .inner
-            .recovery_latencies_ms
-            .lock()
-            .expect("latency list poisoned");
+        let inner = &self.inner;
+        // The recovery counters are written under the board lock; reading
+        // them under it keeps count, sum and max consistent.
+        let board = inner.board.lock().expect("board poisoned");
+        let recoveries = inner.recoveries.load(Ordering::Relaxed);
+        let sum = inner.recovery_ms_sum.load(Ordering::Relaxed);
+        let max = inner.recovery_ms_max.load(Ordering::Relaxed);
+        drop(board);
         ServiceMetrics {
-            workers: self.inner.cfg.workers,
-            prepares: self.inner.cells.prepares.load(Ordering::Relaxed),
-            prepare_hits: self.inner.cells.hits.load(Ordering::Relaxed),
-            requeued: self.inner.requeues_total.load(Ordering::Relaxed),
-            recoveries: lat.len() as u64,
-            recovery_latency_ms_max: lat.iter().copied().max().unwrap_or(0),
-            recovery_latency_ms_mean: if lat.is_empty() {
+            workers: inner.cfg.workers,
+            prepares: inner.cells.prepares.load(Ordering::Relaxed),
+            prepare_hits: inner.cells.hits.load(Ordering::Relaxed),
+            requeued: inner.requeues_total.load(Ordering::Relaxed),
+            recoveries,
+            recovery_latency_ms_max: max,
+            recovery_latency_ms_mean: if recoveries == 0 {
                 0.0
             } else {
-                lat.iter().sum::<u64>() as f64 / lat.len() as f64
+                sum as f64 / recoveries as f64
             },
         }
     }
@@ -608,14 +616,16 @@ impl Service {
         if self.stopped.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.inner.shutdown.store(true, Ordering::SeqCst);
         {
             let board = self.inner.board.lock().expect("board poisoned");
+            // Set under the board lock before the notify: no idle worker
+            // misses it, and none leases a shard after it.
+            self.inner.shutdown.store(true, Ordering::SeqCst);
             for job in &board.jobs {
                 job.cancel.cancel();
             }
+            self.inner.work.notify_all();
         }
-        self.inner.queue.shutdown();
         let handles = std::mem::take(&mut *self.handles.lock().expect("handles poisoned"));
         for h in handles {
             let _ = h.join();
@@ -648,7 +658,7 @@ pub struct ServiceMetrics {
     pub prepare_hits: u64,
 }
 
-fn resume_persisted_jobs(inner: &Arc<Inner>) {
+fn resume_persisted_jobs(inner: &Inner) {
     let Some(dir) = inner.cfg.dir.clone() else {
         return;
     };
@@ -666,7 +676,6 @@ fn resume_persisted_jobs(inner: &Arc<Inner>) {
         .collect();
     files.sort();
     let mut board = inner.board.lock().expect("board poisoned");
-    let mut entries_to_queue = Vec::new();
     for path in files {
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue;
@@ -688,30 +697,14 @@ fn resume_persisted_jobs(inner: &Arc<Inner>) {
             continue;
         }
         let mut job = Job::new(id, spec);
-        let ji = board.jobs.len();
         if cancelled {
             job.state = JobState::Cancelled;
-        } else {
-            for (ci, cell) in job.cells.iter().enumerate() {
-                for si in 0..cell.shards.len() {
-                    entries_to_queue.push(ShardJob {
-                        job: ji,
-                        cell: ci,
-                        shard: si,
-                        attempt: 0,
-                    });
-                }
-            }
         }
         board.jobs.push(job);
     }
-    drop(board);
-    for e in entries_to_queue {
-        inner.queue.push(e);
-    }
 }
 
-/// What a worker found when it tried to lease a popped queue entry.
+/// A leased shard, as its worker needs it.
 struct Leased {
     key: ShardKey,
     attempt: u32,
@@ -724,72 +717,110 @@ struct Leased {
     cancel: swapcodes_sim::CancelToken,
 }
 
-fn try_lease(inner: &Inner, sj: ShardJob) -> Option<Leased> {
+/// The first `Queued` shard, in board order, whose retry backoff has
+/// passed at `now` (ms since service epoch). Otherwise `Err` holds the wait
+/// until the earliest backoff ends, or `None` when no shard is queued.
+fn next_shard(board: &Board, now: u64) -> Result<ShardKey, Option<u64>> {
+    let mut wait: Option<u64> = None;
+    for (ji, job) in board.jobs.iter().enumerate() {
+        // A cancelled job's shards are never leased, and a settled job has
+        // none queued.
+        if job.state != JobState::Running {
+            continue;
+        }
+        for (ci, cell) in job.cells.iter().enumerate() {
+            for (si, shard) in cell.shards.iter().enumerate() {
+                if shard.status != ShardStatus::Queued {
+                    continue;
+                }
+                if shard.ready_at_ms <= now {
+                    return Ok((ji, ci, si));
+                }
+                let left = shard.ready_at_ms - now;
+                wait = Some(wait.map_or(left, |w| w.min(left)));
+            }
+        }
+    }
+    Err(wait)
+}
+
+/// Block until a shard is leasable and lease it; `None` once the service
+/// shuts down.
+fn lease_next(inner: &Inner) -> Option<Leased> {
     let mut board = inner.board.lock().expect("board poisoned");
-    let job = board.jobs.get_mut(sj.job)?;
-    if job.state == JobState::Cancelled {
-        return None;
+    loop {
+        // Submit, requeue and shutdown change the board under this lock
+        // before they notify `work`. This check, the scan and the wait
+        // hold one guard, so each change lands before the scan or wakes
+        // the wait: no wakeup is lost.
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return None;
+        }
+        let now = inner.now_ms();
+        board = match next_shard(&board, now) {
+            Ok(key) => return Some(lease(inner, &mut board, key, now)),
+            Err(Some(ms)) => {
+                let wait = Duration::from_millis(ms);
+                inner
+                    .work
+                    .wait_timeout(board, wait)
+                    .expect("board poisoned")
+                    .0
+            }
+            Err(None) => inner.work.wait(board).expect("board poisoned"),
+        };
     }
-    let cancel = job.cancel.clone();
-    let seed = job.spec.seed;
-    let mix = job.spec.mix;
-    let cell = job.cells.get_mut(sj.cell)?;
-    let workload = cell.workload.clone();
-    let scheme = cell.scheme;
-    let shard = cell.shards.get_mut(sj.shard)?;
-    if shard.status != ShardStatus::Queued || shard.attempt != sj.attempt {
-        return None; // stale queue entry: the shard moved on without us
-    }
+}
+
+/// Lease the `Queued` shard at `key` as its current attempt.
+fn lease(inner: &Inner, board: &mut Board, key: ShardKey, now: u64) -> Leased {
+    let (ji, ci, si) = key;
+    let job = &mut board.jobs[ji];
+    let cell = &mut job.cells[ci];
+    let shard = &mut cell.shards[si];
     shard.status = ShardStatus::Running;
     shard.classes = FaultClassTallies::default();
     shard.cursor = shard.spec.start;
-    let now = inner.now_ms();
+    // Close the loss-recovery latency loop: this lease replaces a lost one.
+    if let Some(lost) = shard.lost_at_ms.take() {
+        let ms = now.saturating_sub(lost);
+        inner.recoveries.fetch_add(1, Ordering::Relaxed);
+        inner.recovery_ms_sum.fetch_add(ms, Ordering::Relaxed);
+        inner.recovery_ms_max.fetch_max(ms, Ordering::Relaxed);
+    }
     // Deadlines start permissive; the worker tightens them once the
     // campaign is prepared and the fuel bound is known.
     let lease = Lease {
         beat: Arc::new(AtomicU64::new(now)),
         abandon: Arc::new(AtomicBool::new(false)),
-        started_ms: now,
         beat_window_ms: u64::MAX,
         deadline_ms: u64::MAX,
     };
     shard.lease = Some(lease.clone());
-    let spec = shard.spec.clone();
-    let key = (sj.job, sj.cell, sj.shard);
-    // Close the loss-recovery latency loop: this lease replaces a lost one.
-    let mut pending = inner.pending_recovery.lock().expect("recovery poisoned");
-    if let Some(pos) = pending.iter().position(|(k, _)| *k == key) {
-        let (_, detected) = pending.swap_remove(pos);
-        inner
-            .recovery_latencies_ms
-            .lock()
-            .expect("latency list poisoned")
-            .push(now.saturating_sub(detected));
-    }
-    drop(pending);
-    Some(Leased {
+    Leased {
         key,
-        attempt: sj.attempt,
-        shard: spec,
-        workload,
-        scheme,
-        seed,
-        mix,
+        attempt: shard.attempt,
+        shard: shard.spec.clone(),
+        workload: cell.workload.clone(),
+        scheme: cell.scheme,
+        seed: job.spec.seed,
+        mix: job.spec.mix,
         lease,
-        cancel,
-    })
-}
-
-fn worker_loop(inner: &Arc<Inner>, tx: &Sender<Msg>) {
-    while let Some(sj) = inner.queue.pop() {
-        let Some(leased) = try_lease(inner, sj) else {
-            continue;
-        };
-        run_leased_shard(inner, tx, &leased);
+        cancel: job.cancel.clone(),
     }
 }
 
-fn run_leased_shard(inner: &Arc<Inner>, tx: &Sender<Msg>, leased: &Leased) {
+fn worker_loop(inner: &Inner) {
+    while let Some(leased) = lease_next(inner) {
+        run_leased_shard(inner, &leased);
+    }
+}
+
+/// Run one leased shard, committing each of its events to the board. No
+/// prepare, trial, checkpoint flush or chaos action runs under the board
+/// lock: each commit takes it and releases it again.
+fn run_leased_shard(inner: &Inner, leased: &Leased) {
+    let commit = |report| inner.commit(leased.key, leased.attempt, report);
     let options = CampaignOptions {
         mix: leased.mix,
         ..CampaignOptions::from_env()
@@ -810,11 +841,7 @@ fn run_leased_shard(inner: &Arc<Inner>, tx: &Sender<Msg>, leased: &Leased) {
     let campaign = match cell {
         Ok(cell) => ArchCampaign::from_cell(cell, leased.seed, leased.mix),
         Err(reason) => {
-            let _ = tx.send(Msg::Failed {
-                key: leased.key,
-                attempt: leased.attempt,
-                reason,
-            });
+            commit(Report::Failed(reason));
             return;
         }
     };
@@ -827,22 +854,14 @@ fn run_leased_shard(inner: &Arc<Inner>, tx: &Sender<Msg>, leased: &Leased) {
     let shard_trials = leased.shard.end - leased.shard.start;
     {
         let mut board = inner.board.lock().expect("board poisoned");
-        let (ji, ci, si) = leased.key;
-        if let Some(shard) = board
-            .jobs
-            .get_mut(ji)
-            .and_then(|j| j.cells.get_mut(ci))
-            .and_then(|c| c.shards.get_mut(si))
+        if let Some(lease) = current_attempt(&mut board, leased.key, leased.attempt)
+            .and_then(|shard| shard.lease.as_mut())
         {
-            if shard.attempt == leased.attempt && shard.status == ShardStatus::Running {
-                if let Some(lease) = &mut shard.lease {
-                    lease.beat_window_ms = inner.cfg.shard_timeout_ms + per_trial_ms;
-                    lease.deadline_ms = inner
-                        .now_ms()
-                        .saturating_add(inner.cfg.shard_timeout_ms)
-                        .saturating_add(shard_trials.saturating_mul(per_trial_ms));
-                }
-            }
+            lease.beat_window_ms = inner.cfg.shard_timeout_ms + per_trial_ms;
+            lease.deadline_ms = inner
+                .now_ms()
+                .saturating_add(inner.cfg.shard_timeout_ms)
+                .saturating_add(shard_trials.saturating_mul(per_trial_ms));
         }
     }
 
@@ -862,9 +881,8 @@ fn run_leased_shard(inner: &Arc<Inner>, tx: &Sender<Msg>, leased: &Leased) {
     };
 
     let mut events: u64 = 0;
-    let mut vanished = false;
-    let beat = Arc::clone(&leased.lease.beat);
-    let abandon = Arc::clone(&leased.lease.abandon);
+    let beat = &leased.lease.beat;
+    let abandon = &leased.lease.abandon;
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         run_arch_shard_checkpointed(&campaign, &leased.shard, &ck, Some(&leased.cancel), |ev| {
             beat.store(inner.now_ms(), Ordering::Relaxed);
@@ -873,32 +891,19 @@ fn run_leased_shard(inner: &Arc<Inner>, tx: &Sender<Msg>, leased: &Leased) {
             }
             match ev {
                 ShardEvent::Adopted { classes, cursor } => {
-                    let _ = tx.send(Msg::Adopted {
-                        key: leased.key,
-                        attempt: leased.attempt,
-                        classes: *classes,
-                        cursor,
-                    });
+                    commit(Report::Adopted(*classes, cursor));
                 }
-                ShardEvent::Trial { class, outcome, .. } => {
-                    let _ = tx.send(Msg::Delta {
-                        key: leased.key,
-                        attempt: leased.attempt,
-                        class,
-                        outcome,
-                    });
-                }
+                ShardEvent::Trial { class, outcome, .. } => commit(Report::Trial(class, outcome)),
                 ShardEvent::Checkpointed { .. } => {}
             }
             events += 1;
+            // The commit above has released the board lock, so a chaos
+            // panic cannot poison the board and kill the service.
             if let Some((action, after)) = chaos {
                 if events > after {
                     match action {
                         ChaosAction::Panic => panic!("chaos: injected worker panic"),
-                        ChaosAction::Vanish => {
-                            vanished = true;
-                            return ShardControl::Die;
-                        }
+                        ChaosAction::Vanish => return ShardControl::Die,
                         ChaosAction::Hang => loop {
                             // Frozen heartbeat; only the monitor's abandon
                             // flag gets us out.
@@ -921,113 +926,21 @@ fn run_leased_shard(inner: &Arc<Inner>, tx: &Sender<Msg>, leased: &Leased) {
                 .map(|s| (*s).to_owned())
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "worker panicked".to_owned());
-            let _ = tx.send(Msg::Failed {
-                key: leased.key,
-                attempt: leased.attempt,
-                reason,
-            });
+            commit(Report::Failed(reason));
         }
-        Ok(run) if run.finished => {
-            let _ = tx.send(Msg::Done {
-                key: leased.key,
-                attempt: leased.attempt,
-                classes: run.classes,
-                cursor: run.cursor,
-            });
-        }
-        Ok(run) if run.cancelled => {
-            let _ = tx.send(Msg::Cancelled {
-                key: leased.key,
-                attempt: leased.attempt,
-                classes: run.classes,
-                cursor: run.cursor,
-            });
-        }
-        Ok(_) => {
-            // Abandoned. A vanished worker reports nothing and stops
-            // beating (the monitor's heartbeat path requeues); a
-            // monitor-abandoned worker's shard was already requeued when
-            // the abandon flag was raised. Either way: silence.
-            let _ = vanished;
-        }
-    }
-}
-
-fn aggregator_loop(inner: &Arc<Inner>, rx: &Receiver<Msg>) {
-    while let Ok(msg) = rx.recv() {
-        let mut board = inner.board.lock().expect("board poisoned");
-        match msg {
-            Msg::Adopted {
-                key,
-                attempt,
-                classes,
-                cursor,
-            } => {
-                if let Some(shard) = current_attempt(&mut board, key, attempt) {
-                    shard.classes = classes;
-                    shard.cursor = cursor;
-                }
-            }
-            Msg::Delta {
-                key,
-                attempt,
-                class,
-                outcome,
-            } => {
-                if let Some(shard) = current_attempt(&mut board, key, attempt) {
-                    shard.classes.record(class, outcome);
-                    shard.cursor += 1;
-                }
-            }
-            Msg::Done {
-                key,
-                attempt,
-                classes,
-                cursor,
-            } => {
-                if let Some(shard) = current_attempt(&mut board, key, attempt) {
-                    shard.classes = classes;
-                    shard.cursor = cursor;
-                    shard.status = ShardStatus::Done;
-                    shard.lease = None;
-                    board.jobs[key.0].settle();
-                    inner.settled.notify_all();
-                }
-            }
-            Msg::Cancelled {
-                key,
-                attempt,
-                classes,
-                cursor,
-            } => {
-                if let Some(shard) = current_attempt(&mut board, key, attempt) {
-                    shard.classes = classes;
-                    shard.cursor = cursor;
-                    shard.status = ShardStatus::Queued;
-                    shard.lease = None;
-                }
-            }
-            Msg::Failed {
-                key,
-                attempt,
-                reason,
-            } => {
-                if let Some(shard) = current_attempt(&mut board, key, attempt) {
-                    shard.last_error = Some(reason);
-                    inner.requeue_locked(&mut board, key, false);
-                }
-            }
-        }
+        Ok(run) if run.finished => commit(Report::Done(run.classes, run.cursor)),
+        Ok(run) if run.cancelled => commit(Report::Cancelled(run.classes, run.cursor)),
+        // Abandoned. A vanished worker reports nothing and stops beating
+        // (the monitor's heartbeat path requeues); a monitor-abandoned
+        // worker's shard was already requeued when the abandon flag was
+        // raised. Either way: silence.
+        Ok(_) => {}
     }
 }
 
 /// The shard at `key` iff it is still running the given attempt; stale
-/// messages (zombie workers) resolve to `None` and are dropped.
-fn current_attempt(
-    board: &mut Board,
-    key: ShardKey,
-    attempt: u32,
-) -> Option<&mut crate::board::Shard> {
+/// reports (zombie workers) resolve to `None` and change nothing.
+fn current_attempt(board: &mut Board, key: ShardKey, attempt: u32) -> Option<&mut Shard> {
     let (ji, ci, si) = key;
     let shard = board
         .jobs
@@ -1039,7 +952,7 @@ fn current_attempt(
     (shard.attempt == attempt && shard.status == ShardStatus::Running).then_some(shard)
 }
 
-fn monitor_loop(inner: &Arc<Inner>) {
+fn monitor_loop(inner: &Inner) {
     while !inner.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(10));
         let now = inner.now_ms();
@@ -1131,5 +1044,73 @@ mod tests {
         assert_eq!(cached.len(), CELL_CACHE_CAPACITY);
         assert!(cached.contains(&&keys[0]));
         assert!(!cached.contains(&&keys[1]));
+    }
+
+    /// One cell of three shards: `[0, 40)`, `[40, 80)` and `[80, 100)`.
+    fn three_shard_job(id: u64) -> Job {
+        let spec = CampaignSpec::parse(
+            r#"{"name":"t","workloads":["matmul"],"schemes":["swap-ecc"],
+               "trials":100,"shard_trials":40}"#,
+        )
+        .expect("spec parses");
+        Job::new(id, spec)
+    }
+
+    /// The zombie guard on the worker path: a commit stamped with an
+    /// attempt the board has moved past, or aimed at a shard that is not
+    /// running, changes nothing; the current attempt's commits apply.
+    #[test]
+    fn stale_attempts_commit_nothing() {
+        let inner = Inner::new(ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        });
+        let mut job = three_shard_job(0);
+        job.cells[0].shards[0].status = ShardStatus::Running;
+        job.cells[0].shards[0].attempt = 1;
+        inner.board.lock().expect("board").jobs.push(job);
+        let snapshot = || format!("{:?}", inner.board.lock().expect("board"));
+        let shard0 = || inner.board.lock().expect("board").jobs[0].cells[0].shards[0].clone();
+        let trial = || Report::Trial(FaultClass::Transient, TrialOutcome::Sdc);
+        let finish = || Report::Done(FaultClassTallies::default(), 40);
+
+        let before = snapshot();
+        inner.commit((0, 0, 0), 0, trial());
+        inner.commit((0, 0, 0), 0, finish());
+        inner.commit((0, 0, 1), 0, trial());
+        assert_eq!(snapshot(), before, "stale commits changed the board");
+
+        inner.commit((0, 0, 0), 1, trial());
+        let s = shard0();
+        assert_eq!((s.cursor, s.classes.transient.sdc), (1, 1));
+        inner.commit((0, 0, 0), 1, finish());
+        let s = shard0();
+        assert_eq!(s.status, ShardStatus::Done);
+        assert_eq!((s.cursor, s.classes.transient.sdc), (40, 0));
+    }
+
+    /// The lease scan skips cancelled and settled jobs, running shards and
+    /// shards still in backoff, and otherwise takes board order.
+    #[test]
+    fn lease_scan_takes_the_first_ready_queued_shard() {
+        let mut board = Board::default();
+        let mut cancelled = three_shard_job(0);
+        cancelled.state = JobState::Cancelled;
+        let mut settled = three_shard_job(1);
+        for shard in &mut settled.cells[0].shards {
+            shard.status = ShardStatus::Done;
+        }
+        settled.settle();
+        let mut running = three_shard_job(2);
+        running.cells[0].shards[0].status = ShardStatus::Running;
+        running.cells[0].shards[1].ready_at_ms = 50;
+        board.jobs.extend([cancelled, settled, running]);
+
+        assert_eq!(next_shard(&board, 10), Ok((2, 0, 2)));
+        board.jobs[2].cells[0].shards[2].status = ShardStatus::Running;
+        assert_eq!(next_shard(&board, 10), Err(Some(40)));
+        assert_eq!(next_shard(&board, 50), Ok((2, 0, 1)));
+        board.jobs[2].cells[0].shards[1].status = ShardStatus::Running;
+        assert_eq!(next_shard(&board, 50), Err(None));
     }
 }

@@ -51,9 +51,10 @@ impl Launch {
 ///
 /// A clone shares the underlying flag: the campaign service hands one token
 /// to every trial of a tenant campaign, and a `cancel()` from the control
-/// plane stops each in-flight execution at its next issue boundary with
-/// [`ExecError::Cancelled`]. Checks are relaxed atomic loads, performed only
-/// when a token is armed, so the uncancellable hot path pays one branch.
+/// plane stops each in-flight [`crate::snapshot::CampaignEngine`] trial at
+/// its next issue boundary with [`ExecError::Cancelled`]. Checks are relaxed
+/// atomic loads, performed only when a token is armed, so the uncancellable
+/// hot path pays one branch.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(std::sync::Arc<std::sync::atomic::AtomicBool>);
 
@@ -117,10 +118,6 @@ pub struct ExecConfig {
     /// ([`crate::tier2`]). The reference executor itself always interprets
     /// the `Op` enum and ignores this field.
     pub tier: ExecTier,
-    /// Cooperative cancellation: when armed, the executor polls the token
-    /// at every issue boundary and aborts with [`ExecError::Cancelled`].
-    /// `None` (the default) compiles down to one untaken branch per step.
-    pub cancel: Option<CancelToken>,
     /// Copy-on-write page size in 32-bit words for the campaign engine's
     /// global-memory overlay ([`crate::snapshot::CampaignEngine`]); rounded
     /// up to a power of two at capture. The reference executor ignores it.
@@ -141,7 +138,6 @@ impl Default for ExecConfig {
             cta_limit: None,
             recovery: None,
             tier: ExecTier::Tier1,
-            cancel: None,
             cow_page_words: crate::memory::DEFAULT_COW_PAGE_WORDS,
         }
     }
@@ -694,12 +690,6 @@ fn step(r: &mut Runner<'_>, w: &mut Warp, shared: &mut SharedMemory) {
         if r.dyn_count > fuel.saturating_add(r.fuel_refund) {
             // Budget exhausted: the kernel is hung (driver-watchdog kill).
             r.error = Some(ExecError::Hang { steps: r.dyn_count });
-            return;
-        }
-    }
-    if let Some(token) = &r.cfg.cancel {
-        if token.is_cancelled() {
-            r.error = Some(ExecError::Cancelled { at: r.dyn_count });
             return;
         }
     }

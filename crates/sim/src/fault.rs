@@ -415,16 +415,6 @@ impl FaultSpec {
     pub fn persists_across_relaunch(&self) -> bool {
         matches!(self.class, FaultClass::StuckAt(_))
     }
-
-    /// A short stable label for per-class tally bucketing.
-    #[must_use]
-    pub fn class_label(&self) -> &'static str {
-        match self.class {
-            FaultClass::Transient => "transient",
-            FaultClass::Control(_) => "control",
-            FaultClass::StuckAt(_) => "stuckat",
-        }
-    }
 }
 
 #[cfg(test)]

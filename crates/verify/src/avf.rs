@@ -99,8 +99,8 @@ pub struct AreaExposure {
 /// Predicted coverage for one fault class.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassPrediction {
-    /// Stable class label (`transient` / `control` / `stuckat`), matching
-    /// [`swapcodes_sim::FaultSpec::class_label`]-style bucketing.
+    /// Stable class label (`transient` / `control` / `stuckat`), the label
+    /// campaign tallies bucket each [`swapcodes_sim::FaultClass`] under.
     pub class: &'static str,
     /// Predicted detected-given-unmasked coverage, the campaign's
     /// `ArchOutcomes::coverage` metric.
