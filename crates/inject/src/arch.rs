@@ -766,6 +766,14 @@ impl<'w> ArchCampaign<'w> {
         self.cell.engine.golden_dynamic()
     }
 
+    /// Whether no word one warp of the golden run writes is read or written
+    /// by another, so that barrier strikes are classified Masked without
+    /// executing (see [`CampaignEngine::warp_independent`]).
+    #[must_use]
+    pub fn warp_independent(&self) -> bool {
+        self.cell.engine.warp_independent()
+    }
+
     /// The transformed kernel trials execute (the static verifier's input
     /// for differential checking, see [`crate::oracle`]).
     #[must_use]
@@ -1040,9 +1048,10 @@ impl<'w> ArchCampaign<'w> {
             cow_pages_total: t.cow_pages_total,
         };
         let outcome = if t.converged_early {
-            // Post-strike state re-converged to the golden epoch state with
-            // no detection pending: the suffix is a deterministic replay of
-            // golden, so the output will match (see DESIGN §9).
+            // Post-strike state re-converged to a golden epoch state with
+            // no detection pending, or a barrier strike only reordered
+            // independent warps: the rest of the run replays golden, so the
+            // output will match (see DESIGN §9).
             TrialOutcome::Masked
         } else if let Some(e) = t.error {
             error_outcome(e)

@@ -9,14 +9,15 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::{
-    run_arch_shard_checkpointed, ArchCampaign, CheckpointConfig, ShardControl, ShardSpec,
-    TrialOutcome,
+    run_arch_shard_checkpointed, ArchCampaign, CampaignOptions, CheckpointConfig, FaultMix,
+    ShardControl, ShardSpec, TrialOutcome,
 };
 use swapcodes_workloads::by_name;
 
 /// The (workload, scheme) cells the differential property samples from —
 /// every scheme family, including the unprotected baseline (whose SDC-heavy
-/// outcome mix stresses the golden-output comparison rather than detection).
+/// outcome mix stresses the golden-output comparison rather than detection)
+/// and Inter-Thread, the only scheme that emits `SHFL`.
 fn cells() -> Vec<(&'static str, Scheme)> {
     vec![
         ("matmul", Scheme::Baseline),
@@ -27,35 +28,47 @@ fn cells() -> Vec<(&'static str, Scheme)> {
         ("kmeans", Scheme::SwapPredict(PredictorSet::MAD)),
         ("hspot", Scheme::SwapEcc),
         ("pathf", Scheme::SwapPredict(PredictorSet::FP_MAD)),
+        ("pathf", Scheme::InterThread { checked: true }),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For random cells, seeds, salts and trial windows, the fast-forward
-    /// path and the from-scratch reference path classify every trial
-    /// identically.
+    /// For random cells, seeds, salts, fault-mix weights and trial windows,
+    /// the fast-forward path and the from-scratch reference path classify
+    /// every trial identically.
     #[test]
     fn fast_forward_matches_reference(
-        cell in 0usize..8,
+        cell in 0usize..9,
         seed in 0u64..1_000_000,
         salt in 0u32..4,
+        transient in 0u32..3,
+        control in 0u32..3,
+        stuck_at in 0u32..3,
         start in 0u64..48,
     ) {
+        let mix = FaultMix { transient, control, stuck_at };
+        let mix = if transient + control + stuck_at == 0 {
+            FaultMix::all_classes()
+        } else {
+            mix
+        };
         let (name, scheme) = cells()[cell];
         let w = by_name(name).expect("workload");
-        let campaign = ArchCampaign::prepare(&w, scheme, seed).expect("applies");
+        let opts = CampaignOptions { mix, ..CampaignOptions::default() };
+        let campaign = ArchCampaign::prepare_with(&w, scheme, seed, opts).expect("applies");
         for trial in start..start + 6 {
             let fast = campaign.run_trial_salted(trial, salt);
             let reference = campaign.run_trial_reference_salted(trial, salt);
             prop_assert_eq!(
                 fast,
                 reference,
-                "trial {} (seed {:#x}, salt {}) diverged on {}/{}",
+                "trial {} (seed {:#x}, salt {}, mix {}) diverged on {}/{}",
                 trial,
                 seed,
                 salt,
+                mix.tag(),
                 name,
                 scheme.label()
             );

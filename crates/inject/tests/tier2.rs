@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use swapcodes_core::{PredictorSet, Scheme};
-use swapcodes_inject::{ArchCampaign, CampaignOptions};
+use swapcodes_inject::{ArchCampaign, CampaignOptions, FaultMix};
 use swapcodes_sim::ExecTier;
 use swapcodes_workloads::by_name;
 
@@ -23,6 +23,7 @@ fn cells() -> Vec<(&'static str, Scheme)> {
         ("kmeans", Scheme::SwapPredict(PredictorSet::MAD)),
         ("hspot", Scheme::SwapEcc),
         ("pathf", Scheme::SwapPredict(PredictorSet::FP_MAD)),
+        ("pathf", Scheme::InterThread { checked: true }),
     ]
 }
 
@@ -34,25 +35,41 @@ fn opts(tier: ExecTier, peephole: bool) -> CampaignOptions {
     }
 }
 
+fn opts_mix(tier: ExecTier, mix: FaultMix) -> CampaignOptions {
+    CampaignOptions {
+        mix,
+        ..opts(tier, true)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Three-way differential: for random cells, seeds, salts and trial
-    /// windows, tier 2, tier 1 and the from-scratch reference executor
-    /// classify every trial identically (all over the same peepholed
-    /// kernel).
+    /// Three-way differential: for random cells, seeds, salts, fault-mix
+    /// weights and trial windows, tier 2, tier 1 and the from-scratch
+    /// reference executor classify every trial identically (all over the
+    /// same peepholed kernel).
     #[test]
     fn tier2_matches_tier1_and_reference(
-        cell in 0usize..8,
+        cell in 0usize..9,
         seed in 0u64..1_000_000,
         salt in 0u32..4,
+        transient in 0u32..3,
+        control in 0u32..3,
+        stuck_at in 0u32..3,
         start in 0u64..48,
     ) {
+        let mix = FaultMix { transient, control, stuck_at };
+        let mix = if transient + control + stuck_at == 0 {
+            FaultMix::all_classes()
+        } else {
+            mix
+        };
         let (name, scheme) = cells()[cell];
         let w = by_name(name).expect("workload");
-        let c1 = ArchCampaign::prepare_with(&w, scheme, seed, opts(ExecTier::Tier1, true))
+        let c1 = ArchCampaign::prepare_with(&w, scheme, seed, opts_mix(ExecTier::Tier1, mix))
             .expect("applies");
-        let c2 = ArchCampaign::prepare_with(&w, scheme, seed, opts(ExecTier::Tier2, true))
+        let c2 = ArchCampaign::prepare_with(&w, scheme, seed, opts_mix(ExecTier::Tier2, mix))
             .expect("applies");
         prop_assert_eq!(c1.fused_pairs(), 0, "tier 1 compiles nothing");
         for trial in start..start + 6 {
@@ -61,13 +78,13 @@ proptest! {
             let reference = c2.run_trial_reference_salted(trial, salt);
             prop_assert_eq!(
                 t2, t1,
-                "tier divergence at trial {} (seed {:#x}, salt {}) on {}/{}",
-                trial, seed, salt, name, scheme.label()
+                "tier divergence at trial {} (seed {:#x}, salt {}, mix {}) on {}/{}",
+                trial, seed, salt, mix.tag(), name, scheme.label()
             );
             prop_assert_eq!(
                 t2, reference,
-                "reference divergence at trial {} (seed {:#x}, salt {}) on {}/{}",
-                trial, seed, salt, name, scheme.label()
+                "reference divergence at trial {} (seed {:#x}, salt {}, mix {}) on {}/{}",
+                trial, seed, salt, mix.tag(), name, scheme.label()
             );
         }
     }

@@ -13,8 +13,8 @@
 //!   the hardware short-circuits it and never reads the predicate file).
 //!
 //! The analysis is instruction-granular (successors mirror the executor:
-//! fall-through unless `EXIT`/`TRAP`, branch target plus guarded
-//! fall-through for `BRA`) so its live intervals can be intersected with
+//! fall-through unless an unguarded `EXIT`/`TRAP`, branch target plus
+//! guarded fall-through for `BRA`) so its live intervals can be intersected with
 //! per-PC dynamic issue counts by the `swapcodes-verify` ACE analyzer.
 
 use crate::instr::Instr;
@@ -90,6 +90,19 @@ impl LiveSet {
         changed
     }
 
+    /// The register set as a bitmap: bit `r & 63` of word `r >> 6` is
+    /// register `r`.
+    #[must_use]
+    pub fn reg_bits(&self) -> [u64; 4] {
+        self.regs
+    }
+
+    /// The predicate set as a bitmap: bit `p` is predicate `p`.
+    #[must_use]
+    pub fn pred_bits(&self) -> u8 {
+        self.preds
+    }
+
     /// Number of live registers.
     #[must_use]
     pub fn reg_count(&self) -> u32 {
@@ -136,12 +149,14 @@ pub struct Liveness {
     live_out: Vec<LiveSet>,
 }
 
-/// Instruction successors as the executor sees them: at most two.
+/// Instruction successors as the executor sees them: at most two. A guarded
+/// `EXIT`/`TRAP` retires (or traps) only its guard-true lanes; the others
+/// fall through to the next instruction.
 fn succs(kernel: &Kernel, i: usize) -> (Option<usize>, Option<usize>) {
     let n = kernel.len();
     let instr = &kernel.instrs()[i];
     match instr.op {
-        Op::Exit | Op::Trap => (None, None),
+        Op::Exit | Op::Trap => (None, (instr.guard.is_some() && i + 1 < n).then_some(i + 1)),
         Op::Bra { target } => {
             let taken = (target < n).then_some(target);
             let fall = (instr.guard.is_some() && i + 1 < n).then_some(i + 1);
@@ -324,6 +339,42 @@ mod tests {
         assert!(l.live_out(1).pred(Pred(0)));
         // SETP is an unguarded predicate def: P0 dead above it.
         assert!(!l.live_in(1).pred(Pred(0)));
+    }
+
+    #[test]
+    fn guarded_exit_and_trap_fall_through() {
+        // 0: R0 = 7
+        // 1: @P0 EXIT / @P0 TRAP   (guard-false lanes continue)
+        // 2: ST [R1], R0
+        // 3: EXIT
+        for op in [Op::Exit, Op::Trap] {
+            let k = Kernel::from_instrs(
+                "gx",
+                vec![
+                    Instr::new(mov(0, 7)),
+                    Instr::guarded(op, Pred(0), true),
+                    Instr::new(st(1, 0)),
+                    Instr::new(Op::Exit),
+                ],
+            );
+            let l = Liveness::compute(&k);
+            assert!(
+                l.live_out(1).reg(Reg(0)) && l.live_in(1).reg(Reg(0)),
+                "{op:?}: the store after a guarded exit reads R0"
+            );
+            assert!(l.live_in(1).pred(Pred(0)));
+        }
+        // An unguarded EXIT still ends every path.
+        let k = Kernel::from_instrs(
+            "ux",
+            vec![
+                Instr::new(mov(0, 7)),
+                Instr::new(Op::Exit),
+                Instr::new(st(1, 0)),
+                Instr::new(Op::Exit),
+            ],
+        );
+        assert_eq!(Liveness::compute(&k).live_out(1), &LiveSet::EMPTY);
     }
 
     #[test]

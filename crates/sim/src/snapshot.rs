@@ -14,14 +14,22 @@
 //!   eligible-op counter has not yet passed the trial's injection site and
 //!   executes only the suffix.
 //! * **Golden-convergence early-exit** — once the strike has been delivered,
-//!   if the trial's complete architectural state becomes byte-identical to
-//!   the golden state at the same dynamic-instruction count with no
+//!   if at a round top every warp stands where it stood at some rung (same
+//!   fragments and barrier flags, at any dynamic-instruction count) and the
+//!   trial's state equals that rung's in everything the rest of the run can
+//!   still read (live registers and predicate bits, all memory) with no
 //!   detection pending, the remaining execution is a deterministic replay of
-//!   the golden suffix: no further fault can fire (the single strike is
-//!   spent) and the executor state machine is a pure function of
-//!   architectural state. The trial is therefore classified Masked without
-//!   running to completion. See DESIGN §9 for the soundness argument and
-//!   the fuel/truncation guards.
+//!   the golden suffix from that rung: no further fault can fire (the single
+//!   strike is spent) and the executor state machine is a pure function of
+//!   that state. The trial is therefore classified Masked without running to
+//!   completion, provided its own finishing count stays within fuel and the
+//!   dynamic cap.
+//! * **Warp-independent barrier strikes** — when no word one warp writes is
+//!   touched by another, a barrier strike only reorders warps and is
+//!   classified Masked without executing anything.
+//!
+//! See DESIGN §9 for the three rules, their soundness arguments and the
+//! fuel/truncation guards.
 //!
 //! Trials interpret the predecoded micro-op table from [`crate::predecode`]
 //! instead of re-matching the `Op` enum per step. The engine supports
@@ -46,7 +54,7 @@ use crate::predecode::{
 };
 use crate::regfile::{CowRegFile, Protection, RegFileEvent, WarpRegFile};
 use crate::tier2::{CompiledKernel, ExecTier};
-use swapcodes_isa::{Kernel, MemSpace, SpecialReg};
+use swapcodes_isa::{Kernel, Liveness, MemSpace, SpecialReg};
 
 /// One PC-reconvergence fragment of a warp: a program counter and the lanes
 /// currently at it.
@@ -87,6 +95,74 @@ struct EpochWarp {
     rf: Arc<WarpRegFile>,
     /// Registers the golden run wrote in `(previous rung, this rung]`.
     delta_regs: Vec<u64>,
+    /// What the warp can still read from this rung on.
+    live: LiveMask,
+}
+
+/// The registers and predicate bits a warp can still read from a rung on
+/// (rule 1 of DESIGN §9): the union of the static live-in sets at its
+/// fragment PCs plus every `SHFL` source register, compared on all 32
+/// lanes. A finished warp reads nothing.
+#[derive(Debug, Clone, Copy, Default)]
+struct LiveMask {
+    regs: [u64; 4],
+    preds: u8,
+}
+
+impl LiveMask {
+    /// The union of `live`'s live-in sets at `frags`' PCs, plus `shfl`.
+    ///
+    /// A lane only reads its own registers through instructions its own
+    /// fragment issues, so the live-in set at its PC covers it; an `SHFL`
+    /// also reads the source register of lanes outside the issuing fragment
+    /// (other fragments, exited lanes), whose values no kill on the issuing
+    /// fragment's path overwrites — hence the kernel's `SHFL` sources.
+    fn at(frags: &[Fragment], live: &Liveness, shfl: [u64; 4]) -> Self {
+        if frags.is_empty() {
+            return Self::default();
+        }
+        let mut m = Self {
+            regs: shfl,
+            preds: 0,
+        };
+        // A PC past the end reads nothing: the fragment retires on issue.
+        for f in frags.iter().filter(|f| f.pc < live.len()) {
+            let s = live.live_in(f.pc);
+            for (d, x) in m.regs.iter_mut().zip(s.reg_bits()) {
+                *d |= x;
+            }
+            m.preds |= s.pred_bits();
+        }
+        m
+    }
+}
+
+/// The source registers of every `SHFL` in `pk` (rule 1's cross-lane reads).
+fn shfl_sources(pk: &PredecodedKernel) -> [u64; 4] {
+    let mut regs = [0u64; 4];
+    for pc in 0..pk.len() {
+        if let UOp::Shfl { a, .. } = pk.op_ref(pc).uop {
+            if a != RZ8 {
+                regs[usize::from(a >> 6)] |= 1 << (a & 63);
+            }
+        }
+    }
+    regs
+}
+
+/// A hash of every warp's fragments and barrier flag: the cheap pre-filter
+/// for rule 2's position match (equal positions give equal keys; a key
+/// collision only costs the exact comparison that follows).
+fn position_key(warps: &[FastWarp]) -> u64 {
+    let mut h = 0u64;
+    let mut mix = |x: u64| h = (h.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    for w in warps {
+        mix(u64::from(w.waiting_bar) | (w.frags.len() as u64) << 1);
+        for f in &w.frags {
+            mix((f.pc as u64) << 32 | u64::from(f.mask));
+        }
+    }
+    h
 }
 
 /// One rung of the epoch ladder: the complete architectural state of the
@@ -106,6 +182,8 @@ pub struct EpochSnapshot {
     pub eligible_shadow: u64,
     warps: Vec<EpochWarp>,
     bars: Vec<bool>,
+    /// [`position_key`] of `warps`' fragments and `bars`.
+    pos_key: u64,
     shared: Arc<Vec<u32>>,
     /// Whether the golden run wrote shared memory in `(previous, this]`.
     delta_shared: bool,
@@ -136,7 +214,21 @@ pub struct EpochLadder {
     /// Whether the golden run hit the `max_dynamic` cap (early-exit is
     /// disabled in that case: the golden suffix is not a completed run).
     pub golden_truncated: bool,
+    /// No global or shared word one warp of the golden run wrote was read
+    /// or written by another (rule 3 of DESIGN §9).
+    warp_independent: bool,
     snapshots: Vec<EpochSnapshot>,
+}
+
+impl EpochLadder {
+    /// Does a trial whose last instruction would carry dynamic count
+    /// `finish` complete a copy of the golden suffix — neither exhausting
+    /// `fuel` nor reaching the `max_dynamic` cap on the way? The guard every
+    /// early exit needs: otherwise the from-scratch trial would have hung or
+    /// truncated, not Masked.
+    fn finishes_within(&self, finish: u64, fuel: Option<u64>, max_dynamic: u64) -> bool {
+        !self.golden_truncated && fuel.is_none_or(|f| finish <= f) && finish < max_dynamic
+    }
 }
 
 /// Facts about the golden capture run, for validation against the
@@ -180,9 +272,10 @@ pub struct FastTrial {
     pub detection: Detection,
     /// Structured host error, if any (fuel exhaustion, scheduler deadlock).
     pub error: Option<ExecError>,
-    /// The trial's architectural state re-converged to the golden epoch
-    /// state after the strike: the outcome is provably Masked and `mem` is
-    /// *not* the final memory (the suffix was pruned).
+    /// The trial re-converged to a golden epoch state after the strike, or
+    /// was a barrier strike in a warp-independent kernel: the outcome is
+    /// provably Masked and `mem` is *not* the final memory (the suffix was
+    /// pruned).
     pub converged_early: bool,
     /// Global memory at the point the trial stopped (a CoW view over the
     /// resume snapshot; use [`CowMemory::read_u32_slice`] for O(output)
@@ -286,6 +379,10 @@ impl CampaignEngine {
             faults_applied: 0,
             control_delivered: false,
             cancel: None,
+            access: Some(AccessLog::new(
+                initial_mem.words().len(),
+                launch.shared_words as usize,
+            )),
         };
         let mut warps = new_warps(&pk, launch, protection);
         if compiled.is_some() {
@@ -296,15 +393,19 @@ impl CampaignEngine {
             }
         }
         let mut snapshots = Vec::new();
+        let live = Liveness::compute(kernel);
         let mut hook = Hook::Capture {
             interval: interval.max(1),
             next: 0,
             out: &mut snapshots,
+            live: &live,
+            shfl: shfl_sources(&pk),
         };
         run_rounds(&mut ctx, &mut warps, &mut hook, compiled.as_ref());
         if let Some(e) = ctx.error {
             return Err(e);
         }
+        let warp_independent = ctx.access.as_ref().is_some_and(|a| !a.conflict);
         let capture = GoldenCapture {
             detection: ctx.detection,
             dynamic_instructions: ctx.dyn_count,
@@ -317,6 +418,7 @@ impl CampaignEngine {
             interval: interval.max(1),
             golden_dynamic: capture.dynamic_instructions,
             golden_truncated: capture.truncated,
+            warp_independent,
             snapshots,
         };
         Ok((
@@ -370,6 +472,15 @@ impl CampaignEngine {
     #[must_use]
     pub fn golden_dynamic(&self) -> u64 {
         self.ladder.golden_dynamic
+    }
+
+    /// Whether no global or shared word one warp of the golden run wrote
+    /// was read or written by another warp — the condition under which a
+    /// barrier strike only reorders warps and is Masked without executing
+    /// (rule 3 of DESIGN §9).
+    #[must_use]
+    pub fn warp_independent(&self) -> bool {
+        self.ladder.warp_independent
     }
 
     /// Run one fueled trial, resuming from the nearest epoch snapshot at or
@@ -427,10 +538,13 @@ impl CampaignEngine {
     }
 
     /// [`Self::run_trial_cancellable`] with an explicit [`ResumeMode`]:
-    /// `Cow` (the default everywhere else) shares the resume snapshot and
-    /// compares dirty state only; `Clone` deep-copies it upfront and
-    /// compares complete machine state — the legacy cost model, kept as the
-    /// byte-identity anchor the CoW path is differentially tested against.
+    /// `Cow` (the default everywhere else) shares the resume snapshot,
+    /// matches rungs by warp position and compares live dirty state only,
+    /// and classifies barrier strikes in a warp-independent kernel without
+    /// executing; `Clone` deep-copies the snapshot upfront, runs every
+    /// trial, and compares complete machine state at rungs of equal dynamic
+    /// count only — the legacy cost model, kept as the byte-identity anchor
+    /// the CoW path is differentially tested against.
     ///
     /// # Panics
     ///
@@ -445,6 +559,29 @@ impl CampaignEngine {
     ) -> FastTrial {
         let si = self.resume_rung(&fault);
         let snap = &self.ladder.snapshots[si];
+        if mode == ResumeMode::Cow
+            && self.ladder.warp_independent
+            && fault.control_target() == Some(ControlTarget::Barrier)
+            && self
+                .ladder
+                .finishes_within(self.ladder.golden_dynamic, Some(fuel), self.max_dynamic)
+        {
+            // Rule 3: no warp reads a word another warp writes, so the
+            // strike only changes which warp waits when; every warp computes
+            // its golden values and the run ends on the golden count.
+            let mem = CowMemory::new(Arc::clone(&snap.mem), self.page_words);
+            return FastTrial {
+                detection: Detection::None,
+                error: None,
+                converged_early: true,
+                resumed_from: snap.dyn_count,
+                executed: 0,
+                bytes_cloned: 0,
+                cow_pages_cloned: 0,
+                cow_pages_total: mem.page_count() as u64,
+                mem,
+            };
+        }
         let mut ctx = FastCtx {
             pk: &self.pk,
             launch: self.launch,
@@ -463,6 +600,7 @@ impl CampaignEngine {
             faults_applied: 0,
             control_delivered: false,
             cancel: cancel.cloned(),
+            access: None,
         };
         let defer = self.compiled.is_some();
         let mut warps: Vec<FastWarp> = snap
@@ -487,19 +625,12 @@ impl CampaignEngine {
                 w.rf.materialize();
             }
         }
-        // Early-exit is only sound when the golden suffix itself completes
-        // within this trial's fuel and dynamic caps: otherwise the
-        // from-scratch trial would have hung or truncated, not Masked.
-        let fuel_ok = !self.ladder.golden_truncated
-            && self.ladder.golden_dynamic <= fuel
-            && self.ladder.golden_dynamic < self.max_dynamic;
         let mut converged = false;
         let mut hook = Hook::Converge {
             ladder: &self.ladder,
-            idx: si,
+            resume: si,
             fault,
-            fuel_ok,
-            acc: DeltaAcc::sized_like(snap),
+            acc: DeltaAcc::sized_like(snap, si),
             full: mode == ResumeMode::Clone,
             converged: &mut converged,
         };
@@ -572,6 +703,67 @@ pub(crate) struct FastCtx<'a> {
     /// Armed cancellation token, polled at every issue (see
     /// [`crate::exec::CancelToken`]).
     pub(crate) cancel: Option<CancelToken>,
+    /// The golden capture's per-word warp access log (`None` in trials).
+    pub(crate) access: Option<AccessLog>,
+}
+
+/// Which warps of the golden capture touched each global and shared word,
+/// one byte per word: the low six bits hold the first accessor's warp id
+/// plus one, [`Self::WRITTEN`] marks a word some warp wrote and
+/// [`Self::MULTI`] a word a second warp touched. A word with both bits set
+/// makes the kernel warp-dependent (rule 3 of DESIGN §9).
+pub(crate) struct AccessLog {
+    global: Vec<u8>,
+    shared: Vec<u8>,
+    /// Some word was written by one warp and touched by another.
+    conflict: bool,
+}
+
+impl AccessLog {
+    const WRITTEN: u8 = 0x40;
+    const MULTI: u8 = 0x80;
+    const OWNER: u8 = 0x3F;
+
+    fn new(global_words: usize, shared_words: usize) -> Self {
+        Self {
+            global: vec![0; global_words],
+            shared: vec![0; shared_words],
+            conflict: false,
+        }
+    }
+
+    /// Record warp `wid` reading (or writing) the word at byte address
+    /// `addr` of `space`. Out-of-range addresses fault before they get
+    /// here.
+    fn record(&mut self, space: MemSpace, addr: u32, wid: u32, write: bool) {
+        let words = match space {
+            MemSpace::Global => &mut self.global,
+            MemSpace::Shared => &mut self.shared,
+        };
+        let Some(cell) = words.get_mut((addr / 4) as usize) else {
+            return;
+        };
+        // Warp ids that do not fit the owner field are treated as a
+        // conflict: the flag may only err towards running trials in full.
+        let owner = match u8::try_from(wid + 1) {
+            Ok(o) if o <= Self::OWNER => o,
+            _ => {
+                self.conflict = true;
+                return;
+            }
+        };
+        if *cell & Self::OWNER == 0 {
+            *cell |= owner;
+        } else if *cell & Self::OWNER != owner {
+            *cell |= Self::MULTI;
+        }
+        if write {
+            *cell |= Self::WRITTEN;
+        }
+        if *cell & (Self::WRITTEN | Self::MULTI) == Self::WRITTEN | Self::MULTI {
+            self.conflict = true;
+        }
+    }
 }
 
 impl FastCtx<'_> {
@@ -626,13 +818,19 @@ impl FastCtx<'_> {
 }
 
 /// The union of golden per-epoch dirty sets accumulated between the resume
-/// rung and the convergence candidate rung. Together with the trial's own
-/// dirty tracking (materialized CoW pages, touched registers, shared-memory
-/// materialization) it is a provable superset of every location where trial
-/// and golden state can differ: anything outside both sets still holds the
-/// resume snapshot's bytes in *both* machines (DESIGN §14).
+/// rung and the furthest convergence candidate tried so far. Together with
+/// the trial's own dirty tracking (materialized CoW pages, touched
+/// registers, shared-memory materialization) it is a provable superset of
+/// every location where trial and golden state at any candidate up to it
+/// can differ: anything outside both sets still holds the resume snapshot's
+/// bytes in *both* machines (DESIGN §14). A nearer candidate is compared
+/// over the same union: a location only a later golden interval wrote holds
+/// the resume bytes at the nearer rung, and in the trial unless the trial's
+/// own dirty set covers it.
 struct DeltaAcc {
-    /// OR of golden `delta_pages` over rungs in `(resume, candidate]`.
+    /// The last rung absorbed (the resume rung absorbs nothing).
+    upto: usize,
+    /// OR of golden `delta_pages` over rungs in `(resume, upto]`.
     pages: Vec<u64>,
     /// Per-warp OR of golden `delta_regs` over the same rungs.
     regs: Vec<Vec<u64>>,
@@ -641,8 +839,10 @@ struct DeltaAcc {
 }
 
 impl DeltaAcc {
-    fn sized_like(s: &EpochSnapshot) -> Self {
+    /// An empty union sized like rung `s`, the resume rung at index `si`.
+    fn sized_like(s: &EpochSnapshot, si: usize) -> Self {
         Self {
+            upto: si,
             pages: vec![0; s.delta_pages.len()],
             regs: s
                 .warps
@@ -653,18 +853,21 @@ impl DeltaAcc {
         }
     }
 
-    /// Absorb the per-epoch golden deltas of rung `s` (called once each time
-    /// the candidate index advances onto `s`).
-    fn absorb(&mut self, s: &EpochSnapshot) {
-        for (d, &x) in self.pages.iter_mut().zip(&s.delta_pages) {
-            *d |= x;
-        }
-        for (dr, w) in self.regs.iter_mut().zip(&s.warps) {
-            for (d, &x) in dr.iter_mut().zip(&w.delta_regs) {
+    /// Absorb the per-epoch golden deltas of every rung up to `r`.
+    fn extend_to(&mut self, snaps: &[EpochSnapshot], r: usize) {
+        while self.upto < r {
+            self.upto += 1;
+            let s = &snaps[self.upto];
+            for (d, &x) in self.pages.iter_mut().zip(&s.delta_pages) {
                 *d |= x;
             }
+            for (dr, w) in self.regs.iter_mut().zip(&s.warps) {
+                for (d, &x) in dr.iter_mut().zip(&w.delta_regs) {
+                    *d |= x;
+                }
+            }
+            self.shared |= s.delta_shared;
         }
-        self.shared |= s.delta_shared;
     }
 }
 
@@ -675,17 +878,24 @@ enum Hook<'l> {
         interval: u64,
         next: u64,
         out: &'l mut Vec<EpochSnapshot>,
+        /// The kernel's static liveness, for each rung's [`LiveMask`].
+        live: &'l Liveness,
+        /// The kernel's `SHFL` source registers.
+        shfl: [u64; 4],
     },
-    /// Trial run: test for golden convergence at matching epoch boundaries.
+    /// Trial run: test for golden convergence at every round top after the
+    /// strike.
     Converge {
         ladder: &'l EpochLadder,
-        idx: usize,
+        /// Index of the rung the trial resumed from: only it and later rungs
+        /// are candidates (the golden deltas run forward from it).
+        resume: usize,
         fault: FaultSpec,
-        fuel_ok: bool,
         /// Golden dirty sets accumulated since the resume rung.
         acc: DeltaAcc,
-        /// Compare complete machine state ([`ResumeMode::Clone`]) instead of
-        /// the dirty superset.
+        /// Compare complete machine state at rungs of equal dynamic count
+        /// ([`ResumeMode::Clone`]) instead of the live dirty superset at
+        /// rungs of equal position.
         full: bool,
         converged: &'l mut bool,
     },
@@ -696,7 +906,12 @@ enum Hook<'l> {
 /// records both the resume state and the golden dirty set of the interval
 /// ending at it — and so trials resuming from the captured `Arc`s start with
 /// clean dirty tracking.
-fn capture_epoch(ctx: &mut FastCtx<'_>, warps: &mut [FastWarp]) -> EpochSnapshot {
+fn capture_epoch(
+    ctx: &mut FastCtx<'_>,
+    warps: &mut [FastWarp],
+    live: &Liveness,
+    shfl: [u64; 4],
+) -> EpochSnapshot {
     let (mem, delta_pages) = ctx.mem.rebase();
     let (shared, delta_shared) = ctx.shared.rebase();
     EpochSnapshot {
@@ -715,10 +930,12 @@ fn capture_epoch(ctx: &mut FastCtx<'_>, warps: &mut [FastWarp]) -> EpochSnapshot
                     preds: w.preds,
                     rf: Arc::new((*w.rf).clone()),
                     delta_regs,
+                    live: LiveMask::at(&w.frags, live, shfl),
                 }
             })
             .collect(),
         bars: warps.iter().map(|w| w.waiting_bar).collect(),
+        pos_key: position_key(warps),
         shared,
         delta_shared,
         mem,
@@ -726,19 +943,31 @@ fn capture_epoch(ctx: &mut FastCtx<'_>, warps: &mut [FastWarp]) -> EpochSnapshot
     }
 }
 
-/// Whether the trial's architectural state is byte-identical to the golden
-/// epoch snapshot. Register files compare stored words only (`stored_eq`):
-/// the decoder arming flag is a performance hint with no architectural
-/// effect once every stored word is a consistent codeword — which byte
-/// equality with the (fault-free) golden state guarantees.
+/// Whether every warp of the trial stands where it stood at rung `s`: the
+/// same fragments and the same barrier flag (rule 2 of DESIGN §9).
+fn positions_match(s: &EpochSnapshot, warps: &[FastWarp]) -> bool {
+    warps.len() == s.warps.len()
+        && warps
+            .iter()
+            .zip(&s.warps)
+            .zip(&s.bars)
+            .all(|((w, ws), &bar)| w.waiting_bar == bar && w.frags == ws.frags)
+}
+
+/// Whether the trial's state equals rung `s`'s in everything the rest of
+/// the run can read, given that [`positions_match`] already holds. Register
+/// files compare stored words (`stored_eq`): the decoder arming flag is a
+/// performance hint with no architectural effect once every word a later
+/// read decodes equals a (fault-free, hence consistent) golden codeword.
 ///
-/// With `full` unset, bulk state is compared over the dirty superset only:
-/// the trial's materialized pages / touched registers / materialized shared
+/// With `full` unset, registers and predicates are compared only where the
+/// rung's [`LiveMask`] says a later read can reach them, on all 32 lanes
+/// (rule 1 of DESIGN §9), and bulk state only over the dirty superset: the
+/// trial's materialized pages / touched registers / materialized shared
 /// memory, unioned with the golden deltas accumulated in `acc`. Locations
 /// outside both sets hold the resume snapshot's bytes in both machines, so
-/// skipping them cannot mask a difference (DESIGN §14). Control state
-/// (fragments, predicates, barrier flags) is tiny and always compared in
-/// full.
+/// skipping them cannot mask a difference (DESIGN §14). With `full` set,
+/// everything is compared exactly.
 fn state_matches(
     s: &EpochSnapshot,
     ctx: &FastCtx<'_>,
@@ -746,26 +975,26 @@ fn state_matches(
     acc: &DeltaAcc,
     full: bool,
 ) -> bool {
-    if warps.len() != s.warps.len() {
-        return false;
-    }
-    for ((w, ws), &bar) in warps.iter().zip(&s.warps).zip(&s.bars) {
-        if w.waiting_bar != bar || w.preds != ws.preds || w.frags != ws.frags {
-            return false;
-        }
-    }
     for ((w, ws), acc_regs) in warps.iter().zip(&s.warps).zip(&acc.regs) {
         if full {
-            if !w.rf.stored_eq(&ws.rf) {
+            if w.preds != ws.preds || !w.rf.stored_eq(&ws.rf) {
                 return false;
             }
             continue;
         }
+        let live = ws.live;
+        if w.preds
+            .iter()
+            .zip(&ws.preds)
+            .any(|(a, b)| (a ^ b) & live.preds != 0)
+        {
+            return false;
+        }
         // An unmaterialized file has an all-zero touched bitmap (drained at
         // capture), so only the golden deltas are walked for it.
         let touched = w.rf.touched_bits();
-        for (word, &acc_bits) in acc_regs.iter().enumerate() {
-            let mut bits = acc_bits | touched.get(word).copied().unwrap_or(0);
+        for (word, (&acc_bits, &live_bits)) in acc_regs.iter().zip(&live.regs).enumerate() {
+            let mut bits = (acc_bits | touched.get(word).copied().unwrap_or(0)) & live_bits;
             while bits != 0 {
                 let reg = (word * 64) as u32 + bits.trailing_zeros();
                 bits &= bits - 1;
@@ -795,6 +1024,51 @@ fn state_matches(
         }
     }
     true
+}
+
+/// Rule 2 of DESIGN §9: is there a rung at or after `resume` that the
+/// trial's state has re-converged to? A candidate stands at the trial's
+/// warp positions (under `full`, also at its dynamic count) and its golden
+/// suffix, shifted to the trial's count, must finish within the trial's
+/// fuel and dynamic cap.
+fn converged_to_rung(
+    ladder: &EpochLadder,
+    resume: usize,
+    ctx: &FastCtx<'_>,
+    warps: &mut [FastWarp],
+    acc: &mut DeltaAcc,
+    full: bool,
+) -> bool {
+    let snaps = &ladder.snapshots;
+    let key = position_key(warps);
+    let mut flushed = false;
+    for (r, s) in snaps.iter().enumerate().skip(resume) {
+        if s.pos_key != key || (full && s.dyn_count != ctx.dyn_count) {
+            continue;
+        }
+        let finish = ctx.dyn_count + (ladder.golden_dynamic - s.dyn_count);
+        if !ladder.finishes_within(finish, ctx.fuel, ctx.max_dynamic) || !positions_match(s, warps)
+        {
+            continue;
+        }
+        if !flushed {
+            // The stored-state comparison reads check bits: restore any the
+            // tier-2 engine deferred first. The `has_deferred` guard keeps
+            // unwritten (still shared) register files unmaterialized — a
+            // shared base is captured flushed, so it never defers.
+            for w in warps.iter_mut() {
+                if w.rf.has_deferred() {
+                    w.rf.flush_deferred();
+                }
+            }
+            flushed = true;
+        }
+        acc.extend_to(snaps, r);
+        if state_matches(s, ctx, warps, acc, full) {
+            return true;
+        }
+    }
+    false
 }
 
 fn new_warps(pk: &PredecodedKernel, launch: Launch, protection: Protection) -> Vec<FastWarp> {
@@ -840,6 +1114,8 @@ fn run_rounds(
                 interval,
                 next,
                 out,
+                live,
+                shfl,
             } => {
                 if ctx.dyn_count >= *next && !ctx.halted() {
                     // Snapshots must hold consistent codewords: restore any
@@ -850,48 +1126,25 @@ fn run_rounds(
                         }
                     }
                     let next_at = ctx.dyn_count + *interval;
-                    out.push(capture_epoch(ctx, warps));
+                    out.push(capture_epoch(ctx, warps, live, *shfl));
                     *next = next_at;
                 }
             }
             Hook::Converge {
                 ladder,
-                idx,
+                resume,
                 fault,
-                fuel_ok,
                 acc,
                 full,
                 converged,
             } => {
-                if *fuel_ok && !ctx.halted() && ctx.pending_due.is_none() {
-                    let snaps = &ladder.snapshots;
-                    while *idx < snaps.len() && snaps[*idx].dyn_count < ctx.dyn_count {
-                        *idx += 1;
-                        // The candidate advanced one rung: fold that rung's
-                        // golden dirty set into the accumulated union.
-                        if *idx < snaps.len() {
-                            acc.absorb(&snaps[*idx]);
-                        }
-                    }
-                    if *idx < snaps.len()
-                        && snaps[*idx].dyn_count == ctx.dyn_count
-                        && ctx.strike_spent(fault)
-                    {
-                        // The stored-state comparison reads check bits:
-                        // restore any the tier-2 engine deferred first. The
-                        // `has_deferred` guard keeps unwritten (still
-                        // shared) register files unmaterialized — a shared
-                        // base is captured flushed, so it never defers.
-                        for w in warps.iter_mut() {
-                            if w.rf.has_deferred() {
-                                w.rf.flush_deferred();
-                            }
-                        }
-                        if state_matches(&snaps[*idx], ctx, warps, acc, *full) {
-                            **converged = true;
-                            return;
-                        }
-                    }
+                if !ctx.halted()
+                    && ctx.pending_due.is_none()
+                    && ctx.strike_spent(fault)
+                    && converged_to_rung(ladder, *resume, ctx, warps, acc, *full)
+                {
+                    **converged = true;
+                    return;
                 }
             }
         }
@@ -1491,6 +1744,9 @@ pub(crate) fn exec_uop(
                     ctx.mem_fault(base);
                     break;
                 };
+                if let Some(log) = &mut ctx.access {
+                    log.record(space, base, w.wid, false);
+                }
                 write_res(w, mop.write, lane, d, lo, lo);
                 if w64 {
                     let hi = match space {
@@ -1501,6 +1757,9 @@ pub(crate) fn exec_uop(
                         ctx.mem_fault(base.wrapping_add(4));
                         break;
                     };
+                    if let Some(log) = &mut ctx.access {
+                        log.record(space, base.wrapping_add(4), w.wid, false);
+                    }
                     write_res(w, mop.write, lane, pair_hi(d), hi, hi);
                 }
             });
@@ -1524,6 +1783,9 @@ pub(crate) fn exec_uop(
                     ctx.mem_fault(base);
                     break;
                 }
+                if let Some(log) = &mut ctx.access {
+                    log.record(space, base, w.wid, true);
+                }
                 if w64 {
                     let hi = rd(ctx, w, lane, pair_hi(v));
                     let ok = match space {
@@ -1533,6 +1795,9 @@ pub(crate) fn exec_uop(
                     if !ok {
                         ctx.mem_fault(base.wrapping_add(4));
                         break;
+                    }
+                    if let Some(log) = &mut ctx.access {
+                        log.record(space, base.wrapping_add(4), w.wid, true);
                     }
                 }
             });
@@ -1545,6 +1810,9 @@ pub(crate) fn exec_uop(
                 if ctx.mem.try_atomic_add(base, val).is_none() {
                     ctx.mem_fault(base);
                     break;
+                }
+                if let Some(log) = &mut ctx.access {
+                    log.record(MemSpace::Global, base, w.wid, true);
                 }
             });
             w.frags[fi].pc += 1;
@@ -1877,6 +2145,166 @@ mod tests {
                 assert_eq!(t1.mem.words(), t2.mem.words(), "{ct:?}@{at}");
             }
         }
+    }
+
+    /// Run `fault` on `kernel` (one warp) on both tiers, with a rung every
+    /// round top, and check that the trial is not cut short by convergence
+    /// and ends exactly as the reference does, with corrupted output.
+    fn assert_split_strike_runs(kernel: &Kernel, fault: FaultSpec) {
+        let launch = Launch::grid(1, 32);
+        let initial = GlobalMemory::new(128);
+        for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+            let cfg = ExecConfig {
+                tier,
+                ..ExecConfig::default()
+            };
+            let (engine, cap) =
+                CampaignEngine::capture_config(kernel, launch, Protection::None, &initial, 8, &cfg)
+                    .expect("capture");
+            assert!(
+                engine
+                    .ladder
+                    .snapshots
+                    .iter()
+                    .any(|s| s.warps[0].frags.len() == 2),
+                "a rung lands while the warp is split"
+            );
+            let fuel = cap.dynamic_instructions * 8 + 10_000;
+            let fast = engine.run_trial(fault, fuel);
+            let mut mem = GlobalMemory::new(128);
+            let exec = Executor {
+                config: ExecConfig {
+                    fault: Some(fault),
+                    cta_limit: Some(1),
+                    fuel: Some(fuel),
+                    ..ExecConfig::default()
+                },
+            };
+            let r = exec.run(kernel, launch, &mut mem).expect("reference runs");
+            assert!(!fast.converged_early, "{tier}: the struck value is read");
+            assert_eq!(fast.detection, r.detection, "{tier}");
+            assert_eq!(fast.mem.words(), mem.words(), "{tier}");
+            assert_ne!(mem.words(), cap.mem.words(), "the strike reaches memory");
+        }
+    }
+
+    /// Push `R0 = tid; R9 = tid + 1000; P0 = tid < 16; @!P0 BRA upper`, then
+    /// a 40-iteration countdown loop for lanes 0–15 — long enough that rungs
+    /// land while lanes 16–31 wait at `upper`. Returns the `upper` label.
+    fn split_prologue(b: &mut KernelBuilder) -> swapcodes_isa::Label {
+        b.push(Op::S2R {
+            d: Reg(0),
+            sr: SpecialReg::TidX,
+        });
+        b.push(Op::IAdd {
+            d: Reg(9),
+            a: Reg(0),
+            b: Src::Imm(1000),
+        });
+        b.push(Op::SetP {
+            p: Pred(0),
+            cmp: CmpOp::Lt,
+            ty: CmpTy::I32,
+            a: Reg(0),
+            b: Src::Imm(16),
+        });
+        let upper = b.label();
+        b.branch_if(upper, Pred(0), false);
+        b.push(Op::Mov {
+            d: Reg(3),
+            a: Src::Imm(40),
+        });
+        let top = b.label();
+        b.bind(top);
+        b.push(Op::ISub {
+            d: Reg(3),
+            a: Reg(3),
+            b: Src::Imm(1),
+        });
+        b.push(Op::SetP {
+            p: Pred(1),
+            cmp: CmpOp::Gt,
+            ty: CmpTy::I32,
+            a: Reg(3),
+            b: Src::Imm(0),
+        });
+        b.branch_if(top, Pred(1), true);
+        upper
+    }
+
+    /// Store `v` to `global[tid]` and exit.
+    fn store_and_exit(b: &mut KernelBuilder, v: u8) {
+        b.push(Op::Shl {
+            d: Reg(2),
+            a: Reg(0),
+            b: Src::Imm(2),
+        });
+        b.push(Op::St {
+            space: MemSpace::Global,
+            addr: Reg(2),
+            offset: 0,
+            v: Reg(v),
+            width: swapcodes_isa::MemWidth::W32,
+        });
+        b.push(Op::Exit);
+    }
+
+    /// Rule 1 under divergence: lanes 16–31 wait at a higher PC to store
+    /// R9, which lanes 0–15 never read. A strike on R9 in lane 20 must keep
+    /// the trial from converging: R9 is live at the *second* fragment's PC.
+    #[test]
+    fn live_compare_covers_every_fragment() {
+        let mut b = KernelBuilder::new("twofrag");
+        let upper = split_prologue(&mut b);
+        store_and_exit(&mut b, 3);
+        b.bind(upper);
+        store_and_exit(&mut b, 9);
+        // Eligible op 1 is the IADD that defines R9.
+        assert_split_strike_runs(&b.finish(), FaultSpec::single_bit(1, 20, 3));
+    }
+
+    /// Rule 1's cross-lane reads: lanes 0–15 overwrite their own R9 and
+    /// then shuffle R9 in from lanes 16–31, which sit in the other fragment
+    /// and never read R9 themselves. The kill covers only the issuing
+    /// fragment's lanes, so the SHFL source must stay live.
+    #[test]
+    fn live_compare_covers_cross_fragment_shuffles() {
+        let mut b = KernelBuilder::new("shflfrag");
+        let upper = split_prologue(&mut b);
+        b.push(Op::Mov {
+            d: Reg(9),
+            a: Src::Imm(7),
+        });
+        b.push(Op::Shfl {
+            d: Reg(6),
+            a: Reg(9),
+            mode: swapcodes_isa::ShflMode::Bfly(16),
+        });
+        store_and_exit(&mut b, 6);
+        b.bind(upper);
+        b.push(Op::Exit);
+        assert_split_strike_runs(&b.finish(), FaultSpec::single_bit(1, 20, 3));
+    }
+
+    /// The capture's access log: warps that only touch their own words are
+    /// independent; one warp reading a word another wrote is not.
+    #[test]
+    fn access_log_flags_cross_warp_words() {
+        let mut log = AccessLog::new(4, 2);
+        log.record(MemSpace::Global, 0, 0, true);
+        log.record(MemSpace::Global, 0, 0, false);
+        log.record(MemSpace::Global, 4, 1, true);
+        log.record(MemSpace::Global, 8, 0, false);
+        log.record(MemSpace::Global, 8, 1, false);
+        log.record(MemSpace::Shared, 4, 0, false);
+        log.record(MemSpace::Shared, 4, 3, false);
+        assert!(!log.conflict, "shared reads and private writes commute");
+        log.record(MemSpace::Shared, 4, 2, true);
+        assert!(log.conflict, "a write to a word another warp reads");
+        let mut log = AccessLog::new(1, 0);
+        log.record(MemSpace::Global, 0, 5, false);
+        log.record(MemSpace::Global, 0, 6, true);
+        assert!(log.conflict, "a read then another warp's write");
     }
 
     /// Stuck-at defects re-assert on every eligible access, so the fast

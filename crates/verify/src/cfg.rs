@@ -2,8 +2,8 @@
 //!
 //! Blocks are maximal straight-line instruction runs; edges are
 //! predicate-aware: an unguarded `BRA` has a single successor, a guarded
-//! `BRA` has both its target and its fall-through, and `EXIT`/`TRAP`
-//! terminate. Unreachable blocks (e.g. the defensive `EXIT` the SW-Dup pass
+//! `BRA` has both its target and its fall-through, an unguarded
+//! `EXIT`/`TRAP` terminates and a guarded one falls through. Unreachable blocks (e.g. the defensive `EXIT` the SW-Dup pass
 //! places before its trap block) are identified so the dataflow never
 //! reports on code that cannot execute.
 
@@ -91,6 +91,11 @@ impl Cfg {
                         }
                     }
                     s
+                }
+                // A guarded EXIT/TRAP retires (or traps) only its
+                // guard-true lanes; the others fall through.
+                Op::Exit | Op::Trap if instrs[last].guard.is_some() && blocks[bi].end < n => {
+                    vec![block_of[blocks[bi].end]]
                 }
                 // Out-of-range branch: structurally invalid (validate.rs
                 // catches it); treat as terminating.
@@ -211,6 +216,37 @@ mod tests {
         let cfg = Cfg::build(&k.finish());
         assert_eq!(cfg.blocks[0].succs, vec![2]);
         assert!(!cfg.reachable[1], "NOP after BRA is unreachable");
+    }
+
+    #[test]
+    fn guarded_exit_and_trap_fall_through() {
+        for op in [Op::Exit, Op::Trap] {
+            let k = Kernel::from_instrs(
+                "gx",
+                vec![
+                    Instr::new(Op::Nop),
+                    Instr::guarded(op, Pred(0), true),
+                    Instr::new(Op::Nop),
+                    Instr::new(Op::Exit),
+                ],
+            );
+            let cfg = Cfg::build(&k);
+            // Blocks: [0..2) ends in the guarded exit, [2..4) after it.
+            assert_eq!(cfg.blocks.len(), 2, "{op:?}");
+            assert_eq!(cfg.blocks[0].succs, vec![1], "{op:?}");
+            assert!(cfg.reachable[1], "{op:?}: guard-false lanes continue");
+        }
+        let k = Kernel::from_instrs(
+            "ux",
+            vec![
+                Instr::new(Op::Exit),
+                Instr::new(Op::Nop),
+                Instr::new(Op::Exit),
+            ],
+        );
+        let cfg = Cfg::build(&k);
+        assert!(cfg.blocks[0].succs.is_empty());
+        assert!(!cfg.reachable[1], "code after an unguarded EXIT is dead");
     }
 
     #[test]

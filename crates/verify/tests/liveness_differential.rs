@@ -8,9 +8,10 @@
 //! under-approximate.
 //!
 //! Kernels are generated from a small ALU grammar — straight-line compute
-//! (MOV/IADD/SETP/SEL), optional guards, and guarded forward branches — so
-//! every run terminates without touching memory, and the trace exercises
-//! predication, divergence, and branch-skipped defs.
+//! (MOV/IADD/SETP/SEL), optional guards, guarded `EXIT`s and guarded forward
+//! branches — so every run terminates without touching memory, and the
+//! trace exercises predication, divergence, branch-skipped defs and lanes
+//! that keep running past a guarded `EXIT`.
 
 use std::collections::BTreeSet;
 
@@ -19,7 +20,8 @@ use swapcodes_isa::{CmpOp, CmpTy, Instr, Kernel, KernelBuilder, Liveness, Op, Pr
 use swapcodes_sim::exec::ExecConfig;
 use swapcodes_sim::{Executor, GlobalMemory, Launch};
 
-/// One generated instruction: an ALU op plus an optional guard.
+/// One generated instruction: an ALU op (or, for `kind` 4, an `EXIT` that
+/// is always guarded) plus an optional guard.
 #[derive(Debug, Clone)]
 struct GenOp {
     kind: u8,
@@ -46,7 +48,7 @@ const PREDS: u8 = 3;
 
 fn gen_op() -> impl Strategy<Value = GenOp> {
     (
-        (0u8..4, 0..REGS, 0..REGS, 0..REGS),
+        (0u8..5, 0..REGS, 0..REGS, 0..REGS),
         (0..PREDS, -8i32..8),
         (any::<bool>(), 0..PREDS, any::<bool>()),
     )
@@ -57,7 +59,9 @@ fn gen_op() -> impl Strategy<Value = GenOp> {
             b,
             p,
             imm,
-            guard: guarded.then_some((gp, gpol)),
+            // An unguarded EXIT would end every lane; the interesting case
+            // is the guarded one, whose guard-false lanes fall through.
+            guard: (guarded || kind == 4).then_some((gp, gpol)),
         })
 }
 
@@ -92,6 +96,7 @@ fn build(ops: &[GenOp], branches: &[GenBranch]) -> Kernel {
                 a,
                 b: Src::Imm(op.imm),
             },
+            4 => Op::Exit,
             _ => Op::Sel {
                 d,
                 p: Pred(op.p),
@@ -214,7 +219,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Static liveness contains every dynamically observed read, across
-    /// random guarded ALU kernels with forward branches.
+    /// random guarded ALU kernels with guarded exits and forward branches.
     #[test]
     fn static_liveness_over_approximates_dynamic(
         ops in proptest::collection::vec(gen_op(), 4..24),

@@ -4,6 +4,8 @@
 
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::arch::arch_campaign;
+use swapcodes_inject::{ArchCampaign, CampaignOptions, FaultMix};
+use swapcodes_sim::ControlTarget;
 use swapcodes_workloads::by_name;
 
 #[test]
@@ -56,4 +58,38 @@ fn interthread_campaign_contains_faults() {
         out.sdc, 0,
         "shuffle checks contain store-visible faults: {out:?}"
     );
+}
+
+/// Control-state strikes take the convergence early exit (DESIGN §9)
+/// without changing an outcome: matmul's warps share no written word, so
+/// its barrier strikes are Masked without executing, and a flipped
+/// predicate that only dead code reads re-converges before the kernel ends.
+#[test]
+fn control_faults_exit_early_without_changing_outcomes() {
+    let w = by_name("matmul").expect("matmul");
+    let opts = CampaignOptions {
+        mix: FaultMix::control_only(),
+        ..CampaignOptions::default()
+    };
+    let c = ArchCampaign::prepare_with(&w, Scheme::SwapEcc, 0x5E_0C7, opts).expect("applies");
+    let (mut barriers, mut predicate_exits) = (0, 0);
+    for trial in 0..48 {
+        let (outcome, telem) = c.run_trial_telemetry_salted(trial, 0);
+        assert_eq!(
+            outcome,
+            c.run_trial_reference_salted(trial, 0),
+            "trial {trial}: {:?}",
+            c.trial_fault(trial)
+        );
+        match c.trial_fault(trial).control_target() {
+            Some(ControlTarget::Barrier) => {
+                barriers += 1;
+                assert_eq!(telem.executed, 0, "trial {trial}: barrier strike ran");
+            }
+            Some(ControlTarget::Predicate) => predicate_exits += u32::from(telem.early_exit),
+            _ => {}
+        }
+    }
+    assert!(barriers > 0, "48 control draws include a barrier strike");
+    assert!(predicate_exits > 0, "some predicate strike exits early");
 }
