@@ -5,9 +5,11 @@
 //!
 //! * **Figure sweep** — the five figure benches' cells walked the old way
 //!   (each figure recomputes its own cells serially through the seed
-//!   `replay_wave`, kept as `simulate_kernel_reference`) versus the shared
-//!   parallel memoized [`SweepEngine`] over the optimized simulator. Every
-//!   walked cell's engine timing is asserted equal to its reference timing.
+//!   `replay_wave`, kept as `simulate_kernel_reference`, and Figs. 13–14
+//!   re-execute theirs for profiles and traces) versus the shared parallel
+//!   memoized [`SweepEngine`], which runs one traced pass per cell on the
+//!   optimized simulator and serves all five figures from it. Every walked
+//!   cell's engine timing is asserted equal to its reference timing.
 //! * **Gate campaign** — the one-site-at-a-time reference
 //!   (`run_unit_campaign_reference`: every input's whole injection order
 //!   drawn up front, one `evaluate_flipped` per site, single-threaded)
@@ -125,18 +127,14 @@ fn main() {
         timing_cells.len()
     );
 
-    // --- New path: shared engine, optimized replay, worker pool. ----------
+    // --- New path: shared engine, one pass per cell, worker pool. --------
+    // The fig13 and fig14 cells are part of the timing matrix, so the one
+    // prewarm runs every pass the five figures read.
     let t1 = Instant::now();
     let engine = SweepEngine::new();
     let distinct: HashSet<Scheme> = timing_cells.iter().map(|&(_, s)| s).collect();
     let matrix: Vec<Scheme> = distinct.into_iter().collect();
-    engine.prewarm_timings(&workloads, &matrix);
-    engine.prewarm_profiles(&workloads, &Scheme::figure12_sweep());
-    let fig14_workloads: Vec<_> = fig14_names
-        .iter()
-        .map(|n| by_name(n).expect("workload"))
-        .collect();
-    engine.prewarm_traces(&fig14_workloads, &fig14_schemes);
+    engine.prewarm(&workloads, &matrix);
     // Re-walk every figure's cells: all cache hits now.
     for &(w, s) in &timing_cells {
         std::hint::black_box(engine.timing(&workloads[w], s));

@@ -7,15 +7,15 @@
 //! parallel fan-out), and then renders from cache. Running several figures
 //! against one engine — as `examples/perf_baseline.rs` and a combined
 //! `cargo bench` session do — shares every overlapping cell: the fifteen
-//! `Baseline` timings are computed once instead of four times, and the four
-//! schemes common to fig12 and fig16 are computed once instead of twice.
+//! `Baseline` passes run once instead of four times, the four schemes
+//! common to fig12 and fig16 once instead of twice, and Figs. 13 and 14
+//! read the passes fig12 ran.
 
 use swapcodes_core::{apply, PredictorSet, Scheme};
 use swapcodes_inject::recovery::{run_recovery_campaign, RecoveryCampaignConfig};
 use swapcodes_inject::{
     avf_calibration, control_fault_gap, ArchCampaign, CampaignOptions, FaultClassTallies, FaultMix,
 };
-use swapcodes_sim::power::{estimate, PowerModel};
 use swapcodes_sim::recovery::{RecoveryConfig, RecoverySpec};
 use swapcodes_sim::timing::KernelTiming;
 use swapcodes_workloads::{all, by_name};
@@ -51,7 +51,7 @@ pub fn fig12_performance(engine: &SweepEngine) {
     let schemes = Scheme::figure12_sweep();
     let mut matrix = vec![Scheme::Baseline];
     matrix.extend_from_slice(&schemes);
-    engine.prewarm_timings(&workloads, &matrix);
+    engine.prewarm(&workloads, &matrix);
 
     let mut headers = vec![
         "benchmark".to_owned(),
@@ -102,7 +102,7 @@ pub fn fig13_instruction_bloat(engine: &SweepEngine) {
 
     let workloads = all();
     let schemes = Scheme::figure12_sweep();
-    engine.prewarm_profiles(&workloads, &schemes);
+    engine.prewarm(&workloads, &schemes);
 
     let mut table = Table::new(vec![
         "benchmark",
@@ -179,13 +179,14 @@ pub fn fig14_power_energy(engine: &SweepEngine) {
         .collect();
     let mut matrix = vec![Scheme::Baseline];
     matrix.extend_from_slice(&schemes);
-    engine.prewarm_traces(&workloads, &matrix);
+    engine.prewarm(&workloads, &matrix);
 
-    let model = PowerModel::default();
     let mut table = Table::new(vec!["benchmark", "scheme", "power", "energy", "runtime"]);
     for w in &workloads {
-        let cell = engine.traces_and_timing(w, Scheme::Baseline);
-        let Some((bt, btiming)) = cell.value() else {
+        let (Cell::Value(base), Cell::Value(btiming)) = (
+            engine.power(w, Scheme::Baseline),
+            engine.timing(w, Scheme::Baseline),
+        ) else {
             table.row(vec![
                 w.name.to_owned(),
                 "(baseline)".to_owned(),
@@ -195,25 +196,18 @@ pub fn fig14_power_energy(engine: &SweepEngine) {
             ]);
             continue;
         };
-        let base = estimate(
-            &model,
-            &transformed_kernel(w, Scheme::Baseline),
-            bt,
-            btiming,
-        );
         for scheme in schemes {
-            let cell = engine.traces_and_timing(w, scheme);
-            let Some((traces, timing)) = cell.value() else {
+            let power = engine.power(w, scheme);
+            let (Cell::Value(est), Cell::Value(timing)) = (&power, engine.timing(w, scheme)) else {
                 table.row(vec![
                     w.name.to_owned(),
                     scheme.label(),
-                    if cell.is_failed() { "FAIL" } else { "n/a" }.to_owned(),
+                    if power.is_failed() { "FAIL" } else { "n/a" }.to_owned(),
                     String::new(),
                     String::new(),
                 ]);
                 continue;
             };
-            let est = estimate(&model, &transformed_kernel(w, scheme), traces, timing);
             table.row(vec![
                 w.name.to_owned(),
                 scheme.label(),
@@ -222,7 +216,7 @@ pub fn fig14_power_energy(engine: &SweepEngine) {
                     "{:.2}x",
                     est.energy_rel(&base) * timing.waves_fractional() / btiming.waves_fractional()
                 ),
-                format!("{:.2}x", timing.relative_to(btiming)),
+                format!("{:.2}x", timing.relative_to(&btiming)),
             ]);
         }
     }
@@ -249,7 +243,7 @@ pub fn fig15_interthread(engine: &SweepEngine) {
     ];
     let mut matrix = vec![Scheme::Baseline];
     matrix.extend_from_slice(&schemes);
-    engine.prewarm_timings(&workloads, &matrix);
+    engine.prewarm(&workloads, &matrix);
 
     let mut table = Table::new(vec![
         "benchmark",
@@ -294,7 +288,7 @@ pub fn fig16_future_predictors(engine: &SweepEngine) {
     let schemes = Scheme::figure16_sweep();
     let mut matrix = vec![Scheme::Baseline];
     matrix.extend_from_slice(&schemes);
-    engine.prewarm_timings(&workloads, &matrix);
+    engine.prewarm(&workloads, &matrix);
 
     let mut headers = vec!["benchmark".to_owned()];
     headers.extend(schemes.iter().map(Scheme::label));
@@ -312,7 +306,7 @@ pub fn fig16_future_predictors(engine: &SweepEngine) {
         };
         let mut cells = vec![w.name.to_owned()];
         for (i, &s) in schemes.iter().enumerate() {
-            match &*engine.timing(w, s) {
+            match engine.timing(w, s) {
                 Cell::Value(t) => {
                     let rel = t.relative_to(base);
                     sums[i].push(rel);
@@ -343,12 +337,6 @@ pub fn fig16_future_predictors(engine: &SweepEngine) {
         );
     }
     engine.print_failure_summary();
-}
-
-fn transformed_kernel(w: &swapcodes_workloads::Workload, s: Scheme) -> swapcodes_isa::Kernel {
-    apply(s, &w.kernel, w.launch)
-        .expect("scheme applies")
-        .kernel
 }
 
 /// Static protection coverage: what the dataflow verifier can *prove* about

@@ -12,18 +12,15 @@
 
 use swapcodes_core::{apply, Scheme};
 use swapcodes_sim::exec::{ExecConfig, Executor, WarpTrace};
+use swapcodes_sim::power::{estimate, PowerEstimate, PowerModel};
 use swapcodes_sim::profiler::ProfileCounts;
-use swapcodes_sim::timing::{simulate_kernel, KernelTiming, TimingConfig};
+use swapcodes_sim::timing::{simulate_kernel, simulate_traced, KernelTiming, TimingConfig};
 use swapcodes_workloads::Workload;
 
 pub mod figures;
 pub mod sweep;
 
 pub use sweep::{SweepEngine, SweepFailure};
-
-/// Traces plus the timing they were captured under (the fig. 14 power
-/// estimation inputs).
-pub type TracesAndTiming = (Vec<WarpTrace>, KernelTiming);
 
 /// One cell of the (workload × scheme) matrix.
 ///
@@ -87,15 +84,6 @@ impl<T> Cell<T> {
             Cell::Failed(why) => Cell::Failed(why),
         }
     }
-
-    /// Chain a fallible computation on the value.
-    pub fn and_then<U>(self, f: impl FnOnce(T) -> Cell<U>) -> Cell<U> {
-        match self {
-            Cell::Value(v) => f(v),
-            Cell::NotApplicable => Cell::NotApplicable,
-            Cell::Failed(why) => Cell::Failed(why),
-        }
-    }
 }
 
 /// Whether the quick mode is enabled (`SWAPCODES_FAST=1`), shrinking
@@ -134,8 +122,12 @@ pub fn measure(w: &Workload, scheme: Scheme) -> Cell<KernelTiming> {
     }
 }
 
-/// Dynamic-instruction profile of a workload under a scheme (one occupancy
-/// wave of CTAs, like the timing runs).
+/// CTAs the Fig. 13 profiles count: the first `PROFILE_CTAS` of the grid
+/// (all of it when the grid is smaller).
+pub const PROFILE_CTAS: u32 = 4;
+
+/// Dynamic-instruction profile of a workload under a scheme, over the first
+/// [`PROFILE_CTAS`] CTAs.
 #[must_use]
 pub fn profile(w: &Workload, scheme: Scheme) -> Cell<ProfileCounts> {
     let Ok(t) = apply(scheme, &w.kernel, w.launch) else {
@@ -144,7 +136,7 @@ pub fn profile(w: &Workload, scheme: Scheme) -> Cell<ProfileCounts> {
     let mut mem = w.build_memory();
     let exec = Executor {
         config: ExecConfig {
-            cta_limit: Some(4),
+            cta_limit: Some(PROFILE_CTAS),
             ..ExecConfig::default()
         },
     };
@@ -154,16 +146,8 @@ pub fn profile(w: &Workload, scheme: Scheme) -> Cell<ProfileCounts> {
     }
 }
 
-/// Traces + timing for power estimation.
-#[must_use]
-pub fn traces_and_timing(w: &Workload, scheme: Scheme) -> Cell<TracesAndTiming> {
-    measure(w, scheme)
-        .and_then(|timing| traces_for(w, scheme, &timing).map(|traces| (traces, timing)))
-}
-
-/// Traces for power estimation, given an already-computed timing for the
-/// same `(workload, scheme)` cell — lets callers holding a timing cache
-/// (the sweep engine) skip re-simulating the kernel.
+/// Warp traces of one occupancy wave for power estimation, given the
+/// cell's timing: the serial reference for [`SweepEngine::power`].
 #[must_use]
 pub fn traces_for(w: &Workload, scheme: Scheme, timing: &KernelTiming) -> Cell<Vec<WarpTrace>> {
     let Ok(t) = apply(scheme, &w.kernel, w.launch) else {
@@ -181,6 +165,50 @@ pub fn traces_for(w: &Workload, scheme: Scheme, timing: &KernelTiming) -> Cell<V
         Ok(out) => Cell::Value(out.traces),
         Err(e) => Cell::Failed(e.to_string()),
     }
+}
+
+/// Everything the figures read from one (workload, scheme) cell: its Fig. 12
+/// timing, Fig. 13 profile and Fig. 14 power estimate, all from one traced
+/// pass ([`run_cell`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellRun {
+    /// Equal to [`measure`]'s.
+    pub timing: KernelTiming,
+    /// Equal to [`profile`]'s.
+    pub profile: ProfileCounts,
+    /// The default [`PowerModel`] over the wave's traces, bit-identical to
+    /// estimating from [`traces_for`].
+    pub power: PowerEstimate,
+}
+
+/// One traced timing pass over the occupancy wave or the first
+/// [`PROFILE_CTAS`] CTAs, whichever is more, folded into a [`CellRun`]; the
+/// traces are dropped on return.
+#[must_use]
+pub(crate) fn run_cell(w: &Workload, scheme: Scheme) -> Cell<CellRun> {
+    let Ok(t) = apply(scheme, &w.kernel, w.launch) else {
+        return Cell::NotApplicable;
+    };
+    let mut mem = w.build_memory();
+    let cfg = TimingConfig::default();
+    let run = match simulate_traced(&t.kernel, t.launch, &mut mem, &cfg, PROFILE_CTAS) {
+        Ok(run) => run,
+        Err(e) => return Cell::Failed(e.to_string()),
+    };
+    // CTAs run one after another in index order, so the first PROFILE_CTAS
+    // CTAs' traces are exactly what `profile` executes.
+    let mut profile = ProfileCounts::default();
+    for trace in run.traces.iter().take_while(|tr| tr.cta < PROFILE_CTAS) {
+        for e in &trace.entries {
+            profile.record(&t.kernel.instrs()[e.kidx as usize]);
+        }
+    }
+    let power = estimate(&PowerModel::default(), &t.kernel, run.wave(), &run.timing);
+    Cell::Value(CellRun {
+        timing: run.timing,
+        profile,
+        power,
+    })
 }
 
 /// A fixed-width text table printer for the bench reports.

@@ -2,18 +2,23 @@
 //!
 //! Every figure bench in this crate walks some slice of the same matrix:
 //! each workload transformed under each protection scheme, then timed
-//! ([`KernelTiming`]), profiled ([`ProfileCounts`]) or traced
-//! (`WarpTrace`) on the simulator. Run standalone, the five benches
-//! quintuplicate those simulations — every one re-times `Baseline` for every
-//! workload, fig12 and fig16 share four schemes, and so on.
+//! ([`KernelTiming`], Figs. 12, 15 and 16), profiled ([`ProfileCounts`],
+//! Fig. 13) and power-estimated ([`PowerEstimate`], Fig. 14) on the
+//! simulator. Run standalone, the five benches would repeat those
+//! simulations — every one re-times `Baseline` for every workload, fig12
+//! and fig16 share four schemes, and Figs. 13–14 read the very runs fig12
+//! times.
 //!
-//! [`SweepEngine`] computes each cell of the matrix exactly once, caches it
-//! behind a [`std::sync::RwLock`] keyed by `(workload name, scheme)`, and
-//! fans batch requests over a pool of [`std::thread::scope`] workers with a
-//! work-stealing index counter. All simulations are deterministic pure
-//! functions of `(workload, scheme)`, so cell values are identical no matter
-//! which thread computes them or in what order — results are byte-identical
-//! to the serial `measure`/`profile`/`traces_and_timing` paths for any
+//! [`SweepEngine`] runs one traced pass per cell (`run_cell`), folds it
+//! into the cell's timing, profile and power, drops the traces, and caches
+//! the result behind a [`std::sync::RwLock`] keyed by `(workload name,
+//! scheme)`. [`SweepEngine::timing`], [`SweepEngine::profile`] and
+//! [`SweepEngine::power`] are views of that one cache. Batch requests fan
+//! over a pool of [`std::thread::scope`] workers with a work-stealing index
+//! counter. All simulations are deterministic pure functions of
+//! `(workload, scheme)`, so cell values are identical no matter which
+//! thread computes them or in what order — each view equals its serial
+//! reference (`measure`, `profile`, or `estimate` over `traces_for`) for any
 //! `SWAPCODES_THREADS` setting (a property locked in by
 //! `tests/sweep_matches_serial.rs`).
 
@@ -23,33 +28,27 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use swapcodes_core::Scheme;
 use swapcodes_inject::{contain, default_thread_count};
+use swapcodes_sim::power::PowerEstimate;
 use swapcodes_sim::profiler::ProfileCounts;
 use swapcodes_sim::timing::KernelTiming;
 use swapcodes_workloads::Workload;
 
-use crate::{measure, profile, Cell, TracesAndTiming};
+use crate::{run_cell, Cell, CellRun};
 
 /// Cache key: workload names are `&'static str` interned in the workload
 /// table, so the key is `Copy` and hashing never touches the kernel body.
 type Key = (&'static str, Scheme);
 
-/// Shared access to a cache. A poisoned lock is recovered, not propagated:
-/// every write inserts one finished cell, so the map is valid at every step.
+/// Shared access to the cache. A poisoned lock is recovered, not
+/// propagated: every write inserts one finished cell, so the map is valid at
+/// every step.
 fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Exclusive access to a cache, recovering a poisoned lock like [`read`].
+/// Exclusive access to the cache, recovering a poisoned lock like [`read`].
 fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Which artefact of a matrix cell a prewarm request should produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Artefact {
-    Timing,
-    Profile,
-    Traces,
 }
 
 /// One failed cell of a sweep, as surfaced by [`SweepEngine::failures`].
@@ -59,8 +58,6 @@ pub struct SweepFailure {
     pub workload: &'static str,
     /// The scheme of the failed cell.
     pub scheme: Scheme,
-    /// Which artefact failed (`"timing"`, `"profile"` or `"traces"`).
-    pub artefact: &'static str,
     /// Why the cell failed.
     pub reason: String,
 }
@@ -73,9 +70,7 @@ pub struct SweepFailure {
 /// by the figure reports — while the rest of the matrix completes.
 #[derive(Debug, Default)]
 pub struct SweepEngine {
-    timings: RwLock<HashMap<Key, Arc<Cell<KernelTiming>>>>,
-    profiles: RwLock<HashMap<Key, Arc<Cell<ProfileCounts>>>>,
-    traces: RwLock<HashMap<Key, Arc<Cell<TracesAndTiming>>>>,
+    cells: RwLock<HashMap<Key, Arc<Cell<CellRun>>>>,
     threads: Option<usize>,
 }
 
@@ -103,110 +98,93 @@ impl SweepEngine {
             .clamp(1, tasks.max(1))
     }
 
-    /// Timing for one cell; `NotApplicable` when the scheme does not apply
-    /// to the workload, `Failed` when the simulation errored or panicked.
-    /// Computes and caches on miss.
-    pub fn timing(&self, w: &Workload, scheme: Scheme) -> Arc<Cell<KernelTiming>> {
-        if let Some(hit) = read(&self.timings).get(&(w.name, scheme)) {
+    /// The cached pass of one cell; `NotApplicable` when the scheme does
+    /// not apply to the workload, `Failed` when the simulation errored or
+    /// panicked. Computes and caches on miss.
+    fn pass(&self, w: &Workload, scheme: Scheme) -> Arc<Cell<CellRun>> {
+        if let Some(hit) = read(&self.cells).get(&(w.name, scheme)) {
             return Arc::clone(hit);
         }
-        let value = Arc::new(contain(1, |_| measure(w, scheme)).unwrap_or_else(Cell::Failed));
-        Arc::clone(
-            write(&self.timings)
-                .entry((w.name, scheme))
-                .or_insert(value),
-        )
+        let value = Arc::new(contain(1, |_| run_cell(w, scheme)).unwrap_or_else(Cell::Failed));
+        Arc::clone(write(&self.cells).entry((w.name, scheme)).or_insert(value))
     }
 
-    /// Dynamic-instruction profile for one cell; cached on miss.
-    pub fn profile(&self, w: &Workload, scheme: Scheme) -> Arc<Cell<ProfileCounts>> {
-        if let Some(hit) = read(&self.profiles).get(&(w.name, scheme)) {
-            return Arc::clone(hit);
-        }
-        let value = Arc::new(contain(1, |_| profile(w, scheme)).unwrap_or_else(Cell::Failed));
-        Arc::clone(
-            write(&self.profiles)
-                .entry((w.name, scheme))
-                .or_insert(value),
-        )
+    /// Timing of one cell (Figs. 12, 15 and 16).
+    pub fn timing(&self, w: &Workload, scheme: Scheme) -> Cell<KernelTiming> {
+        Cell::clone(&self.pass(w, scheme)).map(|run| run.timing)
     }
 
-    /// Warp traces + timing for one cell (power estimation); cached on
-    /// miss. The timing half comes through the timing cache, so a traces
-    /// cell whose timing was already swept costs only the traced execution.
-    pub fn traces_and_timing(&self, w: &Workload, scheme: Scheme) -> Arc<Cell<TracesAndTiming>> {
-        if let Some(hit) = read(&self.traces).get(&(w.name, scheme)) {
-            return Arc::clone(hit);
+    /// Dynamic-instruction profile of one cell's first
+    /// [`crate::PROFILE_CTAS`] CTAs (Fig. 13).
+    pub fn profile(&self, w: &Workload, scheme: Scheme) -> Cell<ProfileCounts> {
+        Cell::clone(&self.pass(w, scheme)).map(|run| run.profile)
+    }
+
+    /// Power estimate of one cell's occupancy wave under the default power
+    /// model (Fig. 14).
+    pub fn power(&self, w: &Workload, scheme: Scheme) -> Cell<PowerEstimate> {
+        Cell::clone(&self.pass(w, scheme)).map(|run| run.power)
+    }
+
+    /// Run the passes of the full `workloads × schemes` matrix in parallel.
+    /// Subsequent views of those cells are pure cache reads; cells already
+    /// cached are skipped, so repeated prewarms (e.g. the fig16 sweep after
+    /// fig12 already ran) only pay for the new cells.
+    pub fn prewarm(&self, workloads: &[Workload], schemes: &[Scheme]) {
+        let tasks: Vec<(&Workload, Scheme)> = {
+            let cells = read(&self.cells);
+            pairs(workloads, schemes)
+                .filter(|&(w, s)| !cells.contains_key(&(w.name, s)))
+                .collect()
+        };
+        if tasks.is_empty() {
+            return;
         }
-        let value = Arc::new(match &*self.timing(w, scheme) {
-            Cell::Value(timing) => {
-                let timing = *timing;
-                contain(1, |_| crate::traces_for(w, scheme, &timing))
-                    .unwrap_or_else(Cell::Failed)
-                    .map(|traces| (traces, timing))
+        let workers = self.worker_count(tasks.len());
+        if workers == 1 {
+            for &(w, s) in &tasks {
+                self.pass(w, s);
             }
-            Cell::NotApplicable => Cell::NotApplicable,
-            Cell::Failed(why) => Cell::Failed(why.clone()),
+            return;
+        }
+        // Work-stealing over a shared index: workers grab the next
+        // unclaimed cell, so a slow cell (snap under SwDup) never idles the
+        // rest of the pool behind a static chunk boundary.
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&(w, s)) = tasks.get(i) else { break };
+                    self.pass(w, s);
+                });
+            }
         });
-        Arc::clone(write(&self.traces).entry((w.name, scheme)).or_insert(value))
     }
 
-    /// Fill the timing cache for the full `workloads × schemes` matrix in
-    /// parallel. Subsequent [`Self::timing`] calls for those cells are pure
-    /// cache reads.
-    pub fn prewarm_timings(&self, workloads: &[Workload], schemes: &[Scheme]) {
-        self.prewarm(workloads, schemes, Artefact::Timing);
-    }
-
-    /// Fill the profile cache for the full matrix in parallel.
-    pub fn prewarm_profiles(&self, workloads: &[Workload], schemes: &[Scheme]) {
-        self.prewarm(workloads, schemes, Artefact::Profile);
-    }
-
-    /// Fill the traces cache for the full matrix in parallel.
-    pub fn prewarm_traces(&self, workloads: &[Workload], schemes: &[Scheme]) {
-        self.prewarm(workloads, schemes, Artefact::Traces);
-    }
-
-    /// Number of cached cells across all three artefact caches (test and
-    /// reporting hook).
+    /// Number of cached cells: one per pass run, plus the inapplicable
+    /// cells (test and reporting hook).
     #[must_use]
     pub fn cached_cells(&self) -> usize {
-        read(&self.timings).len() + read(&self.profiles).len() + read(&self.traces).len()
+        read(&self.cells).len()
     }
 
-    /// Every failed cell across all three artefact caches, sorted by
-    /// `(workload, artefact, scheme)` so the summary is deterministic no
-    /// matter which worker hit the failure.
+    /// Every failed cell, sorted by `(workload, scheme)` so the summary is
+    /// deterministic no matter which worker hit the failure. A failed pass
+    /// fails every view of its cell and is reported once.
     #[must_use]
     pub fn failures(&self) -> Vec<SweepFailure> {
-        fn collect<T>(
-            map: &RwLock<HashMap<Key, Arc<Cell<T>>>>,
-            artefact: &'static str,
-            out: &mut Vec<SweepFailure>,
-        ) {
-            for ((workload, scheme), cell) in read(map).iter() {
-                if let Some(reason) = cell.failure() {
-                    out.push(SweepFailure {
-                        workload,
-                        scheme: *scheme,
-                        artefact,
-                        reason: reason.to_owned(),
-                    });
-                }
-            }
-        }
-        let mut out = Vec::new();
-        collect(&self.timings, "timing", &mut out);
-        collect(&self.profiles, "profile", &mut out);
-        collect(&self.traces, "traces", &mut out);
-        out.sort_by(|a, b| {
-            (a.workload, a.artefact, a.scheme.label()).cmp(&(
-                b.workload,
-                b.artefact,
-                b.scheme.label(),
-            ))
-        });
+        let mut out: Vec<SweepFailure> = read(&self.cells)
+            .iter()
+            .filter_map(|(&(workload, scheme), cell)| {
+                cell.failure().map(|reason| SweepFailure {
+                    workload,
+                    scheme,
+                    reason: reason.to_owned(),
+                })
+            })
+            .collect();
+        out.sort_by(|a, b| (a.workload, a.scheme.label()).cmp(&(b.workload, b.scheme.label())));
         out
     }
 
@@ -222,70 +200,7 @@ impl SweepEngine {
             failures.len()
         );
         for f in &failures {
-            println!(
-                "    {} x {} [{}]: {}",
-                f.workload,
-                f.scheme.label(),
-                f.artefact,
-                f.reason
-            );
-        }
-    }
-
-    fn prewarm(&self, workloads: &[Workload], schemes: &[Scheme], what: Artefact) {
-        // Skip cells that are already cached so repeated prewarms (e.g. the
-        // fig16 sweep after fig12 already ran) only pay for the new cells.
-        let tasks: Vec<(&Workload, Scheme)> = pairs(workloads, schemes)
-            .filter(|&(w, s)| !self.is_cached((w.name, s), what))
-            .collect();
-        self.run_pool(&tasks, what);
-    }
-
-    fn is_cached(&self, key: Key, what: Artefact) -> bool {
-        match what {
-            Artefact::Timing => read(&self.timings).contains_key(&key),
-            Artefact::Profile => read(&self.profiles).contains_key(&key),
-            Artefact::Traces => read(&self.traces).contains_key(&key),
-        }
-    }
-
-    fn run_pool(&self, tasks: &[(&Workload, Scheme)], what: Artefact) {
-        if tasks.is_empty() {
-            return;
-        }
-        let workers = self.worker_count(tasks.len());
-        if workers == 1 {
-            for &(w, s) in tasks {
-                self.compute_into_cache(w, s, what);
-            }
-            return;
-        }
-        // Work-stealing over a shared index: workers grab the next
-        // unclaimed cell, so a slow cell (snap under SwDup) never idles the
-        // rest of the pool behind a static chunk boundary.
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(w, s)) = tasks.get(i) else { break };
-                    self.compute_into_cache(w, s, what);
-                });
-            }
-        });
-    }
-
-    fn compute_into_cache(&self, w: &Workload, s: Scheme, what: Artefact) {
-        match what {
-            Artefact::Timing => {
-                let _ = self.timing(w, s);
-            }
-            Artefact::Profile => {
-                let _ = self.profile(w, s);
-            }
-            Artefact::Traces => {
-                let _ = self.traces_and_timing(w, s);
-            }
+            println!("    {} x {}: {}", f.workload, f.scheme.label(), f.reason);
         }
     }
 }
@@ -308,9 +223,12 @@ mod tests {
     fn cache_hit_returns_same_arc() {
         let engine = SweepEngine::with_threads(2);
         let ws = all();
-        let a = engine.timing(&ws[0], Scheme::Baseline);
-        let b = engine.timing(&ws[0], Scheme::Baseline);
-        assert!(Arc::ptr_eq(&a, &b), "second lookup must be a cache hit");
+        let a = engine.pass(&ws[0], Scheme::Baseline);
+        assert!(engine.timing(&ws[0], Scheme::Baseline).is_value());
+        assert!(engine.profile(&ws[0], Scheme::Baseline).is_value());
+        assert!(engine.power(&ws[0], Scheme::Baseline).is_value());
+        let b = engine.pass(&ws[0], Scheme::Baseline);
+        assert!(Arc::ptr_eq(&a, &b), "every view must be a cache hit");
         assert_eq!(engine.cached_cells(), 1);
     }
 
@@ -319,11 +237,11 @@ mod tests {
         let engine = SweepEngine::with_threads(4);
         let ws: Vec<Workload> = all().into_iter().take(3).collect();
         let schemes = [Scheme::Baseline, Scheme::SwDup];
-        engine.prewarm_timings(&ws, &schemes);
+        engine.prewarm(&ws, &schemes);
         assert_eq!(engine.cached_cells(), ws.len() * schemes.len());
-        let before = engine.timing(&ws[0], Scheme::Baseline);
-        engine.prewarm_timings(&ws, &schemes);
-        let after = engine.timing(&ws[0], Scheme::Baseline);
+        let before = engine.pass(&ws[0], Scheme::Baseline);
+        engine.prewarm(&ws, &schemes);
+        let after = engine.pass(&ws[0], Scheme::Baseline);
         assert!(Arc::ptr_eq(&before, &after), "prewarm must not recompute");
     }
 
@@ -332,11 +250,14 @@ mod tests {
         let engine = SweepEngine::new();
         // matmul is not inter-thread transformable (paper §VII).
         let w = swapcodes_workloads::by_name("matmul").expect("workload");
-        let t = engine.timing(&w, Scheme::InterThread { checked: true });
+        let scheme = Scheme::InterThread { checked: true };
+        let t = engine.pass(&w, scheme);
         assert!(t.is_not_applicable());
+        assert!(engine.timing(&w, scheme).is_not_applicable());
+        assert!(engine.profile(&w, scheme).is_not_applicable());
+        assert!(engine.power(&w, scheme).is_not_applicable());
         // The miss itself is memoized.
-        let again = engine.timing(&w, Scheme::InterThread { checked: true });
-        assert!(Arc::ptr_eq(&t, &again));
+        assert!(Arc::ptr_eq(&t, &engine.pass(&w, scheme)));
         assert!(
             engine.failures().is_empty(),
             "inapplicable is not a failure"
@@ -354,15 +275,15 @@ mod tests {
         let good = swapcodes_workloads::by_name("matmul").expect("workload");
 
         let ws = vec![good, bad];
-        engine.prewarm_timings(&ws, &[Scheme::Baseline, Scheme::SwapEcc]);
+        engine.prewarm(&ws, &[Scheme::Baseline, Scheme::SwapEcc]);
 
         // The healthy workload's cells completed...
         assert!(engine.timing(&ws[0], Scheme::Baseline).is_value());
         assert!(engine.timing(&ws[0], Scheme::SwapEcc).is_value());
         // ...the poisoned one is marked failed (and memoized as such)...
-        let t = engine.timing(&ws[1], Scheme::Baseline);
+        let t = engine.pass(&ws[1], Scheme::Baseline);
         assert!(t.is_failed());
-        assert!(Arc::ptr_eq(&t, &engine.timing(&ws[1], Scheme::Baseline)));
+        assert!(Arc::ptr_eq(&t, &engine.pass(&ws[1], Scheme::Baseline)));
         // ...and the failure is surfaced in the summary.
         let failures = engine.failures();
         assert_eq!(failures.len(), 2, "both poisoned cells: {failures:?}");
@@ -371,12 +292,17 @@ mod tests {
     }
 
     #[test]
-    fn traces_inherit_timing_failure() {
+    fn failed_pass_fails_every_view_and_is_reported_once() {
         let engine = SweepEngine::with_threads(1);
         let mut bad = swapcodes_workloads::by_name("bfs").expect("workload");
-        bad.name = "bfs-poisoned-traces";
+        bad.name = "bfs-poisoned-views";
         bad.init = |_| panic!("poisoned initialiser");
-        let cell = engine.traces_and_timing(&bad, Scheme::Baseline);
-        assert!(cell.is_failed());
+        assert!(engine.timing(&bad, Scheme::Baseline).is_failed());
+        assert!(engine.profile(&bad, Scheme::Baseline).is_failed());
+        assert!(engine.power(&bad, Scheme::Baseline).is_failed());
+        assert_eq!(engine.cached_cells(), 1, "one pass serves every view");
+        let failures = engine.failures();
+        assert_eq!(failures.len(), 1, "one failed pass: {failures:?}");
+        assert!(failures[0].reason.contains("poisoned initialiser"));
     }
 }

@@ -104,7 +104,7 @@ pub struct KernelTiming {
     pub occupancy: Occupancy,
     /// Warp instructions issued in the simulated wave.
     pub issued: u64,
-    /// Dynamic warp instructions of the simulated (functional) portion.
+    /// Dynamic warp instructions executed by the simulated wave.
     pub dynamic_instructions: u64,
     /// Resource-pressure statistics of the simulated wave.
     pub stats: WaveStats,
@@ -202,7 +202,46 @@ pub fn simulate_kernel(
     mem: &mut GlobalMemory,
     cfg: &TimingConfig,
 ) -> Result<KernelTiming, ExecError> {
-    simulate_with(kernel, launch, mem, cfg, replay_wave)
+    simulate_with(kernel, launch, mem, cfg, replay_wave, 0).map(|run| run.timing)
+}
+
+/// A timing run that keeps its warp traces ([`simulate_traced`]).
+#[derive(Debug)]
+pub struct TracedRun {
+    /// The occupancy wave's timing, equal to [`simulate_kernel`]'s.
+    pub timing: KernelTiming,
+    /// Every executed warp's trace in CTA order: the wave's warps first,
+    /// then those of any CTAs run past the wave.
+    pub traces: Vec<WarpTrace>,
+    /// How many leading `traces` belong to the wave.
+    wave_warps: usize,
+}
+
+impl TracedRun {
+    /// The occupancy wave's traces: the ones the replay timed.
+    #[must_use]
+    pub fn wave(&self) -> &[WarpTrace] {
+        &self.traces[..self.wave_warps]
+    }
+}
+
+/// [`simulate_kernel`], but executing at least the first `min_ctas` CTAs of
+/// the grid (more when the wave is larger) and returning every warp trace.
+/// Only the wave's traces are replayed, so `timing` equals
+/// [`simulate_kernel`]'s whenever both runs succeed.
+///
+/// # Errors
+///
+/// Same contract as [`simulate_kernel`]; an execution error in a CTA past
+/// the wave fails the whole run.
+pub fn simulate_traced(
+    kernel: &Kernel,
+    launch: Launch,
+    mem: &mut GlobalMemory,
+    cfg: &TimingConfig,
+    min_ctas: u32,
+) -> Result<TracedRun, ExecError> {
+    simulate_with(kernel, launch, mem, cfg, replay_wave, min_ctas)
 }
 
 /// Pre-optimization replay retained verbatim as a differential-testing and
@@ -220,7 +259,7 @@ pub fn simulate_kernel_reference(
     mem: &mut GlobalMemory,
     cfg: &TimingConfig,
 ) -> Result<KernelTiming, ExecError> {
-    simulate_with(kernel, launch, mem, cfg, replay_wave_reference)
+    simulate_with(kernel, launch, mem, cfg, replay_wave_reference, 0).map(|run| run.timing)
 }
 
 /// Signature shared by the optimized and reference wave-replay backends.
@@ -232,7 +271,8 @@ fn simulate_with(
     mem: &mut GlobalMemory,
     cfg: &TimingConfig,
     replay: ReplayFn,
-) -> Result<KernelTiming, ExecError> {
+    min_ctas: u32,
+) -> Result<TracedRun, ExecError> {
     let regs = kernel.register_count().max(1);
     let occ = occupancy(&cfg.gpu, regs, launch.threads_per_cta, launch.shared_words);
     if occ.ctas == 0 {
@@ -246,12 +286,27 @@ fn simulate_with(
         config: ExecConfig {
             protection: Protection::None,
             collect_trace: true,
-            cta_limit: Some(wave_ctas),
+            cta_limit: Some(wave_ctas.max(min_ctas.min(launch.ctas))),
             ..ExecConfig::default()
         },
     };
     let out = exec.run(kernel, launch, mem)?;
-    let (wave_cycles, stats) = replay(kernel, &out.traces, cfg)?;
+    // CTAs run one after another in index order, so the wave's warps are a
+    // prefix of the traces.
+    let wave_warps = out.traces.partition_point(|t| t.cta < wave_ctas);
+    let wave = &out.traces[..wave_warps];
+    let (wave_cycles, stats) = replay(kernel, wave, cfg)?;
+    let issued = wave.iter().map(|t| t.entries.len() as u64).sum();
+    // Fault-free, every counted instruction leaves one trace entry, so a
+    // whole wave executed `issued`. A run that `max_dynamic` cut inside the
+    // wave dropped that CTA's traces but stopped there: its own count is
+    // the wave's.
+    let whole_wave = wave_warps == (wave_ctas * launch.warps_per_cta()) as usize;
+    let dynamic_instructions = if whole_wave {
+        issued
+    } else {
+        out.dynamic_instructions
+    };
 
     // The timing model simulates one SM and scales the simulated wave over
     // the grid fractionally: grids are assumed large enough (or the device
@@ -264,14 +319,18 @@ fn simulate_with(
     // `cycles` derives from the stored milli-wave count (not the raw float)
     // so the two fields can never drift apart.
     let cycles = (wave_cycles * waves_milli + 500) / 1000;
-    Ok(KernelTiming {
-        cycles,
-        wave_cycles,
-        waves_milli,
-        occupancy: occ,
-        issued: out.traces.iter().map(|t| t.entries.len() as u64).sum(),
-        dynamic_instructions: out.dynamic_instructions,
-        stats,
+    Ok(TracedRun {
+        timing: KernelTiming {
+            cycles,
+            wave_cycles,
+            waves_milli,
+            occupancy: occ,
+            issued,
+            dynamic_instructions,
+            stats,
+        },
+        traces: out.traces,
+        wave_warps,
     })
 }
 
@@ -867,6 +926,21 @@ mod tests {
         let big = simulate_kernel(&trivial_kernel(160), Launch::grid(8, 128), &mut mem, &cfg)
             .expect("timing");
         assert!(big.cycles > small.cycles, "{small:?} vs {big:?}");
+    }
+
+    #[test]
+    fn traced_run_past_the_wave_times_only_the_wave() {
+        let cfg = TimingConfig::default();
+        let k = trivial_kernel(32);
+        let launch = Launch::grid(8, 1024);
+        let timing = simulate_kernel(&k, launch, &mut GlobalMemory::new(64), &cfg).expect("timing");
+        let wave = timing.occupancy.ctas as usize;
+        assert!(wave < 8, "the test needs a wave smaller than the grid");
+        let run = simulate_traced(&k, launch, &mut GlobalMemory::new(64), &cfg, 8).expect("timing");
+        assert_eq!(run.timing, timing);
+        let warps = launch.warps_per_cta() as usize;
+        assert_eq!(run.wave().len(), wave * warps);
+        assert_eq!(run.traces.len(), 8 * warps);
     }
 
     #[test]
