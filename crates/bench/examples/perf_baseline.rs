@@ -213,6 +213,7 @@ fn main() {
     let mut arch_cow_s = 0.0f64;
     let mut arch_snapshots = 0usize;
     let mut arch_early_exits = 0u64;
+    let mut arch_confined = 0u64;
     let mut arch_total = 0u64;
     let mut arch_bytes_cloned = 0u64;
     let mut arch_pages_cloned = 0u64;
@@ -264,6 +265,7 @@ fn main() {
             if telemetry.early_exit {
                 arch_early_exits += 1;
             }
+            arch_confined += u64::from(telemetry.confined);
             arch_bytes_cloned += telemetry.bytes_cloned;
             arch_pages_cloned += telemetry.cow_pages_cloned;
             arch_pages_total += telemetry.cow_pages_total;
@@ -296,11 +298,13 @@ fn main() {
     let arch_speedup = arch_reference_s / arch_clone_s;
     let arch_speedup_cow = arch_reference_s / arch_cow_s;
     let arch_early_rate = arch_early_exits as f64 / arch_total as f64;
+    let arch_confined_rate = arch_confined as f64 / arch_total as f64;
     let arch_bytes_per_trial = arch_bytes_cloned as f64 / arch_total as f64;
     let arch_page_hit_rate = 1.0 - arch_pages_cloned as f64 / arch_pages_total as f64;
     println!(
-        "  arch campaign (1 thread)          {arch_reference_s:7.2}s -> clone {arch_clone_s:7.2}s ({arch_speedup:.1}x) -> cow {arch_cow_s:7.2}s ({arch_speedup_cow:.1}x, {arch_total} trials, {:.0}% early exit)",
-        arch_early_rate * 100.0
+        "  arch campaign (1 thread)          {arch_reference_s:7.2}s -> clone {arch_clone_s:7.2}s ({arch_speedup:.1}x) -> cow {arch_cow_s:7.2}s ({arch_speedup_cow:.1}x, {arch_total} trials, {:.0}% early exit, {:.0}% confined)",
+        arch_early_rate * 100.0,
+        arch_confined_rate * 100.0
     );
     println!(
         "  arch cow telemetry                {arch_bytes_per_trial:.0} bytes cloned/trial, {:.1}% page hit rate",
@@ -383,7 +387,7 @@ fn main() {
 
     // --- Report. ----------------------------------------------------------
     let json = format!(
-        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"serial_seed_s\": {serial_s:.3},\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"speedup\": {sweep_speedup:.2},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"reference_s\": {campaign_reference_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"errors\": {ref_found},\n    \"attempts\": {ref_attempts}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_clone_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
+        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"serial_seed_s\": {serial_s:.3},\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"speedup\": {sweep_speedup:.2},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"reference_s\": {campaign_reference_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"errors\": {ref_found},\n    \"attempts\": {ref_attempts}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_clone_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"confined_rate\": {arch_confined_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
         timing_cells.len(),
         engine.cached_cells(),
         inputs.len(),

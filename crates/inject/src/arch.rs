@@ -652,8 +652,11 @@ pub struct TrialTelemetry {
     /// Dynamic instructions the trial actually executed.
     pub executed: u64,
     /// Whether the trial was classified Masked by golden convergence
-    /// without running to completion.
+    /// without running to completion (rules 1–3 of DESIGN §9).
     pub early_exit: bool,
+    /// Whether only the struck warp ran after the strike (rule 4 of DESIGN
+    /// §9); a confined run that could not decide and re-ran is not.
+    pub confined: bool,
     /// Bytes of snapshot state the trial materialized (CoW resume cost).
     pub bytes_cloned: u64,
     /// Global-memory pages materialized by the trial's writes.
@@ -1043,6 +1046,7 @@ impl<'w> ArchCampaign<'w> {
             resumed_from: t.resumed_from,
             executed: t.executed,
             early_exit: t.converged_early,
+            confined: t.confined.is_some(),
             bytes_cloned: t.bytes_cloned,
             cow_pages_cloned: t.cow_pages_cloned,
             cow_pages_total: t.cow_pages_total,
@@ -1059,8 +1063,8 @@ impl<'w> ArchCampaign<'w> {
             detection_outcome(t.detection).unwrap_or_else(|| {
                 // O(output-region) check against the CoW view — the
                 // trial's memory must never be flattened here.
-                let (addr, words) = self.cell.workload.output;
-                if t.mem.read_u32_slice(addr, words as usize) == self.cell.golden {
+                let (addr, _) = self.cell.workload.output;
+                if self.cell.engine.output_matches(&t, addr, &self.cell.golden) {
                     TrialOutcome::Masked
                 } else {
                     TrialOutcome::Sdc

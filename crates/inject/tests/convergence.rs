@@ -3,15 +3,18 @@
 //! rule for barrier strikes must never change an outcome.
 //!
 //! * a three-way window of control-only trials — copy-on-write resume
-//!   (all three rules), clone resume (exact, count-keyed, every trial run)
-//!   and the from-scratch reference — on the four perfbench cells and one
-//!   Inter-Thread cell, whose `SHFL`s read other lanes' registers;
+//!   (all four rules), clone resume (exact, count-keyed, every trial run)
+//!   and the from-scratch reference — on the four perfbench cells and two
+//!   Inter-Thread cells, whose `SHFL`s read other lanes' registers. On
+//!   warp-independent cells rule 4 confines non-barrier strikes before the
+//!   convergence check runs, so hspot × Swap-ECC and lud × Inter-Thread,
+//!   which are not warp-independent, keep rules 1 and 2 exercised;
 //! * a fuel budget of exactly the golden length, where a trial that
 //!   re-converges late must still hang as the reference does;
 //! * a two-warp kernel that swaps shared words across a barrier, which is
 //!   not warp-independent, so its barrier strikes run and can corrupt.
 //!
-//! Run with `--release`: the file runs ~1,800 from-scratch reference trials.
+//! Run with `--release`: the file runs ~2,100 from-scratch reference trials.
 
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::{ArchCampaign, CampaignOptions, FaultMix};
@@ -39,6 +42,7 @@ fn control_window_three_way_identical() {
         ("hspot", Scheme::SwapEcc),
         ("bprop", Scheme::SwapPredict(PredictorSet::MAD)),
         ("pathf", Scheme::InterThread { checked: true }),
+        ("lud", Scheme::InterThread { checked: true }),
     ];
     for (name, scheme) in cells {
         let w = by_name(name).expect("workload");

@@ -20,9 +20,10 @@ use proptest::prelude::*;
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::{
     run_arch_shard_checkpointed, ArchCampaign, CampaignOptions, CheckpointConfig, FaultMix,
-    ShardControl, ShardRun, ShardSpec,
+    ShardControl, ShardRun, ShardSpec, TrialOutcome,
 };
-use swapcodes_sim::{FaultSpec, FaultTarget};
+use swapcodes_sim::snapshot::CampaignEngine;
+use swapcodes_sim::{FaultClass, FaultSpec, FaultTarget};
 use swapcodes_workloads::by_name;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -269,5 +270,55 @@ proptest! {
         if c == 0 && s == 0 {
             prop_assert_eq!(classes.aggregate(), campaign.run_range(start, start + trials));
         }
+    }
+}
+
+/// Shadow-side transient draws that never fire (DESIGN §11): the transient
+/// draw takes its index from the Original-side eligible count for both
+/// sides, but predicted ops have no shadow, so on a Swap-Predict cell a
+/// shadow draw past the shadow-side count strikes nothing and is tallied
+/// Masked. Pinned on the perfbench cells at seed 11 under the `all` mix
+/// over the first 4,096 trials (1,340 transient draws); every such trial
+/// equals the reference.
+#[test]
+fn shadow_draws_past_the_shadow_count_never_fire() {
+    let options = CampaignOptions {
+        mix: FaultMix::all_classes(),
+        ..CampaignOptions::default()
+    };
+    for (name, scheme, never_fire) in [
+        ("bprop", Scheme::SwapPredict(PredictorSet::MAD), 364),
+        ("hspot", Scheme::SwapEcc, 1),
+        ("matmul", Scheme::SwapEcc, 0),
+        ("kmeans", Scheme::SwDup, 0),
+    ] {
+        let w = by_name(name).expect("workload");
+        let c = ArchCampaign::prepare_with(&w, scheme, 11, options).expect("applies");
+        let (_, golden) = CampaignEngine::capture(
+            c.kernel(),
+            c.launch(),
+            c.protection(),
+            &c.workload().build_memory(),
+            c.golden_dynamic(),
+        )
+        .expect("capture");
+        let (mut transients, mut dead) = (0, 0);
+        for trial in 0..4096 {
+            let f = c.trial_fault(trial);
+            if f.class != FaultClass::Transient {
+                continue;
+            }
+            transients += 1;
+            if f.target == FaultTarget::Shadow && f.eligible_index >= golden.eligible_shadow {
+                dead += 1;
+                assert_eq!(c.run_trial_salted(trial, 0), TrialOutcome::Masked, "{f:?}");
+                assert_eq!(c.run_trial_reference_salted(trial, 0), TrialOutcome::Masked);
+            }
+        }
+        assert_eq!(
+            (dead, transients),
+            (never_fire, 1340),
+            "{name}: never-firing shadow draws"
+        );
     }
 }

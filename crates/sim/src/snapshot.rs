@@ -27,8 +27,14 @@
 //! * **Warp-independent barrier strikes** — when no word one warp writes is
 //!   touched by another, a barrier strike only reorders warps and is
 //!   classified Masked without executing anything.
+//! * **Warp-confined trials** — in such a cell, once a transient or a
+//!   non-barrier control strike changes the state of one warp while another
+//!   is still live, only the struck warp runs on. Every memory access it
+//!   makes is checked against the golden per-word owner log, and dynamic
+//!   count bounds decide whether its halt or its output is the reference
+//!   outcome; otherwise the trial re-runs on the normal schedule.
 //!
-//! See DESIGN §9 for the three rules, their soundness arguments and the
+//! See DESIGN §9 for the four rules, their soundness arguments and the
 //! fuel/truncation guards.
 //!
 //! Trials interpret the predecoded micro-op table from [`crate::predecode`]
@@ -214,9 +220,10 @@ pub struct EpochLadder {
     /// Whether the golden run hit the `max_dynamic` cap (early-exit is
     /// disabled in that case: the golden suffix is not a completed run).
     pub golden_truncated: bool,
-    /// No global or shared word one warp of the golden run wrote was read
-    /// or written by another (rule 3 of DESIGN §9).
-    warp_independent: bool,
+    /// The golden run's per-word access log, kept only when no global or
+    /// shared word one warp wrote was read or written by another (rules 3
+    /// and 4 of DESIGN §9).
+    access: Option<AccessLog>,
     snapshots: Vec<EpochSnapshot>,
 }
 
@@ -277,6 +284,14 @@ pub struct FastTrial {
     /// provably Masked and `mem` is *not* the final memory (the suffix was
     /// pruned).
     pub converged_early: bool,
+    /// The warp a confined trial ran alone after the strike (rule 4):
+    /// `detection` and `error` are the reference's (detection timestamps
+    /// excepted), and `mem` is final only outside the words other warps
+    /// write — compare it with [`CampaignEngine::output_matches`].
+    pub confined: Option<u32>,
+    /// A confined run could not decide the outcome, so the trial re-ran on
+    /// the normal schedule; `executed` counts both runs.
+    pub rerun: bool,
     /// Global memory at the point the trial stopped (a CoW view over the
     /// resume snapshot; use [`CowMemory::read_u32_slice`] for O(output)
     /// region reads or [`CowMemory::words`]/[`CowMemory::to_global`] to
@@ -379,7 +394,7 @@ impl CampaignEngine {
             faults_applied: 0,
             control_delivered: false,
             cancel: None,
-            access: Some(AccessLog::new(
+            access: Access::Log(AccessLog::new(
                 initial_mem.words().len(),
                 launch.shared_words as usize,
             )),
@@ -405,7 +420,10 @@ impl CampaignEngine {
         if let Some(e) = ctx.error {
             return Err(e);
         }
-        let warp_independent = ctx.access.as_ref().is_some_and(|a| !a.conflict);
+        let access = match ctx.access {
+            Access::Log(log) if !log.conflict => Some(log),
+            _ => None,
+        };
         let capture = GoldenCapture {
             detection: ctx.detection,
             dynamic_instructions: ctx.dyn_count,
@@ -418,7 +436,7 @@ impl CampaignEngine {
             interval: interval.max(1),
             golden_dynamic: capture.dynamic_instructions,
             golden_truncated: capture.truncated,
-            warp_independent,
+            access,
             snapshots,
         };
         Ok((
@@ -477,10 +495,30 @@ impl CampaignEngine {
     /// Whether no global or shared word one warp of the golden run wrote
     /// was read or written by another warp — the condition under which a
     /// barrier strike only reorders warps and is Masked without executing
-    /// (rule 3 of DESIGN §9).
+    /// (rule 3 of DESIGN §9), and under which other strikes confine their
+    /// trial to the struck warp (rule 4).
     #[must_use]
     pub fn warp_independent(&self) -> bool {
-        self.ladder.warp_independent
+        self.ladder.access.is_some()
+    }
+
+    /// Whether trial `t`'s output region — `golden.len()` words from byte
+    /// address `addr` — equals `golden`, read from the trial's copy-on-write
+    /// view without flattening it. For a confined trial (rule 4 of DESIGN
+    /// §9), a word another warp writes in golden counts as equal: that warp
+    /// stopped at the strike, and in the reference it writes exactly its
+    /// golden values.
+    #[must_use]
+    pub fn output_matches(&self, t: &FastTrial, addr: u32, golden: &[u32]) -> bool {
+        let out = t.mem.read_u32_slice(addr, golden.len());
+        match (t.confined, &self.ladder.access) {
+            (Some(wid), Some(log)) => out
+                .iter()
+                .zip(golden)
+                .zip((addr..).step_by(4))
+                .all(|((o, g), a)| o == g || log.foreign_write(a, wid)),
+            _ => out == golden,
+        }
     }
 
     /// Run one fueled trial, resuming from the nearest epoch snapshot at or
@@ -540,11 +578,13 @@ impl CampaignEngine {
     /// [`Self::run_trial_cancellable`] with an explicit [`ResumeMode`]:
     /// `Cow` (the default everywhere else) shares the resume snapshot,
     /// matches rungs by warp position and compares live dirty state only,
-    /// and classifies barrier strikes in a warp-independent kernel without
-    /// executing; `Clone` deep-copies the snapshot upfront, runs every
-    /// trial, and compares complete machine state at rungs of equal dynamic
-    /// count only — the legacy cost model, kept as the byte-identity anchor
-    /// the CoW path is differentially tested against.
+    /// classifies barrier strikes in a warp-independent kernel without
+    /// executing, and confines other non-stuck-at strikes in such a kernel
+    /// to the struck warp; `Clone` deep-copies the snapshot upfront, runs
+    /// every trial on the normal schedule, and compares complete machine
+    /// state at rungs of equal dynamic count only — the legacy cost model,
+    /// kept as the byte-identity anchor the CoW path is differentially
+    /// tested against.
     ///
     /// # Panics
     ///
@@ -559,8 +599,8 @@ impl CampaignEngine {
     ) -> FastTrial {
         let si = self.resume_rung(&fault);
         let snap = &self.ladder.snapshots[si];
-        if mode == ResumeMode::Cow
-            && self.ladder.warp_independent
+        let cow_independent = mode == ResumeMode::Cow && self.ladder.access.is_some();
+        if cow_independent
             && fault.control_target() == Some(ControlTarget::Barrier)
             && self
                 .ladder
@@ -574,6 +614,8 @@ impl CampaignEngine {
                 detection: Detection::None,
                 error: None,
                 converged_early: true,
+                confined: None,
+                rerun: false,
                 resumed_from: snap.dyn_count,
                 executed: 0,
                 bytes_cloned: 0,
@@ -582,6 +624,32 @@ impl CampaignEngine {
                 mem,
             };
         }
+        let confine = cow_independent && !self.ladder.golden_truncated && confinable(&fault);
+        self.run_from(si, fault, fuel, cancel, mode, confine)
+            .unwrap_or_else(|executed| {
+                let mut t = self
+                    .run_from(si, fault, fuel, cancel, mode, false)
+                    .expect("a trial on the normal schedule always decides");
+                t.executed += executed;
+                t.rerun = true;
+                t
+            })
+    }
+
+    /// Execute `fault`'s trial from rung `si` on the normal schedule, or,
+    /// with `confine` set, confined to the struck warp once the strike lands
+    /// (rule 4). `Err` carries the instructions a confined run executed
+    /// when it could not decide the outcome.
+    fn run_from(
+        &self,
+        si: usize,
+        fault: FaultSpec,
+        fuel: u64,
+        cancel: Option<&CancelToken>,
+        mode: ResumeMode,
+        confine: bool,
+    ) -> Result<FastTrial, u64> {
+        let snap = &self.ladder.snapshots[si];
         let mut ctx = FastCtx {
             pk: &self.pk,
             launch: self.launch,
@@ -600,7 +668,7 @@ impl CampaignEngine {
             faults_applied: 0,
             control_delivered: false,
             cancel: cancel.cloned(),
-            access: None,
+            access: Access::Off,
         };
         let defer = self.compiled.is_some();
         let mut warps: Vec<FastWarp> = snap
@@ -632,9 +700,23 @@ impl CampaignEngine {
             fault,
             acc: DeltaAcc::sized_like(snap, si),
             full: mode == ResumeMode::Clone,
+            confine,
             converged: &mut converged,
         };
-        run_rounds(&mut ctx, &mut warps, &mut hook, self.compiled.as_ref());
+        let struck = run_rounds(&mut ctx, &mut warps, &mut hook, self.compiled.as_ref());
+        let confined = match (struck, &self.ladder.access) {
+            (Some(wi), Some(log)) => {
+                let strike_at = ctx.dyn_count;
+                ctx.access = Access::Check { log, broken: false };
+                run_confined(&mut ctx, &mut warps[wi], self.compiled.as_ref());
+                let reach = self.ladder.golden_dynamic + (ctx.dyn_count - strike_at);
+                if !self.confined_decides(&ctx, reach) {
+                    return Err(ctx.dyn_count - snap.dyn_count);
+                }
+                Some(warps[wi].wid)
+            }
+            _ => None,
+        };
         let regfile_bytes: u64 = warps
             .iter()
             .filter(|w| w.rf.is_materialized())
@@ -647,16 +729,74 @@ impl CampaignEngine {
         };
         let bytes_cloned =
             ctx.mem.pages_cloned() * self.page_words as u64 * 4 + shared_bytes + regfile_bytes;
-        FastTrial {
+        Ok(FastTrial {
             detection: ctx.detection,
             error: ctx.error,
             converged_early: converged,
+            confined,
+            rerun: false,
             executed: ctx.dyn_count - snap.dyn_count,
             resumed_from: snap.dyn_count,
             bytes_cloned,
             cow_pages_cloned: ctx.mem.pages_cloned(),
             cow_pages_total: ctx.mem.page_count() as u64,
             mem: ctx.mem,
+        })
+    }
+
+    /// Rule 4's count bounds: is the end of a confined run the reference
+    /// trial's end? `reach` is `golden + n`, the latest count at which the
+    /// reference issues the struck warp's last instruction of the run; the
+    /// confined run's own count is `d + n`, the earliest.
+    ///
+    /// * An owner check failed: undecided.
+    /// * Fuel ran out (`d + n` passed it, and the dynamic cap did not stop
+    ///   the run first): the reference hangs at the same count. A
+    ///   cancellation ends the trial unrecorded either way.
+    /// * `d + n` reached the dynamic cap: undecided (the reference's
+    ///   truncated memory is unknown).
+    /// * The warp halted or ended: decided when `reach` stays within fuel
+    ///   and the cap, so the reference runs that far without stopping.
+    fn confined_decides(&self, ctx: &FastCtx<'_>, reach: u64) -> bool {
+        if matches!(ctx.access, Access::Check { broken: true, .. }) {
+            return false;
+        }
+        match ctx.error {
+            Some(ExecError::Hang { .. } | ExecError::Cancelled { .. }) => true,
+            Some(_) => false,
+            None => {
+                !ctx.truncated
+                    && self
+                        .ladder
+                        .finishes_within(reach, ctx.fuel, ctx.max_dynamic)
+            }
+        }
+    }
+}
+
+/// Rule 4 covers transients and the predicate, active-mask and
+/// scheduler-slot control targets: barrier strikes keep rule 3, and a
+/// stuck-at defect re-asserts on its lane in every warp.
+fn confinable(f: &FaultSpec) -> bool {
+    match f.class {
+        FaultClass::Transient => true,
+        FaultClass::Control(t) => t != ControlTarget::Barrier,
+        FaultClass::StuckAt(_) => false,
+    }
+}
+
+/// Run warp `w` alone until it halts or ends, or an owner check fails
+/// (rule 4 of DESIGN §9). Its barrier waits are released at once: barriers
+/// carry no data between the warps of a warp-independent cell, and the
+/// single-CTA scheduler always releases a waiting warp eventually.
+fn run_confined(ctx: &mut FastCtx<'_>, w: &mut FastWarp, compiled: Option<&CompiledKernel>) {
+    while !w.done() && !ctx.halted() && !matches!(ctx.access, Access::Check { broken: true, .. }) {
+        w.waiting_bar = false;
+        match compiled {
+            Some(ck) => {
+                ck.step(ctx, w, 64);
+            }
+            None => step(ctx, w),
         }
     }
 }
@@ -703,15 +843,44 @@ pub(crate) struct FastCtx<'a> {
     /// Armed cancellation token, polled at every issue (see
     /// [`crate::exec::CancelToken`]).
     pub(crate) cancel: Option<CancelToken>,
-    /// The golden capture's per-word warp access log (`None` in trials).
-    pub(crate) access: Option<AccessLog>,
+    /// What memory accesses log or check.
+    pub(crate) access: Access<'a>,
+}
+
+/// What `exec_uop`'s memory arms do with each global or shared word an
+/// instruction reads or writes.
+pub(crate) enum Access<'a> {
+    /// Trials on the normal schedule: nothing.
+    Off,
+    /// The golden capture: record the accessing warp.
+    Log(AccessLog),
+    /// A confined trial (rule 4 of DESIGN §9): check the struck warp's
+    /// accesses against the golden log; `broken` once one fails.
+    Check { log: &'a AccessLog, broken: bool },
+}
+
+impl Access<'_> {
+    #[inline]
+    fn note(&mut self, space: MemSpace, addr: u32, wid: u32, write: bool) {
+        match self {
+            Access::Off => {}
+            Access::Log(log) => log.record(space, addr, wid, write),
+            Access::Check { log, broken } => {
+                if !log.allows(space, addr, wid, write) {
+                    *broken = true;
+                }
+            }
+        }
+    }
 }
 
 /// Which warps of the golden capture touched each global and shared word,
 /// one byte per word: the low six bits hold the first accessor's warp id
 /// plus one, [`Self::WRITTEN`] marks a word some warp wrote and
 /// [`Self::MULTI`] a word a second warp touched. A word with both bits set
-/// makes the kernel warp-dependent (rule 3 of DESIGN §9).
+/// makes the kernel warp-dependent (rule 3 of DESIGN §9); a warp-independent
+/// cell keeps its log for rule 4's owner checks.
+#[derive(Debug, Clone)]
 pub(crate) struct AccessLog {
     global: Vec<u8>,
     shared: Vec<u8>,
@@ -763,6 +932,37 @@ impl AccessLog {
         if *cell & (Self::WRITTEN | Self::MULTI) == Self::WRITTEN | Self::MULTI {
             self.conflict = true;
         }
+    }
+
+    /// The log byte of the word at byte address `addr` of `space` (0, as
+    /// for an untouched word, past the end: such an access faults first).
+    fn cell(&self, space: MemSpace, addr: u32) -> u8 {
+        let words = match space {
+            MemSpace::Global => &self.global,
+            MemSpace::Shared => &self.shared,
+        };
+        words.get((addr / 4) as usize).copied().unwrap_or(0)
+    }
+
+    /// Rule 4's owner rules, on a conflict-free log: warp `wid` may read a
+    /// word no other warp writes in golden, and write a word no other warp
+    /// touches in golden. A written word has a single accessor, its owner.
+    fn allows(&self, space: MemSpace, addr: u32, wid: u32, write: bool) -> bool {
+        let cell = self.cell(space, addr);
+        let owner = u32::from(cell & Self::OWNER);
+        let foreign = owner != 0 && owner != wid + 1;
+        if write {
+            !foreign && cell & Self::MULTI == 0
+        } else {
+            !foreign || cell & Self::WRITTEN == 0
+        }
+    }
+
+    /// Whether a warp other than `wid` writes the global word at byte
+    /// address `addr` in golden.
+    fn foreign_write(&self, addr: u32, wid: u32) -> bool {
+        let cell = self.cell(MemSpace::Global, addr);
+        cell & Self::WRITTEN != 0 && u32::from(cell & Self::OWNER) != wid + 1
     }
 }
 
@@ -897,6 +1097,9 @@ enum Hook<'l> {
         /// ([`ResumeMode::Clone`]) instead of the live dirty superset at
         /// rungs of equal position.
         full: bool,
+        /// Stop the schedule once the strike changes one warp's state while
+        /// another warp is live, for the confined run (rule 4).
+        confine: bool,
         converged: &'l mut bool,
     },
 }
@@ -1102,12 +1305,17 @@ fn new_warps(pk: &PredecodedKernel, launch: Launch, protection: Protection) -> V
 /// (and with it the global dynamic-instruction and eligible-op counter
 /// sequences that fault targeting and detection timestamps observe) is
 /// byte-identical across tiers.
+///
+/// Returns the index of the struck warp when the hook asked to confine and
+/// the strike landed while another warp was live; the schedule stops right
+/// after the striking step.
 fn run_rounds(
     ctx: &mut FastCtx<'_>,
     warps: &mut [FastWarp],
     hook: &mut Hook<'_>,
     compiled: Option<&CompiledKernel>,
-) {
+) -> Option<usize> {
+    let mut confine = matches!(hook, Hook::Converge { confine: true, .. });
     loop {
         match hook {
             Hook::Capture {
@@ -1137,6 +1345,7 @@ fn run_rounds(
                 acc,
                 full,
                 converged,
+                ..
             } => {
                 if !ctx.halted()
                     && ctx.pending_due.is_none()
@@ -1144,17 +1353,15 @@ fn run_rounds(
                     && converged_to_rung(ladder, *resume, ctx, warps, acc, *full)
                 {
                     **converged = true;
-                    return;
+                    return None;
                 }
             }
         }
         let mut progressed = false;
-        for w in warps.iter_mut() {
-            if w.done() || w.waiting_bar {
-                continue;
-            }
+        for wi in 0..warps.len() {
             let mut budget = 64i32;
             while budget > 0 {
+                let w = &mut warps[wi];
                 if w.done() || w.waiting_bar {
                     break;
                 }
@@ -1167,7 +1374,15 @@ fn run_rounds(
                 }
                 progressed = true;
                 if ctx.halted() {
-                    return;
+                    return None;
+                }
+                // A transient that fired on an inactive lane changed
+                // nothing and leaves `faults_applied` at zero.
+                if confine && ctx.faults_applied != 0 {
+                    confine = false;
+                    if warps.iter().enumerate().any(|(j, o)| j != wi && !o.done()) {
+                        return Some(wi);
+                    }
                 }
             }
         }
@@ -1190,11 +1405,11 @@ fn run_rounds(
             progressed = true;
         }
         if warps.iter().all(FastWarp::done) {
-            return;
+            return None;
         }
         if !progressed {
             ctx.error = Some(ExecError::Trap { at: ctx.dyn_count });
-            return;
+            return None;
         }
     }
 }
@@ -1744,9 +1959,7 @@ pub(crate) fn exec_uop(
                     ctx.mem_fault(base);
                     break;
                 };
-                if let Some(log) = &mut ctx.access {
-                    log.record(space, base, w.wid, false);
-                }
+                ctx.access.note(space, base, w.wid, false);
                 write_res(w, mop.write, lane, d, lo, lo);
                 if w64 {
                     let hi = match space {
@@ -1757,9 +1970,7 @@ pub(crate) fn exec_uop(
                         ctx.mem_fault(base.wrapping_add(4));
                         break;
                     };
-                    if let Some(log) = &mut ctx.access {
-                        log.record(space, base.wrapping_add(4), w.wid, false);
-                    }
+                    ctx.access.note(space, base.wrapping_add(4), w.wid, false);
                     write_res(w, mop.write, lane, pair_hi(d), hi, hi);
                 }
             });
@@ -1783,9 +1994,7 @@ pub(crate) fn exec_uop(
                     ctx.mem_fault(base);
                     break;
                 }
-                if let Some(log) = &mut ctx.access {
-                    log.record(space, base, w.wid, true);
-                }
+                ctx.access.note(space, base, w.wid, true);
                 if w64 {
                     let hi = rd(ctx, w, lane, pair_hi(v));
                     let ok = match space {
@@ -1796,9 +2005,7 @@ pub(crate) fn exec_uop(
                         ctx.mem_fault(base.wrapping_add(4));
                         break;
                     }
-                    if let Some(log) = &mut ctx.access {
-                        log.record(space, base.wrapping_add(4), w.wid, true);
-                    }
+                    ctx.access.note(space, base.wrapping_add(4), w.wid, true);
                 }
             });
             w.frags[fi].pc += 1;
@@ -1811,9 +2018,7 @@ pub(crate) fn exec_uop(
                     ctx.mem_fault(base);
                     break;
                 }
-                if let Some(log) = &mut ctx.access {
-                    log.record(MemSpace::Global, base, w.wid, true);
-                }
+                ctx.access.note(MemSpace::Global, base, w.wid, true);
             });
             w.frags[fi].pc += 1;
         }
@@ -1930,6 +2135,66 @@ mod tests {
         out.dynamic_instructions
     }
 
+    /// `d` with its timestamp cleared, and the timestamp.
+    fn untimed(d: Detection) -> (Detection, u64) {
+        match d {
+            Detection::None => (d, 0),
+            Detection::Trap { at } => (Detection::Trap { at: 0 }, at),
+            Detection::Due {
+                at,
+                pipeline_suspected,
+            } => (
+                Detection::Due {
+                    at: 0,
+                    pipeline_suspected,
+                },
+                at,
+            ),
+            Detection::MemFault { at } => (Detection::MemFault { at: 0 }, at),
+            Detection::Hang { at } => (Detection::Hang { at: 0 }, at),
+        }
+    }
+
+    /// Check a fast trial against the reference run that left `mem`: the
+    /// same error, detection and final memory. A converged trial promises
+    /// golden memory (for `Protection::None` masked trials, the
+    /// reference's). A confined trial (rule 4) detects the reference's
+    /// event at its own, no later count, and its memory equals the
+    /// reference's outside the words other warps write.
+    fn assert_matches_reference(
+        engine: &CampaignEngine,
+        cap: &GoldenCapture,
+        fast: &FastTrial,
+        reference: Result<crate::exec::ExecOutcome, ExecError>,
+        mem: &GlobalMemory,
+        what: &str,
+    ) {
+        let r = match reference {
+            Ok(r) => r,
+            Err(e) => return assert_eq!(fast.error, Some(e), "{what}"),
+        };
+        assert!(
+            fast.error.is_none(),
+            "{what}: fast errored, reference did not"
+        );
+        if fast.converged_early {
+            assert_eq!(fast.detection, r.detection, "{what}");
+            assert_eq!(r.detection, Detection::None, "{what}");
+            assert_eq!(mem.words(), cap.mem.words(), "{what}");
+        } else if fast.confined.is_some() {
+            let ((fd, fat), (rd, rat)) = (untimed(fast.detection), untimed(r.detection));
+            assert_eq!(fd, rd, "{what}");
+            assert!(
+                fat <= rat,
+                "{what}: confined detection after the reference's"
+            );
+            assert!(engine.output_matches(fast, 0, mem.words()), "{what}");
+        } else {
+            assert_eq!(fast.detection, r.detection, "{what}");
+            assert_eq!(fast.mem.words(), mem.words(), "{what}");
+        }
+    }
+
     #[test]
     fn golden_capture_matches_reference_executor() {
         let kernel = test_kernel();
@@ -1958,6 +2223,7 @@ mod tests {
 
         let eligible = cap.eligible_orig;
         assert!(eligible > 0);
+        let mut confined = 0;
         for idx in 0..eligible.min(24) {
             for lane in [0u32, 5, 31] {
                 let fault = FaultSpec::single_bit(idx, lane, 9);
@@ -1973,26 +2239,15 @@ mod tests {
                     },
                 };
                 let reference = exec.run(&kernel, launch, &mut mem);
-                match reference {
-                    Ok(r) => {
-                        assert!(fast.error.is_none(), "fast errored, reference did not");
-                        assert_eq!(fast.detection, r.detection, "idx {idx} lane {lane}");
-                        if fast.converged_early {
-                            // Convergence promises byte-identical final
-                            // memory to golden — which for Protection::None
-                            // masked trials equals the reference's memory.
-                            assert_eq!(r.detection, Detection::None);
-                            assert_eq!(mem.words(), cap.mem.words());
-                        } else {
-                            assert_eq!(fast.mem.words(), mem.words(), "idx {idx} lane {lane}");
-                        }
-                    }
-                    Err(e) => {
-                        assert_eq!(fast.error, Some(e), "idx {idx} lane {lane}");
-                    }
-                }
+                let what = format!("idx {idx} lane {lane}");
+                assert_matches_reference(&engine, &cap, &fast, reference, &mem, &what);
+                confined += u32::from(fast.confined.is_some());
             }
         }
+        assert!(
+            confined > 0,
+            "strikes in warp 0 confine while warp 1 is live"
+        );
     }
 
     #[test]
@@ -2089,21 +2344,9 @@ mod tests {
                         ..ExecConfig::default()
                     },
                 };
-                match exec.run(&kernel, launch, &mut mem) {
-                    Ok(r) => {
-                        assert!(fast.error.is_none(), "{ct:?}@{at}: fast errored");
-                        assert_eq!(fast.detection, r.detection, "{ct:?}@{at}");
-                        if fast.converged_early {
-                            assert_eq!(r.detection, Detection::None, "{ct:?}@{at}");
-                            assert_eq!(mem.words(), cap.mem.words(), "{ct:?}@{at}");
-                        } else {
-                            assert_eq!(fast.mem.words(), mem.words(), "{ct:?}@{at}");
-                        }
-                    }
-                    Err(e) => {
-                        assert_eq!(fast.error, Some(e), "{ct:?}@{at}");
-                    }
-                }
+                let reference = exec.run(&kernel, launch, &mut mem);
+                let what = format!("{ct:?}@{at}");
+                assert_matches_reference(&engine, &cap, &fast, reference, &mem, &what);
             }
         }
     }

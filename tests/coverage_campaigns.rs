@@ -60,19 +60,21 @@ fn interthread_campaign_contains_faults() {
     );
 }
 
-/// Control-state strikes take the convergence early exit (DESIGN §9)
+/// Control-state strikes take the fast-forward shortcuts of DESIGN §9
 /// without changing an outcome: matmul's warps share no written word, so
-/// its barrier strikes are Masked without executing, and a flipped
-/// predicate that only dead code reads re-converges before the kernel ends.
+/// its barrier strikes are Masked without executing and its other strikes
+/// run the struck warp alone; hspot's warps exchange words, so there a
+/// flipped predicate that only dead code reads re-converges before the
+/// kernel ends.
 #[test]
 fn control_faults_exit_early_without_changing_outcomes() {
-    let w = by_name("matmul").expect("matmul");
     let opts = CampaignOptions {
         mix: FaultMix::control_only(),
         ..CampaignOptions::default()
     };
+    let w = by_name("matmul").expect("matmul");
     let c = ArchCampaign::prepare_with(&w, Scheme::SwapEcc, 0x5E_0C7, opts).expect("applies");
-    let (mut barriers, mut predicate_exits) = (0, 0);
+    let (mut barriers, mut others, mut confined) = (0, 0, 0);
     for trial in 0..48 {
         let (outcome, telem) = c.run_trial_telemetry_salted(trial, 0);
         assert_eq!(
@@ -81,15 +83,36 @@ fn control_faults_exit_early_without_changing_outcomes() {
             "trial {trial}: {:?}",
             c.trial_fault(trial)
         );
-        match c.trial_fault(trial).control_target() {
-            Some(ControlTarget::Barrier) => {
-                barriers += 1;
-                assert_eq!(telem.executed, 0, "trial {trial}: barrier strike ran");
-            }
-            Some(ControlTarget::Predicate) => predicate_exits += u32::from(telem.early_exit),
-            _ => {}
+        if c.trial_fault(trial).control_target() == Some(ControlTarget::Barrier) {
+            barriers += 1;
+            assert_eq!(telem.executed, 0, "trial {trial}: barrier strike ran");
+        } else {
+            others += 1;
+            confined += u32::from(telem.confined);
         }
     }
     assert!(barriers > 0, "48 control draws include a barrier strike");
+    assert!(
+        confined * 10 >= others * 9,
+        "{confined} of {others} non-barrier strikes confined"
+    );
+
+    let w = by_name("hspot").expect("hspot");
+    let c = ArchCampaign::prepare_with(&w, Scheme::SwapEcc, 0x5E_0C7, opts).expect("applies");
+    assert!(!c.warp_independent(), "hspot's warps exchange halo words");
+    let mut predicate_exits = 0;
+    for trial in 0..48 {
+        let (outcome, telem) = c.run_trial_telemetry_salted(trial, 0);
+        assert_eq!(
+            outcome,
+            c.run_trial_reference_salted(trial, 0),
+            "hspot trial {trial}: {:?}",
+            c.trial_fault(trial)
+        );
+        assert!(!telem.confined, "hspot trial {trial} confined");
+        if c.trial_fault(trial).control_target() == Some(ControlTarget::Predicate) {
+            predicate_exits += u32::from(telem.early_exit);
+        }
+    }
     assert!(predicate_exits > 0, "some predicate strike exits early");
 }
