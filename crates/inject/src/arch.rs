@@ -560,7 +560,9 @@ impl PreparedCell {
             .unwrap_or_else(|| gout.dynamic_instructions.saturating_mul(8) + 10_000);
         // Build the fast-forward engine: predecode once, then replay the
         // golden run capturing the epoch ladder. Aim for ~32 rungs unless
-        // the snapshot interval is overridden.
+        // the snapshot interval is overridden: rungs land at the first warp
+        // boundary past each interval, so they are never more than one
+        // 64-instruction quantum late, whatever the CTA's warp count.
         let interval = config
             .snapshot_interval
             .unwrap_or_else(|| (gout.dynamic_instructions / 32).max(512));

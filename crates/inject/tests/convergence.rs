@@ -12,7 +12,10 @@
 //! * a fuel budget of exactly the golden length, where a trial that
 //!   re-converges late must still hang as the reference does;
 //! * a two-warp kernel that swaps shared words across a barrier, which is
-//!   not warp-independent, so its barrier strikes run and can corrupt.
+//!   not warp-independent, so its barrier strikes run and can corrupt;
+//! * the ladder itself: rungs land at the first warp boundary past each
+//!   interval, so on matmul × Swap-ECC, whose rounds are 2,048 instructions
+//!   long, they stay within one quantum of the interval.
 //!
 //! Run with `--release`: the file runs ~2,100 from-scratch reference trials.
 
@@ -220,6 +223,59 @@ fn barrier_strikes_run_unless_warps_are_independent() {
             let w = by_name(name).expect("workload");
             let c = ArchCampaign::prepare_with(&w, scheme, 1, control_only(tier)).expect("applies");
             assert_eq!(c.warp_independent(), independent, "{tier}: {name}");
+        }
+    }
+}
+
+/// matmul × Swap-ECC runs 32 warps per CTA, so a scheduler round is 2,048
+/// instructions: a ladder that waited for round tops would space its rungs
+/// 2,048 apart whatever the interval. Rungs taken at the first warp
+/// boundary past each interval are less than one 64-instruction quantum
+/// late, and the default interval (golden / 32, at least 512) yields about
+/// 30 of them, on both tiers.
+#[test]
+fn ladder_rungs_follow_the_interval() {
+    let w = by_name("matmul").expect("workload");
+    let t = swapcodes_core::apply(Scheme::SwapEcc, &w.kernel, w.launch).expect("applies");
+    let (kernel, _) = swapcodes_core::peephole(&t.kernel);
+    let golden = Executor {
+        config: ExecConfig {
+            protection: t.protection,
+            cta_limit: Some(1),
+            ..ExecConfig::default()
+        },
+    }
+    .run(&kernel, t.launch, &mut w.build_memory())
+    .expect("golden runs")
+    .dynamic_instructions;
+    let interval = (golden / 32).max(512);
+    for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+        let cfg = ExecConfig {
+            tier,
+            ..ExecConfig::default()
+        };
+        let (engine, _) = CampaignEngine::capture_config(
+            &kernel,
+            t.launch,
+            t.protection,
+            &w.build_memory(),
+            interval,
+            &cfg,
+        )
+        .expect("capture");
+        let counts: Vec<u64> = engine.snapshots().iter().map(|s| s.dyn_count).collect();
+        assert!(
+            counts.len() >= 28,
+            "{tier}: {} rungs at interval {interval} over {golden} instructions",
+            counts.len()
+        );
+        for pair in counts.windows(2) {
+            assert!(
+                pair[1] - pair[0] <= interval + 64,
+                "{tier}: rungs at {} and {} (interval {interval})",
+                pair[0],
+                pair[1]
+            );
         }
     }
 }

@@ -228,6 +228,9 @@ pub const DEFAULT_COW_PAGE_WORDS: usize = 64;
 pub struct CowMemory {
     base: Arc<Vec<u32>>,
     /// Materialized pages, indexed by page number (`None` = read the base).
+    /// Empty until the first write: most trials write few pages or none,
+    /// so the table is only allocated when one is materialized. Readers
+    /// test `resident` first.
     pages: Vec<Option<Box<[u32]>>>,
     /// One bit per page: set when the page is materialized.
     resident: Vec<u64>,
@@ -244,7 +247,7 @@ impl CowMemory {
         let page_words = page_words.max(1).next_power_of_two();
         let page_count = base.len().div_ceil(page_words).max(1);
         Self {
-            pages: (0..page_count).map(|_| None).collect(),
+            pages: Vec::new(),
             resident: vec![0; page_count.div_ceil(64)],
             page_words,
             page_shift: page_words.trailing_zeros(),
@@ -268,7 +271,7 @@ impl CowMemory {
     /// Number of copy-on-write pages.
     #[must_use]
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.base.len().div_ceil(self.page_words).max(1)
     }
 
     /// Page size in words.
@@ -300,8 +303,23 @@ impl CowMemory {
     }
 
     #[inline]
+    fn is_resident(&self, p: usize) -> bool {
+        self.resident[p >> 6] & (1 << (p & 63)) != 0
+    }
+
+    /// The materialized copy of page `p`, if a write made one.
+    #[inline]
+    fn page(&self, p: usize) -> Option<&[u32]> {
+        if self.is_resident(p) {
+            self.pages[p].as_deref()
+        } else {
+            None
+        }
+    }
+
+    #[inline]
     fn word(&self, i: usize) -> u32 {
-        match &self.pages[i >> self.page_shift] {
+        match self.page(i >> self.page_shift) {
             Some(pg) => pg[i & (self.page_words - 1)],
             None => self.base[i],
         }
@@ -310,14 +328,17 @@ impl CowMemory {
     /// Materialize the page containing word `i` and return the slot.
     fn page_mut(&mut self, i: usize) -> &mut u32 {
         let p = i >> self.page_shift;
-        if self.pages[p].is_none() {
+        if !self.is_resident(p) {
+            if self.pages.is_empty() {
+                self.pages.resize_with(self.page_count(), || None);
+            }
             let start = p << self.page_shift;
             let end = (start + self.page_words).min(self.base.len());
             self.pages[p] = Some(self.base[start..end].to_vec().into_boxed_slice());
             self.resident[p >> 6] |= 1 << (p & 63);
             self.pages_cloned += 1;
         }
-        let pg = self.pages[p].as_mut().expect("page just materialized");
+        let pg = self.pages[p].as_mut().expect("resident page");
         &mut pg[i & (self.page_words - 1)]
     }
 
@@ -371,11 +392,35 @@ impl CowMemory {
         Some(old)
     }
 
-    /// Read `n` u32 values from byte address `addr` (O(n), not O(total) —
-    /// the campaign's output-region check must not flatten the overlay).
-    #[must_use]
-    pub fn read_u32_slice(&self, addr: u32, n: usize) -> Vec<u32> {
-        (0..n).map(|i| self.read(addr + 4 * i as u32)).collect()
+    /// The `n` words from word index `start` as consecutive slices of the
+    /// current view, one per page the range touches, borrowed from the
+    /// overlay or the base without copying (the campaign's output-region
+    /// check).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the range runs past the end of memory.
+    pub fn slices(&self, start: usize, n: usize) -> impl Iterator<Item = &[u32]> + '_ {
+        let end = start + n;
+        assert!(
+            end <= self.base.len(),
+            "global memory words {start}..{end} out of bounds"
+        );
+        let mut i = start;
+        std::iter::from_fn(move || {
+            if i >= end {
+                return None;
+            }
+            let p = i >> self.page_shift;
+            let first = p << self.page_shift;
+            let stop = (first + self.page_words).min(end);
+            let s = match self.page(p) {
+                Some(pg) => &pg[i - first..stop - first],
+                None => &self.base[i..stop],
+            };
+            i = stop;
+            Some(s)
+        })
     }
 
     /// Flatten the overlay into a plain word vector (O(total); tests and
@@ -404,7 +449,7 @@ impl CowMemory {
     pub fn page_eq(&self, p: usize, golden: &[u32]) -> bool {
         let start = p << self.page_shift;
         let end = (start + self.page_words).min(self.base.len());
-        match &self.pages[p] {
+        match self.page(p) {
             Some(pg) => pg[..] == golden[start..end],
             None => self.base[start..end] == golden[start..end],
         }
@@ -421,9 +466,8 @@ impl CowMemory {
         let fresh = vec![0; self.resident.len()];
         let delta = std::mem::replace(&mut self.resident, fresh);
         self.base = Arc::new(self.words());
-        for p in &mut self.pages {
-            *p = None;
-        }
+        // Keep the table's allocation for the next interval's writes.
+        self.pages.clear();
         self.pages_cloned = 0;
         (Arc::clone(&self.base), delta)
     }
@@ -574,7 +618,58 @@ mod tests {
         assert_eq!(flat[2], 1000);
         assert_eq!(flat[64], 69);
         assert_eq!(flat[3], 3, "unwritten words keep base values");
-        assert_eq!(m.read_u32_slice(0, 4), vec![0, 999, 1000, 3]);
+        assert_eq!(m.slices(0, 4).next(), Some(&[0, 999, 1000, 3][..]));
+    }
+
+    #[test]
+    fn cow_memory_allocates_its_page_table_on_first_write() {
+        let base = Arc::new((0..100u32).collect::<Vec<_>>());
+        let mut m = CowMemory::new(Arc::clone(&base), 16);
+        assert_eq!(m.page_count(), 7);
+        assert!(m.pages.is_empty(), "no table before a write");
+        assert_eq!(m.try_read(4 * 99), Some(99));
+        assert!((0..m.page_count()).all(|p| m.page_eq(p, &base)));
+        assert!(m.pages.is_empty(), "reads and compares allocate nothing");
+        assert!(m.try_write(4 * 40, 7)); // page 2
+        assert_eq!(m.pages.len(), 7);
+        assert_eq!(m.page_count(), 7);
+        assert_eq!(m.read(4 * 40), 7);
+        let (rebased, dirty) = m.rebase();
+        assert_eq!(dirty[0], 0b100);
+        assert!(m.pages.is_empty(), "rebase empties the table");
+        assert_eq!(rebased[40], 7);
+        assert_eq!(
+            m.try_read(4 * 40),
+            Some(7),
+            "reads fall through to the new base"
+        );
+    }
+
+    #[test]
+    fn cow_memory_slices_concatenate_to_the_view() {
+        let base = Arc::new((0..100u32).collect::<Vec<_>>());
+        let mut m = CowMemory::new(base, 16);
+        assert!(m.try_write(4 * 20, 1000)); // page 1
+        assert!(m.try_write(4 * 99, 2000)); // partial tail page 6
+        let flat = m.words();
+        for (start, n) in [(0, 100), (15, 2), (17, 30), (96, 4), (50, 0), (16, 16)] {
+            let parts: Vec<&[u32]> = m.slices(start, n).collect();
+            assert_eq!(parts.concat(), flat[start..start + n], "{start}+{n}");
+            assert!(parts.iter().all(|s| !s.is_empty() && s.len() <= 16));
+            let pages = if n == 0 {
+                0
+            } else {
+                (start + n).div_ceil(16) - start / 16
+            };
+            assert_eq!(parts.len(), pages, "{start}+{n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn cow_memory_slices_reject_overruns() {
+        let m = CowMemory::new(Arc::new(vec![0; 8]), 4);
+        let _ = m.slices(6, 3).count();
     }
 
     #[test]

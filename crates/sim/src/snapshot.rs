@@ -9,17 +9,20 @@
 //! * **Epoch ladder** — during the campaign's golden run it captures full
 //!   architectural snapshots (warp register files with their ECC state,
 //!   divergence fragments, predicates, barrier flags, shared and global
-//!   memory, and the per-side eligible-op counters) every N dynamic
+//!   memory, the per-side eligible-op counters, and the round scheduler's
+//!   position) at the first warp boundary past every N dynamic
 //!   instructions. A trial resumes from the latest snapshot whose
-//!   eligible-op counter has not yet passed the trial's injection site and
+//!   eligible-op counter has not yet passed the trial's injection site,
+//!   picks up the scheduler's round where the snapshot left it, and
 //!   executes only the suffix.
 //! * **Golden-convergence early-exit** — once the strike has been delivered,
-//!   if at a round top every warp stands where it stood at some rung (same
-//!   fragments and barrier flags, at any dynamic-instruction count) and the
-//!   trial's state equals that rung's in everything the rest of the run can
-//!   still read (live registers and predicate bits, all memory) with no
-//!   detection pending, the remaining execution is a deterministic replay of
-//!   the golden suffix from that rung: no further fault can fire (the single
+//!   if at a warp boundary the scheduler and every warp stand where they
+//!   stood at some rung (same next warp and round progress, same fragments
+//!   and barrier flags, at any dynamic-instruction count) and the trial's
+//!   state equals that rung's in everything the rest of the run can still
+//!   read (live registers and predicate bits, all memory) with no detection
+//!   pending, the remaining execution is a deterministic replay of the
+//!   golden suffix from that rung: no further fault can fire (the single
 //!   strike is spent) and the executor state machine is a pure function of
 //!   that state. The trial is therefore classified Masked without running to
 //!   completion, provided its own finishing count stays within fuel and the
@@ -156,12 +159,24 @@ fn shfl_sources(pk: &PredecodedKernel) -> [u64; 4] {
     regs
 }
 
-/// A hash of every warp's fragments and barrier flag: the cheap pre-filter
-/// for rule 2's position match (equal positions give equal keys; a key
-/// collision only costs the exact comparison that follows).
-fn position_key(warps: &[FastWarp]) -> u64 {
+/// Where the round scheduler stands at a warp boundary: the warp it visits
+/// next, and whether a warp has issued (or a barrier release happened)
+/// earlier in the current round — the flag the round-end deadlock check
+/// reads. A round top is the default, `{ next: 0, progressed: false }`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct SchedPos {
+    next: usize,
+    progressed: bool,
+}
+
+/// A hash of the scheduler position and every warp's fragments and barrier
+/// flag: the cheap pre-filter for rule 2's position match (equal positions
+/// give equal keys; a key collision only costs the exact comparison that
+/// follows).
+fn position_key(sched: SchedPos, warps: &[FastWarp]) -> u64 {
     let mut h = 0u64;
     let mut mix = |x: u64| h = (h.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    mix((sched.next as u64) << 1 | u64::from(sched.progressed));
     for w in warps {
         mix(u64::from(w.waiting_bar) | (w.frags.len() as u64) << 1);
         for f in &w.frags {
@@ -172,12 +187,13 @@ fn position_key(warps: &[FastWarp]) -> u64 {
 }
 
 /// One rung of the epoch ladder: the complete architectural state of the
-/// golden run at a dynamic-instruction boundary (taken at the top of a
-/// scheduler round, so resuming restarts the round scheduler cleanly).
-/// Bulk state (global memory, shared memory, register files) is held in
-/// `Arc`s so resuming a trial shares it copy-on-write instead of deep
-/// cloning, and each rung records the golden run's dirty set for the
-/// interval ending at it.
+/// golden run at a warp boundary of the round scheduler, the scheduler's
+/// position included, so a resumed trial finishes the partial round exactly
+/// as golden did. Bulk state (global memory, shared memory, register files)
+/// is held in `Arc`s so resuming a trial shares it copy-on-write instead of
+/// deep cloning — consecutive rungs share the file of every warp that wrote
+/// no register in between — and each rung records the golden run's dirty
+/// set for the interval ending at it.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
     /// Dynamic warp-instructions executed when the snapshot was taken.
@@ -186,9 +202,10 @@ pub struct EpochSnapshot {
     pub eligible_orig: u64,
     /// Shadow-side eligible instructions executed so far.
     pub eligible_shadow: u64,
+    sched: SchedPos,
     warps: Vec<EpochWarp>,
     bars: Vec<bool>,
-    /// [`position_key`] of `warps`' fragments and `bars`.
+    /// [`position_key`] of `sched`, `warps`' fragments and `bars`.
     pos_key: u64,
     shared: Arc<Vec<u32>>,
     /// Whether the golden run wrote shared memory in `(previous, this]`.
@@ -293,9 +310,8 @@ pub struct FastTrial {
     /// the normal schedule; `executed` counts both runs.
     pub rerun: bool,
     /// Global memory at the point the trial stopped (a CoW view over the
-    /// resume snapshot; use [`CowMemory::read_u32_slice`] for O(output)
-    /// region reads or [`CowMemory::words`]/[`CowMemory::to_global`] to
-    /// flatten).
+    /// resume snapshot; use [`CowMemory::slices`] for O(output) region
+    /// reads or [`CowMemory::words`]/[`CowMemory::to_global`] to flatten).
     pub mem: CowMemory,
     /// Dynamic-instruction count of the snapshot the trial resumed from.
     pub resumed_from: u64,
@@ -325,9 +341,11 @@ pub struct CampaignEngine {
 
 impl CampaignEngine {
     /// Run the fault-free golden execution of `kernel` over the first CTA of
-    /// `launch`, capturing an epoch snapshot every `interval` dynamic
-    /// instructions (including epoch 0 at the initial state, so trials never
-    /// rebuild workload memory). Executes on [`ExecTier::Tier1`]; use
+    /// `launch`, capturing an epoch snapshot at the first warp boundary past
+    /// every `interval` dynamic instructions (including epoch 0 at the
+    /// initial state, so trials never rebuild workload memory). Rungs are
+    /// therefore less than `interval + 64` instructions apart. Executes on
+    /// [`ExecTier::Tier1`]; use
     /// [`Self::capture_config`] to select the tier through an [`ExecConfig`].
     ///
     /// # Errors
@@ -416,7 +434,13 @@ impl CampaignEngine {
             live: &live,
             shfl: shfl_sources(&pk),
         };
-        run_rounds(&mut ctx, &mut warps, &mut hook, compiled.as_ref());
+        run_rounds(
+            &mut ctx,
+            &mut warps,
+            &mut hook,
+            compiled.as_ref(),
+            SchedPos::default(),
+        );
         if let Some(e) = ctx.error {
             return Err(e);
         }
@@ -465,6 +489,12 @@ impl CampaignEngine {
         self.ladder.snapshots.len()
     }
 
+    /// The epoch ladder's rungs, in capture order.
+    #[must_use]
+    pub fn snapshots(&self) -> &[EpochSnapshot] {
+        &self.ladder.snapshots
+    }
+
     /// The execution tier this engine runs trials on.
     #[must_use]
     pub fn tier(&self) -> ExecTier {
@@ -503,22 +533,33 @@ impl CampaignEngine {
     }
 
     /// Whether trial `t`'s output region — `golden.len()` words from byte
-    /// address `addr` — equals `golden`, read from the trial's copy-on-write
-    /// view without flattening it. For a confined trial (rule 4 of DESIGN
-    /// §9), a word another warp writes in golden counts as equal: that warp
-    /// stopped at the strike, and in the reference it writes exactly its
-    /// golden values.
+    /// address `addr` — equals `golden`, compared page slice by page slice
+    /// on the trial's copy-on-write view without copying it. For a confined
+    /// trial (rule 4 of DESIGN §9), a word another warp writes in golden
+    /// counts as equal: that warp stopped at the strike, and in the
+    /// reference it writes exactly its golden values. Only a slice that
+    /// differs walks its words for that exception.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unaligned or out-of-bounds region.
     #[must_use]
     pub fn output_matches(&self, t: &FastTrial, addr: u32, golden: &[u32]) -> bool {
-        let out = t.mem.read_u32_slice(addr, golden.len());
-        match (t.confined, &self.ladder.access) {
-            (Some(wid), Some(log)) => out
-                .iter()
-                .zip(golden)
-                .zip((addr..).step_by(4))
-                .all(|((o, g), a)| o == g || log.foreign_write(a, wid)),
-            _ => out == golden,
-        }
+        assert_eq!(addr % 4, 0, "unaligned output region at {addr:#x}");
+        let confined = t.confined.zip(self.ladder.access.as_ref());
+        let (mut rest, mut a) = (golden, addr);
+        t.mem.slices((addr / 4) as usize, golden.len()).all(|out| {
+            let (g, tail) = rest.split_at(out.len());
+            let words = (a..).step_by(4);
+            (rest, a) = (tail, a + 4 * out.len() as u32);
+            out == g
+                || confined.is_some_and(|(wid, log)| {
+                    out.iter()
+                        .zip(g)
+                        .zip(words)
+                        .all(|((o, g), w)| o == g || log.foreign_write(w, wid))
+                })
+        })
     }
 
     /// Run one fueled trial, resuming from the nearest epoch snapshot at or
@@ -703,7 +744,13 @@ impl CampaignEngine {
             confine,
             converged: &mut converged,
         };
-        let struck = run_rounds(&mut ctx, &mut warps, &mut hook, self.compiled.as_ref());
+        let struck = run_rounds(
+            &mut ctx,
+            &mut warps,
+            &mut hook,
+            self.compiled.as_ref(),
+            snap.sched,
+        );
         let confined = match (struck, &self.ladder.access) {
             (Some(wi), Some(log)) => {
                 let strike_at = ctx.dyn_count;
@@ -1071,9 +1118,11 @@ impl DeltaAcc {
     }
 }
 
-/// What the scheduler does at the top of every round.
+/// What the scheduler does at every warp boundary: before each warp's turn
+/// in a round, the round top included.
 enum Hook<'l> {
-    /// Golden run: capture an epoch snapshot whenever `next` is reached.
+    /// Golden run: capture an epoch snapshot at the first boundary at or
+    /// past `next`.
     Capture {
         interval: u64,
         next: u64,
@@ -1083,8 +1132,8 @@ enum Hook<'l> {
         /// The kernel's `SHFL` source registers.
         shfl: [u64; 4],
     },
-    /// Trial run: test for golden convergence at every round top after the
-    /// strike.
+    /// Trial run: test for golden convergence at every warp boundary after
+    /// the strike.
     Converge {
         ladder: &'l EpochLadder,
         /// Index of the rung the trial resumed from: only it and later rungs
@@ -1104,16 +1153,73 @@ enum Hook<'l> {
     },
 }
 
-/// Capture one epoch rung. Rebases the CoW overlays (flattening writes into
-/// fresh shared bases) and drains the per-warp touched bitmaps, so each rung
-/// records both the resume state and the golden dirty set of the interval
-/// ending at it — and so trials resuming from the captured `Arc`s start with
-/// clean dirty tracking.
+impl Hook<'_> {
+    /// Run the hook at the warp boundary `sched`. Returns `true` when a
+    /// trial has re-converged to golden and must stop.
+    fn at_boundary(
+        &mut self,
+        ctx: &mut FastCtx<'_>,
+        warps: &mut [FastWarp],
+        sched: SchedPos,
+    ) -> bool {
+        match self {
+            Hook::Capture {
+                interval,
+                next,
+                out,
+                live,
+                shfl,
+            } => {
+                if ctx.dyn_count >= *next && !ctx.halted() {
+                    // Snapshots must hold consistent codewords: restore any
+                    // check bits the tier-2 engine deferred before cloning.
+                    for w in warps.iter_mut() {
+                        if w.rf.has_deferred() {
+                            w.rf.flush_deferred();
+                        }
+                    }
+                    let rung = capture_epoch(ctx, warps, sched, live, *shfl, out.last());
+                    out.push(rung);
+                    *next = ctx.dyn_count + *interval;
+                }
+                false
+            }
+            Hook::Converge {
+                ladder,
+                resume,
+                fault,
+                acc,
+                full,
+                converged,
+                ..
+            } => {
+                if !ctx.halted()
+                    && ctx.pending_due.is_none()
+                    && ctx.strike_spent(fault)
+                    && converged_to_rung(ladder, *resume, ctx, warps, sched, acc, *full)
+                {
+                    **converged = true;
+                    return true;
+                }
+                false
+            }
+        }
+    }
+}
+
+/// Capture one epoch rung at the warp boundary `sched`. Rebases the CoW
+/// overlays (flattening writes into fresh shared bases) and drains the
+/// per-warp touched bitmaps, so each rung records both the resume state and
+/// the golden dirty set of the interval ending at it — and so trials
+/// resuming from the captured `Arc`s start with clean dirty tracking. A warp
+/// that wrote no register since the `prev` rung shares that rung's file.
 fn capture_epoch(
     ctx: &mut FastCtx<'_>,
     warps: &mut [FastWarp],
+    sched: SchedPos,
     live: &Liveness,
     shfl: [u64; 4],
+    prev: Option<&EpochSnapshot>,
 ) -> EpochSnapshot {
     let (mem, delta_pages) = ctx.mem.rebase();
     let (shared, delta_shared) = ctx.shared.rebase();
@@ -1121,24 +1227,32 @@ fn capture_epoch(
         dyn_count: ctx.dyn_count,
         eligible_orig: ctx.eligible_orig,
         eligible_shadow: ctx.eligible_shadow,
+        sched,
         warps: warps
             .iter_mut()
-            .map(|w| {
+            .enumerate()
+            .map(|(wi, w)| {
                 // Drain *before* cloning: the captured base must carry an
                 // empty touched bitmap so resumed trials track only their
                 // own writes.
                 let delta_regs = w.rf.take_touched();
+                let rf = match prev {
+                    // Every write path sets a touched bit, so an empty delta
+                    // means the file still equals the previous rung's.
+                    Some(p) if delta_regs.iter().all(|&x| x == 0) => Arc::clone(&p.warps[wi].rf),
+                    _ => Arc::new((*w.rf).clone()),
+                };
                 EpochWarp {
                     frags: w.frags.clone(),
                     preds: w.preds,
-                    rf: Arc::new((*w.rf).clone()),
+                    rf,
                     delta_regs,
                     live: LiveMask::at(&w.frags, live, shfl),
                 }
             })
             .collect(),
         bars: warps.iter().map(|w| w.waiting_bar).collect(),
-        pos_key: position_key(warps),
+        pos_key: position_key(sched, warps),
         shared,
         delta_shared,
         mem,
@@ -1146,10 +1260,12 @@ fn capture_epoch(
     }
 }
 
-/// Whether every warp of the trial stands where it stood at rung `s`: the
-/// same fragments and the same barrier flag (rule 2 of DESIGN §9).
-fn positions_match(s: &EpochSnapshot, warps: &[FastWarp]) -> bool {
-    warps.len() == s.warps.len()
+/// Whether the trial's scheduler and every warp stand where they stood at
+/// rung `s`: the same next warp and round progress, the same fragments and
+/// the same barrier flag (rule 2 of DESIGN §9).
+fn positions_match(s: &EpochSnapshot, sched: SchedPos, warps: &[FastWarp]) -> bool {
+    s.sched == sched
+        && warps.len() == s.warps.len()
         && warps
             .iter()
             .zip(&s.warps)
@@ -1231,26 +1347,28 @@ fn state_matches(
 
 /// Rule 2 of DESIGN §9: is there a rung at or after `resume` that the
 /// trial's state has re-converged to? A candidate stands at the trial's
-/// warp positions (under `full`, also at its dynamic count) and its golden
-/// suffix, shifted to the trial's count, must finish within the trial's
-/// fuel and dynamic cap.
+/// scheduler and warp positions (under `full`, also at its dynamic count)
+/// and its golden suffix, shifted to the trial's count, must finish within
+/// the trial's fuel and dynamic cap.
 fn converged_to_rung(
     ladder: &EpochLadder,
     resume: usize,
     ctx: &FastCtx<'_>,
     warps: &mut [FastWarp],
+    sched: SchedPos,
     acc: &mut DeltaAcc,
     full: bool,
 ) -> bool {
     let snaps = &ladder.snapshots;
-    let key = position_key(warps);
+    let key = position_key(sched, warps);
     let mut flushed = false;
     for (r, s) in snaps.iter().enumerate().skip(resume) {
         if s.pos_key != key || (full && s.dyn_count != ctx.dyn_count) {
             continue;
         }
         let finish = ctx.dyn_count + (ladder.golden_dynamic - s.dyn_count);
-        if !ladder.finishes_within(finish, ctx.fuel, ctx.max_dynamic) || !positions_match(s, warps)
+        if !ladder.finishes_within(finish, ctx.fuel, ctx.max_dynamic)
+            || !positions_match(s, sched, warps)
         {
             continue;
         }
@@ -1297,8 +1415,10 @@ fn new_warps(pk: &PredecodedKernel, launch: Launch, protection: Protection) -> V
 
 /// The round scheduler: identical to the reference executor's single-CTA
 /// loop (64-instruction quanta per warp, barrier release when all live
-/// warps wait, deadlock watchdog), with the campaign hook at the top of
-/// every round. With `compiled` present, warps step through the tier-2
+/// warps wait, deadlock watchdog), with the campaign hook at every warp
+/// boundary. It starts at `start`, the round top for a golden run and the
+/// resume rung's position for a trial, which finishes that partial round
+/// first. With `compiled` present, warps step through the tier-2
 /// closure buffer; fused superinstructions consume two budget slots per
 /// dispatch, and the final slot of a quantum always runs the tier-1
 /// interpreter step so the quantum can never overshoot — warp interleaving
@@ -1314,51 +1434,16 @@ fn run_rounds(
     warps: &mut [FastWarp],
     hook: &mut Hook<'_>,
     compiled: Option<&CompiledKernel>,
+    start: SchedPos,
 ) -> Option<usize> {
     let mut confine = matches!(hook, Hook::Converge { confine: true, .. });
+    let mut sched = start;
     loop {
-        match hook {
-            Hook::Capture {
-                interval,
-                next,
-                out,
-                live,
-                shfl,
-            } => {
-                if ctx.dyn_count >= *next && !ctx.halted() {
-                    // Snapshots must hold consistent codewords: restore any
-                    // check bits the tier-2 engine deferred before cloning.
-                    for w in warps.iter_mut() {
-                        if w.rf.has_deferred() {
-                            w.rf.flush_deferred();
-                        }
-                    }
-                    let next_at = ctx.dyn_count + *interval;
-                    out.push(capture_epoch(ctx, warps, live, *shfl));
-                    *next = next_at;
-                }
+        while sched.next < warps.len() {
+            if hook.at_boundary(ctx, warps, sched) {
+                return None;
             }
-            Hook::Converge {
-                ladder,
-                resume,
-                fault,
-                acc,
-                full,
-                converged,
-                ..
-            } => {
-                if !ctx.halted()
-                    && ctx.pending_due.is_none()
-                    && ctx.strike_spent(fault)
-                    && converged_to_rung(ladder, *resume, ctx, warps, acc, *full)
-                {
-                    **converged = true;
-                    return None;
-                }
-            }
-        }
-        let mut progressed = false;
-        for wi in 0..warps.len() {
+            let wi = sched.next;
             let mut budget = 64i32;
             while budget > 0 {
                 let w = &mut warps[wi];
@@ -1372,7 +1457,7 @@ fn run_rounds(
                         budget -= 1;
                     }
                 }
-                progressed = true;
+                sched.progressed = true;
                 if ctx.halted() {
                     return None;
                 }
@@ -1385,6 +1470,7 @@ fn run_rounds(
                     }
                 }
             }
+            sched.next += 1;
         }
         let mut live_any = false;
         let mut all_wait = true;
@@ -1402,15 +1488,16 @@ fn run_rounds(
                     w.waiting_bar = false;
                 }
             }
-            progressed = true;
+            sched.progressed = true;
         }
         if warps.iter().all(FastWarp::done) {
             return None;
         }
-        if !progressed {
+        if !sched.progressed {
             ctx.error = Some(ExecError::Trap { at: ctx.dyn_count });
             return None;
         }
+        sched = SchedPos::default();
     }
 }
 
@@ -2308,6 +2395,300 @@ mod tests {
         let t = engine.run_trial(fault, fuel);
         assert!(t.resumed_from > 0, "late trial resumed from epoch 0");
         assert!(t.executed < cap.dynamic_instructions);
+    }
+
+    /// Two warps of 32 threads: warp 1 exits at once, warp 0 accumulates
+    /// `tid*tid` over 100 iterations (about seven rounds) and stores it to
+    /// `global[tid]`. Every round after the first ends with a boundary
+    /// before the finished warp while warp 0 is still live.
+    fn lone_warp_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("lonewarp");
+        b.push(Op::S2R {
+            d: Reg(0),
+            sr: SpecialReg::TidX,
+        });
+        b.push(Op::SetP {
+            p: Pred(0),
+            cmp: CmpOp::Ge,
+            ty: CmpTy::I32,
+            a: Reg(0),
+            b: Src::Imm(32),
+        });
+        b.push_instr(swapcodes_isa::Instr::guarded(Op::Exit, Pred(0), true));
+        b.push(Op::Mov {
+            d: Reg(1),
+            a: Src::Imm(0),
+        });
+        b.push(Op::Mov {
+            d: Reg(3),
+            a: Src::Imm(100),
+        });
+        let top = b.label();
+        b.bind(top);
+        b.push(Op::IMad {
+            d: Reg(1),
+            a: Reg(0),
+            b: Reg(0),
+            c: Reg(1),
+        });
+        b.push(Op::ISub {
+            d: Reg(3),
+            a: Reg(3),
+            b: Src::Imm(1),
+        });
+        b.push(Op::SetP {
+            p: Pred(1),
+            cmp: CmpOp::Gt,
+            ty: CmpTy::I32,
+            a: Reg(3),
+            b: Src::Imm(0),
+        });
+        b.branch_if(top, Pred(1), true);
+        store_and_exit(&mut b, 1);
+        b.finish()
+    }
+
+    /// Rungs land at every warp boundary, so trials resume partway through
+    /// a round: with the next warp still to run (two live warps), and with
+    /// only a finished warp left while an earlier one is live, where the
+    /// round's progress must carry over or the round-end deadlock check
+    /// fires. Every trial must end exactly as the reference executor's,
+    /// on both tiers.
+    #[test]
+    fn trials_resume_partial_rounds() {
+        let launch = Launch::grid(1, 64);
+        for (name, kernel) in [
+            ("snaptest", test_kernel()),
+            ("lonewarp", lone_warp_kernel()),
+        ] {
+            for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+                let cfg = ExecConfig {
+                    tier,
+                    ..ExecConfig::default()
+                };
+                let initial = GlobalMemory::new(256);
+                let (engine, cap) = CampaignEngine::capture_config(
+                    &kernel,
+                    launch,
+                    Protection::None,
+                    &initial,
+                    1,
+                    &cfg,
+                )
+                .expect("capture");
+                let fuel = cap.dynamic_instructions * 8 + 10_000;
+                let transients = (0..cap.eligible_orig).map(|i| FaultSpec::single_bit(i, 3, 7));
+                let controls = (0..cap.dynamic_instructions).step_by(5).map(|at| {
+                    FaultSpec::try_control(at, 3, ControlTarget::SchedulerSlot, 0b10)
+                        .expect("valid control spec")
+                });
+                let mut partial = 0;
+                for fault in transients.chain(controls) {
+                    let rung = &engine.ladder.snapshots[engine.resume_rung(&fault)];
+                    partial += u32::from(rung.sched.next > 0);
+                    let fast = engine.run_trial(fault, fuel);
+                    let mut mem = GlobalMemory::new(256);
+                    let exec = Executor {
+                        config: ExecConfig {
+                            fault: Some(fault),
+                            cta_limit: Some(1),
+                            fuel: Some(fuel),
+                            ..ExecConfig::default()
+                        },
+                    };
+                    let reference = exec.run(&kernel, launch, &mut mem);
+                    let what = format!("{name} {tier} {fault:?}");
+                    assert_matches_reference(&engine, &cap, &fast, reference, &mem, &what);
+                }
+                assert!(partial > 0, "{name} {tier}: no trial resumed mid-round");
+            }
+        }
+    }
+
+    /// Two warps: warp 1 spins on the flag word `global[0]` until warp 0
+    /// sets it after a 100-iteration countdown. Each spin is four
+    /// instructions, so warp 1 stands at the loop top with the same live
+    /// state after every quantum but its first: golden holds the same warp
+    /// state before and after warp 1's turn, 64 instructions apart.
+    fn spin_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("spin");
+        b.push(Op::S2R {
+            d: Reg(0),
+            sr: SpecialReg::TidX,
+        });
+        b.push(Op::SetP {
+            p: Pred(0),
+            cmp: CmpOp::Ge,
+            ty: CmpTy::I32,
+            a: Reg(0),
+            b: Src::Imm(32),
+        });
+        b.push(Op::Mov {
+            d: Reg(5),
+            a: Src::Imm(0),
+        });
+        let spin = b.label();
+        b.branch_if(spin, Pred(0), true);
+        b.push(Op::Mov {
+            d: Reg(3),
+            a: Src::Imm(100),
+        });
+        let top = b.label();
+        b.bind(top);
+        b.push(Op::ISub {
+            d: Reg(3),
+            a: Reg(3),
+            b: Src::Imm(1),
+        });
+        b.push(Op::SetP {
+            p: Pred(1),
+            cmp: CmpOp::Gt,
+            ty: CmpTy::I32,
+            a: Reg(3),
+            b: Src::Imm(0),
+        });
+        b.branch_if(top, Pred(1), true);
+        b.push(Op::Mov {
+            d: Reg(6),
+            a: Src::Imm(1),
+        });
+        b.push(Op::St {
+            space: MemSpace::Global,
+            addr: Reg(5),
+            offset: 0,
+            v: Reg(6),
+            width: swapcodes_isa::MemWidth::W32,
+        });
+        b.push(Op::Exit);
+        b.bind(spin);
+        b.push(Op::Ld {
+            d: Reg(7),
+            space: MemSpace::Global,
+            addr: Reg(5),
+            offset: 0,
+            width: swapcodes_isa::MemWidth::W32,
+        });
+        b.push(Op::SetP {
+            p: Pred(2),
+            cmp: CmpOp::Eq,
+            ty: CmpTy::I32,
+            a: Reg(7),
+            b: Src::Imm(0),
+        });
+        b.push(Op::Mov {
+            d: Reg(8),
+            a: Src::Imm(0),
+        });
+        b.branch_if(spin, Pred(2), true);
+        b.push(Op::Exit);
+        b.finish()
+    }
+
+    /// The scheduler position is part of the matched state (rule 2). After
+    /// a strike on a dead predicate bit, a trial standing before warp 1's
+    /// turn has the warp state golden has after it, at a count 64 higher; a
+    /// match there would shift the trial's finishing count down by 64. With
+    /// fuel one short of the golden length every trial hangs, as the
+    /// reference does, and none may exit early.
+    #[test]
+    fn convergence_matches_the_scheduler_position() {
+        let kernel = spin_kernel();
+        let launch = Launch::grid(1, 64);
+        let initial = GlobalMemory::new(64);
+        for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+            let cfg = ExecConfig {
+                tier,
+                ..ExecConfig::default()
+            };
+            let (engine, cap) = CampaignEngine::capture_config(
+                &kernel,
+                launch,
+                Protection::None,
+                &initial,
+                1,
+                &cfg,
+            )
+            .expect("capture");
+            assert!(!engine.warp_independent(), "warp 1 reads warp 0's flag");
+            let mut converged = 0;
+            for fuel in [cap.dynamic_instructions * 8, cap.dynamic_instructions - 1] {
+                for at in 0..cap.dynamic_instructions {
+                    let fault = FaultSpec::try_control(at, 0, ControlTarget::Predicate, 0b1000)
+                        .expect("valid control spec");
+                    let fast = engine.run_trial(fault, fuel);
+                    converged += u32::from(fast.converged_early);
+                    let mut mem = GlobalMemory::new(64);
+                    let exec = Executor {
+                        config: ExecConfig {
+                            fault: Some(fault),
+                            cta_limit: Some(1),
+                            fuel: Some(fuel),
+                            ..ExecConfig::default()
+                        },
+                    };
+                    let reference = exec.run(&kernel, launch, &mut mem);
+                    let what = format!("{tier} fuel {fuel} @{at}");
+                    assert_matches_reference(&engine, &cap, &fast, reference, &mem, &what);
+                }
+            }
+            assert!(converged > 0, "{tier}: dead-bit strikes converge");
+        }
+    }
+
+    /// `output_matches` compares page slices; it must agree with the
+    /// per-word definition (equal, or, for a confined trial, written by
+    /// another warp in golden) on ranges that start and end inside pages,
+    /// against the golden image and against copies with one word changed,
+    /// including confined trials whose other warp never wrote its output.
+    #[test]
+    fn output_matches_agrees_with_the_per_word_definition() {
+        let kernel = test_kernel();
+        let launch = Launch::grid(1, 64);
+        let cfg = ExecConfig {
+            cow_page_words: 4,
+            ..ExecConfig::default()
+        };
+        let initial = GlobalMemory::new(256);
+        let (engine, cap) =
+            CampaignEngine::capture_config(&kernel, launch, Protection::None, &initial, 3, &cfg)
+                .expect("capture");
+        let log = engine.ladder.access.as_ref().expect("warp-independent");
+        let golden = cap.mem.words();
+        let fuel = cap.dynamic_instructions * 8 + 10_000;
+        let mut foreign = 0;
+        for idx in 0..cap.eligible_orig.min(24) {
+            let t = engine.run_trial(FaultSpec::single_bit(idx, 5, 9), fuel);
+            for (start, n) in [(0usize, 64usize), (3, 29), (30, 5), (32, 32), (7, 0)] {
+                let addr = 4 * start as u32;
+                let out: Vec<u32> = (0..n).map(|i| t.mem.read(addr + 4 * i as u32)).collect();
+                let base = golden[start..start + n].to_vec();
+                let mut images = vec![base.clone()];
+                for i in [0, n / 2, n.saturating_sub(1)]
+                    .into_iter()
+                    .filter(|&i| i < n)
+                {
+                    let mut g = base.clone();
+                    g[i] ^= 1;
+                    images.push(g);
+                }
+                for g in images {
+                    let per_word =
+                        out.iter()
+                            .zip(&g)
+                            .zip((addr..).step_by(4))
+                            .all(|((o, g), a)| {
+                                o == g || t.confined.is_some_and(|wid| log.foreign_write(a, wid))
+                            });
+                    assert_eq!(
+                        engine.output_matches(&t, addr, &g),
+                        per_word,
+                        "idx {idx} words {start}+{n}"
+                    );
+                    foreign += u32::from(per_word && out != g);
+                }
+            }
+        }
+        assert!(foreign > 0, "a confined trial leaves another warp's words");
     }
 
     /// Every control-state target, across a spread of delivery points,
