@@ -11,6 +11,8 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
+use crate::predecode::WriteMode;
+
 use swapcodes_ecc::report::{DpWord, ReadEvent, SecDedDp, SecDp};
 use swapcodes_ecc::swap::{self, SwappedWord};
 use swapcodes_ecc::{parity32, AnyCode, CodeKind, RawDecode, SystematicCode};
@@ -52,12 +54,14 @@ impl RegFileEvent {
     }
 }
 
-/// One stored register word.
+/// One architectural register's 32 lanes, side by side: the unit a
+/// register-major file stores and a column read or write moves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Stored {
-    data: u32,
-    check: u16,
-    parity: bool,
+struct Column {
+    data: [u32; 32],
+    check: [u16; 32],
+    /// Data-parity bit of lane `l` at bit `l`.
+    parity: u32,
 }
 
 #[derive(Clone)]
@@ -80,28 +84,140 @@ impl std::fmt::Debug for Decoder {
     }
 }
 
+impl Decoder {
+    /// Check bits of `value`.
+    fn check(&self, value: u32) -> u16 {
+        match self {
+            Decoder::None => 0,
+            Decoder::Detect(code) => code.encode(value),
+            Decoder::SecDedDp(rep) => rep.code().encode(value),
+            Decoder::SecDp(rep) => rep.code().encode(value),
+        }
+    }
+
+    /// Check bits of the lanes in `mask` of `src`, into `out`; the code is
+    /// matched once for the column.
+    fn check_col(&self, mask: u32, src: &[u32; 32], out: &mut [u16; 32]) {
+        #[inline(always)]
+        fn each(mask: u32, src: &[u32; 32], out: &mut [u16; 32], enc: impl Fn(u32) -> u16) {
+            for l in Lanes(mask) {
+                out[l] = enc(src[l]);
+            }
+        }
+        match self {
+            Decoder::None => each(mask, src, out, |_| 0),
+            Decoder::Detect(code) => each(mask, src, out, |v| code.encode(v)),
+            Decoder::SecDedDp(rep) => each(mask, src, out, |v| rep.code().encode(v)),
+            Decoder::SecDp(rep) => each(mask, src, out, |v| rep.code().encode(v)),
+        }
+    }
+
+    /// The stored data-parity bit of `value`: only the DP schemes store
+    /// one; the others store 0.
+    fn parity(&self, value: u32) -> bool {
+        matches!(self, Decoder::SecDedDp(_) | Decoder::SecDp(_)) && parity32(value)
+    }
+
+    /// [`Self::parity`] of all 32 lanes of `src`, bit `l` for lane `l`.
+    fn parity_col(&self, src: &[u32; 32]) -> u32 {
+        match self {
+            Decoder::None | Decoder::Detect(_) => 0,
+            Decoder::SecDedDp(_) | Decoder::SecDp(_) => (0..32)
+                .filter(|&l| parity32(src[l]))
+                .fold(0, |bits, l| bits | 1 << l),
+        }
+    }
+
+    /// The value and event a read of the stored word returns.
+    fn decode(&self, data: u32, check: u16, parity: bool) -> (u32, RegFileEvent) {
+        let word = DpWord {
+            data,
+            check,
+            data_parity: parity,
+        };
+        match self {
+            Decoder::None => (data, RegFileEvent::Clean),
+            Decoder::Detect(code) => {
+                if code.decode(data, check) == RawDecode::Clean {
+                    (data, RegFileEvent::Clean)
+                } else {
+                    (
+                        data,
+                        RegFileEvent::Due {
+                            pipeline_suspected: true,
+                        },
+                    )
+                }
+            }
+            Decoder::SecDedDp(rep) => {
+                let r = rep.read(word);
+                (r.value, convert(r.event))
+            }
+            Decoder::SecDp(rep) => {
+                let r = rep.read(word);
+                (r.value, convert(r.event))
+            }
+        }
+    }
+}
+
+/// The lanes set in a 32-bit mask, lowest first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lanes(pub(crate) u32);
+
+impl Iterator for Lanes {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let l = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(l)
+    }
+}
+
+/// Which lanes of one column read raised a DUE, and which of those the
+/// Fig. 5 reporting attributed to the pipeline (bit `l` for lane `l`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DueLanes {
+    /// Lanes whose read raised a DUE.
+    pub due: u32,
+    /// The subset with `pipeline_suspected` set.
+    pub pipeline: u32,
+}
+
 /// The register file of one warp: 32 lanes x `regs` registers, each with
-/// stored check bits. Cloning snapshots the full stored state (data, check
-/// bits, parity and the armed flag) — the basis of warp-level
+/// stored check bits, held register-major so one register's 32 lanes sit
+/// next to each other. Cloning snapshots the full stored state (data,
+/// check bits, parity and the armed flag) — the basis of warp-level
 /// checkpoint/replay in [`crate::recovery`].
+///
+/// Two access paths reach the same words: per-lane reads and writes
+/// ([`Self::read`], [`Self::write_full`] and the rest), which the reference
+/// executor uses, and whole-column reads and writes ([`Self::read_col`],
+/// [`Self::write_col`]), with which the campaign engine computes each
+/// warp-instruction as one 32-lane column.
 ///
 /// # Deferred encoding
 ///
 /// While the file is unarmed, every stored word is a consistent codeword,
 /// so the check segment is a pure function of the data segment
 /// (`check == encode(data)`). The tier-2 engine exploits this: with
-/// [`Self::set_deferred`] enabled, [`Self::write_full`] stores only the
-/// data segment and marks the register dirty, and the codeword invariant
-/// is restored lazily — by [`Self::flush_deferred`] at every point where
-/// check bits become observable (epoch snapshot capture, golden-state
-/// comparison, decoder arming) and inside [`Self::write_ecc_only`] for the
-/// one register the shadow compares against. Because flushing re-encodes
-/// from the stored data, the restored word is bit-identical to what eager
-/// encoding would have produced, so deferral is architecturally invisible.
+/// [`Self::set_deferred`] enabled, full writes store only the data segment
+/// and mark the register dirty, and the codeword invariant is restored
+/// lazily — by [`Self::flush_deferred`] at every point where check bits
+/// become observable (epoch snapshot capture, golden-state comparison,
+/// decoder arming) and inside ECC-only writes for the one register the
+/// shadow compares against. Because flushing re-encodes from the stored
+/// data, the restored word is bit-identical to what eager encoding would
+/// have produced, so deferral is architecturally invisible.
 #[derive(Debug, Clone)]
 pub struct WarpRegFile {
     regs: u32,
-    words: Vec<Stored>,
+    cols: Vec<Column>,
     decoder: Decoder,
     /// Fast path: when no fault has been injected the file cannot hold a
     /// non-codeword, so decode is skipped until the first raw write.
@@ -134,7 +250,7 @@ impl WarpRegFile {
         // (linear codes: encode(0) == 0; residue of 0 is 0).
         Self {
             regs,
-            words: vec![Stored::default(); 32 * regs as usize],
+            cols: vec![Column::default(); regs as usize],
             decoder,
             armed: false,
             deferred: false,
@@ -150,19 +266,15 @@ impl WarpRegFile {
     }
 
     #[inline]
-    fn idx(&self, lane: u32, reg: u8) -> usize {
-        debug_assert!(lane < 32);
+    fn col(&self, reg: u8) -> &Column {
         debug_assert!(u32::from(reg) < self.regs, "R{reg} out of range");
-        lane as usize * self.regs as usize + usize::from(reg)
+        &self.cols[usize::from(reg)]
     }
 
-    fn encode(&self, value: u32) -> (u16, bool) {
-        match &self.decoder {
-            Decoder::None => (0, false),
-            Decoder::Detect(code) => (code.encode(value), false),
-            Decoder::SecDedDp(rep) => (rep.code().encode(value), parity32(value)),
-            Decoder::SecDp(rep) => (rep.code().encode(value), parity32(value)),
-        }
+    #[inline]
+    fn col_mut(&mut self, reg: u8) -> &mut Column {
+        debug_assert!(u32::from(reg) < self.regs, "R{reg} out of range");
+        &mut self.cols[usize::from(reg)]
     }
 
     /// Enable or disable deferred encoding (see the type-level docs). A
@@ -189,7 +301,7 @@ impl WarpRegFile {
             while bits != 0 {
                 let reg = (word * 64) as u32 + bits.trailing_zeros();
                 bits &= bits - 1;
-                self.reencode_lanes(reg);
+                self.reencode_lanes(reg as u8);
             }
         }
     }
@@ -222,16 +334,14 @@ impl WarpRegFile {
     /// data and clear its dirty bit.
     fn reencode_reg(&mut self, reg: u8) {
         self.dirty[usize::from(reg) >> 6] &= !(1 << (reg & 63));
-        self.reencode_lanes(u32::from(reg));
+        self.reencode_lanes(reg);
     }
 
-    fn reencode_lanes(&mut self, reg: u32) {
-        for lane in 0..32 {
-            let i = lane as usize * self.regs as usize + reg as usize;
-            let (check, parity) = self.encode(self.words[i].data);
-            self.words[i].check = check;
-            self.words[i].parity = parity;
-        }
+    fn reencode_lanes(&mut self, reg: u8) {
+        let Self { cols, decoder, .. } = self;
+        let col = &mut cols[usize::from(reg)];
+        decoder.check_col(u32::MAX, &col.data, &mut col.check);
+        col.parity = decoder.parity_col(&col.data);
     }
 
     /// Leave the clean fast path: flush any deferred check bits first (they
@@ -245,43 +355,56 @@ impl WarpRegFile {
         self.armed = true;
     }
 
+    /// Restore the codeword invariant for `reg` before a write that stores
+    /// (or compares against) its check bits, so a later flush cannot
+    /// re-encode over the evidence.
+    #[inline]
+    fn settle(&mut self, reg: u8) {
+        if self.reg_dirty(reg) {
+            self.reencode_reg(reg);
+        }
+    }
+
+    /// Store one word of `reg`.
+    fn store(&mut self, lane: u32, reg: u8, data: u32, check: u16, parity: bool) {
+        let col = self.col_mut(reg);
+        let l = lane as usize;
+        col.data[l] = data;
+        col.check[l] = check;
+        col.parity = col.parity & !(1 << l) | u32::from(parity) << l;
+    }
+
     /// Full write by an original (or un-duplicated) instruction: data, check
     /// bits and data parity all from `value`. In deferred mode only the data
     /// segment is stored and the register is marked dirty; the check segment
     /// is re-encoded (to the identical bits) before any observer reads it.
     pub fn write_full(&mut self, lane: u32, reg: u8, value: u32) {
-        let i = self.idx(lane, reg);
+        debug_assert!(lane < 32);
         self.touch(reg);
         if self.deferred {
-            self.words[i].data = value;
+            self.col_mut(reg).data[lane as usize] = value;
             self.dirty[usize::from(reg) >> 6] |= 1 << (reg & 63);
             return;
         }
-        let (check, parity) = self.encode(value);
-        self.words[i] = Stored {
-            data: value,
-            check,
-            parity,
-        };
+        let (check, parity) = (self.decoder.check(value), self.decoder.parity(value));
+        self.store(lane, reg, value, check, parity);
     }
 
     /// Masked write by a Swap-ECC shadow instruction: only the check bits,
     /// computed from the shadow's own result.
     pub fn write_ecc_only(&mut self, lane: u32, reg: u8, shadow_value: u32) {
         self.touch(reg);
-        if self.reg_dirty(reg) {
-            // The shadow compares against this register's stored check
-            // bits: restore the codeword invariant for it first.
-            self.reencode_reg(reg);
-        }
-        let (check, _) = self.encode(shadow_value);
-        let i = self.idx(lane, reg);
-        if self.words[i].check != check {
+        // The shadow compares against this register's stored check bits:
+        // restore the codeword invariant for it first.
+        self.settle(reg);
+        let check = self.decoder.check(shadow_value);
+        let l = lane as usize;
+        if self.col(reg).check[l] != check {
             // A disagreeing shadow means someone computed a wrong value —
             // leave the fast path so reads start decoding.
             self.arm();
         }
-        self.words[i].check = check;
+        self.col_mut(reg).check[l] = check;
     }
 
     /// Write by a Swap-Predict-covered instruction: the data comes from the
@@ -290,24 +413,11 @@ impl WarpRegFile {
     /// fault-free `predicted_value`.
     pub fn write_predicted(&mut self, lane: u32, reg: u8, value: u32, predicted_value: u32) {
         self.touch(reg);
-        if self.reg_dirty(reg) {
-            // This write stores a deliberately inconsistent codeword (or is
-            // about to corrupt one): restore the deferred lanes first so a
-            // later flush cannot re-encode over the evidence.
-            self.reencode_reg(reg);
-        }
-        let (check, _) = self.encode(predicted_value);
+        self.settle(reg);
         // The data-parity bit is produced from the datapath output.
-        let parity = match &self.decoder {
-            Decoder::None | Decoder::Detect(_) => false,
-            _ => parity32(value),
-        };
-        let i = self.idx(lane, reg);
-        self.words[i] = Stored {
-            data: value,
-            check,
-            parity,
-        };
+        let parity = self.decoder.parity(value);
+        let check = self.decoder.check(predicted_value);
+        self.store(lane, reg, value, check, parity);
         if value != predicted_value {
             self.arm();
         }
@@ -318,24 +428,74 @@ impl WarpRegFile {
     /// fault is injected into an original instruction).
     pub fn write_split(&mut self, lane: u32, reg: u8, data: u32, check_source: u32) {
         self.touch(reg);
-        if self.reg_dirty(reg) {
-            // This write stores a deliberately inconsistent codeword (or is
-            // about to corrupt one): restore the deferred lanes first so a
-            // later flush cannot re-encode over the evidence.
-            self.reencode_reg(reg);
-        }
-        let (check, _) = self.encode(check_source);
-        let i = self.idx(lane, reg);
-        self.words[i] = Stored {
-            data,
-            check,
-            parity: match &self.decoder {
-                Decoder::None | Decoder::Detect(_) => false,
-                _ => parity32(data),
-            },
-        };
+        self.settle(reg);
+        let parity = self.decoder.parity(data);
+        let check = self.decoder.check(check_source);
+        self.store(lane, reg, data, check, parity);
         if data != check_source {
             self.arm();
+        }
+    }
+
+    /// Write `vals` into register `reg` on the lanes in `mask`, through the
+    /// path `mode` names: per lane exactly what [`Self::write_full`],
+    /// [`Self::write_ecc_only`] or [`Self::write_predicted`] store, with the
+    /// touched, dirty and arming bookkeeping done once for the column. An
+    /// empty `mask` writes and touches nothing.
+    ///
+    /// `strike` names the one lane whose value a fault changed, with its
+    /// fault-free value: a [`WriteMode::Predicted`] write takes that lane's
+    /// check bits from the fault-free value, as the prediction pipeline
+    /// does, and arms the decoder when the two differ.
+    pub fn write_col(
+        &mut self,
+        mode: WriteMode,
+        reg: u8,
+        mask: u32,
+        vals: &[u32; 32],
+        strike: Option<(usize, u32)>,
+    ) {
+        if mask == 0 {
+            return;
+        }
+        debug_assert!(u32::from(reg) < self.regs, "R{reg} out of range");
+        debug_assert!(strike.is_none_or(|(l, _)| mask & 1 << l != 0));
+        self.touch(reg);
+        let r = usize::from(reg);
+        match mode {
+            WriteMode::Full => {
+                let col = &mut self.cols[r];
+                blend(&mut col.data, vals, mask);
+                if self.deferred {
+                    self.dirty[r >> 6] |= 1 << (r & 63);
+                    return;
+                }
+                self.decoder.check_col(mask, vals, &mut col.check);
+                col.parity = col.parity & !mask | self.decoder.parity_col(vals) & mask;
+            }
+            WriteMode::EccOnly => {
+                self.settle(reg);
+                let mut check = self.cols[r].check;
+                self.decoder.check_col(mask, vals, &mut check);
+                if check != self.cols[r].check {
+                    // A disagreeing shadow lane: reads start decoding.
+                    self.arm();
+                }
+                self.cols[r].check = check;
+            }
+            WriteMode::Predicted => {
+                self.settle(reg);
+                let col = &mut self.cols[r];
+                blend(&mut col.data, vals, mask);
+                self.decoder.check_col(mask, vals, &mut col.check);
+                col.parity = col.parity & !mask | self.decoder.parity_col(vals) & mask;
+                if let Some((l, golden)) = strike {
+                    col.check[l] = self.decoder.check(golden);
+                    if vals[l] != golden {
+                        self.arm();
+                    }
+                }
+            }
         }
     }
 
@@ -343,51 +503,51 @@ impl WarpRegFile {
     /// mutate stored state, which is what lets a copy-on-write resume share
     /// one base file across every trial resuming from the same rung.
     pub fn read(&self, lane: u32, reg: u8) -> (u32, RegFileEvent) {
-        let i = self.idx(lane, reg);
-        let w = self.words[i];
+        debug_assert!(lane < 32);
+        let col = self.col(reg);
+        let l = lane as usize;
         if !self.armed {
-            return (w.data, RegFileEvent::Clean);
+            return (col.data[l], RegFileEvent::Clean);
         }
-        match &self.decoder {
-            Decoder::None => (w.data, RegFileEvent::Clean),
-            Decoder::Detect(code) => {
-                if code.decode(w.data, w.check) == RawDecode::Clean {
-                    (w.data, RegFileEvent::Clean)
-                } else {
-                    (
-                        w.data,
-                        RegFileEvent::Due {
-                            pipeline_suspected: true,
-                        },
-                    )
+        self.decoder
+            .decode(col.data[l], col.check[l], col.parity & 1 << l != 0)
+    }
+
+    /// Register `reg`'s 32 lanes as reads through the decoder return them,
+    /// decoding the lanes in `mask` (others keep their stored data), plus
+    /// which of those lanes raised a DUE. Reads all lanes in one pass, and
+    /// decodes nothing while the file is unarmed.
+    #[must_use]
+    pub fn read_col(&self, reg: u8, mask: u32) -> ([u32; 32], DueLanes) {
+        let col = self.col(reg);
+        let mut vals = col.data;
+        let mut dues = DueLanes::default();
+        if self.armed {
+            for l in Lanes(mask) {
+                let (v, e) =
+                    self.decoder
+                        .decode(col.data[l], col.check[l], col.parity & 1 << l != 0);
+                vals[l] = v;
+                if let RegFileEvent::Due { pipeline_suspected } = e {
+                    dues.due |= 1 << l;
+                    dues.pipeline |= u32::from(pipeline_suspected) << l;
                 }
             }
-            Decoder::SecDedDp(rep) => {
-                let word = DpWord {
-                    data: w.data,
-                    check: w.check,
-                    data_parity: w.parity,
-                };
-                let r = rep.read(word);
-                (r.value, convert(r.event))
-            }
-            Decoder::SecDp(rep) => {
-                let word = DpWord {
-                    data: w.data,
-                    check: w.check,
-                    data_parity: w.parity,
-                };
-                let r = rep.read(word);
-                (r.value, convert(r.event))
-            }
         }
+        (vals, dues)
     }
 
     /// Read without decoding (debugger view; §III-A explains why error-free
     /// Swap-ECC registers are always valid codewords, keeping this safe).
     #[must_use]
     pub fn peek(&self, lane: u32, reg: u8) -> u32 {
-        self.words[self.idx(lane, reg)].data
+        self.col(reg).data[lane as usize]
+    }
+
+    /// All 32 lanes of `reg` without decoding (the `SHFL` source view).
+    #[must_use]
+    pub fn peek_col(&self, reg: u8) -> [u32; 32] {
+        self.col(reg).data
     }
 
     /// Whether two register files hold byte-identical stored state (data,
@@ -404,7 +564,7 @@ impl WarpRegFile {
             !self.has_deferred() && !other.has_deferred(),
             "stored-state comparison requires flushed check bits"
         );
-        self.words == other.words
+        self.cols == other.cols
     }
 
     /// Whether one architectural register (all 32 lanes) holds byte-identical
@@ -418,9 +578,7 @@ impl WarpRegFile {
             !self.reg_dirty(reg) && !other.reg_dirty(reg),
             "stored-state comparison requires flushed check bits"
         );
-        let regs = self.regs as usize;
-        let r = usize::from(reg);
-        (0..32).all(|lane| self.words[lane * regs + r] == other.words[lane * regs + r])
+        self.col(reg) == other.col(reg)
     }
 
     /// Attempt in-place correction of a stored word whose syndrome points at
@@ -434,11 +592,10 @@ impl WarpRegFile {
     /// original-side strikes — see the hazard note on that function. Returns
     /// `None` when the word is clean, uncorrectable, or unprotected.
     pub fn correct_in_place(&mut self, lane: u32, reg: u8) -> Option<u32> {
-        let i = self.idx(lane, reg);
-        let w = self.words[i];
+        let col = self.col(reg);
         let word = SwappedWord {
-            data: w.data,
-            check: w.check,
+            data: col.data[lane as usize],
+            check: col.check[lane as usize],
         };
         let fixed = match &self.decoder {
             Decoder::None => None,
@@ -453,19 +610,31 @@ impl WarpRegFile {
     /// Inject a raw storage bit-flip (for storage-error testing).
     pub fn flip_storage_bit(&mut self, lane: u32, reg: u8, bit: u32) {
         self.touch(reg);
-        if self.reg_dirty(reg) {
-            // This write stores a deliberately inconsistent codeword (or is
-            // about to corrupt one): restore the deferred lanes first so a
-            // later flush cannot re-encode over the evidence.
-            self.reencode_reg(reg);
-        }
-        let i = self.idx(lane, reg);
+        // This write corrupts a codeword: restore the deferred lanes first
+        // so a later flush cannot re-encode over the evidence.
+        self.settle(reg);
+        let l = lane as usize;
+        let col = self.col_mut(reg);
         match bit {
-            0..=31 => self.words[i].data ^= 1 << bit,
-            32..=47 => self.words[i].check ^= 1 << (bit - 32),
-            _ => self.words[i].parity = !self.words[i].parity,
+            0..=31 => col.data[l] ^= 1 << bit,
+            32..=47 => col.check[l] ^= 1 << (bit - 32),
+            _ => col.parity ^= 1 << l,
         }
         self.arm();
+    }
+}
+
+/// Copy the lanes in `mask` of `src` into `dst`.
+#[inline]
+fn blend(dst: &mut [u32; 32], src: &[u32; 32], mask: u32) {
+    if mask == u32::MAX {
+        *dst = *src;
+        return;
+    }
+    for (l, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
+        if mask & 1 << l != 0 {
+            *d = s;
+        }
     }
 }
 
@@ -814,5 +983,63 @@ mod tests {
         let mut eager = WarpRegFile::new(8, Protection::SecDedDp);
         eager.write_full(0, 1, 5);
         assert!(cow.stored_eq(&eager));
+    }
+
+    /// A column write stores, touches and arms exactly what the per-lane
+    /// writes of its lanes do, in every mode, deferred or not, with an
+    /// empty mask and with a strike; a column read returns the per-lane
+    /// reads' values and DUE lanes. A struck predicted lane takes its check
+    /// bits from the fault-free value.
+    #[test]
+    fn column_access_matches_per_lane_access() {
+        let vals: [u32; 32] = std::array::from_fn(|l| 0x100 + l as u32);
+        let cases = [
+            (u32::MAX, None),
+            (0x00F0_F00F, Some((2, 0x77))),
+            (1 << 31, Some((31, vals[31]))),
+            (0, None),
+        ];
+        for mode in [WriteMode::Full, WriteMode::EccOnly, WriteMode::Predicted] {
+            for deferred in [false, true] {
+                for (mask, strike) in cases {
+                    let mut col = WarpRegFile::new(4, Protection::SecDedDp);
+                    col.set_deferred(deferred);
+                    for lane in 0..32 {
+                        col.write_full(lane, 1, lane * 3);
+                    }
+                    col.take_touched();
+                    let mut lanes = col.clone();
+                    col.write_col(mode, 1, mask, &vals, strike);
+                    for l in Lanes(mask) {
+                        let (lane, v) = (l as u32, vals[l]);
+                        let golden = strike.filter(|&(s, _)| s == l).map_or(v, |(_, g)| g);
+                        match mode {
+                            WriteMode::Full => lanes.write_full(lane, 1, v),
+                            WriteMode::EccOnly => lanes.write_ecc_only(lane, 1, v),
+                            WriteMode::Predicted => lanes.write_predicted(lane, 1, v, golden),
+                        }
+                    }
+                    let what = format!("{mode:?} deferred={deferred} mask={mask:#x}");
+                    assert_eq!(col.touched_bits(), lanes.touched_bits(), "{what}");
+                    assert_eq!(col.has_deferred(), lanes.has_deferred(), "{what}");
+                    assert_eq!(col.armed, lanes.armed, "{what}");
+                    col.flush_deferred();
+                    lanes.flush_deferred();
+                    assert!(col.stored_eq(&lanes), "{what}");
+                    let (got, dues) = col.read_col(1, u32::MAX);
+                    for lane in 0..32 {
+                        let (v, e) = lanes.read(lane, 1);
+                        let bit = 1 << lane;
+                        assert_eq!(got[lane as usize], v, "{what} lane {lane}");
+                        assert_eq!(dues.due & bit != 0, e.is_due(), "{what} lane {lane}");
+                        let pipeline = e
+                            == RegFileEvent::Due {
+                                pipeline_suspected: true,
+                            };
+                        assert_eq!(dues.pipeline & bit != 0, pipeline, "{what} lane {lane}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -41,7 +41,15 @@
 //! fuel/truncation guards.
 //!
 //! Trials interpret the predecoded micro-op table from [`crate::predecode`]
-//! instead of re-matching the `Op` enum per step. The engine supports
+//! instead of re-matching the `Op` enum per step, and compute each
+//! warp-instruction as one 32-lane column: every source register is read
+//! once as a column ([`WarpRegFile::read_col`]), the operation is matched
+//! once and computed lane-wise, a transient or stuck-at strike lands
+//! afterwards on its one lane if that lane is active, and the result goes
+//! through one column write ([`WarpRegFile::write_col`]). Decode DUEs keep
+//! the reference executor's order — lowest lane first, then operand read
+//! order — and an instruction with an empty exec mask writes nothing
+//! (DESIGN §9, column execution). The engine supports
 //! exactly the configuration injection campaigns use — a single CTA
 //! (`cta_limit = 1`), no trace or operand capture, no in-executor recovery,
 //! fueled — and is differentially tested against the reference executor
@@ -61,7 +69,7 @@ use crate::memory::{CowMemory, CowShared, GlobalMemory};
 use crate::predecode::{
     Alu1Kind, Alu2Kind, Guard, MicroOp, PShflMode, PSrc, PredecodedKernel, UOp, WriteMode,
 };
-use crate::regfile::{CowRegFile, Protection, RegFileEvent, WarpRegFile};
+use crate::regfile::{CowRegFile, DueLanes, Lanes, Protection, WarpRegFile};
 use crate::tier2::{CompiledKernel, ExecTier};
 use swapcodes_isa::{Kernel, Liveness, MemSpace, SpecialReg};
 
@@ -1710,95 +1718,218 @@ fn guard_mask(frag_mask: u32, preds: &[u8; 32], bit: u8, want_set: bool) -> u32 
 
 const RZ8: u8 = 255;
 
-/// Read a register for one lane, recording decode events.
-fn rd(ctx: &mut FastCtx<'_>, w: &mut FastWarp, lane: u32, reg: u8) -> u32 {
-    if reg == RZ8 {
-        return 0;
-    }
-    let (v, e) = w.rf.read(lane, reg);
-    if let RegFileEvent::Due { pipeline_suspected } = e {
-        ctx.pending_due.get_or_insert(pipeline_suspected);
-    }
-    v
-}
-
-fn rd64(ctx: &mut FastCtx<'_>, w: &mut FastWarp, lane: u32, reg: u8) -> u64 {
-    if reg == RZ8 {
-        return 0;
-    }
-    let lo = rd(ctx, w, lane, reg);
-    let hi = rd(ctx, w, lane, pair_hi(reg));
-    u64::from(hi) << 32 | u64::from(lo)
-}
-
-fn rsrc(ctx: &mut FastCtx<'_>, w: &mut FastWarp, lane: u32, s: PSrc) -> u32 {
-    match s {
-        PSrc::Reg(reg) => rd(ctx, w, lane, reg),
-        PSrc::Imm(v) => v,
-    }
-}
-
 fn pair_hi(reg: u8) -> u8 {
     assert!(reg < 254, "R{reg} has no pair register above it");
     reg + 1
 }
 
-fn write_res(w: &mut FastWarp, mode: WriteMode, lane: u32, d: u8, value: u32, golden: u32) {
-    if d == RZ8 {
+/// Lanes `0..=lane`.
+#[inline]
+fn through(lane: usize) -> u32 {
+    u32::MAX >> (31 - lane)
+}
+
+/// The first decode DUE of one warp-instruction by the reference
+/// executor's rule: the lowest lane that raised one, and within that lane
+/// the operand read first.
+#[derive(Clone, Copy)]
+struct FirstDue {
+    /// 32 while no read raised a DUE.
+    lane: u32,
+    pipeline_suspected: bool,
+}
+
+impl FirstDue {
+    const NONE: Self = Self {
+        lane: 32,
+        pipeline_suspected: false,
+    };
+
+    /// Fold in one operand's column read, in operand read order, counting
+    /// only the lanes in `reached` (the lanes that performed this read).
+    #[inline]
+    fn note(&mut self, d: DueLanes, reached: u32) {
+        let hit = d.due & reached;
+        if hit != 0 && hit.trailing_zeros() < self.lane {
+            self.lane = hit.trailing_zeros();
+            self.pipeline_suspected = d.pipeline & (1 << self.lane) != 0;
+        }
+    }
+
+    /// Record the DUE, if any, as the instruction's pending detection.
+    fn raise(self, ctx: &mut FastCtx<'_>) {
+        if self.lane < 32 {
+            ctx.pending_due.get_or_insert(self.pipeline_suspected);
+        }
+    }
+}
+
+/// Register `reg` of the lanes in `mask`, through the decoder, with the
+/// lanes that raised a DUE; `RZ` reads 0.
+#[inline]
+fn read(w: &FastWarp, reg: u8, mask: u32) -> ([u32; 32], DueLanes) {
+    if reg == RZ8 {
+        return ([0; 32], DueLanes::default());
+    }
+    w.rf.read_col(reg, mask)
+}
+
+/// [`read`] of an operand every lane in `mask` reads, noted in `due`.
+#[inline]
+fn reg_col(w: &FastWarp, reg: u8, mask: u32, due: &mut FirstDue) -> [u32; 32] {
+    let (v, d) = read(w, reg, mask);
+    due.note(d, mask);
+    v
+}
+
+/// A scalar source operand as a column: a register, or an immediate
+/// broadcast to every lane.
+#[inline]
+fn src_col(w: &FastWarp, s: PSrc, mask: u32, due: &mut FirstDue) -> [u32; 32] {
+    match s {
+        PSrc::Reg(reg) => reg_col(w, reg, mask, due),
+        PSrc::Imm(v) => [v; 32],
+    }
+}
+
+/// A 64-bit register pair as a column: the low register, then the high
+/// one; `RZ` reads 0 and reads no pair.
+#[inline]
+fn pair_col(w: &FastWarp, reg: u8, mask: u32, due: &mut FirstDue) -> [u64; 32] {
+    if reg == RZ8 {
+        return [0; 32];
+    }
+    let lo = reg_col(w, reg, mask, due);
+    let hi = reg_col(w, pair_hi(reg), mask, due);
+    std::array::from_fn(|l| u64::from(hi[l]) << 32 | u64::from(lo[l]))
+}
+
+/// Lane-wise `f` over two columns.
+#[inline(always)]
+fn zip_col<T: Copy, U>(a: &[T; 32], b: &[T; 32], f: impl Fn(T, T) -> U) -> [U; 32] {
+    std::array::from_fn(|l| f(a[l], b[l]))
+}
+
+/// Lane-wise `f` over three columns.
+#[inline(always)]
+fn zip3_col<T: Copy>(a: &[T; 32], b: &[T; 32], c: &[T; 32], f: impl Fn(T, T, T) -> T) -> [T; 32] {
+    std::array::from_fn(|l| f(a[l], b[l], c[l]))
+}
+
+/// The lane a datapath strike lands on: the strike's lane when it is
+/// active, which then counts as applied.
+#[inline]
+fn strike_lane(ctx: &mut FastCtx<'_>, inject: Option<FaultSpec>, mask: u32) -> Option<FaultSpec> {
+    let fs = inject.filter(|fs| mask & (1 << fs.lane) != 0)?;
+    ctx.faults_applied += 1;
+    Some(fs)
+}
+
+/// Write `vals` on the lanes in `mask` of `d` (`RZ` discards them). Only a
+/// write that reaches a lane materializes a copy-on-write file.
+#[inline]
+fn write(
+    w: &mut FastWarp,
+    mode: WriteMode,
+    d: u8,
+    mask: u32,
+    vals: &[u32; 32],
+    strike: Option<(usize, u32)>,
+) {
+    if d != RZ8 && mask != 0 {
+        w.rf.write_col(mode, d, mask, vals, strike);
+    }
+}
+
+/// Apply a datapath strike to its lane, if active, and write the 32-bit
+/// result column.
+fn commit(
+    ctx: &mut FastCtx<'_>,
+    w: &mut FastWarp,
+    mop: &MicroOp,
+    d: u8,
+    mask: u32,
+    mut out: [u32; 32],
+    inject: Option<FaultSpec>,
+) {
+    let strike = strike_lane(ctx, inject, mask).map(|fs| {
+        let l = fs.lane as usize;
+        let golden = out[l];
+        out[l] = fs.apply32(golden);
+        (l, golden)
+    });
+    write(w, mop.write, d, mask, &out, strike);
+}
+
+/// [`commit`] for a 64-bit result: the strike applies to the whole pair
+/// value, then the low and high halves are written to `d` and its pair.
+fn commit64(
+    ctx: &mut FastCtx<'_>,
+    w: &mut FastWarp,
+    mop: &MicroOp,
+    d: u8,
+    mask: u32,
+    mut out: [u64; 32],
+    inject: Option<FaultSpec>,
+) {
+    if mask == 0 {
         return;
     }
-    match mode {
-        WriteMode::Full => w.rf.write_full(lane, d, value),
-        WriteMode::EccOnly => w.rf.write_ecc_only(lane, d, value),
-        WriteMode::Predicted => w.rf.write_predicted(lane, d, value, golden),
+    let strike = strike_lane(ctx, inject, mask).map(|fs| {
+        let l = fs.lane as usize;
+        let golden = out[l];
+        out[l] = fs.apply64(golden);
+        (l, golden)
+    });
+    for (reg, shift) in [(d, 0), (pair_hi(d), 32)] {
+        let half = out.map(|v| (v >> shift) as u32);
+        let strike = strike.map(|(l, g)| (l, (g >> shift) as u32));
+        write(w, mop.write, reg, mask, &half, strike);
     }
 }
 
-fn write_res64(w: &mut FastWarp, mode: WriteMode, lane: u32, d: u8, value: u64, golden: u64) {
-    write_res(w, mode, lane, d, value as u32, golden as u32);
-    write_res(
-        w,
-        mode,
-        lane,
-        pair_hi(d),
-        (value >> 32) as u32,
-        (golden >> 32) as u32,
-    );
-}
-
-fn alu2(kind: Alu2Kind, a: u32, b: u32) -> u32 {
+fn alu2_col(kind: Alu2Kind, a: &[u32; 32], b: &[u32; 32]) -> [u32; 32] {
     let f = f32::from_bits;
     match kind {
-        Alu2Kind::IAdd => a.wrapping_add(b),
-        Alu2Kind::ISub => a.wrapping_sub(b),
-        Alu2Kind::IMul => a.wrapping_mul(b),
-        Alu2Kind::IMin => (a as i32).min(b as i32) as u32,
-        Alu2Kind::IMax => (a as i32).max(b as i32) as u32,
-        Alu2Kind::Shl => a << (b & 31),
-        Alu2Kind::Shr => a >> (b & 31),
-        Alu2Kind::And => a & b,
-        Alu2Kind::Or => a | b,
-        Alu2Kind::Xor => a ^ b,
-        Alu2Kind::FAdd => (f(a) + f(b)).to_bits(),
-        Alu2Kind::FMul => (f(a) * f(b)).to_bits(),
-        Alu2Kind::FMin => f(a).min(f(b)).to_bits(),
-        Alu2Kind::FMax => f(a).max(f(b)).to_bits(),
+        Alu2Kind::IAdd => zip_col(a, b, u32::wrapping_add),
+        Alu2Kind::ISub => zip_col(a, b, u32::wrapping_sub),
+        Alu2Kind::IMul => zip_col(a, b, u32::wrapping_mul),
+        Alu2Kind::IMin => zip_col(a, b, |x, y| (x as i32).min(y as i32) as u32),
+        Alu2Kind::IMax => zip_col(a, b, |x, y| (x as i32).max(y as i32) as u32),
+        Alu2Kind::Shl => zip_col(a, b, |x, y| x << (y & 31)),
+        Alu2Kind::Shr => zip_col(a, b, |x, y| x >> (y & 31)),
+        Alu2Kind::And => zip_col(a, b, |x, y| x & y),
+        Alu2Kind::Or => zip_col(a, b, |x, y| x | y),
+        Alu2Kind::Xor => zip_col(a, b, |x, y| x ^ y),
+        Alu2Kind::FAdd => zip_col(a, b, |x, y| (f(x) + f(y)).to_bits()),
+        Alu2Kind::FMul => zip_col(a, b, |x, y| (f(x) * f(y)).to_bits()),
+        Alu2Kind::FMin => zip_col(a, b, |x, y| f(x).min(f(y)).to_bits()),
+        Alu2Kind::FMax => zip_col(a, b, |x, y| f(x).max(f(y)).to_bits()),
     }
 }
 
-fn alu1(kind: Alu1Kind, v: u32) -> u32 {
+fn alu1_col(kind: Alu1Kind, a: &[u32; 32]) -> [u32; 32] {
     let f = f32::from_bits;
     match kind {
-        Alu1Kind::Not => !v,
-        Alu1Kind::MufuRcp => (1.0 / f(v)).to_bits(),
-        Alu1Kind::MufuSqrt => f(v).sqrt().to_bits(),
-        Alu1Kind::MufuEx2 => f(v).exp2().to_bits(),
-        Alu1Kind::MufuLg2 => f(v).log2().to_bits(),
-        Alu1Kind::I2F => (v as i32 as f32).to_bits(),
-        Alu1Kind::F2I => f(v) as i32 as u32,
+        Alu1Kind::Not => a.map(|v| !v),
+        Alu1Kind::MufuRcp => a.map(|v| (1.0 / f(v)).to_bits()),
+        Alu1Kind::MufuSqrt => a.map(|v| f(v).sqrt().to_bits()),
+        Alu1Kind::MufuEx2 => a.map(|v| f(v).exp2().to_bits()),
+        Alu1Kind::MufuLg2 => a.map(|v| f(v).log2().to_bits()),
+        Alu1Kind::I2F => a.map(|v| (v as i32 as f32).to_bits()),
+        Alu1Kind::F2I => a.map(|v| f(v) as i32 as u32),
     }
 }
 
+/// Execute one warp-instruction on the lanes in `exec_mask` as 32-lane
+/// columns: every source register is read once as a column (decoding only
+/// the lanes that read it), the operation is selected once and computed
+/// lane-wise, a datapath strike lands afterwards on its one lane if that
+/// lane is active, and the result column goes through one register-file
+/// column write. Memory operations access memory lane by lane, in lane
+/// order, and stop at the first faulting lane; only the lanes before it
+/// (and its own reads up to the fault) count. Decode DUEs follow the
+/// reference executor's order: lowest lane first, then operand read order.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn exec_uop(
     ctx: &mut FastCtx<'_>,
@@ -1808,70 +1939,29 @@ pub(crate) fn exec_uop(
     exec_mask: u32,
     inject: Option<FaultSpec>,
 ) {
-    // Apply the (possibly injected) fault to a 32-bit lane result.
-    macro_rules! faulted32 {
-        ($lane:expr, $golden:expr) => {{
-            let golden: u32 = $golden;
-            let mut value = golden;
-            if let Some(fs) = inject {
-                if fs.lane == $lane {
-                    value = fs.apply32(value);
-                    ctx.faults_applied += 1;
-                }
-            }
-            (value, golden)
-        }};
-    }
-    macro_rules! faulted64 {
-        ($lane:expr, $golden:expr) => {{
-            let golden: u64 = $golden;
-            let mut value = golden;
-            if let Some(fs) = inject {
-                if fs.lane == $lane {
-                    value = fs.apply64(value);
-                    ctx.faults_applied += 1;
-                }
-            }
-            (value, golden)
-        }};
-    }
-    macro_rules! for_active {
-        ($lane:ident, $body:block) => {
-            let mut m = exec_mask;
-            while m != 0 {
-                let $lane = m.trailing_zeros();
-                m &= m - 1;
-                $body
-            }
-        };
-    }
-
+    let m = exec_mask;
+    let mut due = FirstDue::NONE;
     match mop.uop {
-        UOp::Nop => {
-            w.frags[fi].pc += 1;
-        }
+        UOp::Nop => {}
         UOp::Bar => {
             if w.frags.len() > 1 && ctx.detection == Detection::None {
                 ctx.detection = Detection::Hang { at: ctx.dyn_count };
             }
             w.waiting_bar = true;
-            w.frags[fi].pc += 1;
         }
         UOp::Exit => {
-            w.frags[fi].mask &= !exec_mask;
-            w.frags[fi].pc += 1;
+            w.frags[fi].mask &= !m;
         }
         UOp::Trap => {
-            if exec_mask != 0 {
+            if m != 0 {
                 ctx.detection = Detection::Trap { at: ctx.dyn_count };
             }
-            w.frags[fi].pc += 1;
         }
         UOp::Bra { target } => {
-            let not_taken = w.frags[fi].mask & !exec_mask;
+            let not_taken = w.frags[fi].mask & !m;
             let fall_pc = w.frags[fi].pc + 1;
-            if exec_mask != 0 {
-                w.frags[fi].mask = exec_mask;
+            if m != 0 {
+                w.frags[fi].mask = m;
                 w.frags[fi].pc = target;
                 if not_taken != 0 {
                     w.frags.push(Fragment {
@@ -1882,117 +1972,85 @@ pub(crate) fn exec_uop(
             } else {
                 w.frags[fi].pc = fall_pc;
             }
+            return;
         }
         UOp::S2R { d, sr } => {
-            for_active!(lane, {
-                let golden = match sr {
-                    SpecialReg::TidX => w.wid * 32 + lane,
-                    SpecialReg::NTidX => ctx.launch.threads_per_cta,
-                    // The campaign engine executes CTA 0 only (cta_limit=1).
-                    SpecialReg::CtaIdX => 0,
-                    SpecialReg::NCtaIdX => ctx.launch.ctas,
-                    SpecialReg::LaneId => lane,
-                    SpecialReg::WarpId => w.wid,
-                };
-                let (value, golden) = faulted32!(lane, golden);
-                write_res(w, mop.write, lane, d, value, golden);
-            });
-            w.frags[fi].pc += 1;
+            let lane = |l: usize| l as u32;
+            let out: [u32; 32] = match sr {
+                SpecialReg::TidX => std::array::from_fn(|l| w.wid * 32 + lane(l)),
+                SpecialReg::NTidX => [ctx.launch.threads_per_cta; 32],
+                // The campaign engine executes CTA 0 only (cta_limit=1).
+                SpecialReg::CtaIdX => [0; 32],
+                SpecialReg::NCtaIdX => [ctx.launch.ctas; 32],
+                SpecialReg::LaneId => std::array::from_fn(lane),
+                SpecialReg::WarpId => [w.wid; 32],
+            };
+            commit(ctx, w, mop, d, m, out, inject);
         }
         UOp::Mov { d, a } => {
-            for_active!(lane, {
-                let (value, golden) = faulted32!(lane, rsrc(ctx, w, lane, a));
-                write_res(w, mop.write, lane, d, value, golden);
-            });
-            w.frags[fi].pc += 1;
+            let out = src_col(w, a, m, &mut due);
+            commit(ctx, w, mop, d, m, out, inject);
         }
         UOp::Alu2 { kind, d, a, b } => {
-            for_active!(lane, {
-                // The reference executor reads the shift amount before the
-                // shifted value; all other two-source ops read `a` first.
-                let g = if matches!(kind, Alu2Kind::Shl | Alu2Kind::Shr) {
-                    let bv = rsrc(ctx, w, lane, b);
-                    let av = rd(ctx, w, lane, a);
-                    alu2(kind, av, bv)
-                } else {
-                    let av = rd(ctx, w, lane, a);
-                    let bv = rsrc(ctx, w, lane, b);
-                    alu2(kind, av, bv)
-                };
-                let (value, golden) = faulted32!(lane, g);
-                write_res(w, mop.write, lane, d, value, golden);
-            });
-            w.frags[fi].pc += 1;
+            // The reference executor reads the shift amount before the
+            // shifted value; all other two-source ops read `a` first.
+            let (x, y) = if matches!(kind, Alu2Kind::Shl | Alu2Kind::Shr) {
+                let y = src_col(w, b, m, &mut due);
+                (reg_col(w, a, m, &mut due), y)
+            } else {
+                let x = reg_col(w, a, m, &mut due);
+                (x, src_col(w, b, m, &mut due))
+            };
+            commit(ctx, w, mop, d, m, alu2_col(kind, &x, &y), inject);
         }
         UOp::Alu1 { kind, d, a } => {
-            for_active!(lane, {
-                let (value, golden) = faulted32!(lane, alu1(kind, rd(ctx, w, lane, a)));
-                write_res(w, mop.write, lane, d, value, golden);
-            });
-            w.frags[fi].pc += 1;
+            let x = reg_col(w, a, m, &mut due);
+            commit(ctx, w, mop, d, m, alu1_col(kind, &x), inject);
         }
         UOp::IMad { d, a, b, c } => {
-            for_active!(lane, {
-                let g = rd(ctx, w, lane, a)
-                    .wrapping_mul(rd(ctx, w, lane, b))
-                    .wrapping_add(rd(ctx, w, lane, c));
-                let (value, golden) = faulted32!(lane, g);
-                write_res(w, mop.write, lane, d, value, golden);
-            });
-            w.frags[fi].pc += 1;
+            let x = reg_col(w, a, m, &mut due);
+            let y = reg_col(w, b, m, &mut due);
+            let z = reg_col(w, c, m, &mut due);
+            let out = zip3_col(&x, &y, &z, |x, y, z| x.wrapping_mul(y).wrapping_add(z));
+            commit(ctx, w, mop, d, m, out, inject);
         }
         UOp::IMadWide { d, a, b, c } => {
-            for_active!(lane, {
-                let av = rd(ctx, w, lane, a);
-                let bv = rd(ctx, w, lane, b);
-                let cv = rd64(ctx, w, lane, c);
-                let g = u64::from(av).wrapping_mul(u64::from(bv)).wrapping_add(cv);
-                let (value, golden) = faulted64!(lane, g);
-                write_res64(w, mop.write, lane, d, value, golden);
+            let x = reg_col(w, a, m, &mut due);
+            let y = reg_col(w, b, m, &mut due);
+            let z = pair_col(w, c, m, &mut due);
+            let out = std::array::from_fn(|l| {
+                u64::from(x[l])
+                    .wrapping_mul(u64::from(y[l]))
+                    .wrapping_add(z[l])
             });
-            w.frags[fi].pc += 1;
+            commit64(ctx, w, mop, d, m, out, inject);
         }
         UOp::FFma { d, a, b, c } => {
             let f = f32::from_bits;
-            for_active!(lane, {
-                let av = rd(ctx, w, lane, a);
-                let bv = rd(ctx, w, lane, b);
-                let cv = rd(ctx, w, lane, c);
-                let g = f(av).mul_add(f(bv), f(cv)).to_bits();
-                let (value, golden) = faulted32!(lane, g);
-                write_res(w, mop.write, lane, d, value, golden);
-            });
-            w.frags[fi].pc += 1;
+            let x = reg_col(w, a, m, &mut due);
+            let y = reg_col(w, b, m, &mut due);
+            let z = reg_col(w, c, m, &mut due);
+            let out = zip3_col(&x, &y, &z, |x, y, z| f(x).mul_add(f(y), f(z)).to_bits());
+            commit(ctx, w, mop, d, m, out, inject);
         }
         UOp::DAdd { d, a, b } | UOp::DMul { d, a, b } => {
-            let is_add = matches!(mop.uop, UOp::DAdd { .. });
-            for_active!(lane, {
-                let av = rd64(ctx, w, lane, a);
-                let bv = rd64(ctx, w, lane, b);
-                let fa = f64::from_bits(av);
-                let fb = f64::from_bits(bv);
-                let g = if is_add {
-                    (fa + fb).to_bits()
-                } else {
-                    (fa * fb).to_bits()
-                };
-                let (value, golden) = faulted64!(lane, g);
-                write_res64(w, mop.write, lane, d, value, golden);
-            });
-            w.frags[fi].pc += 1;
+            let f = f64::from_bits;
+            let x = pair_col(w, a, m, &mut due);
+            let y = pair_col(w, b, m, &mut due);
+            let out = if matches!(mop.uop, UOp::DAdd { .. }) {
+                zip_col(&x, &y, |x, y| (f(x) + f(y)).to_bits())
+            } else {
+                zip_col(&x, &y, |x, y| (f(x) * f(y)).to_bits())
+            };
+            commit64(ctx, w, mop, d, m, out, inject);
         }
         UOp::DFma { d, a, b, c } => {
-            for_active!(lane, {
-                let av = rd64(ctx, w, lane, a);
-                let bv = rd64(ctx, w, lane, b);
-                let cv = rd64(ctx, w, lane, c);
-                let g = f64::from_bits(av)
-                    .mul_add(f64::from_bits(bv), f64::from_bits(cv))
-                    .to_bits();
-                let (value, golden) = faulted64!(lane, g);
-                write_res64(w, mop.write, lane, d, value, golden);
-            });
-            w.frags[fi].pc += 1;
+            let f = f64::from_bits;
+            let x = pair_col(w, a, m, &mut due);
+            let y = pair_col(w, b, m, &mut due);
+            let z = pair_col(w, c, m, &mut due);
+            let out = zip3_col(&x, &y, &z, |x, y, z| f(x).mul_add(f(y), f(z)).to_bits());
+            commit64(ctx, w, mop, d, m, out, inject);
         }
         UOp::SetP {
             p,
@@ -2002,32 +2060,28 @@ pub(crate) fn exec_uop(
             a,
             b,
         } => {
-            for_active!(lane, {
-                let x = rd(ctx, w, lane, a);
-                let y = rsrc(ctx, w, lane, b);
-                let res = compare(cmp, ty, x, y);
-                if !skip {
-                    if res {
-                        w.preds[lane as usize] |= 1 << p;
-                    } else {
-                        w.preds[lane as usize] &= !(1 << p);
-                    }
+            let x = reg_col(w, a, m, &mut due);
+            let y = src_col(w, b, m, &mut due);
+            if !skip {
+                for l in Lanes(m) {
+                    let bit = u8::from(compare(cmp, ty, x[l], y[l])) << p;
+                    w.preds[l] = w.preds[l] & !(1 << p) | bit;
                 }
-            });
-            w.frags[fi].pc += 1;
+            }
         }
         UOp::Sel { d, p, p_true, a, b } => {
-            for_active!(lane, {
-                let bit = p_true || w.preds[lane as usize] & (1 << p) != 0;
-                let g = if bit {
-                    rd(ctx, w, lane, a)
-                } else {
-                    rsrc(ctx, w, lane, b)
-                };
-                let (value, golden) = faulted32!(lane, g);
-                write_res(w, mop.write, lane, d, value, golden);
-            });
-            w.frags[fi].pc += 1;
+            let sel = if p_true {
+                m
+            } else {
+                Lanes(m)
+                    .filter(|&l| w.preds[l] & (1 << p) != 0)
+                    .fold(0, |s, l| s | 1 << l)
+            };
+            // Each lane reads only the operand it selects.
+            let x = reg_col(w, a, sel, &mut due);
+            let y = src_col(w, b, m & !sel, &mut due);
+            let out = std::array::from_fn(|l| if sel & (1 << l) != 0 { x[l] } else { y[l] });
+            commit(ctx, w, mop, d, m, out, inject);
         }
         UOp::Ld {
             d,
@@ -2036,32 +2090,34 @@ pub(crate) fn exec_uop(
             offset,
             w64,
         } => {
-            for_active!(lane, {
-                let base = rd(ctx, w, lane, addr).wrapping_add(offset);
-                let lo = match space {
-                    MemSpace::Global => ctx.mem.try_read(base),
-                    MemSpace::Shared => ctx.shared.try_read(base),
-                };
-                let Some(lo) = lo else {
-                    ctx.mem_fault(base);
-                    break;
-                };
-                ctx.access.note(space, base, w.wid, false);
-                write_res(w, mop.write, lane, d, lo, lo);
-                if w64 {
-                    let hi = match space {
-                        MemSpace::Global => ctx.mem.try_read(base.wrapping_add(4)),
-                        MemSpace::Shared => ctx.shared.try_read(base.wrapping_add(4)),
+            let (base, addr_due) = read(w, addr, m);
+            // The loaded low and high words, and the lanes that loaded each.
+            let mut words = [[0u32; 32]; 2];
+            let mut loaded = [0u32; 2];
+            let mut reached = m;
+            'lanes: for l in Lanes(m) {
+                let at = base[l].wrapping_add(offset);
+                for half in 0..=usize::from(w64) {
+                    let at = at.wrapping_add(4 * half as u32);
+                    let v = match space {
+                        MemSpace::Global => ctx.mem.try_read(at),
+                        MemSpace::Shared => ctx.shared.try_read(at),
                     };
-                    let Some(hi) = hi else {
-                        ctx.mem_fault(base.wrapping_add(4));
-                        break;
+                    let Some(v) = v else {
+                        ctx.mem_fault(at);
+                        reached &= through(l);
+                        break 'lanes;
                     };
-                    ctx.access.note(space, base.wrapping_add(4), w.wid, false);
-                    write_res(w, mop.write, lane, pair_hi(d), hi, hi);
+                    ctx.access.note(space, at, w.wid, false);
+                    words[half][l] = v;
+                    loaded[half] |= 1 << l;
                 }
-            });
-            w.frags[fi].pc += 1;
+            }
+            due.note(addr_due, reached);
+            write(w, mop.write, d, loaded[0], &words[0], None);
+            if loaded[1] != 0 {
+                write(w, mop.write, pair_hi(d), loaded[1], &words[1], None);
+            }
         }
         UOp::St {
             space,
@@ -2070,69 +2126,78 @@ pub(crate) fn exec_uop(
             v,
             w64,
         } => {
-            for_active!(lane, {
-                let base = rd(ctx, w, lane, addr).wrapping_add(offset);
-                let lo = rd(ctx, w, lane, v);
-                let ok = match space {
-                    MemSpace::Global => ctx.mem.try_write(base, lo),
-                    MemSpace::Shared => ctx.shared.try_write(base, lo),
-                };
-                if !ok {
-                    ctx.mem_fault(base);
-                    break;
-                }
-                ctx.access.note(space, base, w.wid, true);
-                if w64 {
-                    let hi = rd(ctx, w, lane, pair_hi(v));
+            let (base, addr_due) = read(w, addr, m);
+            let (lo, lo_due) = read(w, v, m);
+            let (hi, hi_due) = if w64 && m != 0 {
+                read(w, pair_hi(v), m)
+            } else {
+                ([0; 32], DueLanes::default())
+            };
+            let words = [lo, hi];
+            // The lanes that read `v`, and the lanes that read its pair.
+            let (mut reached, mut hi_reached) = (m, m);
+            'lanes: for l in Lanes(m) {
+                let at = base[l].wrapping_add(offset);
+                for (half, word) in words.iter().take(1 + usize::from(w64)).enumerate() {
+                    let at = at.wrapping_add(4 * half as u32);
                     let ok = match space {
-                        MemSpace::Global => ctx.mem.try_write(base.wrapping_add(4), hi),
-                        MemSpace::Shared => ctx.shared.try_write(base.wrapping_add(4), hi),
+                        MemSpace::Global => ctx.mem.try_write(at, word[l]),
+                        MemSpace::Shared => ctx.shared.try_write(at, word[l]),
                     };
                     if !ok {
-                        ctx.mem_fault(base.wrapping_add(4));
-                        break;
+                        ctx.mem_fault(at);
+                        reached &= through(l);
+                        // A faulting low half stops the lane before it
+                        // reads the pair register.
+                        hi_reached &= through(l) >> (1 - half);
+                        break 'lanes;
                     }
-                    ctx.access.note(space, base.wrapping_add(4), w.wid, true);
+                    ctx.access.note(space, at, w.wid, true);
                 }
-            });
-            w.frags[fi].pc += 1;
+            }
+            due.note(addr_due, reached);
+            due.note(lo_due, reached);
+            if w64 {
+                due.note(hi_due, hi_reached);
+            }
         }
         UOp::AtomAdd { addr, offset, v } => {
-            for_active!(lane, {
-                let base = rd(ctx, w, lane, addr).wrapping_add(offset);
-                let val = rd(ctx, w, lane, v);
-                if ctx.mem.try_atomic_add(base, val).is_none() {
-                    ctx.mem_fault(base);
+            let (base, addr_due) = read(w, addr, m);
+            let (val, val_due) = read(w, v, m);
+            let mut reached = m;
+            for l in Lanes(m) {
+                let at = base[l].wrapping_add(offset);
+                if ctx.mem.try_atomic_add(at, val[l]).is_none() {
+                    ctx.mem_fault(at);
+                    reached &= through(l);
                     break;
                 }
-                ctx.access.note(MemSpace::Global, base, w.wid, true);
-            });
-            w.frags[fi].pc += 1;
+                ctx.access.note(MemSpace::Global, at, w.wid, true);
+            }
+            due.note(addr_due, reached);
+            due.note(val_due, reached);
         }
         UOp::Shfl { d, a, mode } => {
-            let mut vals = [0u32; 32];
-            for lane in 0..32u32 {
-                vals[lane as usize] = if a == RZ8 { 0 } else { w.rf.peek(lane, a) };
-            }
-            for_active!(lane, {
-                let src_lane = match mode {
-                    PShflMode::Idx(s) => rsrc(ctx, w, lane, s) & 31,
-                    PShflMode::Bfly(m) => lane ^ (m & 31),
-                    PShflMode::Down(dl) => (lane + dl).min(31),
-                    PShflMode::Up(dl) => lane.saturating_sub(dl),
-                };
-                let golden = vals[src_lane as usize];
-                write_res(w, mop.write, lane, d, golden, golden);
-            });
-            w.frags[fi].pc += 1;
+            let vals = if a == RZ8 { [0; 32] } else { w.rf.peek_col(a) };
+            let from: [u32; 32] = match mode {
+                PShflMode::Idx(s) => src_col(w, s, m, &mut due).map(|s| s & 31),
+                PShflMode::Bfly(k) => std::array::from_fn(|l| l as u32 ^ (k & 31)),
+                PShflMode::Down(dl) => std::array::from_fn(|l| (l as u32).wrapping_add(dl).min(31)),
+                PShflMode::Up(dl) => std::array::from_fn(|l| (l as u32).saturating_sub(dl)),
+            };
+            let out = from.map(|s| vals[s as usize]);
+            write(w, mop.write, d, m, &out, None);
         }
     }
+    due.raise(ctx);
+    w.frags[fi].pc += 1;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exec::Executor;
+    use crate::regfile::RegFileEvent;
     use swapcodes_isa::{CmpOp, CmpTy, KernelBuilder, Op, Pred, Reg, Src};
 
     /// A looping, divergent kernel (long enough to span several scheduler
@@ -2929,6 +2994,106 @@ mod tests {
         log.record(MemSpace::Global, 0, 5, false);
         log.record(MemSpace::Global, 0, 6, true);
         assert!(log.conflict, "a read then another warp's write");
+    }
+
+    /// Decode DUEs on an armed file follow the reference executor's
+    /// first-DUE rule: the lowest lane that raised one, and within a lane
+    /// the operand read first (`b` before `a` for shifts). R1 holds a
+    /// double storage error on lane `storage` (`DueStorage`, not
+    /// pipeline-suspected) and R2 a split codeword, data one bit off its
+    /// check source, on lane `pipeline` (`DuePipeline`). The expectation is
+    /// the per-lane walk of the reference: lanes in order, operands in read
+    /// order, first `Due` wins.
+    #[test]
+    fn first_due_follows_lane_then_read_order() {
+        let pk = PredecodedKernel::new(&test_kernel());
+        let cases = [
+            // Lane order beats read order: the shift reads R2 first, but
+            // R1's lane is lower.
+            (Alu2Kind::Shl, 3, 5, false),
+            (Alu2Kind::Shr, 3, 5, false),
+            (Alu2Kind::IAdd, 5, 3, true),
+            (Alu2Kind::Shl, 5, 3, true),
+            // One lane, both operands: read order decides.
+            (Alu2Kind::Shl, 4, 4, true),
+            (Alu2Kind::Shr, 4, 4, true),
+            (Alu2Kind::IAdd, 4, 4, false),
+        ];
+        for (kind, storage, pipeline, suspected) in cases {
+            let mut rf = WarpRegFile::new(8, Protection::SecDedDp);
+            for lane in 0..32 {
+                rf.write_full(lane, 1, 0x1000 + lane);
+                rf.write_full(lane, 2, 3);
+            }
+            rf.flip_storage_bit(storage, 1, 0);
+            rf.flip_storage_bit(storage, 1, 1);
+            rf.write_split(pipeline, 2, 3 ^ 4, 3);
+            let order = if matches!(kind, Alu2Kind::Shl | Alu2Kind::Shr) {
+                [2, 1]
+            } else {
+                [1, 2]
+            };
+            let reference = (0..32).find_map(|lane| {
+                order.iter().find_map(|&reg| match rf.read(lane, reg).1 {
+                    RegFileEvent::Due { pipeline_suspected } => Some(pipeline_suspected),
+                    _ => None,
+                })
+            });
+            let what = format!("{kind:?} storage@{storage} pipeline@{pipeline}");
+            assert_eq!(reference, Some(suspected), "{what}: reference rule");
+
+            let mut ctx = FastCtx {
+                pk: &pk,
+                launch: Launch::grid(1, 32),
+                fault: None,
+                fuel: None,
+                max_dynamic: u64::MAX,
+                mem: CowMemory::new(Arc::new(vec![0; 64]), 16),
+                shared: CowShared::new_zeroed(0),
+                dyn_count: 1,
+                eligible_orig: 0,
+                eligible_shadow: 0,
+                detection: Detection::None,
+                pending_due: None,
+                truncated: false,
+                error: None,
+                faults_applied: 0,
+                control_delivered: false,
+                cancel: None,
+                access: Access::Off,
+            };
+            let mut w = FastWarp {
+                wid: 0,
+                frags: vec![Fragment {
+                    pc: 0,
+                    mask: u32::MAX,
+                }],
+                rf: CowRegFile::owned(rf),
+                preds: [0; 32],
+                waiting_bar: false,
+            };
+            let mop = MicroOp {
+                uop: UOp::Alu2 {
+                    kind,
+                    d: 4,
+                    a: 1,
+                    b: PSrc::Reg(2),
+                },
+                guard: Guard::Always,
+                write: WriteMode::Full,
+                eligible: None,
+            };
+            exec_uop(&mut ctx, &mut w, &mop, 0, u32::MAX, None);
+            promote_due(&mut ctx);
+            assert_eq!(
+                ctx.detection,
+                Detection::Due {
+                    at: 1,
+                    pipeline_suspected: suspected
+                },
+                "{what}"
+            );
+        }
     }
 
     /// Stuck-at defects re-assert on every eligible access, so the fast
