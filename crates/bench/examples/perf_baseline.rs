@@ -4,11 +4,13 @@
 //! Three comparisons, each on identical work:
 //!
 //! * **Figure sweep** — the five figure benches' cells walked the old way
-//!   (each figure recomputes its own cells serially through the seed
-//!   `replay_wave`, kept as `simulate_kernel_reference`, and Figs. 13–14
-//!   re-execute theirs for profiles and traces) versus the shared parallel
-//!   memoized [`SweepEngine`], which runs one traced pass per cell on the
-//!   optimized simulator and serves all five figures from it. Every walked
+//!   (each figure recomputes its own cells serially on the reference
+//!   `Executor` and the seed `replay_wave`, kept together as
+//!   `simulate_kernel_reference`, and Figs. 13–14 re-execute theirs for
+//!   profiles and traces) versus the shared parallel memoized
+//!   [`SweepEngine`], which runs one traced pass per cell on the campaign
+//!   engine's exact-step core (`sim::snapshot::traced_pass`) and the
+//!   optimized replay, and serves all five figures from it. Every walked
 //!   cell's engine timing is asserted equal to its reference timing.
 //! * **Gate campaign** — the one-site-at-a-time reference
 //!   (`run_unit_campaign_reference`: every input's whole injection order

@@ -1,8 +1,11 @@
-//! The production cycle replay must reproduce the reference replay
-//! (`simulate_kernel_reference`) on every cell the timing figures walk:
-//! every suite workload under Baseline and the Fig. 12, Fig. 15 and
-//! Fig. 16 schemes. `KernelTiming` carries the cycle counts and every
-//! resource-pressure statistic, so equality is cycle-for-cycle.
+//! The production timing run must reproduce the reference run
+//! (`simulate_kernel_reference`: the per-lane `Executor` and the original
+//! replay) on every cell the timing figures walk: every suite workload
+//! under Baseline and the Fig. 12, Fig. 15 and Fig. 16 schemes.
+//! `KernelTiming` carries the cycle counts and every resource-pressure
+//! statistic, so equality is cycle-for-cycle. The functional pass under it,
+//! the campaign engine's `traced_pass`, must also record the `Executor`'s
+//! traces entry for entry on the CTAs the sweep runs.
 //!
 //! `SWAPCODES_FAST=1` runs a fixed subset: Baseline, Swap-ECC and checked
 //! inter-thread duplication on the barrier kernels plus matmul and lavaMD.
@@ -12,9 +15,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use swapcodes_bench::fast_mode;
-use swapcodes_core::{apply, Scheme};
+use swapcodes_bench::{fast_mode, PROFILE_CTAS};
+use swapcodes_core::{apply, Scheme, Transformed};
+use swapcodes_sim::exec::{ExecConfig, Executor};
+use swapcodes_sim::occupancy::occupancy;
 use swapcodes_sim::timing::{simulate_kernel, simulate_kernel_reference, TimingConfig};
+use swapcodes_sim::traced_pass;
 use swapcodes_workloads::{all, Workload};
 
 /// Cells of the figures' matrix to which their scheme applies.
@@ -64,11 +70,13 @@ fn cells(workloads: &[Workload]) -> Vec<(&Workload, Scheme)> {
     }
 }
 
-#[test]
-fn production_replay_equals_reference_on_figure_cells() {
+/// Run `check` on the transformed kernel of every applicable cell of the
+/// matrix on a few threads, and assert that it reported no mismatch and
+/// that the matrix kept its size. `check` returns `None` when the cell's
+/// two sides agree.
+fn for_each_cell(what: &str, check: impl Fn(&Workload, &Transformed) -> Option<String> + Sync) {
     let workloads = all();
     let cells = cells(&workloads);
-    let cfg = TimingConfig::default();
     let next = AtomicUsize::new(0);
     let compared = AtomicUsize::new(0);
     let mismatches = Mutex::new(Vec::new());
@@ -80,18 +88,10 @@ fn production_replay_equals_reference_on_figure_cells() {
                     let Ok(t) = apply(s, &w.kernel, w.launch) else {
                         continue;
                     };
-                    let fast = simulate_kernel(&t.kernel, t.launch, &mut w.build_memory(), &cfg);
-                    let reference =
-                        simulate_kernel_reference(&t.kernel, t.launch, &mut w.build_memory(), &cfg);
-                    let fast = fast.expect("production replay");
-                    let reference = reference.expect("reference replay");
                     compared.fetch_add(1, Ordering::Relaxed);
-                    if fast != reference {
-                        mismatches.lock().unwrap().push(format!(
-                            "{} / {}: {fast:?} != {reference:?}",
-                            w.name,
-                            s.label()
-                        ));
+                    if let Some(m) = check(w, &t) {
+                        let cell = format!("{} / {}: {m}", w.name, s.label());
+                        mismatches.lock().unwrap().push(cell);
                     }
                 }
             });
@@ -100,7 +100,7 @@ fn production_replay_equals_reference_on_figure_cells() {
     let mismatches = mismatches.into_inner().unwrap();
     assert!(
         mismatches.is_empty(),
-        "replay differs from the reference:\n{}",
+        "{what} differs from the reference:\n{}",
         mismatches.join("\n")
     );
     let expected = if fast_mode() {
@@ -113,4 +113,75 @@ fn production_replay_equals_reference_on_figure_cells() {
         expected,
         "the compared timing matrix changed size"
     );
+}
+
+#[test]
+fn production_replay_equals_reference_on_figure_cells() {
+    let cfg = TimingConfig::default();
+    for_each_cell("the timing run", |w, t| {
+        let fast = simulate_kernel(&t.kernel, t.launch, &mut w.build_memory(), &cfg);
+        let reference = simulate_kernel_reference(&t.kernel, t.launch, &mut w.build_memory(), &cfg);
+        let fast = fast.expect("production replay");
+        let reference = reference.expect("reference replay");
+        (fast != reference).then(|| format!("{fast:?} != {reference:?}"))
+    });
+}
+
+/// The sweep's pass (`run_cell`) runs the occupancy wave or the first
+/// `PROFILE_CTAS` CTAs, whichever is more: both engines run that many, and
+/// every warp trace (CTA, warp, and each entry's kernel index, exec mask
+/// and memory transactions), the dynamic-instruction count and the final
+/// memory must be equal.
+#[test]
+fn engine_traces_equal_executor_traces_on_figure_cells() {
+    let cfg = TimingConfig::default();
+    for_each_cell("the engine's traced pass", |w, t| {
+        let (kernel, launch) = (&t.kernel, t.launch);
+        let regs = kernel.register_count().max(1);
+        let occ = occupancy(&cfg.gpu, regs, launch.threads_per_cta, launch.shared_words);
+        let ctas = occ.ctas.min(launch.ctas).max(PROFILE_CTAS.min(launch.ctas));
+        let exec = Executor {
+            config: ExecConfig {
+                collect_trace: true,
+                cta_limit: Some(ctas),
+                ..ExecConfig::default()
+            },
+        };
+        let mut ref_mem = w.build_memory();
+        let reference = exec.run(kernel, launch, &mut ref_mem).expect("executor");
+        let mut mem = w.build_memory();
+        let max_dynamic = ExecConfig::default().max_dynamic;
+        let pass = traced_pass(kernel, launch, &mut mem, ctas, max_dynamic).expect("pass");
+        if pass.dynamic_instructions != reference.dynamic_instructions {
+            return Some(format!(
+                "{} != {} dynamic instructions",
+                pass.dynamic_instructions, reference.dynamic_instructions
+            ));
+        }
+        if pass.traces.len() != reference.traces.len() {
+            return Some(format!(
+                "{} != {} warp traces",
+                pass.traces.len(),
+                reference.traces.len()
+            ));
+        }
+        if let Some((p, r)) = pass
+            .traces
+            .iter()
+            .zip(&reference.traces)
+            .find(|(p, r)| p != r)
+        {
+            let at = p.entries.iter().zip(&r.entries).position(|(a, b)| a != b);
+            return Some(format!(
+                "CTA {} warp {} vs CTA {} warp {}: {} vs {} entries, first difference at {at:?}",
+                p.cta,
+                p.warp,
+                r.cta,
+                r.warp,
+                p.entries.len(),
+                r.entries.len()
+            ));
+        }
+        (mem.words() != ref_mem.words()).then(|| "final memory differs".to_string())
+    });
 }

@@ -156,7 +156,7 @@ pub struct TraceEntry {
 }
 
 /// The dynamic trace of one warp.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarpTrace {
     /// CTA index.
     pub cta: u32,

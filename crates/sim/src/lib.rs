@@ -12,7 +12,9 @@
 //!   supports architecture-level transient fault injection into instruction
 //!   results ([`fault`]);
 //! * a **timing model** ([`timing`]) that replays those traces on a
-//!   cycle-level SM: greedy-then-oldest warp schedulers, a writeback-latency
+//!   cycle-level SM (in production it takes them from the campaign
+//!   engine's traced pass, [`snapshot::traced_pass`], which records the
+//!   executor's traces on the predecoded column core): greedy-then-oldest warp schedulers, a writeback-latency
 //!   scoreboard (no register bypassing, §III-A), per-functional-unit issue
 //!   throughput, a bandwidth- and latency-modelled memory system, and
 //!   occupancy derived from register/thread/CTA limits ([`mod@occupancy`]).
@@ -52,7 +54,8 @@ pub use recovery::{
 };
 pub use regfile::{CowRegFile, Protection, RegFileEvent, WarpRegFile};
 pub use snapshot::{
-    CampaignEngine, EpochLadder, FastTrial, Fragment, GoldenCapture, ResumeMode, WarpSnapshot,
+    traced_pass, CampaignEngine, EpochLadder, FastTrial, Fragment, GoldenCapture, ResumeMode,
+    TracedPass, WarpSnapshot,
 };
 pub use tier2::{CompiledKernel, ExecTier};
 pub use timing::{simulate_kernel, KernelTiming, RecoveryCostModel, TimingConfig};

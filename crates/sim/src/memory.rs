@@ -134,6 +134,12 @@ impl GlobalMemory {
         Self { words }
     }
 
+    /// The backing words, moved out without copying.
+    #[must_use]
+    pub fn into_words(self) -> Vec<u32> {
+        self.words
+    }
+
     fn index(addr: u32, len: usize) -> usize {
         assert_eq!(addr % 4, 0, "unaligned access at {addr:#x}");
         let i = (addr / 4) as usize;
@@ -443,6 +449,21 @@ impl CowMemory {
         GlobalMemory::from_words(self.words())
     }
 
+    /// [`Self::to_global`], consuming the view: a base no other view shares
+    /// becomes the result in place, so only the materialized pages are
+    /// copied.
+    #[must_use]
+    pub fn into_global(self) -> GlobalMemory {
+        let mut words = Arc::try_unwrap(self.base).unwrap_or_else(|b| b.as_ref().clone());
+        for (p, page) in self.pages.iter().enumerate() {
+            if let Some(pg) = page {
+                let start = p << self.page_shift;
+                words[start..start + pg.len()].copy_from_slice(pg);
+            }
+        }
+        GlobalMemory::from_words(words)
+    }
+
     /// Whether page `p` of this memory's view equals the same page of
     /// `golden` (a full flattened image of identical length).
     #[must_use]
@@ -663,6 +684,25 @@ mod tests {
             };
             assert_eq!(parts.len(), pages, "{start}+{n}");
         }
+    }
+
+    #[test]
+    fn cow_memory_into_global_reuses_an_unshared_base() {
+        let words: Vec<u32> = (0..100).collect();
+        let ptr = words.as_ptr();
+        let mut m = CowMemory::new(Arc::new(words), 16);
+        assert!(m.try_write(4 * 20, 1000)); // page 1
+        assert!(m.try_write(4 * 99, 2000)); // partial tail page 6
+        let flat = m.words();
+        let out = m.into_global();
+        assert_eq!(out.words(), flat);
+        assert_eq!(out.words().as_ptr(), ptr, "the base is moved, not copied");
+
+        let base = Arc::new(vec![7u32; 8]);
+        let mut m = CowMemory::new(Arc::clone(&base), 4);
+        assert!(m.try_write(0, 1));
+        assert_eq!(m.into_global().words(), [1, 7, 7, 7, 7, 7, 7, 7]);
+        assert_eq!(base[0], 7, "a shared base is copied, not changed");
     }
 
     #[test]

@@ -265,6 +265,14 @@ impl WarpRegFile {
         self.regs
     }
 
+    /// Bytes of stored register state: per register, 32 data words, 32
+    /// check-bit words and a data-parity mask (196 bytes). What a
+    /// copy-on-write materialization copies, bookkeeping bitmaps aside.
+    #[must_use]
+    pub fn stored_bytes(&self) -> u64 {
+        (self.cols.len() * std::mem::size_of::<Column>()) as u64
+    }
+
     #[inline]
     fn col(&self, reg: u8) -> &Column {
         debug_assert!(u32::from(reg) < self.regs, "R{reg} out of range");
@@ -967,6 +975,9 @@ mod tests {
         assert_eq!(cow.peek(0, 2), 7);
         assert_eq!(base.peek(0, 2), 42, "the shared base is untouched");
         assert_eq!(cow.touched_bits()[0], 1 << 2, "private copy starts clean");
+        // A materialization copies 8 columns of 32 data words, 32 check-bit
+        // words and a parity mask.
+        assert_eq!(cow.stored_bytes(), 8 * (32 * 4 + 32 * 2 + 4));
     }
 
     #[test]

@@ -49,11 +49,14 @@
 //! through one column write ([`WarpRegFile::write_col`]). Decode DUEs keep
 //! the reference executor's order — lowest lane first, then operand read
 //! order — and an instruction with an empty exec mask writes nothing
-//! (DESIGN §9, column execution). The engine supports
-//! exactly the configuration injection campaigns use — a single CTA
-//! (`cta_limit = 1`), no trace or operand capture, no in-executor recovery,
-//! fueled — and is differentially tested against the reference executor
-//! ([`crate::exec`]) outcome-for-outcome.
+//! (DESIGN §9, column execution). Campaigns run the configuration
+//! injection needs — a single CTA (`cta_limit = 1`), no trace or operand
+//! capture, no in-executor recovery, fueled. The same exact-step core also
+//! runs the timing sweep's functional pass ([`traced_pass`]): fault-free,
+//! over several CTAs one after another, recording the reference
+//! executor's per-warp trace. Both are differentially tested against the
+//! reference executor ([`crate::exec`]): campaigns outcome for outcome,
+//! the pass trace for trace.
 //!
 //! Under [`ExecTier::Tier2`] the engine executes the kernel through a
 //! threaded-code buffer of compiled dispatch closures ([`crate::tier2`])
@@ -63,7 +66,9 @@
 
 use std::sync::Arc;
 
-use crate::exec::{compare, CancelToken, Detection, ExecConfig, ExecError, Launch};
+use crate::exec::{
+    compare, CancelToken, Detection, ExecConfig, ExecError, Launch, TraceEntry, WarpTrace,
+};
 use crate::fault::{ControlTarget, FaultClass, FaultSpec, FaultTarget};
 use crate::memory::{CowMemory, CowShared, GlobalMemory};
 use crate::predecode::{
@@ -325,8 +330,10 @@ pub struct FastTrial {
     pub resumed_from: u64,
     /// Dynamic instructions actually executed by this trial.
     pub executed: u64,
-    /// Bytes of snapshot state this trial materialized (global-memory
-    /// pages, shared memory if written, register files if written).
+    /// Bytes of snapshot state this trial materialized: its global-memory
+    /// pages, shared memory if written, and each written register file at
+    /// its stored size ([`WarpRegFile::stored_bytes`], 196 bytes per
+    /// register).
     pub bytes_cloned: u64,
     /// Global-memory pages materialized by writes.
     pub cow_pages_cloned: u64,
@@ -405,6 +412,7 @@ impl CampaignEngine {
         let mut ctx = FastCtx {
             pk: &pk,
             launch,
+            cta: 0,
             fault: None,
             fuel: None,
             max_dynamic,
@@ -424,6 +432,7 @@ impl CampaignEngine {
                 initial_mem.words().len(),
                 launch.shared_words as usize,
             )),
+            trace: None,
         };
         let mut warps = new_warps(&pk, launch, protection);
         if compiled.is_some() {
@@ -702,6 +711,7 @@ impl CampaignEngine {
         let mut ctx = FastCtx {
             pk: &self.pk,
             launch: self.launch,
+            cta: 0,
             fault: Some(fault),
             fuel: Some(fuel),
             max_dynamic: self.max_dynamic,
@@ -718,6 +728,7 @@ impl CampaignEngine {
             control_delivered: false,
             cancel: cancel.cloned(),
             access: Access::Off,
+            trace: None,
         };
         let defer = self.compiled.is_some();
         let mut warps: Vec<FastWarp> = snap
@@ -775,7 +786,7 @@ impl CampaignEngine {
         let regfile_bytes: u64 = warps
             .iter()
             .filter(|w| w.rf.is_materialized())
-            .map(|w| u64::from(w.rf.regs()) * 32 * 8)
+            .map(|w| w.rf.stored_bytes())
             .sum();
         let shared_bytes = if ctx.shared.is_materialized() {
             snap.shared.len() as u64 * 4
@@ -879,6 +890,9 @@ impl FastWarp {
 pub(crate) struct FastCtx<'a> {
     pub(crate) pk: &'a PredecodedKernel,
     pub(crate) launch: Launch,
+    /// The running CTA's index: CTAs run one after another, and campaigns
+    /// run CTA 0 only.
+    pub(crate) cta: u32,
     pub(crate) fault: Option<FaultSpec>,
     pub(crate) fuel: Option<u64>,
     pub(crate) max_dynamic: u64,
@@ -900,6 +914,186 @@ pub(crate) struct FastCtx<'a> {
     pub(crate) cancel: Option<CancelToken>,
     /// What memory accesses log or check.
     pub(crate) access: Access<'a>,
+    /// The traced pass's trace capture ([`traced_pass`]); `None` in
+    /// campaigns.
+    pub(crate) trace: Option<TraceSink>,
+}
+
+/// Per-warp trace capture for the running CTA: one reference
+/// [`TraceEntry`] per issued warp-instruction, in issue order.
+pub(crate) struct TraceSink {
+    warps: Vec<Vec<TraceEntry>>,
+}
+
+impl TraceSink {
+    /// Record the instruction at `pc` that warp `w` is about to issue from
+    /// fragment `fi`, as the reference executor records it: the exec mask,
+    /// and the memory transactions — the distinct 128-byte segments of the
+    /// executing lanes' addresses for a global load or store, 1 for a
+    /// shared access with any lane executing, the executing lanes for an
+    /// atomic. The traced pass has no fault and no fuel, so the instruction
+    /// does issue, on exactly these lanes, from this address column. Cold
+    /// and out of line: trials carry no sink, and the untaken branch to it
+    /// is all they pay.
+    #[cold]
+    #[inline(never)]
+    fn record(&mut self, w: &FastWarp, mop: &MicroOp, pc: usize, fi: usize) {
+        let mask = eval_guard(mop.guard, w.frags[fi].mask, &w.preds);
+        let txns = match mop.uop {
+            UOp::Ld {
+                space: MemSpace::Shared,
+                ..
+            }
+            | UOp::St {
+                space: MemSpace::Shared,
+                ..
+            } => u8::from(mask != 0),
+            UOp::Ld { addr, offset, .. } | UOp::St { addr, offset, .. } => {
+                let (base, _) = read(w, addr, mask);
+                let mut segs = [0u32; 32];
+                let mut n = 0;
+                for l in Lanes(mask) {
+                    let seg = base[l].wrapping_add(offset) >> 7;
+                    if !segs[..n].contains(&seg) {
+                        segs[n] = seg;
+                        n += 1;
+                    }
+                }
+                n as u8
+            }
+            UOp::AtomAdd { .. } => mask.count_ones() as u8,
+            _ => 0,
+        };
+        self.warps[w.wid as usize].push(TraceEntry {
+            kidx: pc as u32,
+            mask,
+            txns,
+        });
+    }
+}
+
+/// A fault-free run's results as the reference executor reports them with
+/// trace capture on ([`traced_pass`]).
+#[derive(Debug)]
+pub struct TracedPass {
+    /// Detection state: fault-free, only a barrier reached while divergent
+    /// ([`Detection::Hang`]) detects.
+    pub detection: Detection,
+    /// Executed dynamic warp-instructions.
+    pub dynamic_instructions: u64,
+    /// Whether `max_dynamic` truncated the run.
+    pub truncated: bool,
+    /// The warp traces of every CTA that ran to completion, in CTA order
+    /// and warp order within a CTA. A halt drops the traces of the CTA it
+    /// cut.
+    pub traces: Vec<WarpTrace>,
+}
+
+/// The traced pass's copy-on-write page size in words (4 KiB). Nothing
+/// else shares the pass's base, so each written page is copied once at
+/// any size. Pages this large keep a serial run over the figure cells at
+/// the reference executor's peak memory; the campaigns' 64-word pages
+/// raise it by about 120 KiB.
+const PASS_PAGE_WORDS: usize = 1024;
+
+/// Run `kernel` fault-free over the first `ctas` CTAs of `launch` on the
+/// campaign engine's exact-step core (tier 1: the pass runs once, so no
+/// tier-2 compile pays off), recording what [`crate::exec::Executor::run`]
+/// records with `collect_trace` set, `cta_limit: Some(ctas)`, the given
+/// `max_dynamic` and unprotected registers: per issued warp-instruction its
+/// kernel index, exec mask and memory transactions (distinct 128-byte
+/// segments for a global load or store, 1 for a shared access with any
+/// lane executing, the executing lanes for an atomic).
+///
+/// CTAs run one after another in index order, each with fresh warps and
+/// fresh shared memory; global memory persists across them. `mem`'s words
+/// are moved into the run's copy-on-write base and back, so on return, on
+/// error too, `mem` holds the image the run left.
+///
+/// A halt stops the run where the reference's stops: the `max_dynamic`
+/// cap, or a barrier reached while divergent ([`Detection::Hang`], the
+/// watchdog's verdict on a barrier deadlock).
+///
+/// # Errors
+///
+/// The reference executor's [`ExecError::OutOfBoundsAccess`] for a
+/// misaligned or out-of-bounds access. Without a fault the scheduler
+/// cannot deadlock ([`ExecError::Trap`]): every round from its top issues
+/// an instruction or releases a barrier.
+pub fn traced_pass(
+    kernel: &Kernel,
+    launch: Launch,
+    mem: &mut GlobalMemory,
+    ctas: u32,
+    max_dynamic: u64,
+) -> Result<TracedPass, ExecError> {
+    let pk = PredecodedKernel::new(kernel);
+    let words = std::mem::replace(mem, GlobalMemory::from_words(Vec::new())).into_words();
+    let mut ctx = FastCtx {
+        pk: &pk,
+        launch,
+        cta: 0,
+        fault: None,
+        fuel: None,
+        max_dynamic,
+        mem: CowMemory::new(Arc::new(words), PASS_PAGE_WORDS),
+        shared: CowShared::new_zeroed(0),
+        dyn_count: 0,
+        eligible_orig: 0,
+        eligible_shadow: 0,
+        detection: Detection::None,
+        pending_due: None,
+        truncated: false,
+        error: None,
+        faults_applied: 0,
+        control_delivered: false,
+        cancel: None,
+        access: Access::Off,
+        trace: None,
+    };
+    let mut traces = Vec::new();
+    for cta in 0..ctas.min(launch.ctas) {
+        ctx.cta = cta;
+        ctx.shared = CowShared::new_zeroed(launch.shared_words as usize);
+        let mut warps = new_warps(&pk, launch, Protection::None);
+        ctx.trace = Some(TraceSink {
+            warps: vec![Vec::new(); warps.len()],
+        });
+        run_rounds(
+            &mut ctx,
+            &mut warps,
+            &mut Hook::Off,
+            None,
+            SchedPos::default(),
+        );
+        if ctx.halted() {
+            break;
+        }
+        let sink = ctx.trace.take().expect("the pass traces");
+        traces.extend((0..).zip(sink.warps).map(|(warp, entries)| WarpTrace {
+            cta,
+            warp,
+            entries,
+        }));
+    }
+    let FastCtx {
+        mem: image,
+        detection,
+        dyn_count,
+        truncated,
+        error,
+        ..
+    } = ctx;
+    *mem = image.into_global();
+    match error {
+        Some(e) => Err(e),
+        None => Ok(TracedPass {
+            detection,
+            dynamic_instructions: dyn_count,
+            truncated,
+            traces,
+        }),
+    }
 }
 
 /// What `exec_uop`'s memory arms do with each global or shared word an
@@ -1129,6 +1323,8 @@ impl DeltaAcc {
 /// What the scheduler does at every warp boundary: before each warp's turn
 /// in a round, the round top included.
 enum Hook<'l> {
+    /// The traced pass: nothing.
+    Off,
     /// Golden run: capture an epoch snapshot at the first boundary at or
     /// past `next`.
     Capture {
@@ -1171,6 +1367,7 @@ impl Hook<'_> {
         sched: SchedPos,
     ) -> bool {
         match self {
+            Hook::Off => false,
             Hook::Capture {
                 interval,
                 next,
@@ -1421,9 +1618,9 @@ fn new_warps(pk: &PredecodedKernel, launch: Launch, protection: Protection) -> V
         .collect()
 }
 
-/// The round scheduler: identical to the reference executor's single-CTA
-/// loop (64-instruction quanta per warp, barrier release when all live
-/// warps wait, deadlock watchdog), with the campaign hook at every warp
+/// The round scheduler of one CTA: identical to the reference executor's
+/// per-CTA loop (64-instruction quanta per warp, barrier release when all
+/// live warps wait, deadlock watchdog), with the hook at every warp
 /// boundary. It starts at `start`, the round top for a golden run and the
 /// resume rung's position for a trial, which finishes that partial round
 /// first. With `compiled` present, warps step through the tier-2
@@ -1529,7 +1726,7 @@ pub(crate) fn pick_fragment(w: &FastWarp) -> usize {
 }
 
 /// Execute one instruction of one warp (the predecoded twin of the
-/// reference executor's `step`).
+/// reference executor's `step`), recording it first when the run traces.
 fn step(ctx: &mut FastCtx<'_>, w: &mut FastWarp) {
     let fi = pick_fragment(w);
     let pc = w.frags[fi].pc;
@@ -1538,7 +1735,11 @@ fn step(ctx: &mut FastCtx<'_>, w: &mut FastWarp) {
         return;
     }
     let pk = ctx.pk;
-    step_with(ctx, w, pk.op_ref(pc), fi);
+    let mop = pk.op_ref(pc);
+    if let Some(sink) = &mut ctx.trace {
+        sink.record(w, mop, pc, fi);
+    }
+    step_with(ctx, w, mop, fi);
 }
 
 /// The per-instruction body shared by the tier-1 interpreter and the tier-2
@@ -1979,8 +2180,7 @@ pub(crate) fn exec_uop(
             let out: [u32; 32] = match sr {
                 SpecialReg::TidX => std::array::from_fn(|l| w.wid * 32 + lane(l)),
                 SpecialReg::NTidX => [ctx.launch.threads_per_cta; 32],
-                // The campaign engine executes CTA 0 only (cta_limit=1).
-                SpecialReg::CtaIdX => [0; 32],
+                SpecialReg::CtaIdX => [ctx.cta; 32],
                 SpecialReg::NCtaIdX => [ctx.launch.ctas; 32],
                 SpecialReg::LaneId => std::array::from_fn(lane),
                 SpecialReg::WarpId => [w.wid; 32],
@@ -3045,6 +3245,7 @@ mod tests {
             let mut ctx = FastCtx {
                 pk: &pk,
                 launch: Launch::grid(1, 32),
+                cta: 0,
                 fault: None,
                 fuel: None,
                 max_dynamic: u64::MAX,
@@ -3061,6 +3262,7 @@ mod tests {
                 control_delivered: false,
                 cancel: None,
                 access: Access::Off,
+                trace: None,
             };
             let mut w = FastWarp {
                 wid: 0,
@@ -3150,5 +3352,365 @@ mod tests {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod pass_tests {
+    use super::*;
+    use crate::exec::Executor;
+    use swapcodes_isa::{CmpOp, CmpTy, Instr, KernelBuilder, MemWidth, Op, Pred, Reg, Src};
+
+    const MAX_DYNAMIC: u64 = 80_000_000;
+
+    fn s2r(b: &mut KernelBuilder, d: u8, sr: SpecialReg) {
+        b.push(Op::S2R { d: Reg(d), sr });
+    }
+
+    fn iadd(b: &mut KernelBuilder, d: u8, a: u8, imm: i32) {
+        b.push(Op::IAdd {
+            d: Reg(d),
+            a: Reg(a),
+            b: Src::Imm(imm),
+        });
+    }
+
+    fn shl(b: &mut KernelBuilder, d: u8, a: u8, sh: i32) {
+        b.push(Op::Shl {
+            d: Reg(d),
+            a: Reg(a),
+            b: Src::Imm(sh),
+        });
+    }
+
+    fn setp(b: &mut KernelBuilder, p: u8, cmp: CmpOp, a: u8, imm: i32) {
+        b.push(Op::SetP {
+            p: Pred(p),
+            cmp,
+            ty: CmpTy::I32,
+            a: Reg(a),
+            b: Src::Imm(imm),
+        });
+    }
+
+    fn ld(space: MemSpace, d: u8, addr: u8, offset: i32) -> Op {
+        Op::Ld {
+            d: Reg(d),
+            space,
+            addr: Reg(addr),
+            offset,
+            width: MemWidth::W32,
+        }
+    }
+
+    fn st(space: MemSpace, addr: u8, offset: i32, v: u8) -> Op {
+        Op::St {
+            space,
+            addr: Reg(addr),
+            offset,
+            v: Reg(v),
+            width: MemWidth::W32,
+        }
+    }
+
+    /// R3 = the global thread index `CtaIdX * NTidX + TidX`, R4 = R3 * 4;
+    /// R0 = `CtaIdX`, R1 = `TidX`.
+    fn global_index(b: &mut KernelBuilder) {
+        s2r(b, 0, SpecialReg::CtaIdX);
+        s2r(b, 1, SpecialReg::TidX);
+        s2r(b, 2, SpecialReg::NTidX);
+        b.push(Op::IMad {
+            d: Reg(3),
+            a: Reg(0),
+            b: Reg(2),
+            c: Reg(1),
+        });
+        shl(b, 4, 3, 2);
+    }
+
+    /// Byte address of row 0 of [`chain_kernel`]'s 64-word rows; row `c + 1`
+    /// follows row `c`.
+    const ROWS: i32 = 0;
+    /// Its divergent outputs, one word per global thread.
+    const SPLIT: i32 = 2048;
+    /// Its atomic counter.
+    const COUNTER: i32 = 4096;
+    /// Its strided region: 128 bytes per global thread.
+    const STRIDED: i32 = 8192;
+
+    /// CTAs of 64 threads that chain through global memory: thread `t` of
+    /// CTA `c` loads row `c` (the previous CTA's output, row 0 the input)
+    /// at an address computed from `CtaIdX`, and stores `row + c + 1` to
+    /// row `c + 1`. Along the way: a guarded atomic on the first 8 lanes
+    /// (exec mask ≠ fragment mask, and 8 serialized lanes), a load 128
+    /// bytes apart per lane (32 segments) next to the coalesced row access
+    /// (one segment per warp), and an if/else on the lane's parity whose
+    /// result goes to its own word.
+    fn chain_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("chain");
+        global_index(&mut b);
+        b.push(ld(MemSpace::Global, 5, 4, ROWS));
+        b.push(Op::IAdd {
+            d: Reg(6),
+            a: Reg(5),
+            b: Src::Reg(Reg(0)),
+        });
+        iadd(&mut b, 6, 6, 1);
+        b.push(st(MemSpace::Global, 4, ROWS + 256, 6));
+        // Guarded atomic: lanes 0..8 of warp 0 add CtaIdX + 1.
+        setp(&mut b, 0, CmpOp::Lt, 1, 8);
+        iadd(&mut b, 7, 0, 1);
+        b.push(Op::Mov {
+            d: Reg(8),
+            a: Src::Imm(COUNTER),
+        });
+        b.push_instr(Instr::guarded(
+            Op::AtomAdd {
+                addr: Reg(8),
+                offset: 0,
+                v: Reg(7),
+            },
+            Pred(0),
+            true,
+        ));
+        // Strided load: one 128-byte segment per lane.
+        shl(&mut b, 9, 3, 7);
+        b.push(ld(MemSpace::Global, 10, 9, STRIDED));
+        // Divergent if/else on the lane's parity.
+        b.push(Op::And {
+            d: Reg(11),
+            a: Reg(1),
+            b: Src::Imm(1),
+        });
+        setp(&mut b, 1, CmpOp::Eq, 11, 0);
+        let even = b.label();
+        let join = b.label();
+        b.branch_if(even, Pred(1), true);
+        iadd(&mut b, 12, 10, 100);
+        b.branch_to(join);
+        b.bind(even);
+        iadd(&mut b, 12, 5, 200);
+        b.bind(join);
+        b.push(st(MemSpace::Global, 4, SPLIT, 12));
+        b.push(Op::Exit);
+        b.finish()
+    }
+
+    /// 4 CTAs of 64 threads and [`chain_kernel`]'s input: row 0 holds
+    /// `1000 + t`, the strided region `3 * g` at each thread's word.
+    fn chain_setup() -> (Kernel, Launch, GlobalMemory) {
+        let launch = Launch::grid(4, 64);
+        let mut mem = GlobalMemory::new(STRIDED as usize + 256 * 128);
+        for t in 0..64u32 {
+            mem.write(ROWS as u32 + 4 * t, 1000 + t);
+        }
+        for g in 0..256u32 {
+            mem.write(STRIDED as u32 + 128 * g, 3 * g);
+        }
+        (chain_kernel(), launch, mem)
+    }
+
+    /// Per CTA, each thread adds `TidX + 1` to its own shared word, which a
+    /// fresh CTA's shared memory holds at 0, and after a barrier stores the
+    /// other warp's word to its global word.
+    fn shared_kernel() -> Kernel {
+        let mut b = KernelBuilder::new("shared");
+        global_index(&mut b);
+        shl(&mut b, 5, 1, 2);
+        b.push(ld(MemSpace::Shared, 6, 5, 0));
+        b.push(Op::IAdd {
+            d: Reg(6),
+            a: Reg(6),
+            b: Src::Reg(Reg(1)),
+        });
+        iadd(&mut b, 6, 6, 1);
+        b.push(st(MemSpace::Shared, 5, 0, 6));
+        b.push(Op::Bar);
+        b.push(Op::Xor {
+            d: Reg(7),
+            a: Reg(1),
+            b: Src::Imm(32),
+        });
+        shl(&mut b, 7, 7, 2);
+        b.push(ld(MemSpace::Shared, 8, 7, 0));
+        b.push(st(MemSpace::Global, 4, 0, 8));
+        b.push(Op::Exit);
+        b.finish()
+    }
+
+    /// Each thread stores its global index to its global word; threads
+    /// with a global index of at least `split` first skip a barrier,
+    /// which splits the one warp that straddles `split` at the barrier.
+    fn barrier_kernel(split: i32) -> Kernel {
+        let mut b = KernelBuilder::new("divbar");
+        global_index(&mut b);
+        b.push(st(MemSpace::Global, 4, 0, 3));
+        setp(&mut b, 0, CmpOp::Ge, 3, split);
+        let skip = b.label();
+        b.branch_if(skip, Pred(0), true);
+        b.push(Op::Bar);
+        b.bind(skip);
+        b.push(Op::Exit);
+        b.finish()
+    }
+
+    /// Run `kernel` over the first `ctas` CTAs of `launch` from `mem` on the
+    /// traced pass and on the reference executor with trace capture and
+    /// the same `max_dynamic`, assert that they agree on everything the
+    /// reference reports — its error, or its detection, dynamic count,
+    /// truncation flag and every warp trace — and on the final memory, and
+    /// return the pass's result and memory.
+    fn pass_matches_executor(
+        kernel: &Kernel,
+        launch: Launch,
+        mem: &GlobalMemory,
+        ctas: u32,
+        max_dynamic: u64,
+    ) -> (Result<TracedPass, ExecError>, GlobalMemory) {
+        let what = format!("{} over {ctas} CTAs, cap {max_dynamic}", kernel.name());
+        let exec = Executor {
+            config: ExecConfig {
+                collect_trace: true,
+                cta_limit: Some(ctas),
+                max_dynamic,
+                ..ExecConfig::default()
+            },
+        };
+        let mut ref_mem = mem.clone();
+        let reference = exec.run(kernel, launch, &mut ref_mem);
+        let mut pass_mem = mem.clone();
+        let pass = traced_pass(kernel, launch, &mut pass_mem, ctas, max_dynamic);
+        assert_eq!(pass_mem.words(), ref_mem.words(), "{what}: final memory");
+        match (&pass, reference) {
+            (Err(e), Err(r)) => assert_eq!(*e, r, "{what}"),
+            (Ok(p), Ok(r)) => {
+                assert_eq!(p.detection, r.detection, "{what}");
+                assert_eq!(p.dynamic_instructions, r.dynamic_instructions, "{what}");
+                assert_eq!(p.truncated, r.truncated, "{what}");
+                assert_eq!(p.traces, r.traces, "{what}");
+            }
+            (p, r) => panic!("{what}: pass {p:?}, reference {r:?}"),
+        }
+        (pass, pass_mem)
+    }
+
+    /// The entries warp `warp` of CTA `cta` recorded at kernel index
+    /// `kidx`.
+    fn entries_at(pass: &TracedPass, cta: u32, warp: u32, kidx: usize) -> Vec<TraceEntry> {
+        let t = pass
+            .traces
+            .iter()
+            .find(|t| t.cta == cta && t.warp == warp)
+            .expect("warp traced");
+        t.entries
+            .iter()
+            .filter(|e| e.kidx as usize == kidx)
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn traced_pass_matches_executor_across_ctas() {
+        let (kernel, launch, mem) = chain_setup();
+        for ctas in 1..=5 {
+            let (pass, _) = pass_matches_executor(&kernel, launch, &mem, ctas, MAX_DYNAMIC);
+            let pass = pass.expect("the chain runs");
+            assert_eq!(pass.traces.len(), 2 * ctas.min(4) as usize);
+        }
+        let (pass, out) = pass_matches_executor(&kernel, launch, &mem, 4, MAX_DYNAMIC);
+        let pass = pass.expect("the chain runs");
+        // CTA c adds c + 1 to the row CTA c - 1 wrote: 1 + 2 + 3 + 4.
+        for t in 0..64u32 {
+            assert_eq!(out.read(ROWS as u32 + 4 * 256 + 4 * t), 1010 + t);
+        }
+        assert_eq!(out.read(COUNTER as u32), 8 * (1 + 2 + 3 + 4));
+        let kidx = |op: fn(&Op) -> bool| {
+            kernel
+                .instrs()
+                .iter()
+                .position(|i| op(&i.op))
+                .expect("kernel has the op")
+        };
+        let row_load = kidx(|op| matches!(op, Op::Ld { .. }));
+        let atomic = kidx(|op| matches!(op, Op::AtomAdd { .. }));
+        let strided = row_load
+            + kernel.instrs()[row_load + 1..]
+                .iter()
+                .position(|i| matches!(i.op, Op::Ld { .. }))
+                .expect("second load")
+            + 1;
+        for cta in 0..4 {
+            let mask = |e: &[TraceEntry]| e.iter().map(|e| (e.mask, e.txns)).collect::<Vec<_>>();
+            assert_eq!(mask(&entries_at(&pass, cta, 0, row_load)), [(u32::MAX, 1)]);
+            assert_eq!(mask(&entries_at(&pass, cta, 0, strided)), [(u32::MAX, 32)]);
+            // The guard leaves 8 of the fragment's 32 lanes executing.
+            assert_eq!(mask(&entries_at(&pass, cta, 0, atomic)), [(0xFF, 8)]);
+            assert_eq!(mask(&entries_at(&pass, cta, 1, atomic)), [(0, 0)]);
+        }
+        // The parity branch splits the warp into two fragments.
+        let t = &pass.traces[0].entries;
+        assert!(t.iter().any(|e| e.mask == 0x5555_5555));
+        assert!(t.iter().any(|e| e.mask == 0xAAAA_AAAA));
+    }
+
+    #[test]
+    fn traced_pass_resets_shared_memory_per_cta() {
+        let kernel = shared_kernel();
+        let launch = Launch {
+            shared_words: 64,
+            ..Launch::grid(3, 64)
+        };
+        let mem = GlobalMemory::new(3 * 64 * 4);
+        let (pass, out) = pass_matches_executor(&kernel, launch, &mem, 3, MAX_DYNAMIC);
+        let pass = pass.expect("the kernel runs");
+        for g in 0..192u32 {
+            assert_eq!(out.read(4 * g), ((g % 64) ^ 32) + 1, "thread {g}");
+        }
+        let shared_load = kernel
+            .instrs()
+            .iter()
+            .position(|i| matches!(i.op, Op::Ld { .. }))
+            .expect("shared load");
+        assert_eq!(entries_at(&pass, 2, 1, shared_load)[0].txns, 1);
+    }
+
+    #[test]
+    fn traced_pass_fails_and_halts_like_executor() {
+        // Memory for 160 threads: warp 1 of CTA 2 stores out of bounds.
+        let kernel = barrier_kernel(i32::MAX);
+        let launch = Launch::grid(4, 64);
+        let mem = GlobalMemory::new(160 * 4);
+        let (pass, _) = pass_matches_executor(&kernel, launch, &mem, 4, MAX_DYNAMIC);
+        assert!(
+            matches!(pass, Err(ExecError::OutOfBoundsAccess { addr: 640, .. })),
+            "{pass:?}"
+        );
+        // Global thread 130 splits warp 0 of CTA 2 at the barrier: the
+        // watchdog's hang, after CTAs 0 and 1 completed.
+        let mem = GlobalMemory::new(256 * 4);
+        let (pass, _) = pass_matches_executor(&barrier_kernel(130), launch, &mem, 4, MAX_DYNAMIC);
+        let pass = pass.expect("a hang is a detection, not an error");
+        assert!(matches!(pass.detection, Detection::Hang { .. }));
+        assert_eq!(pass.traces.len(), 4, "the hung CTA's traces are dropped");
+    }
+
+    #[test]
+    fn traced_pass_truncates_like_executor() {
+        let (kernel, launch, mem) = chain_setup();
+        let (full, _) = pass_matches_executor(&kernel, launch, &mem, 4, MAX_DYNAMIC);
+        let total = full.expect("the chain runs").dynamic_instructions;
+        // Every cap from the first instruction to one past the end: cuts
+        // inside each CTA and on the last instruction of one.
+        let mut cut_ctas = Vec::new();
+        for cap in 1..=total + 1 {
+            let (pass, _) = pass_matches_executor(&kernel, launch, &mem, 4, cap);
+            let pass = pass.expect("a cut is not an error");
+            assert_eq!(pass.truncated, cap <= total, "cap {cap}");
+            let done = pass.traces.len() / 2;
+            if pass.truncated && !cut_ctas.contains(&done) {
+                cut_ctas.push(done);
+            }
+        }
+        assert_eq!(cut_ctas, [0, 1, 2, 3], "a cut in every CTA");
     }
 }

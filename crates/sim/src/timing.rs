@@ -13,6 +13,7 @@ use crate::exec::{ExecConfig, ExecError, Executor, Launch, WarpTrace};
 use crate::memory::GlobalMemory;
 use crate::occupancy::{occupancy, GpuConfig, Occupancy};
 use crate::regfile::Protection;
+use crate::snapshot::{traced_pass, TracedPass};
 
 /// Timing-model parameters (defaults approximate a P100-class SM; times in
 /// quarter-cycles where noted).
@@ -187,8 +188,9 @@ impl RecoveryCostModel {
 }
 
 /// Simulate `kernel` end to end: functional execution of one occupancy wave
-/// (capturing traces), then cycle-level replay, then extrapolation over the
-/// full grid.
+/// on the campaign engine's exact-step core, capturing traces
+/// ([`traced_pass`]), then cycle-level replay, then extrapolation over the
+/// full grid. `mem` holds the final image on return.
 ///
 /// # Errors
 ///
@@ -202,7 +204,7 @@ pub fn simulate_kernel(
     mem: &mut GlobalMemory,
     cfg: &TimingConfig,
 ) -> Result<KernelTiming, ExecError> {
-    simulate_with(kernel, launch, mem, cfg, replay_wave, 0).map(|run| run.timing)
+    simulate_with(kernel, launch, mem, cfg, engine_pass, replay_wave, 0).map(|run| run.timing)
 }
 
 /// A timing run that keeps its warp traces ([`simulate_traced`]).
@@ -241,13 +243,16 @@ pub fn simulate_traced(
     cfg: &TimingConfig,
     min_ctas: u32,
 ) -> Result<TracedRun, ExecError> {
-    simulate_with(kernel, launch, mem, cfg, replay_wave, min_ctas)
+    simulate_with(kernel, launch, mem, cfg, engine_pass, replay_wave, min_ctas)
 }
 
-/// Pre-optimization replay retained verbatim as a differential-testing and
-/// perf-baseline reference: same scheduling semantics as [`simulate_kernel`]
-/// (asserted by `reference_replay_matches_optimized`), but rebuilding its
-/// working sets from scratch every cycle. Not part of the public API.
+/// The reference timing run, a differential-testing and perf-baseline
+/// oracle sharing none of [`simulate_kernel`]'s execution code: the wave's
+/// functional pass runs on the per-lane reference [`Executor`], and the
+/// pre-optimization replay, retained verbatim, rebuilds its working sets
+/// from scratch every cycle. Same results as [`simulate_kernel`] (asserted
+/// by `reference_replay_matches_optimized` and the figure-cell
+/// differential). Not part of the public API.
 ///
 /// # Errors
 ///
@@ -259,17 +264,66 @@ pub fn simulate_kernel_reference(
     mem: &mut GlobalMemory,
     cfg: &TimingConfig,
 ) -> Result<KernelTiming, ExecError> {
-    simulate_with(kernel, launch, mem, cfg, replay_wave_reference, 0).map(|run| run.timing)
+    simulate_with(
+        kernel,
+        launch,
+        mem,
+        cfg,
+        executor_pass,
+        replay_wave_reference,
+        0,
+    )
+    .map(|run| run.timing)
 }
+
+/// Signature shared by the production and reference functional passes: run
+/// the first `ctas` CTAs fault-free, capturing every warp's trace.
+type PassFn = fn(&Kernel, Launch, &mut GlobalMemory, u32) -> Result<TracedPass, ExecError>;
 
 /// Signature shared by the optimized and reference wave-replay backends.
 type ReplayFn = fn(&Kernel, &[WarpTrace], &TimingConfig) -> Result<(u64, WaveStats), ExecError>;
+
+/// The production pass: the campaign engine's core, under the executor's
+/// default dynamic-instruction cap.
+fn engine_pass(
+    kernel: &Kernel,
+    launch: Launch,
+    mem: &mut GlobalMemory,
+    ctas: u32,
+) -> Result<TracedPass, ExecError> {
+    traced_pass(kernel, launch, mem, ctas, ExecConfig::default().max_dynamic)
+}
+
+/// The reference pass: the per-lane [`Executor`] with trace capture.
+fn executor_pass(
+    kernel: &Kernel,
+    launch: Launch,
+    mem: &mut GlobalMemory,
+    ctas: u32,
+) -> Result<TracedPass, ExecError> {
+    let exec = Executor {
+        config: ExecConfig {
+            protection: Protection::None,
+            collect_trace: true,
+            cta_limit: Some(ctas),
+            ..ExecConfig::default()
+        },
+    };
+    let out = exec.run(kernel, launch, mem)?;
+    Ok(TracedPass {
+        detection: out.detection,
+        dynamic_instructions: out.dynamic_instructions,
+        truncated: out.truncated,
+        traces: out.traces,
+    })
+}
 
 fn simulate_with(
     kernel: &Kernel,
     launch: Launch,
     mem: &mut GlobalMemory,
     cfg: &TimingConfig,
+    pass: PassFn,
     replay: ReplayFn,
     min_ctas: u32,
 ) -> Result<TracedRun, ExecError> {
@@ -282,15 +336,12 @@ fn simulate_with(
     }
     let wave_ctas = occ.ctas.min(launch.ctas);
 
-    let exec = Executor {
-        config: ExecConfig {
-            protection: Protection::None,
-            collect_trace: true,
-            cta_limit: Some(wave_ctas.max(min_ctas.min(launch.ctas))),
-            ..ExecConfig::default()
-        },
-    };
-    let out = exec.run(kernel, launch, mem)?;
+    let out = pass(
+        kernel,
+        launch,
+        mem,
+        wave_ctas.max(min_ctas.min(launch.ctas)),
+    )?;
     // CTAs run one after another in index order, so the wave's warps are a
     // prefix of the traces.
     let wave_warps = out.traces.partition_point(|t| t.cta < wave_ctas);
