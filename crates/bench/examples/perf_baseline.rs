@@ -10,7 +10,7 @@
 //!   profiles and traces) versus the shared parallel memoized
 //!   [`SweepEngine`], which runs one traced pass per cell on the campaign
 //!   engine's exact-step core (`sim::snapshot::traced_pass`) and the
-//!   optimized replay, and serves all five figures from it. Every walked
+//!   event-driven replay, and serves all five figures from it. Every walked
 //!   cell's engine timing is asserted equal to its reference timing.
 //! * **Gate campaign** — the one-site-at-a-time reference
 //!   (`run_unit_campaign_reference`: every input's whole injection order

@@ -105,7 +105,9 @@ impl Decoder {
             }
         }
         match self {
-            Decoder::None => each(mask, src, out, |_| 0),
+            // Unprotected words store zero check bits: clear the written
+            // lanes in one blend instead of visiting them one by one.
+            Decoder::None => blend(out, &[0; 32], mask),
             Decoder::Detect(code) => each(mask, src, out, |v| code.encode(v)),
             Decoder::SecDedDp(rep) => each(mask, src, out, |v| rep.code().encode(v)),
             Decoder::SecDp(rep) => each(mask, src, out, |v| rep.code().encode(v)),
@@ -634,7 +636,7 @@ impl WarpRegFile {
 
 /// Copy the lanes in `mask` of `src` into `dst`.
 #[inline]
-fn blend(dst: &mut [u32; 32], src: &[u32; 32], mask: u32) {
+fn blend<T: Copy>(dst: &mut [T; 32], src: &[T; 32], mask: u32) {
     if mask == u32::MAX {
         *dst = *src;
         return;
@@ -997,10 +999,10 @@ mod tests {
     }
 
     /// A column write stores, touches and arms exactly what the per-lane
-    /// writes of its lanes do, in every mode, deferred or not, with an
-    /// empty mask and with a strike; a column read returns the per-lane
-    /// reads' values and DUE lanes. A struck predicted lane takes its check
-    /// bits from the fault-free value.
+    /// writes of its lanes do, in every mode, deferred or not, protected or
+    /// not, with an empty mask and with a strike; a column read returns the
+    /// per-lane reads' values and DUE lanes. A struck predicted lane takes
+    /// its check bits from the fault-free value.
     #[test]
     fn column_access_matches_per_lane_access() {
         let vals: [u32; 32] = std::array::from_fn(|l| 0x100 + l as u32);
@@ -1010,13 +1012,24 @@ mod tests {
             (1 << 31, Some((31, vals[31]))),
             (0, None),
         ];
-        for mode in [WriteMode::Full, WriteMode::EccOnly, WriteMode::Predicted] {
+        let modes = [WriteMode::Full, WriteMode::EccOnly, WriteMode::Predicted];
+        for (protection, mode) in [Protection::SecDedDp, Protection::None]
+            .into_iter()
+            .flat_map(|p| modes.map(|m| (p, m)))
+        {
             for deferred in [false, true] {
                 for (mask, strike) in cases {
-                    let mut col = WarpRegFile::new(4, Protection::SecDedDp);
+                    let mut col = WarpRegFile::new(4, protection);
                     col.set_deferred(deferred);
                     for lane in 0..32 {
                         col.write_full(lane, 1, lane * 3);
+                    }
+                    if protection == Protection::None {
+                        // Unprotected check bits and parity hold only what
+                        // storage flips leave: start from nonzero ones, so a
+                        // write that skips zeroing its lanes shows.
+                        col.cols[1].check = [0xA5A5; 32];
+                        col.cols[1].parity = 0x5A5A_5A5A;
                     }
                     col.take_touched();
                     let mut lanes = col.clone();
@@ -1030,7 +1043,8 @@ mod tests {
                             WriteMode::Predicted => lanes.write_predicted(lane, 1, v, golden),
                         }
                     }
-                    let what = format!("{mode:?} deferred={deferred} mask={mask:#x}");
+                    let what =
+                        format!("{protection:?} {mode:?} deferred={deferred} mask={mask:#x}");
                     assert_eq!(col.touched_bits(), lanes.touched_bits(), "{what}");
                     assert_eq!(col.has_deferred(), lanes.has_deferred(), "{what}");
                     assert_eq!(col.armed, lanes.armed, "{what}");

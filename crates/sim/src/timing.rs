@@ -7,6 +7,9 @@
 //! throughput from doubled operations — while remaining fast enough to sweep
 //! every workload under every protection scheme.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use swapcodes_isa::{FuncUnit, Kernel, Op};
 
 use crate::exec::{ExecConfig, ExecError, Executor, Launch, WarpTrace};
@@ -194,10 +197,11 @@ impl RecoveryCostModel {
 ///
 /// # Errors
 ///
-/// Returns [`ExecError::InvalidOp`] when the kernel cannot fit on the SM at
-/// all, [`ExecError::Hang`] when the replay exceeds its cycle budget
-/// ([`TimingConfig::max_cycles`]), and propagates any functional-execution
-/// error.
+/// Returns [`ExecError::InvalidOp`] when the SM has no warp schedulers, the
+/// kernel cannot fit on it at all, or one scheduler would hold more than 64
+/// of the wave's warps, [`ExecError::Hang`] when the replay exceeds its
+/// cycle budget ([`TimingConfig::max_cycles`]), and propagates any
+/// functional-execution error.
 pub fn simulate_kernel(
     kernel: &Kernel,
     launch: Launch,
@@ -256,7 +260,8 @@ pub fn simulate_traced(
 ///
 /// # Errors
 ///
-/// Same contract as [`simulate_kernel`].
+/// Same contract as [`simulate_kernel`], except that the reference replay
+/// takes any number of warps per scheduler.
 #[doc(hidden)]
 pub fn simulate_kernel_reference(
     kernel: &Kernel,
@@ -327,6 +332,11 @@ fn simulate_with(
     replay: ReplayFn,
     min_ctas: u32,
 ) -> Result<TracedRun, ExecError> {
+    if cfg.gpu.schedulers == 0 {
+        return Err(ExecError::InvalidOp {
+            what: "the SM has no warp schedulers",
+        });
+    }
     let regs = kernel.register_count().max(1);
     let occ = occupancy(&cfg.gpu, regs, launch.threads_per_cta, launch.shared_words);
     if occ.ctas == 0 {
@@ -514,15 +524,19 @@ fn fu_slot(fu: FuncUnit) -> u8 {
 /// A warp of [`replay_wave`]. Its scoreboard lives in the replay's flat
 /// `ready` buffer at `warp index * registers`.
 struct ReplayWarp<'a> {
-    cta: u32,
+    /// Index of the warp's CTA among the wave's CTAs.
+    cta: usize,
+    /// Its scheduler, and its index among that scheduler's warps.
+    sched: usize,
+    lane: u32,
     entries: &'a [crate::exec::TraceEntry],
     pos: usize,
     /// Cycle at which every source of `entries[pos]` is ready. Only this
     /// warp's own issues write its scoreboard, and each of them advances
     /// `pos`, so the value stays exact until it is recomputed there.
     src_ready: u64,
-    waiting_bar: bool,
-    last_issue: u64,
+    /// Position in its scheduler's issue order.
+    slot: u32,
 }
 
 impl ReplayWarp<'_> {
@@ -546,6 +560,175 @@ impl ReplayWarp<'_> {
             .unwrap_or(0);
         false
     }
+
+    /// The lowered instruction of the next entry.
+    fn next<'t>(&self, table: &'t [TimedInstr]) -> &'t TimedInstr {
+        &table[self.entries[self.pos].kidx as usize]
+    }
+}
+
+/// Most warps one scheduler of [`replay_wave`] holds: positions in its
+/// issue order are the bits of a `u64`.
+const MAX_SCHEDULER_WARPS: usize = 64;
+
+/// Cycles ahead of the current one a scoreboard wake-up goes on the
+/// wheel of [`Wakes`]; later ones go on its heap.
+const WHEEL_CYCLES: u64 = 64;
+
+/// When [`replay_wave`]'s stalled warps wake: a wheel of one bucket per
+/// cycle for the next [`WHEEL_CYCLES`] cycles (ALU and shared-memory
+/// latencies, nearly all stalls), a heap for the rest (global memory).
+struct Wakes {
+    schedulers: usize,
+    /// Per scheduler, bucket `c % 64` holds the warps waking at cycle `c`,
+    /// bit `i` for warp `i * schedulers + s` of scheduler `s`.
+    wheel: Vec<[u64; 64]>,
+    /// The buckets holding any warp.
+    occupied: u64,
+    /// `(cycle, warp)` wake-ups filed too far ahead for the wheel.
+    far: BinaryHeap<Reverse<(u64, usize)>>,
+}
+
+impl Wakes {
+    fn new(schedulers: usize) -> Self {
+        Self {
+            schedulers,
+            wheel: vec![[0; 64]; schedulers],
+            occupied: 0,
+            far: BinaryHeap::new(),
+        }
+    }
+
+    /// Wake warp `w` at its `src_ready`, filed during an earlier `cycle`.
+    fn add(&mut self, cycle: u64, w: &ReplayWarp<'_>) {
+        let at = w.src_ready;
+        if at - cycle < WHEEL_CYCLES {
+            let bucket = (at % WHEEL_CYCLES) as usize;
+            self.wheel[w.sched][bucket] |= 1 << w.lane;
+            self.occupied |= 1 << bucket;
+        } else {
+            self.far
+                .push(Reverse((at, w.lane as usize * self.schedulers + w.sched)));
+        }
+    }
+
+    /// Hand every warp waking by `cycle` to `wake`. Every cycle since the
+    /// last call was either visited or held no wake-up.
+    fn take(&mut self, cycle: u64, mut wake: impl FnMut(usize)) {
+        while let Some(&Reverse((at, wi))) = self.far.peek() {
+            if at > cycle {
+                break;
+            }
+            self.far.pop();
+            wake(wi);
+        }
+        let bucket = (cycle % WHEEL_CYCLES) as usize;
+        if self.occupied & 1 << bucket == 0 {
+            return;
+        }
+        self.occupied &= !(1 << bucket);
+        for (s, wheel) in self.wheel.iter_mut().enumerate() {
+            let mut due = std::mem::take(&mut wheel[bucket]);
+            while due != 0 {
+                wake(due.trailing_zeros() as usize * self.schedulers + s);
+                due &= due - 1;
+            }
+        }
+    }
+
+    /// The earliest pending wake-up after `cycle` (`u64::MAX`: none).
+    fn next(&self, cycle: u64) -> u64 {
+        let ahead = self.occupied.rotate_right((cycle % WHEEL_CYCLES) as u32);
+        let near = if ahead == 0 {
+            u64::MAX
+        } else {
+            cycle + u64::from(ahead.trailing_zeros())
+        };
+        self.far
+            .peek()
+            .map_or(near, |&Reverse((at, _))| at.min(near))
+    }
+}
+
+/// One warp scheduler of [`replay_wave`]: its greedy-then-oldest issue
+/// order and, over positions in that order, what each unfinished, unparked
+/// warp's next entry waits for. A finished or parked warp is in no mask.
+#[derive(Default)]
+struct Scheduler {
+    /// Warp indices by `(Reverse(last_issue), index)`.
+    order: Vec<usize>,
+    /// Next entry is a barrier.
+    barrier: u64,
+    /// Scoreboard-ready, by the functional-unit slot of the next entry.
+    ready: [u64; 7],
+    /// The union of `ready`.
+    ready_any: u64,
+    /// Waiting for the scoreboard until the warp's `src_ready`.
+    stalled: u64,
+}
+
+impl Scheduler {
+    /// Put the warp at position `slot` into the mask its next entry `t`
+    /// calls for at cycle `now`: barrier, ready on its port, or stalled
+    /// until `src_ready`. Returns whether it stalled.
+    fn file(&mut self, slot: u32, t: &TimedInstr, src_ready: u64, now: u64) -> bool {
+        let bit = 1u64 << slot;
+        if t.kind == IssueKind::Barrier {
+            self.barrier |= bit;
+        } else if src_ready <= now {
+            self.ready[usize::from(t.fu)] |= bit;
+            self.ready_any |= bit;
+        } else {
+            self.stalled |= bit;
+            return true;
+        }
+        false
+    }
+
+    /// Move the stalled warp at position `slot` to its ready mask.
+    fn wake(&mut self, slot: u32, t: &TimedInstr) {
+        let bit = 1u64 << slot;
+        self.stalled &= !bit;
+        self.ready[usize::from(t.fu)] |= bit;
+        self.ready_any |= bit;
+    }
+
+    /// The ready warps whose port is in `busy`.
+    fn ready_on(&self, busy: u8) -> u64 {
+        let (mut ports, mut on) = (busy, 0);
+        while ports != 0 {
+            on |= self.ready[ports.trailing_zeros() as usize];
+            ports &= ports - 1;
+        }
+        on
+    }
+
+    /// Move the issuer at position `p`, which is in no mask, to the front:
+    /// every warp below it moves up one, in the order and in the masks.
+    fn move_to_front(&mut self, p: u32, warps: &mut [ReplayWarp<'_>]) {
+        let below = (1u64 << p) - 1;
+        let shift = |m: u64| m & !below | (m & below) << 1;
+        self.barrier = shift(self.barrier);
+        self.stalled = shift(self.stalled);
+        self.ready_any = shift(self.ready_any);
+        for m in &mut self.ready {
+            *m = shift(*m);
+        }
+        let p = p as usize;
+        let issuer = self.order[p];
+        for q in (0..p).rev() {
+            let wi = self.order[q];
+            self.order[q + 1] = wi;
+            warps[wi].slot += 1;
+        }
+        self.order[0] = issuer;
+        warps[issuer].slot = 0;
+    }
+}
+
+/// Every position from `from` up (none once `from` reaches 64).
+fn from_bit(from: u32) -> u64 {
+    u64::MAX.checked_shl(from).unwrap_or(0)
 }
 
 /// Replay one wave of traces on the SM model, returning the cycle count.
@@ -554,7 +737,17 @@ impl ReplayWarp<'_> {
 /// the kernel is lowered once into a [`TimedInstr`] table, each warp
 /// caches its next entry's source-ready cycle, the greedy-then-oldest
 /// order is maintained by moving issuers to the front, and a live-warp
-/// count replaces the all-done scan.
+/// count replaces the all-done scan. The replay is event-driven: over each
+/// scheduler's order it keeps masks of barrier, scoreboard-ready (per
+/// port) and stalled warps, so a pick is the lowest set bit of `barrier |
+/// ready on a free port`, and the reference's rejects up to that point are
+/// popcounts. A stalled warp moves to its ready mask when the cycle
+/// reaches its wake-up, and per-CTA counts decide barrier releases.
+///
+/// # Errors
+///
+/// [`ExecError::InvalidOp`] when a scheduler would hold more than 64
+/// warps, [`ExecError::Hang`] past [`TimingConfig::max_cycles`].
 #[allow(clippy::too_many_lines)]
 fn replay_wave(
     kernel: &Kernel,
@@ -565,57 +758,67 @@ fn replay_wave(
     if traces.is_empty() {
         return Ok((0, stats));
     }
+    // `simulate_with` rejects a GPU without schedulers.
+    let schedulers = cfg.gpu.schedulers as usize;
+    if traces.len().div_ceil(schedulers) > MAX_SCHEDULER_WARPS {
+        return Err(ExecError::InvalidOp {
+            what: "more than 64 warps per scheduler",
+        });
+    }
     let regs = kernel.register_count().max(1) as usize;
     let table: Vec<TimedInstr> = kernel.instrs().iter().map(TimedInstr::lower).collect();
     // Every scoreboard entry starts ready at cycle 0, so every cached
     // source-ready cycle does too.
     let mut ready = vec![0u64; traces.len() * regs];
-    let mut warps: Vec<ReplayWarp<'_>> = traces
-        .iter()
-        .map(|t| ReplayWarp {
-            cta: t.cta,
+
+    // Barrier bookkeeping per CTA: its warps, and how many of them are
+    // unfinished and how many of those are parked.
+    let mut ctas: Vec<u32> = traces.iter().map(|t| t.cta).collect();
+    ctas.sort_unstable();
+    ctas.dedup();
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); ctas.len()];
+    let mut alive = vec![0usize; ctas.len()];
+    let mut waiting = vec![0usize; ctas.len()];
+    let mut warps: Vec<ReplayWarp<'_>> = Vec::with_capacity(traces.len());
+    for (wi, t) in traces.iter().enumerate() {
+        let cta = ctas.binary_search(&t.cta).expect("every CTA is listed");
+        members[cta].push(wi);
+        alive[cta] += usize::from(!t.entries.is_empty());
+        #[allow(clippy::cast_possible_truncation)] // at most 64 per scheduler
+        let lane = (wi / schedulers) as u32;
+        warps.push(ReplayWarp {
+            cta,
+            sched: wi % schedulers,
+            lane,
             entries: &t.entries,
             pos: 0,
             src_ready: 0,
-            waiting_bar: false,
-            last_issue: 0,
+            slot: lane,
+        });
+    }
+    let mut live: usize = alive.iter().sum();
+    // CTAs where a warp parked or finished: their barrier may release at
+    // the top of the next cycle, and nothing else can release one.
+    let mut recheck: Vec<usize> = Vec::new();
+
+    // Each scheduler's order starts as index order, which is sorted while
+    // every key is 0.
+    let mut scheds: Vec<Scheduler> = (0..schedulers)
+        .map(|s| Scheduler {
+            order: (s..warps.len()).step_by(schedulers).collect(),
+            ..Scheduler::default()
         })
         .collect();
-    let mut live = warps.iter().filter(|w| !w.done()).count();
+    for w in &warps {
+        if !w.done() {
+            scheds[w.sched].file(w.slot, w.next(&table), w.src_ready, 0);
+        }
+    }
+    let mut wakes = Wakes::new(schedulers);
 
-    let schedulers = cfg.gpu.schedulers as usize;
     let mut fu_free_qc = [0u64; 7];
     let mut mem_pipe_qc = 0u64;
     let mut cycle: u64 = 0;
-
-    // Loop-invariant structure, hoisted out of the cycle loop: warp→CTA
-    // membership and each scheduler's warp partition never change, so both
-    // are computed once and the cycle loop never allocates.
-    let cta_members: Vec<Vec<usize>> = {
-        let mut ids: Vec<u32> = warps.iter().map(|w| w.cta).collect();
-        ids.dedup();
-        ids.iter()
-            .map(|&cta| {
-                warps
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, w)| w.cta == cta)
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .collect()
-    };
-    // Per-scheduler greedy-then-oldest issue order, sorted by
-    // `(Reverse(last_issue), warp index)`: what the reference's per-cycle
-    // stable sort of the index order produces. Index order is sorted while
-    // every key is 0; after that only issues change keys, and a
-    // move-to-front keeps the order sorted.
-    let mut orders: Vec<Vec<usize>> = (0..schedulers)
-        .map(|s| (0..warps.len()).filter(|i| i % schedulers == s).collect())
-        .collect();
-    // Warps currently parked at a barrier; lets barrier-free cycles skip
-    // the release scan entirely.
-    let mut waiting_count: usize = 0;
 
     while live > 0 {
         if cycle >= cfg.max_cycles {
@@ -623,75 +826,80 @@ fn replay_wave(
         }
 
         // Barrier release: per CTA, all unfinished warps waiting.
-        if waiting_count > 0 {
-            for members in &cta_members {
-                let mut alive = 0usize;
-                let mut waiting = 0usize;
-                for &i in members {
-                    if !warps[i].done() {
-                        alive += 1;
-                        waiting += usize::from(warps[i].waiting_bar);
-                    }
+        for c in recheck.drain(..) {
+            if alive[c] == 0 || alive[c] != waiting[c] {
+                continue;
+            }
+            waiting[c] = 0;
+            for &wi in &members[c] {
+                let w = &mut warps[wi];
+                if w.done() {
+                    continue;
                 }
-                if alive > 0 && alive == waiting {
-                    for &i in members {
-                        let w = &mut warps[i];
-                        if !w.done() {
-                            w.waiting_bar = false;
-                            // Retire the barrier entry.
-                            let warp_ready = &ready[i * regs..(i + 1) * regs];
-                            if w.advance(&table, warp_ready) {
-                                live -= 1;
-                            }
-                        }
-                    }
-                    waiting_count -= waiting;
+                // Retire the barrier entry.
+                if w.advance(&table, &ready[wi * regs..(wi + 1) * regs]) {
+                    live -= 1;
+                    alive[c] -= 1;
+                } else if scheds[w.sched].file(w.slot, w.next(&table), w.src_ready, cycle) {
+                    wakes.add(cycle, w);
                 }
             }
         }
 
+        // Scoreboard wake-ups due by this cycle.
+        wakes.take(cycle, |wi| {
+            let w = &warps[wi];
+            scheds[w.sched].wake(w.slot, w.next(&table));
+        });
+
         let now_qc = cycle * 4;
+        let mut free_ports = fu_free_qc
+            .iter()
+            .enumerate()
+            .fold(0u8, |m, (f, &t)| m | u8::from(t <= now_qc) << f);
         let mut issued_any = false;
-        let mut next_event = u64::MAX;
 
-        for order in &mut orders {
-            // Greedy-then-oldest: most recently issued first, then oldest,
-            // ties broken by warp id.
-            let mut issued_at = [0usize; 2];
+        for s in &mut scheds {
+            // Greedy-then-oldest: the first warp in order that parks at a
+            // barrier or is ready on a free port; after an issue, the next
+            // one above it (dual dispatch). Every stalled or port-blocked
+            // warp before the stop is a reference reject.
+            let mut issuers = [0u32; 2];
             let mut issued_this_sched = 0usize;
-            for (p, &wi) in order.iter().enumerate() {
-                let w = &mut warps[wi];
-                if w.done() || w.waiting_bar {
-                    continue;
+            let mut from = 0u32;
+            let mut on_busy = s.ready_on(!free_ports & 0x7F);
+            loop {
+                let on_free = s.ready_any & !on_busy;
+                let window = from_bit(from);
+                let picks = (s.barrier | on_free) & window;
+                let p = picks.trailing_zeros();
+                let passed = window & !from_bit(p);
+                stats.scoreboard_rejects += u64::from((s.stalled & passed).count_ones());
+                stats.fu_rejects += u64::from((on_busy & passed).count_ones());
+                if picks == 0 {
+                    break;
                 }
-                let entry = w.entries[w.pos];
-                let t = &table[entry.kidx as usize];
+                issued_any = true;
+                let bit = 1u64 << p;
+                let wi = s.order[p as usize];
+                let w = &mut warps[wi];
 
-                // Barrier: mark waiting (retired at release).
-                if t.kind == IssueKind::Barrier {
-                    w.waiting_bar = true;
-                    waiting_count += 1;
-                    issued_any = true;
+                // Barrier: park (retired at release); the turn ends.
+                if s.barrier & bit != 0 {
+                    s.barrier &= !bit;
+                    waiting[w.cta] += 1;
+                    recheck.push(w.cta);
                     break;
                 }
 
-                // Scoreboard: every register source ready. Predicates,
-                // guards included, are not scoreboarded.
-                if w.src_ready > cycle {
-                    next_event = next_event.min(w.src_ready);
-                    stats.scoreboard_rejects += 1;
-                    continue;
-                }
-
-                // Structural: functional unit issue port.
-                let fi = usize::from(t.fu);
-                if fu_free_qc[fi] > now_qc {
-                    next_event = next_event.min(fu_free_qc[fi].div_ceil(4));
-                    stats.fu_rejects += 1;
-                    continue;
-                }
-
                 // Issue.
+                let entry = w.entries[w.pos];
+                let t = w.next(&table);
+                let fi = usize::from(t.fu);
+                s.ready[fi] &= !bit;
+                s.ready_any &= !bit;
+                free_ports &= !(1 << fi);
+                on_busy |= s.ready[fi];
                 fu_free_qc[fi] = now_qc + t.interval_qc;
                 stats.issued_per_fu[fi] += 1;
                 let complete = if t.kind == IssueKind::Fixed {
@@ -724,34 +932,69 @@ fn replay_wave(
                     let slot = &mut warp_ready[usize::from(r)];
                     *slot = (*slot).max(complete);
                 }
-                w.last_issue = cycle;
-                if w.advance(&table, warp_ready) {
-                    live -= 1;
-                }
-                issued_any = true;
-                issued_at[issued_this_sched] = p;
+                w.advance(&table, warp_ready);
+                issuers[issued_this_sched] = p;
                 issued_this_sched += 1;
                 if issued_this_sched >= 2 {
                     break; // dual dispatch per scheduler per cycle (Pascal)
                 }
+                from = p + 1;
             }
-            // At cycle 0 the issuers' keys stay 0 like everyone's, so the
-            // order is unchanged. Later, they hold the largest key, `cycle`:
-            // move them to the front, two same-cycle issuers by warp index.
-            if cycle > 0 && issued_this_sched > 0 {
-                order[..=issued_at[0]].rotate_right(1);
+            if issued_this_sched == 0 {
+                continue;
+            }
+
+            // Re-place the issuers now that the turn is over. At cycle 0
+            // their keys stay 0 like everyone's, so the order is unchanged.
+            // Later, they hold the largest key, `cycle`: move them to the
+            // front, two same-cycle issuers by warp index, and rotate the
+            // masks with the order.
+            let at = if cycle > 0 {
+                let [p0, p1] = issuers;
+                s.move_to_front(p0, &mut warps);
                 if issued_this_sched == 2 {
-                    order[1..=issued_at[1]].rotate_right(1);
-                    if order[0] > order[1] {
-                        order.swap(0, 1);
+                    s.move_to_front(p1, &mut warps);
+                    if s.order[1] < s.order[0] {
+                        s.order.swap(0, 1);
+                        warps[s.order[0]].slot = 0;
+                        warps[s.order[1]].slot = 1;
                     }
+                }
+                [0, 1]
+            } else {
+                issuers
+            };
+            // An issuer's next chance is the next cycle. One that finished
+            // may leave its CTA's other warps all parked.
+            for &p in &at[..issued_this_sched] {
+                let wi = s.order[p as usize];
+                let w = &warps[wi];
+                if w.done() {
+                    live -= 1;
+                    alive[w.cta] -= 1;
+                    if waiting[w.cta] > 0 {
+                        recheck.push(w.cta);
+                    }
+                } else if s.file(w.slot, w.next(&table), w.src_ready, cycle + 1) {
+                    wakes.add(cycle, w);
                 }
             }
         }
 
         if issued_any {
             cycle += 1;
-        } else if next_event != u64::MAX && next_event > cycle {
+            continue;
+        }
+        // Nothing issued or parked: every ready warp waits for a busy port
+        // and every other unparked one for its scoreboard, so the next event
+        // is the earliest wake-up or the earliest such port freeing.
+        let mut next_event = wakes.next(cycle);
+        for (f, &free_qc) in fu_free_qc.iter().enumerate() {
+            if scheds.iter().any(|s| s.ready[f] != 0) {
+                next_event = next_event.min(free_qc.div_ceil(4));
+            }
+        }
+        if next_event != u64::MAX && next_event > cycle {
             stats.idle_cycles += next_event - cycle;
             cycle = next_event;
         } else {
@@ -1216,6 +1459,290 @@ mod reference_tests {
             let reference =
                 simulate_kernel_reference(kernel, launch, &mut mem, &cfg).expect("timing");
             assert_eq!(fast, reference, "kernel {}", kernel.name());
+        }
+    }
+}
+
+#[cfg(test)]
+mod event_tests {
+    use super::*;
+    use crate::exec::TraceEntry;
+    use swapcodes_isa::{KernelBuilder, MemSpace, MemWidth, Reg, SpecialReg, Src};
+
+    /// The default SM with `schedulers` warp schedulers, and a cycle
+    /// budget small enough that a replay that never releases a barrier
+    /// fails fast.
+    fn sm(schedulers: u32) -> TimingConfig {
+        let mut cfg = TimingConfig {
+            max_cycles: 1_000_000,
+            ..TimingConfig::default()
+        };
+        cfg.gpu.schedulers = schedulers;
+        cfg
+    }
+
+    /// Replay `traces` on both replays, which must agree on the cycle count
+    /// and every statistic; returns the statistics.
+    fn replays_agree(kernel: &Kernel, traces: &[WarpTrace], cfg: &TimingConfig) -> WaveStats {
+        let fast = replay_wave(kernel, traces, cfg).expect("production replay");
+        let reference = replay_wave_reference(kernel, traces, cfg).expect("reference replay");
+        assert_eq!(
+            fast,
+            reference,
+            "{} on {} schedulers",
+            kernel.name(),
+            cfg.gpu.schedulers
+        );
+        fast.1
+    }
+
+    /// Every warp trace of `launch`, all of its CTAs.
+    fn pass_traces(kernel: &Kernel, launch: Launch) -> Vec<WarpTrace> {
+        let mut mem = GlobalMemory::new(1 << 16);
+        traced_pass(kernel, launch, &mut mem, launch.ctas, u64::MAX)
+            .expect("pass")
+            .traces
+    }
+
+    /// A hand-written trace: warp `warp` of CTA `cta` issues kernel
+    /// instructions `kidxs` in order.
+    fn trace(cta: u32, warp: u32, kidxs: &[u32]) -> WarpTrace {
+        let entries = kidxs
+            .iter()
+            .map(|&kidx| TraceEntry {
+                kidx,
+                mask: u32::MAX,
+                txns: 1,
+            })
+            .collect();
+        WarpTrace { cta, warp, entries }
+    }
+
+    /// `ops` after a thread-index prologue (`R0` = tid, `R1` = f32 tid).
+    fn kernel(name: &str, ops: impl IntoIterator<Item = Op>) -> Kernel {
+        let mut k = KernelBuilder::new(name);
+        k.push(Op::S2R {
+            d: Reg(0),
+            sr: SpecialReg::TidX,
+        });
+        k.push(Op::I2F {
+            d: Reg(1),
+            a: Reg(0),
+        });
+        for op in ops {
+            k.push(op);
+        }
+        k.push(Op::Exit);
+        k.finish()
+    }
+
+    /// 1, 2 and 4 schedulers (one holding all 64 warps of two full CTAs),
+    /// on an ILP and global-load mix, a barrier kernel, and an SFU- and an
+    /// F64-bound kernel whose ports turn warps away.
+    #[test]
+    fn replay_matches_reference_on_one_two_and_four_schedulers() {
+        let mix = kernel(
+            "mix",
+            (0..6u8)
+                .map(|i| Op::FAdd {
+                    d: Reg(2 + i),
+                    a: Reg(1),
+                    b: Src::Imm(0x3F80_0000),
+                })
+                .chain([
+                    Op::Shl {
+                        d: Reg(8),
+                        a: Reg(0),
+                        b: Src::Imm(2),
+                    },
+                    Op::Ld {
+                        d: Reg(9),
+                        space: MemSpace::Global,
+                        addr: Reg(8),
+                        offset: 0,
+                        width: MemWidth::W32,
+                    },
+                    Op::IAdd {
+                        d: Reg(10),
+                        a: Reg(9),
+                        b: Src::Imm(1),
+                    },
+                ]),
+        );
+        let barriers = kernel(
+            "bar",
+            [
+                Op::IAdd {
+                    d: Reg(2),
+                    a: Reg(0),
+                    b: Src::Imm(3),
+                },
+                Op::Bar,
+                Op::IAdd {
+                    d: Reg(3),
+                    a: Reg(2),
+                    b: Src::Imm(5),
+                },
+                Op::Bar,
+                Op::Bar,
+                Op::IAdd {
+                    d: Reg(4),
+                    a: Reg(3),
+                    b: Src::Imm(7),
+                },
+            ],
+        );
+        let sfu = kernel(
+            "sfu",
+            (0..12u8).map(|i| {
+                let d = Reg(2 + i % 4);
+                if i % 2 == 0 {
+                    Op::MufuRcp { d, a: Reg(1) }
+                } else {
+                    Op::MufuSqrt { d, a: d }
+                }
+            }),
+        );
+        let f64 = kernel(
+            "f64",
+            (0..12u8).map(|i| {
+                let d = Reg(4 + 2 * (i % 3));
+                Op::DFma {
+                    d,
+                    a: Reg(0),
+                    b: Reg(2),
+                    c: d,
+                }
+            }),
+        );
+        for launch in [Launch::grid(2, 1024), Launch::grid(3, 416)] {
+            for k in [&mix, &barriers, &sfu, &f64] {
+                let traces = pass_traces(k, launch);
+                for schedulers in [1, 2, 4] {
+                    let stats = replays_agree(k, &traces, &sm(schedulers));
+                    if k.name() == "sfu" || k.name() == "f64" {
+                        assert!(stats.fu_rejects > 0, "{}: {stats:?}", k.name());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Kernel instructions the hand-written traces below issue.
+    fn hand_kernel() -> Kernel {
+        let mut k = KernelBuilder::new("hand");
+        // 0: a dependent chain.
+        k.push(Op::IAdd {
+            d: Reg(0),
+            a: Reg(0),
+            b: Src::Imm(1),
+        });
+        // 1
+        k.push(Op::Bar);
+        // 2: independent F32 work.
+        k.push(Op::FAdd {
+            d: Reg(1),
+            a: Reg(2),
+            b: Src::Imm(0x3F80_0000),
+        });
+        // 3
+        k.push(Op::Exit);
+        // 4: a global load, and 5: its use.
+        k.push(Op::Ld {
+            d: Reg(3),
+            space: MemSpace::Global,
+            addr: Reg(4),
+            offset: 0,
+            width: MemWidth::W32,
+        });
+        k.push(Op::IAdd {
+            d: Reg(5),
+            a: Reg(3),
+            b: Src::Imm(1),
+        });
+        k.finish()
+    }
+
+    /// CTA 0's barrier is released by its last unparked warp exiting, not
+    /// by a warp parking: warps 2 and 3 park at once, warp 0 exits after a
+    /// short chain (still one warp short), warp 1 after a long one. Warp 2
+    /// loads before the barrier and uses the value after it, so the release
+    /// must recompute when its operands are ready. CTA 1 releases by
+    /// parking.
+    #[test]
+    fn barrier_released_by_the_last_unparked_warp_exiting() {
+        let k = hand_kernel();
+        let chain = |n: usize| -> Vec<u32> {
+            let mut v = vec![0; n];
+            v.push(3);
+            v
+        };
+        let traces = [
+            trace(0, 0, &chain(10)),
+            trace(0, 1, &chain(20)),
+            trace(0, 2, &[4, 1, 5, 2, 3]),
+            trace(0, 3, &[1, 2, 2, 3]),
+            trace(1, 0, &[2, 1, 2, 3]),
+            trace(1, 1, &[1, 5, 3]),
+        ];
+        for schedulers in [1, 2, 4] {
+            replays_agree(&k, &traces, &sm(schedulers));
+        }
+    }
+
+    /// On one scheduler, warp 0 issues and warp 1, second in order, parks
+    /// at its barrier as the same cycle's second pick, which ends the turn
+    /// before warp 2. The release follows warp 0's exit.
+    #[test]
+    fn dual_issue_whose_second_pick_parks_at_a_barrier() {
+        let k = hand_kernel();
+        let traces = [
+            trace(0, 0, &[2, 2, 3]),
+            trace(0, 1, &[1, 2, 3]),
+            trace(1, 0, &[2, 2, 2, 3]),
+        ];
+        for schedulers in [1, 2] {
+            replays_agree(&k, &traces, &sm(schedulers));
+        }
+    }
+
+    /// A scheduler's issue order is the bits of a `u64`: 64 warps replay,
+    /// 65 are a typed error, where the reference replay takes any number.
+    #[test]
+    fn more_than_64_warps_per_scheduler_is_a_typed_error() {
+        let k = hand_kernel();
+        let warps = |n: u32| -> Vec<WarpTrace> {
+            (0..n).map(|w| trace(w / 32, w % 32, &[2, 0, 3])).collect()
+        };
+        replays_agree(&k, &warps(64), &sm(1));
+        let over = warps(65);
+        assert!(matches!(
+            replay_wave(&k, &over, &sm(1)),
+            Err(ExecError::InvalidOp { .. })
+        ));
+        assert!(replay_wave_reference(&k, &over, &sm(1)).is_ok());
+        replays_agree(&k, &over, &sm(2));
+
+        // The same through `simulate_kernel`, on an SM that fits 96 warps.
+        let mut cfg = sm(1);
+        cfg.gpu.max_warps = 128;
+        cfg.gpu.max_threads = 4096;
+        let k = kernel("wide", []);
+        let launch = Launch::grid(3, 1024);
+        let err = simulate_kernel(&k, launch, &mut GlobalMemory::new(64), &cfg);
+        assert!(matches!(err, Err(ExecError::InvalidOp { .. })), "{err:?}");
+        simulate_kernel_reference(&k, launch, &mut GlobalMemory::new(64), &cfg).expect("reference");
+    }
+
+    /// An SM without schedulers could never issue: both timing runs reject
+    /// it up front instead of idling to the cycle budget.
+    #[test]
+    fn zero_schedulers_are_rejected() {
+        let k = kernel("none", []);
+        let cfg = sm(0);
+        for run in [simulate_kernel, simulate_kernel_reference] {
+            let err = run(&k, Launch::grid(2, 64), &mut GlobalMemory::new(64), &cfg);
+            assert!(matches!(err, Err(ExecError::InvalidOp { .. })), "{err:?}");
         }
     }
 }
