@@ -132,8 +132,8 @@ fn main() {
     let mut fast_tally = ArchOutcomes::default();
     let mut reference_tally = ArchOutcomes::default();
     for trial in 0..ident_trials {
-        fast_tally.record(transient.run_trial(trial));
-        reference_tally.record(transient.run_trial_reference(trial));
+        fast_tally.record(transient.run_trial_classed_salted(trial, 0).1);
+        reference_tally.record(transient.run_trial_reference_salted(trial, 0));
     }
     assert_eq!(
         fast_tally, reference_tally,

@@ -20,18 +20,19 @@
 //!   reported: a speed-up over a deliberately slow reference only shows
 //!   that the reference is slow.
 //! * **Architecture campaign** — three legs on identical trials, single
-//!   threaded: every trial simulated from scratch (`run_trial_reference`,
-//!   the seed path); the tier-1 fast-forward engine with legacy deep-copy
-//!   (clone) resume; and the production engine — tier 2 with copy-on-write
-//!   resume (page-granular memory overlay, lazy regfile materialization,
-//!   dirty-set convergence checks) — in logical trial order. All three
-//!   tallies are asserted byte-identical per cell, and the CoW leg reports
-//!   materialization telemetry (`bytes_cloned_per_trial`,
+//!   threaded: every trial simulated from scratch
+//!   (`run_trial_reference_salted`, the seed path); the tier-1 engine
+//!   (predecoded micro-op interpreter) with its normal copy-on-write resume
+//!   (`fast_forward_s`, `speedup`); and the production engine — tier 2 with
+//!   the same resume (page-granular memory overlay, lazy regfile
+//!   materialization, dirty-set convergence checks) — in logical trial
+//!   order (`cow_s`, `speedup_cow`). Both engines' tallies are asserted
+//!   byte-identical to the reference per cell, and the production leg
+//!   reports materialization telemetry (`bytes_cloned_per_trial`,
 //!   `cow_page_hit_rate`).
-//! * **Tier-2 executor** — the tier-1 fast-forward engine (predecoded
-//!   micro-op interpreter, the previous default) versus the tier-2
-//!   closure-compiled threaded-code engine over the peepholed kernel (the
-//!   new default), golden capture plus campaign trials, with the tier-2
+//! * **Tier-2 executor** — the tier-1 engine versus the tier-2
+//!   closure-compiled threaded-code engine (the default), both over the
+//!   peepholed kernel, golden capture plus campaign trials, with the tier-2
 //!   tallies asserted byte-identical to the from-scratch interpreter
 //!   reference over every trial.
 //!
@@ -201,8 +202,8 @@ fn main() {
     // --- Architecture campaign: from-scratch vs resume-engine legs. -------
     // All legs run on one thread; trials are identical `(seed, index)`
     // draws, and the per-cell tallies must agree outcome-for-outcome — this
-    // is the differential gate guarding the fast-forward engine and the CoW
-    // resume path at campaign scale.
+    // is the differential gate guarding both tiers of the fast-forward
+    // engine at campaign scale.
     let arch_cells = [("matmul", Scheme::SwapEcc), ("kmeans", Scheme::SwDup)];
     let arch_trials: u64 = if std::env::var_os("SWAPCODES_FAST").is_some() {
         250
@@ -211,7 +212,7 @@ fn main() {
     };
     let arch_seed = 0xA2C4_0005u64;
     let mut arch_reference_s = 0.0f64;
-    let mut arch_clone_s = 0.0f64;
+    let mut arch_tier1_s = 0.0f64;
     let mut arch_cow_s = 0.0f64;
     let mut arch_snapshots = 0usize;
     let mut arch_early_exits = 0u64;
@@ -220,21 +221,19 @@ fn main() {
     let mut arch_bytes_cloned = 0u64;
     let mut arch_pages_cloned = 0u64;
     let mut arch_pages_total = 0u64;
-    // Pinned to the tier-1 interpreter engine without the peephole pass so
-    // this gate keeps measuring exactly what it measured before tier 2
-    // existed (the tier-2 engine gets its own gate below).
+    // The tier-1 interpreter engine (the tier-2 engine gets its own gate
+    // below).
     let tier1_opts = CampaignOptions {
         tier: ExecTier::Tier1,
-        peephole: false,
         ..CampaignOptions::default()
     };
     for (name, scheme) in arch_cells {
         let w = by_name(name).expect("workload");
         let campaign =
             ArchCampaign::prepare_with(&w, scheme, arch_seed, tier1_opts).expect("scheme applies");
-        // The CoW leg runs the production engine (tier 2 + peephole + CoW
-        // resume) — the stack a real campaign gets from
-        // `CampaignOptions::from_env()` — against the same trial draws.
+        // The production leg runs the stack a real campaign gets from
+        // `CampaignOptions::from_env()` (tier 2) against the same trial
+        // draws.
         let production =
             ArchCampaign::prepare_with(&w, scheme, arch_seed, CampaignOptions::default())
                 .expect("scheme applies");
@@ -243,23 +242,22 @@ fn main() {
         let t = Instant::now();
         let mut reference_tally = ArchOutcomes::default();
         for trial in 0..arch_trials {
-            reference_tally.record(campaign.run_trial_reference(trial));
+            reference_tally.record(campaign.run_trial_reference_salted(trial, 0));
         }
         let cell_reference_s = t.elapsed().as_secs_f64();
         arch_reference_s += cell_reference_s;
 
-        // Leg 2: fast-forward with the legacy deep-copy resume — the
-        // previous revision's fast path, kept as the CoW baseline.
+        // Leg 2: the tier-1 engine through its normal copy-on-write resume.
         let t = Instant::now();
-        let mut clone_tally = ArchOutcomes::default();
+        let mut tier1_tally = ArchOutcomes::default();
         for trial in 0..arch_trials {
-            clone_tally.record(campaign.run_trial_clone_resume_salted(trial, 0).1);
+            tier1_tally.record(campaign.run_trial_classed_salted(trial, 0).1);
         }
-        let cell_clone_s = t.elapsed().as_secs_f64();
-        arch_clone_s += cell_clone_s;
+        let cell_tier1_s = t.elapsed().as_secs_f64();
+        arch_tier1_s += cell_tier1_s;
 
-        // Leg 3: copy-on-write resume on the production engine, logical
-        // trial order, with materialization telemetry.
+        // Leg 3: the production engine, logical trial order, with
+        // materialization telemetry.
         let t = Instant::now();
         let mut cow_tally = ArchOutcomes::default();
         for trial in 0..arch_trials {
@@ -279,32 +277,32 @@ fn main() {
         arch_total += arch_trials;
 
         assert_eq!(
-            clone_tally,
+            tier1_tally,
             reference_tally,
-            "clone-resume tallies diverge from the reference path on {name}/{}",
+            "tier-1 tallies diverge from the reference path on {name}/{}",
             scheme.label()
         );
         assert_eq!(
             cow_tally,
             reference_tally,
-            "CoW-resume tallies diverge from the reference path on {name}/{}",
+            "tier-2 tallies diverge from the reference path on {name}/{}",
             scheme.label()
         );
         println!(
-            "  arch {name}/{}: from-scratch {cell_reference_s:6.2}s, clone {cell_clone_s:6.2}s, cow {cell_cow_s:6.2}s ({:.1}x, {} snapshots)",
+            "  arch {name}/{}: from-scratch {cell_reference_s:6.2}s, tier-1 {cell_tier1_s:6.2}s, tier-2 {cell_cow_s:6.2}s ({:.1}x, {} snapshots)",
             scheme.label(),
             cell_reference_s / cell_cow_s,
             campaign.snapshot_count()
         );
     }
-    let arch_speedup = arch_reference_s / arch_clone_s;
+    let arch_speedup = arch_reference_s / arch_tier1_s;
     let arch_speedup_cow = arch_reference_s / arch_cow_s;
     let arch_early_rate = arch_early_exits as f64 / arch_total as f64;
     let arch_confined_rate = arch_confined as f64 / arch_total as f64;
     let arch_bytes_per_trial = arch_bytes_cloned as f64 / arch_total as f64;
     let arch_page_hit_rate = 1.0 - arch_pages_cloned as f64 / arch_pages_total as f64;
     println!(
-        "  arch campaign (1 thread)          {arch_reference_s:7.2}s -> clone {arch_clone_s:7.2}s ({arch_speedup:.1}x) -> cow {arch_cow_s:7.2}s ({arch_speedup_cow:.1}x, {arch_total} trials, {:.0}% early exit, {:.0}% confined)",
+        "  arch campaign (1 thread)          {arch_reference_s:7.2}s -> tier-1 {arch_tier1_s:7.2}s ({arch_speedup:.1}x) -> tier-2 {arch_cow_s:7.2}s ({arch_speedup_cow:.1}x, {arch_total} trials, {:.0}% early exit, {:.0}% confined)",
         arch_early_rate * 100.0,
         arch_confined_rate * 100.0
     );
@@ -314,9 +312,9 @@ fn main() {
     );
 
     // --- Tier-2 executor: interpreter engine vs threaded code. ------------
-    // The tier-1 leg is the previous default (predecoded micro-op
-    // interpreter, no peephole); the tier-2 leg is this revision's default
-    // (peepholed kernel compiled to closure threaded code). Each leg times
+    // The tier-1 leg is the predecoded micro-op interpreter; the tier-2 leg
+    // is the default (the kernel compiled to closure threaded code). Both
+    // run the peepholed kernel. Each leg times
     // golden capture (`prepare_with`) plus its full trial sweep, and the
     // tier-2 tallies are asserted byte-identical to the from-scratch
     // interpreter reference over every trial. Swap-ECC cells dominate
@@ -346,7 +344,7 @@ fn main() {
             ArchCampaign::prepare_with(&w, scheme, tier2_seed, tier1_opts).expect("scheme applies");
         let mut tier1_tally = ArchOutcomes::default();
         for trial in 0..tier2_trials {
-            tier1_tally.record(c1.run_trial(trial));
+            tier1_tally.record(c1.run_trial_classed_salted(trial, 0).1);
         }
         let cell_tier1_s = t.elapsed().as_secs_f64();
         tier1_leg_s += cell_tier1_s;
@@ -357,7 +355,7 @@ fn main() {
             .expect("scheme applies");
         let mut tier2_tally = ArchOutcomes::default();
         for trial in 0..tier2_trials {
-            tier2_tally.record(c2.run_trial(trial));
+            tier2_tally.record(c2.run_trial_classed_salted(trial, 0).1);
         }
         let cell_tier2_s = t.elapsed().as_secs_f64();
         tier2_leg_s += cell_tier2_s;
@@ -367,7 +365,7 @@ fn main() {
 
         let mut reference_tally = ArchOutcomes::default();
         for trial in 0..tier2_trials {
-            reference_tally.record(c2.run_trial_reference(trial));
+            reference_tally.record(c2.run_trial_reference_salted(trial, 0));
         }
         assert_eq!(
             tier2_tally,
@@ -389,7 +387,7 @@ fn main() {
 
     // --- Report. ----------------------------------------------------------
     let json = format!(
-        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"serial_seed_s\": {serial_s:.3},\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"speedup\": {sweep_speedup:.2},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"reference_s\": {campaign_reference_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"errors\": {ref_found},\n    \"attempts\": {ref_attempts}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_clone_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"confined_rate\": {arch_confined_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
+        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"serial_seed_s\": {serial_s:.3},\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"speedup\": {sweep_speedup:.2},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"reference_s\": {campaign_reference_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"errors\": {ref_found},\n    \"attempts\": {ref_attempts}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_tier1_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"confined_rate\": {arch_confined_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
         timing_cells.len(),
         engine.cached_cells(),
         inputs.len(),

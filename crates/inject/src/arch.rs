@@ -27,7 +27,7 @@ use swapcodes_sim::recovery::{
     RecoveryConfig, RecoveryEngine, RecoveryOutcome, RecoveryPolicy, RecoveryStats,
 };
 use swapcodes_sim::regfile::Protection;
-use swapcodes_sim::snapshot::{CampaignEngine, ResumeMode};
+use swapcodes_sim::snapshot::CampaignEngine;
 use swapcodes_sim::tier2::ExecTier;
 use swapcodes_sim::{ControlTarget, FaultClass, FaultSpec, FaultTarget, Launch};
 use swapcodes_workloads::Workload;
@@ -387,20 +387,16 @@ impl std::fmt::Display for PrepError {
 impl std::error::Error for PrepError {}
 
 /// Engine selection for a prepared campaign: which execution tier the
-/// golden capture and every trial run on, and whether the
-/// [`mod@swapcodes_core::peephole`] cleanup pass runs over the transformed
-/// kernel first. The default — tier 2 over a peepholed kernel — is the
-/// production path; tier 1 is the interpreter the differential tests and
-/// `perf_baseline` compare it against.
+/// golden capture and every trial run on, the fault mix trials draw from,
+/// and the copy-on-write page size they resume with. Every campaign runs
+/// the [`mod@swapcodes_core::peephole`] cleanup pass over the transformed
+/// kernel first, so the reference executor and both tiers execute the same
+/// cleaned kernel. The default tier 2 is the production path; tier 1 is
+/// the interpreter `perf_baseline` times it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignOptions {
     /// Execution tier trials (and the golden capture) run on.
     pub tier: ExecTier,
-    /// Run the peephole pass over the transformed kernel before the golden
-    /// run, so the classic reference executor, the tier-1 fast-forward
-    /// path and the tier-2 compiled path all execute the same cleaned
-    /// kernel (tallies stay byte-identical across engines).
-    pub peephole: bool,
     /// Fault-class sampling mix for per-trial draws (default: pure
     /// transient, byte-identical to the pre-taxonomy campaign).
     pub mix: FaultMix,
@@ -414,7 +410,6 @@ impl Default for CampaignOptions {
     fn default() -> Self {
         Self {
             tier: ExecTier::Tier2,
-            peephole: true,
             mix: FaultMix::default(),
             cow_page_words: swapcodes_sim::DEFAULT_COW_PAGE_WORDS,
         }
@@ -442,11 +437,9 @@ impl CampaignOptions {
     /// [`crate::harness::run_arch_shard_checkpointed`].
     #[must_use]
     pub fn engine_tag(self) -> &'static str {
-        match (self.tier, self.peephole) {
-            (ExecTier::Tier1, false) => "ff1",
-            (ExecTier::Tier1, true) => "ff1p",
-            (ExecTier::Tier2, false) => "ff2",
-            (ExecTier::Tier2, true) => "ff2p",
+        match self.tier {
+            ExecTier::Tier1 => "ff1p",
+            ExecTier::Tier2 => "ff2p",
         }
     }
 }
@@ -460,7 +453,6 @@ impl CampaignOptions {
 pub struct CellConfig {
     scheme: Scheme,
     tier: ExecTier,
-    peephole: bool,
     cow_page_words: usize,
     /// `SWAPCODES_FUEL`; `None` derives the budget from the golden run.
     fuel: Option<u64>,
@@ -479,7 +471,6 @@ impl CellConfig {
         Self {
             scheme,
             tier: options.tier,
-            peephole: options.peephole,
             cow_page_words: options.cow_page_words,
             fuel: crate::harness::fuel_from_env(),
             snapshot_interval: crate::harness::snapshot_interval_from_env(),
@@ -509,13 +500,12 @@ pub struct PreparedCell {
 }
 
 impl PreparedCell {
-    /// Transform `workload` under the config's scheme, run the fault-free
-    /// golden execution on the reference executor, and build the
-    /// fast-forward engine from a second, captured golden run that must
-    /// agree with the first. With the peephole pass enabled it runs over
-    /// the transformed kernel *before* both golden runs, so every execution
-    /// path — the classic reference executor, tier-1 fast-forward, tier-2
-    /// compiled — sees the identical cleaned kernel.
+    /// Transform `workload` under the config's scheme, run the peephole
+    /// pass over the transformed kernel, run the fault-free golden
+    /// execution on the reference executor, and build the fast-forward
+    /// engine from a second, captured golden run that must agree with the
+    /// first. Both golden runs, and every trial on either path, execute the
+    /// identical cleaned kernel.
     ///
     /// # Errors
     ///
@@ -531,11 +521,7 @@ impl PreparedCell {
     pub fn prepare(workload: Workload, config: CellConfig) -> Result<Self, PrepError> {
         let t = swapcodes_core::apply(config.scheme, &workload.kernel, workload.launch)
             .map_err(|_| PrepError::NotApplicable)?;
-        let (kernel, peephole) = if config.peephole {
-            swapcodes_core::peephole(&t.kernel)
-        } else {
-            (t.kernel, PeepholeStats::default())
-        };
+        let (kernel, peephole) = swapcodes_core::peephole(&t.kernel);
         let mut golden_mem = workload.build_memory();
         let exec = Executor {
             config: ExecConfig {
@@ -622,12 +608,15 @@ fn fxp_mad_sites() -> &'static SiteCatalog {
 /// holds nothing seed-independent, so [`ArchCampaign::from_cell`] costs no
 /// transform, golden run or capture.
 ///
-/// Trials run through [`ArchCampaign::run_trial`], which resumes from the
-/// nearest epoch snapshot at or before the injection site and prunes the
-/// suffix on golden convergence; [`ArchCampaign::run_trial_reference`]
-/// keeps the from-scratch reference path callable for differential testing
-/// (the two are proven outcome-identical by proptest and by the
-/// `perf_baseline` differential gate).
+/// Trials run through [`ArchCampaign::run_trial_classed_salted`] (and its
+/// cancellable and telemetry forms, and [`ArchCampaign::run_range_classed`]
+/// over a range), which resume copy-on-write from the nearest epoch
+/// snapshot at or before the injection site and prune the suffix on golden
+/// convergence. [`ArchCampaign::run_trial_reference_salted`] runs the same
+/// trial from scratch on the reference [`Executor`], the one oracle the
+/// fast path is differentially tested against (by proptest and by the
+/// `perf_baseline` tally gates). [`ArchCampaign::run_trial_recovering`]
+/// runs a trial through the recovery ladder.
 #[derive(Debug)]
 pub struct ArchCampaign<'w> {
     cell: Arc<PreparedCell>,
@@ -726,7 +715,6 @@ impl<'w> ArchCampaign<'w> {
         let c = &self.cell.config;
         CampaignOptions {
             tier: c.tier,
-            peephole: c.peephole,
             mix: self.mix,
             cow_page_words: c.cow_page_words,
         }
@@ -738,8 +726,7 @@ impl<'w> ArchCampaign<'w> {
         self.options().engine_tag()
     }
 
-    /// Peephole statistics over the transformed kernel (all zero when the
-    /// pass was disabled).
+    /// Peephole statistics over the transformed kernel.
     #[must_use]
     pub fn peephole_stats(&self) -> PeepholeStats {
         self.cell.peephole
@@ -825,14 +812,8 @@ impl<'w> ArchCampaign<'w> {
         self.sites
     }
 
-    /// The fault injected by trial `trial` (pure in `(seed, trial)`).
-    #[must_use]
-    pub fn trial_fault(&self, trial: u64) -> FaultSpec {
-        self.trial_fault_salted(trial, 0)
-    }
-
     /// The fault injected by trial `trial` under retry `salt` (salt 0 is
-    /// the normal draw). The containment harness bumps the salt when a
+    /// the normal draw; pure in `(seed, trial, salt)`). The containment harness bumps the salt when a
     /// trial's work item panics, so the bounded retry re-seeds
     /// deterministically instead of replaying the identical crash.
     ///
@@ -949,33 +930,23 @@ impl<'w> ArchCampaign<'w> {
             .expect("drawn stuck-at fault is valid")
     }
 
-    /// Run one fueled trial and classify its outcome. Never panics and
-    /// never loops forever: memory violations become [`TrialOutcome::Crash`]
-    /// and budget exhaustion becomes [`TrialOutcome::Hang`].
+    /// Run trial `trial` under containment-retry `salt` (see
+    /// [`Self::trial_fault_salted`]) and classify its outcome, returned
+    /// with the drawn fault's class — what the mixed-campaign drivers
+    /// bucket per-class tallies by ([`FaultClassTallies`]). Never panics
+    /// and never loops forever: memory violations become
+    /// [`TrialOutcome::Crash`] and budget exhaustion becomes
+    /// [`TrialOutcome::Hang`].
     ///
     /// Trials fast-forward: they resume from the nearest epoch snapshot at
     /// or before the injection site and are classified Masked early when
     /// post-strike state re-converges to golden. Outcomes are byte-identical
-    /// to [`Self::run_trial_reference`].
-    #[must_use]
-    pub fn run_trial(&self, trial: u64) -> TrialOutcome {
-        self.run_trial_salted(trial, 0)
-    }
-
-    /// [`Self::run_trial`] with a containment-retry salt (see
-    /// [`Self::trial_fault_salted`]).
-    #[must_use]
-    pub fn run_trial_salted(&self, trial: u64, salt: u32) -> TrialOutcome {
-        self.run_trial_telemetry_salted(trial, salt).0
-    }
-
-    /// [`Self::run_trial_salted`] plus the drawn fault's class — what the
-    /// mixed-campaign drivers use to bucket per-class tallies
-    /// ([`FaultClassTallies`]).
+    /// to [`Self::run_trial_reference_salted`].
     #[must_use]
     pub fn run_trial_classed_salted(&self, trial: u64, salt: u32) -> (FaultClass, TrialOutcome) {
         let fault = self.trial_fault_salted(trial, salt);
-        (fault.class, self.run_fault_telemetry(fault).0)
+        let (outcome, _) = self.run_fault(fault, None).expect(UNCANCELLED);
+        (fault.class, outcome)
     }
 
     /// [`Self::run_trial_classed_salted`] under an armed [`CancelToken`]:
@@ -993,54 +964,32 @@ impl<'w> ArchCampaign<'w> {
         cancel: &CancelToken,
     ) -> Option<(FaultClass, TrialOutcome)> {
         let fault = self.trial_fault_salted(trial, salt);
-        let class = fault.class;
-        self.run_fault_cancellable(fault, Some(cancel))
-            .map(|(outcome, _)| (class, outcome))
+        self.run_fault(fault, Some(cancel))
+            .map(|(outcome, _)| (fault.class, outcome))
     }
 
-    /// [`Self::run_trial_salted`] plus fast-forward telemetry (snapshot
-    /// resume point, executed instructions, early-exit flag).
+    /// The outcome of [`Self::run_trial_classed_salted`] plus fast-forward
+    /// telemetry (snapshot resume point, executed instructions, early-exit
+    /// flag).
     #[must_use]
     pub fn run_trial_telemetry_salted(
         &self,
         trial: u64,
         salt: u32,
     ) -> (TrialOutcome, TrialTelemetry) {
-        let fault = self.trial_fault_salted(trial, salt);
-        self.run_fault_telemetry(fault)
+        self.run_fault(self.trial_fault_salted(trial, salt), None)
+            .expect(UNCANCELLED)
     }
 
     /// Run one concrete fault through the fast-forward engine and classify
-    /// the program-level outcome.
-    fn run_fault_telemetry(&self, fault: FaultSpec) -> (TrialOutcome, TrialTelemetry) {
-        self.run_fault_cancellable(fault, None)
-            .expect("uncancellable trial cannot be cancelled")
-    }
-
-    /// Run one concrete fault with an optional cancellation token. `None`
-    /// means the token fired mid-trial: the partial outcome is meaningless
-    /// and must be discarded.
-    fn run_fault_cancellable(
+    /// the program-level outcome. `None` means `cancel` fired mid-trial:
+    /// the partial outcome is meaningless and must be discarded.
+    fn run_fault(
         &self,
         fault: FaultSpec,
         cancel: Option<&CancelToken>,
     ) -> Option<(TrialOutcome, TrialTelemetry)> {
-        self.run_fault_mode(fault, cancel, ResumeMode::Cow)
-    }
-
-    /// [`Self::run_fault_cancellable`] with an explicit snapshot
-    /// [`ResumeMode`] — `Clone` keeps the legacy deep-copy resume callable
-    /// as a differential anchor for the CoW path.
-    fn run_fault_mode(
-        &self,
-        fault: FaultSpec,
-        cancel: Option<&CancelToken>,
-        mode: ResumeMode,
-    ) -> Option<(TrialOutcome, TrialTelemetry)> {
-        let t = self
-            .cell
-            .engine
-            .run_trial_mode(fault, self.fuel, cancel, mode);
+        let t = self.cell.engine.run_trial(fault, self.fuel, cancel);
         if matches!(t.error, Some(ExecError::Cancelled { .. })) {
             return None;
         }
@@ -1079,13 +1028,8 @@ impl<'w> ArchCampaign<'w> {
     /// The from-scratch reference trial: rebuild workload memory and execute
     /// the kernel from instruction 0 on the reference executor. Kept
     /// callable (mirroring `simulate_kernel_reference` in the timing model)
-    /// as the differential-testing oracle for [`Self::run_trial`].
-    #[must_use]
-    pub fn run_trial_reference(&self, trial: u64) -> TrialOutcome {
-        self.run_trial_reference_salted(trial, 0)
-    }
-
-    /// [`Self::run_trial_reference`] with a containment-retry salt.
+    /// as the differential-testing oracle for
+    /// [`Self::run_trial_classed_salted`].
     #[must_use]
     pub fn run_trial_reference_salted(&self, trial: u64, salt: u32) -> TrialOutcome {
         let fault = self.trial_fault_salted(trial, salt);
@@ -1111,19 +1055,8 @@ impl<'w> ArchCampaign<'w> {
         }
     }
 
-    /// Run trials `[start, end)` and tally them.
-    #[must_use]
-    pub fn run_range(&self, start: u64, end: u64) -> ArchOutcomes {
-        let mut out = ArchOutcomes::default();
-        for trial in start..end {
-            out.record(self.run_trial(trial));
-        }
-        out
-    }
-
-    /// Run trials `[start, end)` with per-fault-class tallies. The
-    /// aggregate of the returned buckets equals [`Self::run_range`] over
-    /// the same range.
+    /// Run trials `[start, end)` (salt 0) with per-fault-class tallies;
+    /// [`FaultClassTallies::aggregate`] gives the pooled tally.
     #[must_use]
     pub fn run_range_classed(&self, start: u64, end: u64) -> FaultClassTallies {
         let mut out = FaultClassTallies::default();
@@ -1132,22 +1065,6 @@ impl<'w> ArchCampaign<'w> {
             out.record(class, outcome);
         }
         out
-    }
-
-    /// [`Self::run_trial_classed_salted`] through the legacy deep-copy
-    /// (clone) resume path — the differential anchor the copy-on-write
-    /// resume is tested byte-identical against.
-    #[must_use]
-    pub fn run_trial_clone_resume_salted(
-        &self,
-        trial: u64,
-        salt: u32,
-    ) -> (FaultClass, TrialOutcome) {
-        let fault = self.trial_fault_salted(trial, salt);
-        let (outcome, _) = self
-            .run_fault_mode(fault, None, ResumeMode::Clone)
-            .expect("uncancellable trial cannot be cancelled");
-        (fault.class, outcome)
     }
 
     /// The fault-class mix this campaign draws from.
@@ -1163,7 +1080,7 @@ impl<'w> ArchCampaign<'w> {
     /// detection into a success.
     #[must_use]
     pub fn run_trial_recovering(&self, trial: u64, rcfg: &RecoveryConfig) -> RecoveredTrial {
-        let fault = self.trial_fault(trial);
+        let fault = self.trial_fault_salted(trial, 0);
         let input = self.cell.workload.build_memory();
         let engine = RecoveryEngine {
             exec: ExecConfig {
@@ -1228,6 +1145,9 @@ fn error_outcome(error: ExecError) -> TrialOutcome {
     }
 }
 
+/// The `expect` message of a trial run without a cancellation token.
+const UNCANCELLED: &str = "uncancellable trial cannot be cancelled";
+
 /// Outcome plus recovery accounting of one recovered trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveredTrial {
@@ -1250,7 +1170,7 @@ pub struct RecoveredTrial {
 pub fn arch_campaign(workload: &Workload, scheme: Scheme, trials: u32, seed: u64) -> ArchOutcomes {
     let campaign =
         ArchCampaign::prepare(workload, scheme, seed).expect("scheme applies to workload");
-    campaign.run_range(0, u64::from(trials))
+    campaign.run_range_classed(0, u64::from(trials)).aggregate()
 }
 
 #[cfg(test)]
@@ -1280,9 +1200,9 @@ mod tests {
         let w = by_name("kmeans").expect("kmeans");
         let c = ArchCampaign::prepare(&w, Scheme::SwapEcc, 42).expect("prepare");
         // Splitting the range must tally identically to one pass.
-        let whole = c.run_range(0, 10);
-        let mut split = c.run_range(0, 4);
-        let rest = c.run_range(4, 10);
+        let whole = c.run_range_classed(0, 10);
+        let mut split = c.run_range_classed(0, 4);
+        let rest = c.run_range_classed(4, 10);
         split.merge(&rest);
         assert_eq!(whole, split);
     }

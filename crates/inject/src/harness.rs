@@ -1105,9 +1105,9 @@ mod tests {
         }
         // The same holds for a shard range written by another engine.
         let shard = test_id(engine, "t1c0s0", 16, 32);
-        let other = test_id("ff1", "t1c0s0", 16, 32);
+        let other = test_id("ff1p", "t1c0s0", 16, 32);
         match load_line("engine", &three_done(&other), &shard) {
-            ArchCheckpoint::StaleEngine { found } => assert_eq!(found, "ff1"),
+            ArchCheckpoint::StaleEngine { found } => assert_eq!(found, "ff1p"),
             other => panic!("shard engine mismatch must be StaleEngine, got {other:?}"),
         }
     }

@@ -79,7 +79,7 @@ pub fn differential_oracle(
     let report = verify(scheme, campaign.kernel());
     let mut escapes = Vec::new();
     for trial in 0..trials {
-        if campaign.run_trial(trial) == TrialOutcome::Sdc {
+        if campaign.run_trial_classed_salted(trial, 0).1 == TrialOutcome::Sdc {
             escapes.push(trial);
         }
     }
@@ -262,7 +262,7 @@ pub fn control_fault_gap(
     let mut escapes = Vec::new();
     let mut outcomes = ArchOutcomes::default();
     for trial in 0..trials {
-        let outcome = campaign.run_trial(trial);
+        let (_, outcome) = campaign.run_trial_classed_salted(trial, 0);
         outcomes.record(outcome);
         if outcome == TrialOutcome::Sdc {
             escapes.push(trial);
@@ -468,7 +468,7 @@ pub fn avf_calibration(trials: u64, seed: u64) -> Result<AvfCalibrationVerdict, 
                     && matches!(class, FaultClass::Control(_))
                     && matches!(outcome, TrialOutcome::Sdc | TrialOutcome::Miscorrected)
                 {
-                    let fault = campaign.trial_fault(trial);
+                    let fault = campaign.trial_fault_salted(trial, 0);
                     let pc = issue_log[fault.eligible_index as usize] as usize;
                     let kind = fault.control_target().expect("control fault");
                     escapes_total += 1;

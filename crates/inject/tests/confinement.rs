@@ -73,7 +73,7 @@ fn run_cell(cell: &Arc<PreparedCell>, trials: u64, label: &str) -> u32 {
     ] {
         let c = ArchCampaign::from_cell(Arc::clone(cell), SEED, mix);
         for trial in 0..trials {
-            let fault = c.trial_fault(trial);
+            let fault = c.trial_fault_salted(trial, 0);
             let (outcome, telem) = c.run_trial_telemetry_salted(trial, 0);
             assert_eq!(
                 outcome,
@@ -177,11 +177,11 @@ fn tight_fuel_matches_reference() {
             c.fuel = fuel;
             for trial in 0..trials {
                 assert_eq!(
-                    c.run_trial_salted(trial, 0),
+                    c.run_trial_classed_salted(trial, 0).1,
                     c.run_trial_reference_salted(trial, 0),
                     "{name}/{} trial {trial} ({:?}) under fuel {fuel} (golden {golden})",
                     scheme.label(),
-                    c.trial_fault(trial)
+                    c.trial_fault_salted(trial, 0)
                 );
             }
         }
@@ -296,7 +296,7 @@ fn two_warp_trials(kernel: &Kernel, fault: FaultSpec) -> Vec<FastTrial> {
                 .expect("capture");
         assert!(engine.warp_independent(), "{tier}: warps own their words");
         let fuel = cap.dynamic_instructions * 8 + 10_000;
-        let fast = engine.run_trial(fault, fuel);
+        let fast = engine.run_trial(fault, fuel, None);
         let mut mem = GlobalMemory::new(512);
         let reference = Executor {
             config: ExecConfig {

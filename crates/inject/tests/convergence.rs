@@ -2,13 +2,13 @@
 //! live-only, position-keyed convergence check and the warp-independence
 //! rule for barrier strikes must never change an outcome.
 //!
-//! * a three-way window of control-only trials — copy-on-write resume
-//!   (all four rules), clone resume (exact, count-keyed, every trial run)
-//!   and the from-scratch reference — on the four perfbench cells and two
-//!   Inter-Thread cells, whose `SHFL`s read other lanes' registers. On
-//!   warp-independent cells rule 4 confines non-barrier strikes before the
-//!   convergence check runs, so hspot × Swap-ECC and lud × Inter-Thread,
-//!   which are not warp-independent, keep rules 1 and 2 exercised;
+//! * a window of control-only trials — copy-on-write resume (all four
+//!   rules) against the from-scratch reference — on the four perfbench
+//!   cells and two Inter-Thread cells, whose `SHFL`s read other lanes'
+//!   registers. On warp-independent cells rule 4 confines non-barrier
+//!   strikes before the convergence check runs, so hspot × Swap-ECC and
+//!   lud × Inter-Thread, which are not warp-independent, keep rules 1 and
+//!   2 exercised;
 //! * a fuel budget of exactly the golden length, where a trial that
 //!   re-converges late must still hang as the reference does;
 //! * a two-warp kernel that swaps shared words across a barrier, which is
@@ -38,7 +38,7 @@ fn control_only(tier: ExecTier) -> CampaignOptions {
 }
 
 #[test]
-fn control_window_three_way_identical() {
+fn control_window_matches_reference() {
     let cells = [
         ("matmul", Scheme::SwapEcc),
         ("kmeans", Scheme::SwDup),
@@ -53,15 +53,13 @@ fn control_window_three_way_identical() {
             .expect("applies");
         let mut early = 0;
         for trial in 0..256 {
-            assert!(matches!(c.trial_fault(trial).class, FaultClass::Control(_)));
+            let fault = c.trial_fault_salted(trial, 0);
+            assert!(matches!(fault.class, FaultClass::Control(_)));
             let (cow, telem) = c.run_trial_telemetry_salted(trial, 0);
-            let (_, clone) = c.run_trial_clone_resume_salted(trial, 0);
-            let reference = c.run_trial_reference_salted(trial, 0);
             assert_eq!(
-                (cow, clone),
-                (reference, reference),
-                "trial {trial} ({:?}) on {name}/{}: CoW, clone vs reference",
-                c.trial_fault(trial),
+                cow,
+                c.run_trial_reference_salted(trial, 0),
+                "trial {trial} ({fault:?}) on {name}/{}: CoW vs reference",
                 scheme.label()
             );
             early += u64::from(telem.early_exit);
@@ -91,10 +89,10 @@ fn tight_fuel_matches_reference() {
     c.fuel = c.golden_dynamic();
     for trial in 0..512 {
         assert_eq!(
-            c.run_trial_salted(trial, 0),
+            c.run_trial_classed_salted(trial, 0).1,
             c.run_trial_reference_salted(trial, 0),
             "trial {trial} ({:?}) under fuel = golden length",
-            c.trial_fault(trial)
+            c.trial_fault_salted(trial, 0)
         );
     }
 }
@@ -185,7 +183,7 @@ fn barrier_strikes_run_unless_warps_are_independent() {
         let mut corrupted = 0;
         for at in 0..cap.dynamic_instructions {
             let fault = FaultSpec::try_control(at, 0, ControlTarget::Barrier, 0).expect("valid");
-            let fast = engine.run_trial(fault, fuel);
+            let fast = engine.run_trial(fault, fuel, None);
             let mut mem = GlobalMemory::new(256);
             let reference = Executor {
                 config: ExecConfig {

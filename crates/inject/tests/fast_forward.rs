@@ -1,5 +1,9 @@
-//! Fast-forward engine validation: the snapshot-resuming trial path must be
-//! outcome-identical to the from-scratch reference executor, and shard
+//! Fast-forward engine validation: the copy-on-write snapshot-resuming
+//! trial path (page-granular global-memory overlay, lazily materialized
+//! warp register files, dirty-set convergence checks) must be
+//! outcome-identical to the from-scratch reference executor, the range
+//! driver must reproduce the per-trial, per-class tallies exactly, the
+//! resume must materialize only part of the snapshot, and shard
 //! checkpoints written before the engine existed must be rejected loudly
 //! (restart from the shard's first trial + anomaly record), never silently
 //! resumed.
@@ -9,8 +13,8 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::{
-    run_arch_shard_checkpointed, ArchCampaign, CampaignOptions, CheckpointConfig, FaultMix,
-    ShardControl, ShardSpec, TrialOutcome,
+    run_arch_shard_checkpointed, ArchCampaign, CampaignOptions, CheckpointConfig,
+    FaultClassTallies, FaultMix, ShardControl, ShardSpec, TrialOutcome,
 };
 use swapcodes_workloads::by_name;
 
@@ -37,7 +41,8 @@ proptest! {
 
     /// For random cells, seeds, salts, fault-mix weights and trial windows,
     /// the fast-forward path and the from-scratch reference path classify
-    /// every trial identically.
+    /// every trial identically; at salt 0, the range driver over the same
+    /// window tallies the window's classes and outcomes exactly.
     #[test]
     fn fast_forward_matches_reference(
         cell in 0usize..9,
@@ -58,8 +63,9 @@ proptest! {
         let w = by_name(name).expect("workload");
         let opts = CampaignOptions { mix, ..CampaignOptions::default() };
         let campaign = ArchCampaign::prepare_with(&w, scheme, seed, opts).expect("applies");
+        let mut classes = FaultClassTallies::default();
         for trial in start..start + 6 {
-            let fast = campaign.run_trial_salted(trial, salt);
+            let (class, fast) = campaign.run_trial_classed_salted(trial, salt);
             let reference = campaign.run_trial_reference_salted(trial, salt);
             prop_assert_eq!(
                 fast,
@@ -72,26 +78,39 @@ proptest! {
                 name,
                 scheme.label()
             );
+            classes.record(class, fast);
+        }
+        if salt == 0 {
+            prop_assert_eq!(
+                classes,
+                campaign.run_range_classed(start, start + 6),
+                "range driver diverged from per-trial accumulation"
+            );
         }
     }
 }
 
 /// A dense window of trials on the two bench cells, checked one-for-one
-/// against the reference executor (the bench's 1,000-trial differential
-/// gate in `perf_baseline` extends this to full campaign scale).
+/// against the reference executor (the bench's differential gate in
+/// `perf_baseline` extends this to full campaign scale), with the range
+/// driver tallying exactly what the trials classify.
 #[test]
 fn dense_trial_window_matches_reference() {
     for (name, scheme) in [("matmul", Scheme::SwapEcc), ("kmeans", Scheme::SwDup)] {
         let w = by_name(name).expect("workload");
         let campaign = ArchCampaign::prepare(&w, scheme, 0xD1FF).expect("applies");
+        let mut classes = FaultClassTallies::default();
         for trial in 0..100 {
+            let (class, fast) = campaign.run_trial_classed_salted(trial, 0);
             assert_eq!(
-                campaign.run_trial_salted(trial, 0),
+                fast,
                 campaign.run_trial_reference_salted(trial, 0),
                 "trial {trial} diverged on {name}/{}",
                 scheme.label()
             );
+            classes.record(class, fast);
         }
+        assert_eq!(classes, campaign.run_range_classed(0, 100), "{name}");
     }
 }
 
@@ -131,6 +150,41 @@ fn telemetry_shows_resume_and_early_exit() {
     assert!(
         executed_total < trials * campaign.golden_dynamic(),
         "fast path must execute fewer instructions than from-scratch replay"
+    );
+}
+
+/// The copy-on-write resume materializes strictly less state than a full
+/// copy: across a batch of trials the overlay clones only a fraction of
+/// the global memory's pages, and the per-trial byte telemetry reflects
+/// that.
+#[test]
+fn cow_telemetry_shows_partial_materialization() {
+    let w = by_name("matmul").expect("workload");
+    let campaign = ArchCampaign::prepare(&w, Scheme::SwapEcc, 11).expect("applies");
+    let trials = 64u64;
+    let mut pages_cloned = 0u64;
+    let mut pages_total = 0u64;
+    let mut bytes_cloned = 0u64;
+    for trial in 0..trials {
+        let (_, telem) = campaign.run_trial_telemetry_salted(trial, 0);
+        assert!(
+            telem.cow_pages_cloned <= telem.cow_pages_total,
+            "trial {trial}: cloned {} of {} pages",
+            telem.cow_pages_cloned,
+            telem.cow_pages_total
+        );
+        pages_cloned += telem.cow_pages_cloned;
+        pages_total += telem.cow_pages_total;
+        bytes_cloned += telem.bytes_cloned;
+    }
+    assert!(pages_total > 0, "telemetry must report the page universe");
+    assert!(
+        pages_cloned * 2 < pages_total,
+        "CoW must leave most pages shared: cloned {pages_cloned} of {pages_total}"
+    );
+    assert!(
+        bytes_cloned > 0,
+        "trials touch state, so some bytes must materialize"
     );
 }
 

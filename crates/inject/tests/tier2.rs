@@ -1,9 +1,8 @@
 //! Tier-2 executor validation: the closure-compiled threaded-code engine
 //! must classify every trial byte-identically to the tier-1 micro-op
 //! interpreter AND to the from-scratch reference executor, across every
-//! scheme family and with the peephole pass both on and off. The engines
-//! share one peepholed kernel per campaign, so tallies are comparable
-//! one-for-one.
+//! scheme family. The engines share one peepholed kernel per campaign, so
+//! tallies are comparable one-for-one.
 
 use proptest::prelude::*;
 use swapcodes_core::{PredictorSet, Scheme};
@@ -27,19 +26,15 @@ fn cells() -> Vec<(&'static str, Scheme)> {
     ]
 }
 
-fn opts(tier: ExecTier, peephole: bool) -> CampaignOptions {
+fn opts(tier: ExecTier) -> CampaignOptions {
     CampaignOptions {
         tier,
-        peephole,
         ..CampaignOptions::default()
     }
 }
 
 fn opts_mix(tier: ExecTier, mix: FaultMix) -> CampaignOptions {
-    CampaignOptions {
-        mix,
-        ..opts(tier, true)
-    }
+    CampaignOptions { mix, ..opts(tier) }
 }
 
 proptest! {
@@ -73,8 +68,8 @@ proptest! {
             .expect("applies");
         prop_assert_eq!(c1.fused_pairs(), 0, "tier 1 compiles nothing");
         for trial in start..start + 6 {
-            let t1 = c1.run_trial_salted(trial, salt);
-            let t2 = c2.run_trial_salted(trial, salt);
+            let t1 = c1.run_trial_classed_salted(trial, salt).1;
+            let t2 = c2.run_trial_classed_salted(trial, salt).1;
             let reference = c2.run_trial_reference_salted(trial, salt);
             prop_assert_eq!(
                 t2, t1,
@@ -90,28 +85,23 @@ proptest! {
     }
 }
 
-/// Dense windows on the bench cells: whole-range tallies are byte-identical
-/// between the tiers, with and without the peephole pass (the bench's
-/// ≥1,200-trial differential gate in `perf_baseline` extends this to
-/// campaign scale).
+/// Dense windows on the bench cells: whole-range per-class tallies are
+/// byte-identical between the tiers (the bench's ≥1,200-trial differential
+/// gate in `perf_baseline` extends this to campaign scale).
 #[test]
 fn dense_tallies_are_byte_identical_across_tiers() {
     for (name, scheme) in [("matmul", Scheme::SwapEcc), ("kmeans", Scheme::SwDup)] {
         let w = by_name(name).expect("workload");
-        for peephole in [true, false] {
-            let c1 =
-                ArchCampaign::prepare_with(&w, scheme, 0x7E12, opts(ExecTier::Tier1, peephole))
-                    .expect("applies");
-            let c2 =
-                ArchCampaign::prepare_with(&w, scheme, 0x7E12, opts(ExecTier::Tier2, peephole))
-                    .expect("applies");
-            assert_eq!(
-                c1.run_range(0, 120),
-                c2.run_range(0, 120),
-                "{name}/{} (peephole={peephole}) tallies diverged",
-                scheme.label()
-            );
-        }
+        let c1 =
+            ArchCampaign::prepare_with(&w, scheme, 0x7E12, opts(ExecTier::Tier1)).expect("applies");
+        let c2 =
+            ArchCampaign::prepare_with(&w, scheme, 0x7E12, opts(ExecTier::Tier2)).expect("applies");
+        assert_eq!(
+            c1.run_range_classed(0, 120),
+            c2.run_range_classed(0, 120),
+            "{name}/{} tallies diverged",
+            scheme.label()
+        );
     }
 }
 
@@ -121,8 +111,8 @@ fn dense_tallies_are_byte_identical_across_tiers() {
 #[test]
 fn tier2_fuses_swapecc_pairs_and_fast_forwards() {
     let w = by_name("matmul").expect("workload");
-    let c = ArchCampaign::prepare_with(&w, Scheme::SwapEcc, 7, opts(ExecTier::Tier2, true))
-        .expect("applies");
+    let c =
+        ArchCampaign::prepare_with(&w, Scheme::SwapEcc, 7, opts(ExecTier::Tier2)).expect("applies");
     assert!(
         c.fused_pairs() > 0,
         "Swap-ECC emits adjacent fusable pairs: {:?}",
@@ -144,14 +134,13 @@ fn tier2_fuses_swapecc_pairs_and_fast_forwards() {
     );
 }
 
-/// Engine tags distinguish every (tier, peephole) combination, and the
-/// prepared campaign reports the tag its checkpoints will carry.
+/// Engine tags distinguish the two tiers, the default keeps the `ff2p` tag
+/// persisted checkpoints carry, and the prepared campaign reports the tag
+/// its checkpoints will carry.
 #[test]
 fn engine_tags_cover_the_option_grid() {
-    assert_eq!(opts(ExecTier::Tier1, false).engine_tag(), "ff1");
-    assert_eq!(opts(ExecTier::Tier1, true).engine_tag(), "ff1p");
-    assert_eq!(opts(ExecTier::Tier2, false).engine_tag(), "ff2");
-    assert_eq!(opts(ExecTier::Tier2, true).engine_tag(), "ff2p");
+    assert_eq!(opts(ExecTier::Tier1).engine_tag(), "ff1p");
+    assert_eq!(opts(ExecTier::Tier2).engine_tag(), "ff2p");
     assert_eq!(CampaignOptions::default().engine_tag(), "ff2p");
 
     let w = by_name("matmul").expect("workload");

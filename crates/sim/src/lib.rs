@@ -54,8 +54,8 @@ pub use recovery::{
 };
 pub use regfile::{CowRegFile, Protection, RegFileEvent, WarpRegFile};
 pub use snapshot::{
-    traced_pass, CampaignEngine, EpochLadder, FastTrial, Fragment, GoldenCapture, ResumeMode,
-    TracedPass, WarpSnapshot,
+    traced_pass, CampaignEngine, EpochLadder, FastTrial, Fragment, GoldenCapture, TracedPass,
+    WarpSnapshot,
 };
 pub use tier2::{CompiledKernel, ExecTier};
 pub use timing::{simulate_kernel, KernelTiming, RecoveryCostModel, TimingConfig};

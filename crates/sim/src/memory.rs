@@ -348,13 +348,6 @@ impl CowMemory {
         &mut pg[i & (self.page_words - 1)]
     }
 
-    /// Materialize every page upfront (the legacy clone-resume mode).
-    pub fn materialize_all(&mut self) {
-        for i in (0..self.base.len()).step_by(self.page_words) {
-            let _ = self.page_mut(i);
-        }
-    }
-
     /// Read the 32-bit word at byte address `addr`.
     ///
     /// # Panics
@@ -526,13 +519,6 @@ impl CowShared {
         self.local.is_some()
     }
 
-    /// Materialize the private copy upfront (legacy clone-resume mode).
-    pub fn materialize(&mut self) {
-        if self.local.is_none() {
-            self.local = Some(self.base.as_ref().clone());
-        }
-    }
-
     /// The current view of the words.
     #[must_use]
     pub fn words(&self) -> &[u32] {
@@ -558,8 +544,7 @@ impl CowShared {
         if i >= self.base.len() {
             return false;
         }
-        self.materialize();
-        self.local.as_mut().expect("just materialized")[i] = value;
+        self.local.get_or_insert_with(|| self.base.as_ref().clone())[i] = value;
         true
     }
 

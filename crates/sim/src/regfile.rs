@@ -568,6 +568,7 @@ impl WarpRegFile {
     /// equals a word written by a fault-free run, each word is a consistent
     /// codeword, so decoding (armed) and not decoding (unarmed) return the
     /// same values and events.
+    #[cfg(test)]
     #[must_use]
     pub fn stored_eq(&self, other: &Self) -> bool {
         debug_assert!(
@@ -579,8 +580,8 @@ impl WarpRegFile {
 
     /// Whether one architectural register (all 32 lanes) holds byte-identical
     /// stored state in both files — the per-register unit of the dirty-only
-    /// golden comparison (DESIGN §14). Same flushed-precondition as
-    /// [`Self::stored_eq`].
+    /// golden comparison (DESIGN §14). Check bits must be flushed in both
+    /// files first.
     #[must_use]
     pub fn stored_eq_reg(&self, other: &Self, reg: u8) -> bool {
         debug_assert_eq!(self.regs, other.regs);
@@ -678,7 +679,7 @@ impl CowRegFile {
         }
     }
 
-    /// Wrap an already-private file (golden capture / clone-resume mode).
+    /// Wrap an already-private file (the golden capture).
     #[must_use]
     pub fn owned(rf: WarpRegFile) -> Self {
         CowRegFile::Owned(Box::new(rf))
@@ -688,11 +689,6 @@ impl CowRegFile {
     #[must_use]
     pub fn is_materialized(&self) -> bool {
         matches!(self, CowRegFile::Owned(_))
-    }
-
-    /// Force materialization (legacy clone-resume mode).
-    pub fn materialize(&mut self) {
-        let _ = self.deref_mut();
     }
 }
 

@@ -62,7 +62,9 @@
 //! threaded-code buffer of compiled dispatch closures ([`crate::tier2`])
 //! instead of the central micro-op match; the scheduler, snapshot capture
 //! and convergence early-exit are shared between the tiers, and the tier-1
-//! interpreter stays as the differential reference.
+//! interpreter stays as tier 2's exact-step fallback. Trials always resume
+//! copy-on-write, and the reference executor is the one oracle they are
+//! checked against.
 
 use std::sync::Arc;
 
@@ -288,20 +290,6 @@ pub struct GoldenCapture {
     pub mem: GlobalMemory,
 }
 
-/// How a trial materializes the epoch snapshot it resumes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ResumeMode {
-    /// Deep-copy the full snapshot upfront and compare complete machine
-    /// state at convergence checks — the legacy O(total state) path, kept
-    /// as the differential anchor for the copy-on-write path.
-    Clone,
-    /// Share the snapshot through `Arc`s and materialize only what the
-    /// trial writes; convergence checks compare only the dirty superset
-    /// (trial writes ∪ accumulated golden deltas) against golden state.
-    #[default]
-    Cow,
-}
-
 /// Result of one fast-forwarded trial.
 #[derive(Debug)]
 pub struct FastTrial {
@@ -359,41 +347,17 @@ impl CampaignEngine {
     /// `launch`, capturing an epoch snapshot at the first warp boundary past
     /// every `interval` dynamic instructions (including epoch 0 at the
     /// initial state, so trials never rebuild workload memory). Rungs are
-    /// therefore less than `interval + 64` instructions apart. Executes on
-    /// [`ExecTier::Tier1`]; use
-    /// [`Self::capture_config`] to select the tier through an [`ExecConfig`].
+    /// therefore less than `interval + 64` instructions apart. Honors
+    /// `config.tier`, `config.max_dynamic` and `config.cow_page_words`: under
+    /// [`ExecTier::Tier2`] the kernel is compiled into the threaded-code
+    /// closure buffer once, and both the golden capture run and every trial
+    /// execute through it.
     ///
     /// # Errors
     ///
     /// Propagates the golden run's structured failure (out-of-bounds access
     /// or scheduler deadlock), exactly like the reference executor's golden
     /// run would.
-    pub fn capture(
-        kernel: &Kernel,
-        launch: Launch,
-        protection: Protection,
-        initial_mem: &GlobalMemory,
-        interval: u64,
-    ) -> Result<(Self, GoldenCapture), ExecError> {
-        Self::capture_config(
-            kernel,
-            launch,
-            protection,
-            initial_mem,
-            interval,
-            &ExecConfig::default(),
-        )
-    }
-
-    /// [`Self::capture`] honoring `config.tier` and `config.max_dynamic`:
-    /// under [`ExecTier::Tier2`] the kernel is compiled into the threaded-code
-    /// closure buffer once, and both the golden capture run and every trial
-    /// execute through it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the golden run's structured failure, exactly like
-    /// [`Self::capture`].
     pub fn capture_config(
         kernel: &Kernel,
         launch: Launch,
@@ -579,38 +543,6 @@ impl CampaignEngine {
         })
     }
 
-    /// Run one fueled trial, resuming from the nearest epoch snapshot at or
-    /// before the injection site and pruning the suffix when post-strike
-    /// state re-converges to golden.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ladder is empty (capture always records epoch 0, so
-    /// this indicates engine misuse).
-    #[must_use]
-    pub fn run_trial(&self, fault: FaultSpec, fuel: u64) -> FastTrial {
-        self.run_trial_cancellable(fault, fuel, None)
-    }
-
-    /// [`Self::run_trial`] with an optional cancellation token, polled at
-    /// every issue boundary. A cancelled trial returns with
-    /// [`ExecError::Cancelled`]; its partial state must be discarded, never
-    /// tallied — the trial re-runs in full on resume, preserving
-    /// byte-identity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ladder is empty, exactly like [`Self::run_trial`].
-    #[must_use]
-    pub fn run_trial_cancellable(
-        &self,
-        fault: FaultSpec,
-        fuel: u64,
-        cancel: Option<&CancelToken>,
-    ) -> FastTrial {
-        self.run_trial_mode(fault, fuel, cancel, ResumeMode::Cow)
-    }
-
     /// Index of the ladder rung `fault`'s trial resumes from: the latest
     /// rung whose captured golden prefix is provably fault-free. For
     /// datapath classes that is "no matching-side eligible access has
@@ -633,32 +565,33 @@ impl CampaignEngine {
         si
     }
 
-    /// [`Self::run_trial_cancellable`] with an explicit [`ResumeMode`]:
-    /// `Cow` (the default everywhere else) shares the resume snapshot,
-    /// matches rungs by warp position and compares live dirty state only,
-    /// classifies barrier strikes in a warp-independent kernel without
-    /// executing, and confines other non-stuck-at strikes in such a kernel
-    /// to the struck warp; `Clone` deep-copies the snapshot upfront, runs
-    /// every trial on the normal schedule, and compares complete machine
-    /// state at rungs of equal dynamic count only — the legacy cost model,
-    /// kept as the byte-identity anchor the CoW path is differentially
-    /// tested against.
+    /// Run one fueled trial: resume from the nearest epoch snapshot at or
+    /// before the injection site, sharing its state copy-on-write, and
+    /// prune the suffix when post-strike state re-converges to golden
+    /// (rules 1 and 2 of DESIGN §9). In a warp-independent kernel a barrier
+    /// strike is classified without executing (rule 3), and other
+    /// non-stuck-at strikes run confined to the struck warp (rule 4).
+    ///
+    /// `cancel`, when given, is polled at every issue boundary. A cancelled
+    /// trial returns with [`ExecError::Cancelled`]; its partial state must
+    /// be discarded, never tallied — the trial re-runs in full on resume,
+    /// preserving byte-identity.
     ///
     /// # Panics
     ///
-    /// Panics if the ladder is empty, exactly like [`Self::run_trial`].
+    /// Panics if the ladder is empty (capture always records epoch 0, so
+    /// this indicates engine misuse).
     #[must_use]
-    pub fn run_trial_mode(
+    pub fn run_trial(
         &self,
         fault: FaultSpec,
         fuel: u64,
         cancel: Option<&CancelToken>,
-        mode: ResumeMode,
     ) -> FastTrial {
         let si = self.resume_rung(&fault);
         let snap = &self.ladder.snapshots[si];
-        let cow_independent = mode == ResumeMode::Cow && self.ladder.access.is_some();
-        if cow_independent
+        let independent = self.ladder.access.is_some();
+        if independent
             && fault.control_target() == Some(ControlTarget::Barrier)
             && self
                 .ladder
@@ -682,11 +615,11 @@ impl CampaignEngine {
                 mem,
             };
         }
-        let confine = cow_independent && !self.ladder.golden_truncated && confinable(&fault);
-        self.run_from(si, fault, fuel, cancel, mode, confine)
+        let confine = independent && !self.ladder.golden_truncated && confinable(&fault);
+        self.run_from(si, fault, fuel, cancel, confine)
             .unwrap_or_else(|executed| {
                 let mut t = self
-                    .run_from(si, fault, fuel, cancel, mode, false)
+                    .run_from(si, fault, fuel, cancel, false)
                     .expect("a trial on the normal schedule always decides");
                 t.executed += executed;
                 t.rerun = true;
@@ -704,7 +637,6 @@ impl CampaignEngine {
         fault: FaultSpec,
         fuel: u64,
         cancel: Option<&CancelToken>,
-        mode: ResumeMode,
         confine: bool,
     ) -> Result<FastTrial, u64> {
         let snap = &self.ladder.snapshots[si];
@@ -744,22 +676,12 @@ impl CampaignEngine {
                 waiting_bar: bar,
             })
             .collect();
-        if mode == ResumeMode::Clone {
-            ctx.mem.materialize_all();
-            ctx.shared.materialize();
-            for w in &mut warps {
-                // Materialization re-arms tier-2 deferred encoding, exactly
-                // like the legacy clone-then-set_deferred sequence.
-                w.rf.materialize();
-            }
-        }
         let mut converged = false;
         let mut hook = Hook::Converge {
             ladder: &self.ladder,
             resume: si,
             fault,
             acc: DeltaAcc::sized_like(snap, si),
-            full: mode == ResumeMode::Clone,
             confine,
             converged: &mut converged,
         };
@@ -1346,10 +1268,6 @@ enum Hook<'l> {
         fault: FaultSpec,
         /// Golden dirty sets accumulated since the resume rung.
         acc: DeltaAcc,
-        /// Compare complete machine state at rungs of equal dynamic count
-        /// ([`ResumeMode::Clone`]) instead of the live dirty superset at
-        /// rungs of equal position.
-        full: bool,
         /// Stop the schedule once the strike changes one warp's state while
         /// another warp is live, for the confined run (rule 4).
         confine: bool,
@@ -1394,14 +1312,13 @@ impl Hook<'_> {
                 resume,
                 fault,
                 acc,
-                full,
                 converged,
                 ..
             } => {
                 if !ctx.halted()
                     && ctx.pending_due.is_none()
                     && ctx.strike_spent(fault)
-                    && converged_to_rung(ladder, *resume, ctx, warps, sched, acc, *full)
+                    && converged_to_rung(ladder, *resume, ctx, warps, sched, acc)
                 {
                     **converged = true;
                     return true;
@@ -1480,32 +1397,19 @@ fn positions_match(s: &EpochSnapshot, sched: SchedPos, warps: &[FastWarp]) -> bo
 
 /// Whether the trial's state equals rung `s`'s in everything the rest of
 /// the run can read, given that [`positions_match`] already holds. Register
-/// files compare stored words (`stored_eq`): the decoder arming flag is a
-/// performance hint with no architectural effect once every word a later
+/// files compare stored words (`stored_eq_reg`): the decoder arming flag is
+/// a performance hint with no architectural effect once every word a later
 /// read decodes equals a (fault-free, hence consistent) golden codeword.
 ///
-/// With `full` unset, registers and predicates are compared only where the
-/// rung's [`LiveMask`] says a later read can reach them, on all 32 lanes
-/// (rule 1 of DESIGN §9), and bulk state only over the dirty superset: the
-/// trial's materialized pages / touched registers / materialized shared
-/// memory, unioned with the golden deltas accumulated in `acc`. Locations
-/// outside both sets hold the resume snapshot's bytes in both machines, so
-/// skipping them cannot mask a difference (DESIGN §14). With `full` set,
-/// everything is compared exactly.
-fn state_matches(
-    s: &EpochSnapshot,
-    ctx: &FastCtx<'_>,
-    warps: &[FastWarp],
-    acc: &DeltaAcc,
-    full: bool,
-) -> bool {
+/// Registers and predicates are compared only where the rung's
+/// [`LiveMask`] says a later read can reach them, on all 32 lanes (rule 1
+/// of DESIGN §9), and bulk state only over the dirty superset: the trial's
+/// materialized pages / touched registers / materialized shared memory,
+/// unioned with the golden deltas accumulated in `acc`. Locations outside
+/// both sets hold the resume snapshot's bytes in both machines, so skipping
+/// them cannot mask a difference (DESIGN §14).
+fn state_matches(s: &EpochSnapshot, ctx: &FastCtx<'_>, warps: &[FastWarp], acc: &DeltaAcc) -> bool {
     for ((w, ws), acc_regs) in warps.iter().zip(&s.warps).zip(&acc.regs) {
-        if full {
-            if w.preds != ws.preds || !w.rf.stored_eq(&ws.rf) {
-                return false;
-            }
-            continue;
-        }
         let live = ws.live;
         if w.preds
             .iter()
@@ -1528,13 +1432,8 @@ fn state_matches(
             }
         }
     }
-    if (full || acc.shared || ctx.shared.is_materialized())
-        && ctx.shared.words() != s.shared.as_slice()
-    {
+    if (acc.shared || ctx.shared.is_materialized()) && ctx.shared.words() != s.shared.as_slice() {
         return false;
-    }
-    if full {
-        return ctx.mem.words() == s.mem.as_slice();
     }
     let resident = ctx.mem.resident_bits();
     for (word, &acc_bits) in acc.pages.iter().enumerate() {
@@ -1552,9 +1451,8 @@ fn state_matches(
 
 /// Rule 2 of DESIGN §9: is there a rung at or after `resume` that the
 /// trial's state has re-converged to? A candidate stands at the trial's
-/// scheduler and warp positions (under `full`, also at its dynamic count)
-/// and its golden suffix, shifted to the trial's count, must finish within
-/// the trial's fuel and dynamic cap.
+/// scheduler and warp positions, and its golden suffix, shifted to the
+/// trial's count, must finish within the trial's fuel and dynamic cap.
 fn converged_to_rung(
     ladder: &EpochLadder,
     resume: usize,
@@ -1562,13 +1460,12 @@ fn converged_to_rung(
     warps: &mut [FastWarp],
     sched: SchedPos,
     acc: &mut DeltaAcc,
-    full: bool,
 ) -> bool {
     let snaps = &ladder.snapshots;
     let key = position_key(sched, warps);
     let mut flushed = false;
     for (r, s) in snaps.iter().enumerate().skip(resume) {
-        if s.pos_key != key || (full && s.dyn_count != ctx.dyn_count) {
+        if s.pos_key != key {
             continue;
         }
         let finish = ctx.dyn_count + (ladder.golden_dynamic - s.dyn_count);
@@ -1590,7 +1487,7 @@ fn converged_to_rung(
             flushed = true;
         }
         acc.extend_to(snaps, r);
-        if state_matches(s, ctx, warps, acc, full) {
+        if state_matches(s, ctx, warps, acc) {
             return true;
         }
     }
@@ -2400,6 +2297,18 @@ mod tests {
     use crate::regfile::RegFileEvent;
     use swapcodes_isa::{CmpOp, CmpTy, KernelBuilder, Op, Pred, Reg, Src};
 
+    /// The golden capture of an unprotected kernel on tier 1.
+    fn capture_tier1(
+        kernel: &Kernel,
+        launch: Launch,
+        initial: &GlobalMemory,
+        interval: u64,
+    ) -> (CampaignEngine, GoldenCapture) {
+        let cfg = ExecConfig::default();
+        CampaignEngine::capture_config(kernel, launch, Protection::None, initial, interval, &cfg)
+            .expect("capture")
+    }
+
     /// A looping, divergent kernel (long enough to span several scheduler
     /// rounds, so the ladder gets multiple rungs): each thread accumulates
     /// `tid*tid + 7` over 20 iterations, threads with index < 8 take an
@@ -2555,8 +2464,7 @@ mod tests {
         let dynamic = classic_golden(&kernel, launch, &mut ref_mem);
 
         let initial = GlobalMemory::new(256);
-        let (engine, cap) = CampaignEngine::capture(&kernel, launch, Protection::None, &initial, 4)
-            .expect("capture");
+        let (engine, cap) = capture_tier1(&kernel, launch, &initial, 4);
         assert_eq!(cap.detection, Detection::None);
         assert_eq!(cap.dynamic_instructions, dynamic);
         assert_eq!(cap.mem.words(), ref_mem.words());
@@ -2569,8 +2477,7 @@ mod tests {
         let kernel = test_kernel();
         let launch = Launch::grid(1, 64);
         let initial = GlobalMemory::new(256);
-        let (engine, cap) = CampaignEngine::capture(&kernel, launch, Protection::None, &initial, 3)
-            .expect("capture");
+        let (engine, cap) = capture_tier1(&kernel, launch, &initial, 3);
         let fuel = cap.dynamic_instructions * 8 + 10_000;
 
         let eligible = cap.eligible_orig;
@@ -2579,7 +2486,7 @@ mod tests {
         for idx in 0..eligible.min(24) {
             for lane in [0u32, 5, 31] {
                 let fault = FaultSpec::single_bit(idx, lane, 9);
-                let fast = engine.run_trial(fault, fuel);
+                let fast = engine.run_trial(fault, fuel, None);
 
                 let mut mem = GlobalMemory::new(256);
                 let exec = Executor {
@@ -2607,8 +2514,7 @@ mod tests {
         let kernel = test_kernel();
         let launch = Launch::grid(1, 64);
         let initial = GlobalMemory::new(256);
-        let (e1, c1) = CampaignEngine::capture(&kernel, launch, Protection::None, &initial, 3)
-            .expect("tier1 capture");
+        let (e1, c1) = capture_tier1(&kernel, launch, &initial, 3);
         let cfg = ExecConfig {
             tier: ExecTier::Tier2,
             ..ExecConfig::default()
@@ -2631,8 +2537,8 @@ mod tests {
         for idx in 0..c1.eligible_orig.min(32) {
             for lane in [0u32, 7, 31] {
                 let fault = FaultSpec::single_bit(idx, lane, 13);
-                let t1 = e1.run_trial(fault, fuel);
-                let t2 = e2.run_trial(fault, fuel);
+                let t1 = e1.run_trial(fault, fuel, None);
+                let t2 = e2.run_trial(fault, fuel, None);
                 assert_eq!(t1.detection, t2.detection, "idx {idx} lane {lane}");
                 assert_eq!(t1.error, t2.error, "idx {idx} lane {lane}");
                 assert_eq!(
@@ -2651,13 +2557,12 @@ mod tests {
         let kernel = test_kernel();
         let launch = Launch::grid(1, 64);
         let initial = GlobalMemory::new(256);
-        let (engine, cap) = CampaignEngine::capture(&kernel, launch, Protection::None, &initial, 2)
-            .expect("capture");
+        let (engine, cap) = capture_tier1(&kernel, launch, &initial, 2);
         let fuel = cap.dynamic_instructions * 8 + 10_000;
         // A late injection site must resume from a later rung, executing
         // fewer instructions than the full golden run.
         let fault = FaultSpec::single_bit(cap.eligible_orig - 1, 0, 0);
-        let t = engine.run_trial(fault, fuel);
+        let t = engine.run_trial(fault, fuel, None);
         assert!(t.resumed_from > 0, "late trial resumed from epoch 0");
         assert!(t.executed < cap.dynamic_instructions);
     }
@@ -2751,7 +2656,7 @@ mod tests {
                 for fault in transients.chain(controls) {
                     let rung = &engine.ladder.snapshots[engine.resume_rung(&fault)];
                     partial += u32::from(rung.sched.next > 0);
-                    let fast = engine.run_trial(fault, fuel);
+                    let fast = engine.run_trial(fault, fuel, None);
                     let mut mem = GlobalMemory::new(256);
                     let exec = Executor {
                         config: ExecConfig {
@@ -2880,7 +2785,7 @@ mod tests {
                 for at in 0..cap.dynamic_instructions {
                     let fault = FaultSpec::try_control(at, 0, ControlTarget::Predicate, 0b1000)
                         .expect("valid control spec");
-                    let fast = engine.run_trial(fault, fuel);
+                    let fast = engine.run_trial(fault, fuel, None);
                     converged += u32::from(fast.converged_early);
                     let mut mem = GlobalMemory::new(64);
                     let exec = Executor {
@@ -2922,7 +2827,7 @@ mod tests {
         let fuel = cap.dynamic_instructions * 8 + 10_000;
         let mut foreign = 0;
         for idx in 0..cap.eligible_orig.min(24) {
-            let t = engine.run_trial(FaultSpec::single_bit(idx, 5, 9), fuel);
+            let t = engine.run_trial(FaultSpec::single_bit(idx, 5, 9), fuel, None);
             for (start, n) in [(0usize, 64usize), (3, 29), (30, 5), (32, 32), (7, 0)] {
                 let addr = 4 * start as u32;
                 let out: Vec<u32> = (0..n).map(|i| t.mem.read(addr + 4 * i as u32)).collect();
@@ -2966,8 +2871,7 @@ mod tests {
         let kernel = test_kernel();
         let launch = Launch::grid(1, 64);
         let initial = GlobalMemory::new(256);
-        let (engine, cap) = CampaignEngine::capture(&kernel, launch, Protection::None, &initial, 3)
-            .expect("capture");
+        let (engine, cap) = capture_tier1(&kernel, launch, &initial, 3);
         let fuel = cap.dynamic_instructions * 8 + 10_000;
         let targets = [
             (ControlTarget::Predicate, 0b10u64),
@@ -2979,7 +2883,7 @@ mod tests {
         for (ct, mask) in targets {
             for at in (0..cap.dynamic_instructions).step_by(step as usize) {
                 let fault = FaultSpec::try_control(at, 3, ct, mask).expect("valid control spec");
-                let fast = engine.run_trial(fault, fuel);
+                let fast = engine.run_trial(fault, fuel, None);
 
                 let mut mem = GlobalMemory::new(256);
                 let exec = Executor {
@@ -3005,8 +2909,7 @@ mod tests {
         let kernel = test_kernel();
         let launch = Launch::grid(1, 64);
         let initial = GlobalMemory::new(256);
-        let (e1, c1) = CampaignEngine::capture(&kernel, launch, Protection::None, &initial, 3)
-            .expect("tier1 capture");
+        let (e1, c1) = capture_tier1(&kernel, launch, &initial, 3);
         let cfg = ExecConfig {
             tier: ExecTier::Tier2,
             ..ExecConfig::default()
@@ -3025,8 +2928,8 @@ mod tests {
         for (ct, mask) in targets {
             for at in (0..c1.dynamic_instructions).step_by(step as usize) {
                 let fault = FaultSpec::try_control(at, 1, ct, mask).expect("valid control spec");
-                let t1 = e1.run_trial(fault, fuel);
-                let t2 = e2.run_trial(fault, fuel);
+                let t1 = e1.run_trial(fault, fuel, None);
+                let t2 = e2.run_trial(fault, fuel, None);
                 assert_eq!(t1.detection, t2.detection, "{ct:?}@{at}");
                 assert_eq!(t1.error, t2.error, "{ct:?}@{at}");
                 assert_eq!(t1.converged_early, t2.converged_early, "{ct:?}@{at}");
@@ -3059,7 +2962,7 @@ mod tests {
                 "a rung lands while the warp is split"
             );
             let fuel = cap.dynamic_instructions * 8 + 10_000;
-            let fast = engine.run_trial(fault, fuel);
+            let fast = engine.run_trial(fault, fuel, None);
             let mut mem = GlobalMemory::new(128);
             let exec = Executor {
                 config: ExecConfig {
@@ -3306,8 +3209,7 @@ mod tests {
         let kernel = test_kernel();
         let launch = Launch::grid(1, 64);
         let initial = GlobalMemory::new(256);
-        let (e1, cap) = CampaignEngine::capture(&kernel, launch, Protection::None, &initial, 3)
-            .expect("capture");
+        let (e1, cap) = capture_tier1(&kernel, launch, &initial, 3);
         let cfg = ExecConfig {
             tier: ExecTier::Tier2,
             ..ExecConfig::default()
@@ -3321,12 +3223,12 @@ mod tests {
                 let fault =
                     FaultSpec::try_stuck_at(idx, 2, 5, value, 9, period, FaultTarget::Original)
                         .expect("valid stuck-at spec");
-                let fast = e1.run_trial(fault, fuel);
+                let fast = e1.run_trial(fault, fuel, None);
                 assert!(
                     !fast.converged_early,
                     "stuck-at trial must not early-exit (idx {idx})"
                 );
-                let t2 = e2.run_trial(fault, fuel);
+                let t2 = e2.run_trial(fault, fuel, None);
                 assert_eq!(
                     fast.detection, t2.detection,
                     "idx {idx} v={value} p={period}"

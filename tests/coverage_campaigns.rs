@@ -81,9 +81,9 @@ fn control_faults_exit_early_without_changing_outcomes() {
             outcome,
             c.run_trial_reference_salted(trial, 0),
             "trial {trial}: {:?}",
-            c.trial_fault(trial)
+            c.trial_fault_salted(trial, 0)
         );
-        if c.trial_fault(trial).control_target() == Some(ControlTarget::Barrier) {
+        if c.trial_fault_salted(trial, 0).control_target() == Some(ControlTarget::Barrier) {
             barriers += 1;
             assert_eq!(telem.executed, 0, "trial {trial}: barrier strike ran");
         } else {
@@ -107,10 +107,10 @@ fn control_faults_exit_early_without_changing_outcomes() {
             outcome,
             c.run_trial_reference_salted(trial, 0),
             "hspot trial {trial}: {:?}",
-            c.trial_fault(trial)
+            c.trial_fault_salted(trial, 0)
         );
         assert!(!telem.confined, "hspot trial {trial} confined");
-        if c.trial_fault(trial).control_target() == Some(ControlTarget::Predicate) {
+        if c.trial_fault_salted(trial, 0).control_target() == Some(ControlTarget::Predicate) {
             predicate_exits += u32::from(telem.early_exit);
         }
     }
