@@ -643,7 +643,8 @@ pub struct TrialTelemetry {
     /// Dynamic instructions the trial actually executed.
     pub executed: u64,
     /// Whether the trial was classified Masked by golden convergence
-    /// without running to completion (rules 1–3 of DESIGN §9).
+    /// without running to completion (rules 1–3 of DESIGN §9, or a
+    /// datapath fault that can never fire).
     pub early_exit: bool,
     /// Whether only the struck warp ran after the strike (rule 4 of DESIGN
     /// §9); a confined run that could not decide and re-ran is not.
@@ -1004,9 +1005,9 @@ impl<'w> ArchCampaign<'w> {
         };
         let outcome = if t.converged_early {
             // Post-strike state re-converged to a golden epoch state with
-            // no detection pending, or a barrier strike only reordered
-            // independent warps: the rest of the run replays golden, so the
-            // output will match (see DESIGN §9).
+            // no detection pending, a barrier strike only reordered
+            // independent warps, or the fault never fires: the rest of the
+            // run replays golden, so the output will match (see DESIGN §9).
             TrialOutcome::Masked
         } else if let Some(e) = t.error {
             error_outcome(e)

@@ -280,7 +280,8 @@ proptest! {
 /// cell a shadow draw past the shadow-side count strikes nothing and is
 /// tallied Masked. Pinned on the perfbench cells at seed 11 under the
 /// `all` mix over the first 4,096 trials (1,340 transient and 1,352
-/// stuck-at draws); every such trial equals the reference.
+/// stuck-at draws); every such trial equals the reference, and the engine
+/// classifies it at resume without executing an instruction.
 #[test]
 fn shadow_draws_past_the_shadow_count_never_fire() {
     let options = CampaignOptions {
@@ -322,6 +323,9 @@ fn shadow_draws_past_the_shadow_count_never_fire() {
                     "{f:?}"
                 );
                 assert_eq!(c.run_trial_reference_salted(trial, 0), TrialOutcome::Masked);
+                let (outcome, telemetry) = c.run_trial_telemetry_salted(trial, 0);
+                assert_eq!(outcome, TrialOutcome::Masked);
+                assert_eq!(telemetry.executed, 0, "{f:?} executes nothing");
             }
         }
         assert_eq!(drawn, (1340, 1352), "{name}: draws per class");

@@ -92,7 +92,14 @@ pub struct ExecConfig {
     /// truncate a global log); the ACE analyzer uses it to map a
     /// control-strike `eligible_index` back to the struck PC.
     pub collect_issue_log: bool,
-    /// Capture arithmetic operand streams (for gate-level injection).
+    /// Capture arithmetic operand streams (for gate-level injection), the
+    /// pre-execution values of: every executing lane of an Original-role
+    /// `FFma`, `IMadWide`, `DAdd`, `DMul` or `DFma` (64-bit operands as
+    /// register pairs), and only the first executing lane of an `IAdd`,
+    /// `ISub`, `IMul`, `FAdd` or `FMul` of any role, read raw, with `RZ` as
+    /// 0 and an immediate as its bit pattern. Figs. 10–11 take their streams
+    /// from the campaign engine's [`crate::snapshot::operand_pass`], which
+    /// samples the same way; this path is its differential oracle.
     pub trace_operands: bool,
     /// Cap on captured operand tuples per unit.
     pub operand_cap: usize,

@@ -20,9 +20,10 @@
 //!   occupancy derived from register/thread/CTA limits ([`mod@occupancy`]).
 //!
 //! The [`profiler`] classifies dynamic instructions by provenance (the
-//! paper's Fig. 13 categories) and traces operand values for gate-level
-//! injection; [`power`] provides the activity-based power/energy estimates
-//! behind Fig. 14.
+//! paper's Fig. 13 categories) and holds the operand streams traced for
+//! gate-level injection (recorded in production by the campaign engine's
+//! [`snapshot::operand_pass`]); [`power`] provides the activity-based
+//! power/energy estimates behind Fig. 14.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,8 +55,8 @@ pub use recovery::{
 };
 pub use regfile::{CowRegFile, Protection, RegFileEvent, WarpRegFile};
 pub use snapshot::{
-    traced_pass, CampaignEngine, EpochLadder, FastTrial, Fragment, GoldenCapture, TracedPass,
-    WarpSnapshot,
+    operand_pass, traced_pass, CampaignEngine, EpochLadder, FastTrial, Fragment, GoldenCapture,
+    TracedPass, WarpSnapshot,
 };
 pub use tier2::{CompiledKernel, ExecTier};
 pub use timing::{simulate_kernel, KernelTiming, RecoveryCostModel, TimingConfig};

@@ -1,8 +1,6 @@
 //! Dynamic instruction classification and operand tracing — the simulator's
 //! stand-in for the paper's SASSI-like binary instrumentation.
 
-use std::collections::HashMap;
-
 use swapcodes_isa::{Instr, Op, Role};
 
 /// Raw dynamic warp-instruction counts by provenance, the inputs to the
@@ -129,10 +127,12 @@ pub fn traced_unit(op: &Op) -> Option<TracedUnit> {
 }
 
 /// Captured operand streams per arithmetic unit, for realistic gate-level
-/// error injection (the paper traces Rodinia inputs the same way).
+/// error injection (the paper traces Rodinia inputs the same way). One
+/// stream per [`TracedUnit`], held in a fixed array indexed by the unit, so
+/// recording a tuple hashes nothing.
 #[derive(Debug, Clone, Default)]
 pub struct OperandTrace {
-    streams: HashMap<TracedUnit, Vec<[u64; 3]>>,
+    streams: [Vec<[u64; 3]>; 6],
     cap_per_unit: usize,
 }
 
@@ -141,41 +141,40 @@ impl OperandTrace {
     #[must_use]
     pub fn with_cap(cap_per_unit: usize) -> Self {
         Self {
-            streams: HashMap::new(),
+            streams: Default::default(),
             cap_per_unit,
         }
     }
 
     /// Record an operand tuple for `unit` (dropped beyond the cap).
     pub fn record(&mut self, unit: TracedUnit, operands: [u64; 3]) {
-        let v = self.streams.entry(unit).or_default();
-        if v.len() < self.cap_per_unit {
-            v.push(operands);
-        }
+        self.record_all(unit, [operands]);
+    }
+
+    /// Record operand tuples for `unit` in order, dropping those beyond the
+    /// cap: one stream access for a whole warp-instruction's lanes.
+    pub fn record_all(&mut self, unit: TracedUnit, tuples: impl IntoIterator<Item = [u64; 3]>) {
+        let v = &mut self.streams[unit as usize];
+        let room = self.cap_per_unit.saturating_sub(v.len());
+        v.extend(tuples.into_iter().take(room));
     }
 
     /// The captured tuples for `unit`.
     #[must_use]
     pub fn stream(&self, unit: TracedUnit) -> &[[u64; 3]] {
-        self.streams.get(&unit).map_or(&[], Vec::as_slice)
+        &self.streams[unit as usize]
     }
 
     /// Whether any unit reached its cap (useful to know tracing is "full").
     #[must_use]
     pub fn any_full(&self) -> bool {
-        self.streams.values().any(|v| v.len() >= self.cap_per_unit)
+        self.streams.iter().any(|v| v.len() >= self.cap_per_unit)
     }
 
     /// Merge another trace (respecting the cap).
     pub fn merge(&mut self, other: &OperandTrace) {
-        for (unit, tuples) in &other.streams {
-            let v = self.streams.entry(*unit).or_default();
-            for t in tuples {
-                if v.len() >= self.cap_per_unit {
-                    break;
-                }
-                v.push(*t);
-            }
+        for unit in TracedUnit::all() {
+            self.record_all(unit, other.stream(unit).iter().copied());
         }
     }
 }
@@ -217,6 +216,16 @@ mod tests {
         assert_eq!(t.stream(TracedUnit::FpAdd32).len(), 2);
         assert!(t.any_full());
         assert!(t.stream(TracedUnit::FpFma64).is_empty());
+        let mut m = OperandTrace::with_cap(3);
+        m.record_all(TracedUnit::FpFma64, (0..2).map(|i| [i; 3]));
+        m.merge(&t);
+        m.merge(&t);
+        assert_eq!(
+            m.stream(TracedUnit::FpAdd32),
+            [[0, 0, 0], [1, 1, 0], [0, 0, 0]]
+        );
+        assert_eq!(m.stream(TracedUnit::FpFma64), [[0; 3], [1; 3]]);
+        assert!(!OperandTrace::with_cap(3).any_full());
     }
 
     #[test]

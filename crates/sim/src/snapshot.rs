@@ -52,11 +52,13 @@
 //! (DESIGN §9, column execution). Campaigns run the configuration
 //! injection needs — a single CTA (`cta_limit = 1`), no trace or operand
 //! capture, no in-executor recovery, fueled. The same exact-step core also
-//! runs the timing sweep's functional pass ([`traced_pass`]): fault-free,
-//! over several CTAs one after another, recording the reference
-//! executor's per-warp trace. Both are differentially tested against the
-//! reference executor ([`crate::exec`]): campaigns outcome for outcome,
-//! the pass trace for trace.
+//! runs two fault-free passes over several CTAs one after another: the
+//! timing sweep's functional pass ([`traced_pass`]), recording the
+//! reference executor's per-warp trace, and the operand pass
+//! ([`operand_pass`]), recording Figs. 10–11's operand streams as the
+//! reference executor samples them. All are differentially tested against
+//! the reference executor ([`crate::exec`]): campaigns outcome for
+//! outcome, the passes trace for trace and stream for stream.
 //!
 //! Under [`ExecTier::Tier2`] the engine executes the kernel through a
 //! threaded-code buffer of compiled dispatch closures ([`crate::tier2`])
@@ -76,9 +78,10 @@ use crate::memory::{CowMemory, CowShared, GlobalMemory};
 use crate::predecode::{
     Alu1Kind, Alu2Kind, Guard, MicroOp, PShflMode, PSrc, PredecodedKernel, UOp, WriteMode,
 };
+use crate::profiler::{traced_unit, OperandTrace, TracedUnit};
 use crate::regfile::{CowRegFile, DueLanes, Lanes, Protection, WarpRegFile};
 use crate::tier2::{CompiledKernel, ExecTier};
-use swapcodes_isa::{Kernel, Liveness, MemSpace, SpecialReg};
+use swapcodes_isa::{Kernel, Liveness, MemSpace, Op, Role, SpecialReg};
 
 /// One PC-reconvergence fragment of a warp: a program counter and the lanes
 /// currently at it.
@@ -252,6 +255,9 @@ pub struct EpochLadder {
     /// Whether the golden run hit the `max_dynamic` cap (early-exit is
     /// disabled in that case: the golden suffix is not a completed run).
     pub golden_truncated: bool,
+    /// Original- and shadow-side eligible instructions of the whole golden
+    /// run.
+    golden_eligible: [u64; 2],
     /// The golden run's per-word access log, kept only when no global or
     /// shared word one warp wrote was read or written by another (rules 3
     /// and 4 of DESIGN §9).
@@ -267,6 +273,18 @@ impl EpochLadder {
     /// truncated, not Masked.
     fn finishes_within(&self, finish: u64, fuel: Option<u64>, max_dynamic: u64) -> bool {
         !self.golden_truncated && fuel.is_none_or(|f| finish <= f) && finish < max_dynamic
+    }
+
+    /// Is `f` a transient or stuck-at fault whose index is at or past its
+    /// side's golden eligible count? Such a fault can never fire: until a
+    /// fault fires the trial is the golden run, whose counter on that side
+    /// never reaches the index.
+    fn never_fires(&self, f: &FaultSpec) -> bool {
+        let total = match f.target {
+            FaultTarget::Original => self.golden_eligible[0],
+            FaultTarget::Shadow => self.golden_eligible[1],
+        };
+        !f.is_control() && f.eligible_index >= total
     }
 }
 
@@ -297,10 +315,10 @@ pub struct FastTrial {
     pub detection: Detection,
     /// Structured host error, if any (fuel exhaustion, scheduler deadlock).
     pub error: Option<ExecError>,
-    /// The trial re-converged to a golden epoch state after the strike, or
-    /// was a barrier strike in a warp-independent kernel: the outcome is
-    /// provably Masked and `mem` is *not* the final memory (the suffix was
-    /// pruned).
+    /// The trial re-converged to a golden epoch state after the strike,
+    /// was a barrier strike in a warp-independent kernel, or drew a
+    /// datapath fault that can never fire: the outcome is provably Masked
+    /// and `mem` is *not* the final memory (the suffix was pruned).
     pub converged_early: bool,
     /// The warp a confined trial ran alone after the strike (rule 4):
     /// `detection` and `error` are the reference's (detection timestamps
@@ -441,6 +459,7 @@ impl CampaignEngine {
             interval: interval.max(1),
             golden_dynamic: capture.dynamic_instructions,
             golden_truncated: capture.truncated,
+            golden_eligible: [capture.eligible_orig, capture.eligible_shadow],
             access,
             snapshots,
         };
@@ -570,7 +589,10 @@ impl CampaignEngine {
     /// prune the suffix when post-strike state re-converges to golden
     /// (rules 1 and 2 of DESIGN §9). In a warp-independent kernel a barrier
     /// strike is classified without executing (rule 3), and other
-    /// non-stuck-at strikes run confined to the struck warp (rule 4).
+    /// non-stuck-at strikes run confined to the struck warp (rule 4). A
+    /// transient or stuck-at fault that can never fire (its index is at or
+    /// past its side's golden eligible count) is classified without
+    /// executing too, under rule 3's guard.
     ///
     /// `cancel`, when given, is polled at every issue boundary. A cancelled
     /// trial returns with [`ExecError::Cancelled`]; its partial state must
@@ -591,15 +613,16 @@ impl CampaignEngine {
         let si = self.resume_rung(&fault);
         let snap = &self.ladder.snapshots[si];
         let independent = self.ladder.access.is_some();
-        if independent
-            && fault.control_target() == Some(ControlTarget::Barrier)
+        let reorders = independent && fault.control_target() == Some(ControlTarget::Barrier);
+        if (reorders || self.ladder.never_fires(&fault))
             && self
                 .ladder
                 .finishes_within(self.ladder.golden_dynamic, Some(fuel), self.max_dynamic)
         {
             // Rule 3: no warp reads a word another warp writes, so the
             // strike only changes which warp waits when; every warp computes
-            // its golden values and the run ends on the golden count.
+            // its golden values and the run ends on the golden count. A
+            // fault that never fires leaves the whole run golden.
             let mem = CowMemory::new(Arc::clone(&snap.mem), self.page_words);
             return FastTrial {
                 detection: Detection::None,
@@ -836,61 +859,189 @@ pub(crate) struct FastCtx<'a> {
     pub(crate) cancel: Option<CancelToken>,
     /// What memory accesses log or check.
     pub(crate) access: Access<'a>,
-    /// The traced pass's trace capture ([`traced_pass`]); `None` in
-    /// campaigns.
+    /// A fault-free pass's recorder ([`traced_pass`], [`operand_pass`]);
+    /// `None` in campaigns.
     pub(crate) trace: Option<TraceSink>,
 }
 
-/// Per-warp trace capture for the running CTA: one reference
-/// [`TraceEntry`] per issued warp-instruction, in issue order.
-pub(crate) struct TraceSink {
-    warps: Vec<Vec<TraceEntry>>,
+/// What a fault-free pass records per issued warp-instruction, from tier
+/// 1's `step` before the instruction executes. The pass has no fault and
+/// no fuel, so every recorded instruction does issue, on exactly the
+/// lanes its guard passes, from the register values recorded. Cold and out
+/// of line: trials carry no sink, and the untaken branch to it is all they
+/// pay.
+pub(crate) enum TraceSink {
+    /// [`traced_pass`]: per-warp traces of the CTAs that completed, and of
+    /// the running CTA.
+    Warps {
+        done: Vec<WarpTrace>,
+        running: Vec<Vec<TraceEntry>>,
+    },
+    /// [`operand_pass`]: the arithmetic operand streams.
+    Operands(OperandTap),
 }
 
 impl TraceSink {
-    /// Record the instruction at `pc` that warp `w` is about to issue from
-    /// fragment `fi`, as the reference executor records it: the exec mask,
-    /// and the memory transactions — the distinct 128-byte segments of the
-    /// executing lanes' addresses for a global load or store, 1 for a
-    /// shared access with any lane executing, the executing lanes for an
-    /// atomic. The traced pass has no fault and no fuel, so the instruction
-    /// does issue, on exactly these lanes, from this address column. Cold
-    /// and out of line: trials carry no sink, and the untaken branch to it
-    /// is all they pay.
     #[cold]
     #[inline(never)]
     fn record(&mut self, w: &FastWarp, mop: &MicroOp, pc: usize, fi: usize) {
-        let mask = eval_guard(mop.guard, w.frags[fi].mask, &w.preds);
-        let txns = match mop.uop {
-            UOp::Ld {
-                space: MemSpace::Shared,
-                ..
+        match self {
+            TraceSink::Warps { running, .. } => {
+                running[w.wid as usize].push(trace_entry(w, mop, pc, fi));
             }
-            | UOp::St {
-                space: MemSpace::Shared,
-                ..
-            } => u8::from(mask != 0),
-            UOp::Ld { addr, offset, .. } | UOp::St { addr, offset, .. } => {
-                let (base, _) = read(w, addr, mask);
-                let mut segs = [0u32; 32];
-                let mut n = 0;
-                for l in Lanes(mask) {
-                    let seg = base[l].wrapping_add(offset) >> 7;
-                    if !segs[..n].contains(&seg) {
-                        segs[n] = seg;
-                        n += 1;
-                    }
+            TraceSink::Operands(tap) => tap.record(w, mop, pc, fi),
+        }
+    }
+
+    /// A CTA of `warps` warps starts.
+    fn begin_cta(&mut self, warps: usize) {
+        if let TraceSink::Warps { running, .. } = self {
+            *running = vec![Vec::new(); warps];
+        }
+    }
+
+    /// CTA `cta` ran to completion: keep its warp traces. A halt skips
+    /// this, dropping the traces of the CTA it cut; operands recorded
+    /// before the halt stay, as the reference executor keeps them.
+    fn end_cta(&mut self, cta: u32) {
+        if let TraceSink::Warps { done, running } = self {
+            done.extend(
+                (0..)
+                    .zip(running.drain(..))
+                    .map(|(warp, entries)| WarpTrace { cta, warp, entries }),
+            );
+        }
+    }
+}
+
+/// The reference executor's [`TraceEntry`] for the instruction at `pc`
+/// that warp `w` is about to issue from fragment `fi`: the exec mask, and
+/// the memory transactions — the distinct 128-byte segments of the
+/// executing lanes' addresses for a global load or store, 1 for a shared
+/// access with any lane executing, the executing lanes for an atomic.
+fn trace_entry(w: &FastWarp, mop: &MicroOp, pc: usize, fi: usize) -> TraceEntry {
+    let mask = eval_guard(mop.guard, w.frags[fi].mask, &w.preds);
+    let txns = match mop.uop {
+        UOp::Ld {
+            space: MemSpace::Shared,
+            ..
+        }
+        | UOp::St {
+            space: MemSpace::Shared,
+            ..
+        } => u8::from(mask != 0),
+        UOp::Ld { addr, offset, .. } | UOp::St { addr, offset, .. } => {
+            let (base, _) = read(w, addr, mask);
+            let mut segs = [0u32; 32];
+            let mut n = 0;
+            for l in Lanes(mask) {
+                let seg = base[l].wrapping_add(offset) >> 7;
+                if !segs[..n].contains(&seg) {
+                    segs[n] = seg;
+                    n += 1;
                 }
-                n as u8
             }
-            UOp::AtomAdd { .. } => mask.count_ones() as u8,
-            _ => 0,
+            n as u8
+        }
+        UOp::AtomAdd { .. } => mask.count_ones() as u8,
+        _ => 0,
+    };
+    TraceEntry {
+        kidx: pc as u32,
+        mask,
+        txns,
+    }
+}
+
+/// The operand recorder of [`operand_pass`], sampling as the reference
+/// executor's `trace_operands` does: pre-execution values of every
+/// executing lane of an Original-role `FFma`, `IMadWide`, `DAdd`, `DMul`
+/// or `DFma` (64-bit operands as register pairs), and of only the first
+/// executing lane of an `IAdd`, `ISub`, `IMul`, `FAdd` or `FMul` of any
+/// role, read raw, with `RZ` as 0 and an immediate as its bit pattern.
+/// Nothing else is sampled (`IMad` neither).
+pub(crate) struct OperandTap {
+    /// Per kernel index, the unit whose stream the instruction feeds.
+    units: Vec<Option<TracedUnit>>,
+    streams: OperandTrace,
+}
+
+impl OperandTap {
+    fn new(kernel: &Kernel, cap_per_unit: usize) -> Self {
+        let units = kernel
+            .instrs()
+            .iter()
+            .map(|i| match i.op {
+                Op::IAdd { .. }
+                | Op::ISub { .. }
+                | Op::IMul { .. }
+                | Op::FAdd { .. }
+                | Op::FMul { .. } => traced_unit(&i.op),
+                Op::FFma { .. }
+                | Op::IMadWide { .. }
+                | Op::DAdd { .. }
+                | Op::DMul { .. }
+                | Op::DFma { .. }
+                    if i.role == Role::Original =>
+                {
+                    traced_unit(&i.op)
+                }
+                _ => None,
+            })
+            .collect();
+        Self {
+            units,
+            streams: OperandTrace::with_cap(cap_per_unit),
+        }
+    }
+
+    /// Record the operands of the instruction at `pc` that warp `w` is
+    /// about to issue from fragment `fi`.
+    fn record(&mut self, w: &FastWarp, mop: &MicroOp, pc: usize, fi: usize) {
+        let Some(unit) = self.units[pc] else {
+            return;
         };
-        self.warps[w.wid as usize].push(TraceEntry {
-            kidx: pc as u32,
-            mask,
-            txns,
-        });
+        let mask = eval_guard(mop.guard, w.frags[fi].mask, &w.preds);
+        if mask == 0 {
+            return;
+        }
+        // The pass's registers are unprotected: no read raises a DUE.
+        let mut due = FirstDue::NONE;
+        let lanes = Lanes(mask);
+        match mop.uop {
+            UOp::Alu2 { a, b, .. } => {
+                let lane = mask.trailing_zeros();
+                let raw = |reg: u8| if reg == RZ8 { 0 } else { w.rf.peek(lane, reg) };
+                let bv = match b {
+                    PSrc::Reg(reg) => raw(reg),
+                    PSrc::Imm(v) => v,
+                };
+                self.streams
+                    .record(unit, [u64::from(raw(a)), u64::from(bv), 0]);
+            }
+            UOp::FFma { a, b, c, .. } => {
+                let [a, b, c] = [a, b, c].map(|r| reg_col(w, r, mask, &mut due));
+                let lanes = lanes.map(|l| [a[l], b[l], c[l]].map(u64::from));
+                self.streams.record_all(unit, lanes);
+            }
+            UOp::IMadWide { a, b, c, .. } => {
+                let [a, b] = [a, b].map(|r| reg_col(w, r, mask, &mut due));
+                let c = pair_col(w, c, mask, &mut due);
+                let lanes = lanes.map(|l| [u64::from(a[l]), u64::from(b[l]), c[l]]);
+                self.streams.record_all(unit, lanes);
+            }
+            UOp::DAdd { a, b, .. } | UOp::DMul { a, b, .. } => {
+                let [a, b] = [a, b].map(|r| pair_col(w, r, mask, &mut due));
+                self.streams
+                    .record_all(unit, lanes.map(|l| [a[l], b[l], 0]));
+            }
+            UOp::DFma { a, b, c, .. } => {
+                let [a, b, c] = [a, b, c].map(|r| pair_col(w, r, mask, &mut due));
+                self.streams
+                    .record_all(unit, lanes.map(|l| [a[l], b[l], c[l]]));
+            }
+            _ => unreachable!("only traced arithmetic feeds a unit"),
+        }
     }
 }
 
@@ -911,11 +1062,11 @@ pub struct TracedPass {
     pub traces: Vec<WarpTrace>,
 }
 
-/// The traced pass's copy-on-write page size in words (4 KiB). Nothing
-/// else shares the pass's base, so each written page is copied once at
-/// any size. Pages this large keep a serial run over the figure cells at
-/// the reference executor's peak memory; the campaigns' 64-word pages
-/// raise it by about 120 KiB.
+/// The pass's copy-on-write page size in words (4 KiB). Nothing else
+/// shares the pass's base, so each written page is copied once at any
+/// size. Pages this large keep a serial run over the figure cells at the
+/// reference executor's peak memory; the campaigns' 64-word pages raise it
+/// by about 120 KiB.
 const PASS_PAGE_WORDS: usize = 1024;
 
 /// Run `kernel` fault-free over the first `ctas` CTAs of `launch` on the
@@ -934,7 +1085,8 @@ const PASS_PAGE_WORDS: usize = 1024;
 ///
 /// A halt stops the run where the reference's stops: the `max_dynamic`
 /// cap, or a barrier reached while divergent ([`Detection::Hang`], the
-/// watchdog's verdict on a barrier deadlock).
+/// watchdog's verdict on a barrier deadlock). [`operand_pass`] runs the
+/// same CTA loop, recording operand streams instead of traces.
 ///
 /// # Errors
 ///
@@ -949,6 +1101,58 @@ pub fn traced_pass(
     ctas: u32,
     max_dynamic: u64,
 ) -> Result<TracedPass, ExecError> {
+    let sink = TraceSink::Warps {
+        done: Vec::new(),
+        running: Vec::new(),
+    };
+    let (mut pass, sink) = run_pass(kernel, launch, mem, ctas, max_dynamic, sink)?;
+    let TraceSink::Warps { done, .. } = sink else {
+        unreachable!("the pass keeps its sink")
+    };
+    pass.traces = done;
+    Ok(pass)
+}
+
+/// Run `kernel` fault-free over the first `ctas` CTAs of `launch` exactly
+/// as [`traced_pass`] does, recording the arithmetic operand streams
+/// [`crate::exec::Executor::run`] records with `trace_operands` set,
+/// `operand_cap: cap_per_unit`, `cta_limit: Some(ctas)` and the given
+/// `max_dynamic` (the sampling rule is on [`crate::exec::ExecConfig::trace_operands`]).
+/// Operands recorded before a halt are kept, including those of the CTA
+/// it cut. `mem` ends holding the image the run left.
+///
+/// # Errors
+///
+/// As [`traced_pass`].
+pub fn operand_pass(
+    kernel: &Kernel,
+    launch: Launch,
+    mem: &mut GlobalMemory,
+    ctas: u32,
+    max_dynamic: u64,
+    cap_per_unit: usize,
+) -> Result<OperandTrace, ExecError> {
+    let sink = TraceSink::Operands(OperandTap::new(kernel, cap_per_unit));
+    let (_, sink) = run_pass(kernel, launch, mem, ctas, max_dynamic, sink)?;
+    let TraceSink::Operands(tap) = sink else {
+        unreachable!("the pass keeps its sink")
+    };
+    Ok(tap.streams)
+}
+
+/// The CTA loop behind [`traced_pass`] and [`operand_pass`]: the first
+/// `ctas` CTAs of `launch`, one after another, each with fresh warps and
+/// fresh shared memory, stopping at the first halt, with `sink` recording
+/// every issued instruction; the returned [`TracedPass`] holds no traces.
+/// `mem`'s words move into the copy-on-write base and back, error or not.
+fn run_pass(
+    kernel: &Kernel,
+    launch: Launch,
+    mem: &mut GlobalMemory,
+    ctas: u32,
+    max_dynamic: u64,
+    sink: TraceSink,
+) -> Result<(TracedPass, TraceSink), ExecError> {
     let pk = PredecodedKernel::new(kernel);
     let words = std::mem::replace(mem, GlobalMemory::from_words(Vec::new())).into_words();
     let mut ctx = FastCtx {
@@ -971,16 +1175,14 @@ pub fn traced_pass(
         control_delivered: false,
         cancel: None,
         access: Access::Off,
-        trace: None,
+        trace: Some(sink),
     };
-    let mut traces = Vec::new();
     for cta in 0..ctas.min(launch.ctas) {
         ctx.cta = cta;
         ctx.shared = CowShared::new_zeroed(launch.shared_words as usize);
         let mut warps = new_warps(&pk, launch, Protection::None);
-        ctx.trace = Some(TraceSink {
-            warps: vec![Vec::new(); warps.len()],
-        });
+        let sink = ctx.trace.as_mut().expect("the pass records");
+        sink.begin_cta(warps.len());
         run_rounds(
             &mut ctx,
             &mut warps,
@@ -991,12 +1193,8 @@ pub fn traced_pass(
         if ctx.halted() {
             break;
         }
-        let sink = ctx.trace.take().expect("the pass traces");
-        traces.extend((0..).zip(sink.warps).map(|(warp, entries)| WarpTrace {
-            cta,
-            warp,
-            entries,
-        }));
+        let sink = ctx.trace.as_mut().expect("the pass records");
+        sink.end_cta(cta);
     }
     let FastCtx {
         mem: image,
@@ -1004,17 +1202,21 @@ pub fn traced_pass(
         dyn_count,
         truncated,
         error,
+        trace,
         ..
     } = ctx;
     *mem = image.into_global();
     match error {
         Some(e) => Err(e),
-        None => Ok(TracedPass {
-            detection,
-            dynamic_instructions: dyn_count,
-            truncated,
-            traces,
-        }),
+        None => Ok((
+            TracedPass {
+                detection,
+                dynamic_instructions: dyn_count,
+                truncated,
+                traces: Vec::new(),
+            },
+            trace.expect("the pass records"),
+        )),
     }
 }
 
@@ -3261,7 +3463,7 @@ mod tests {
 mod pass_tests {
     use super::*;
     use crate::exec::Executor;
-    use swapcodes_isa::{CmpOp, CmpTy, Instr, KernelBuilder, MemWidth, Op, Pred, Reg, Src};
+    use swapcodes_isa::{CmpOp, CmpTy, Instr, KernelBuilder, MemWidth, Pred, Reg, Src, RZ};
 
     const MAX_DYNAMIC: u64 = 80_000_000;
 
@@ -3614,5 +3816,320 @@ mod pass_tests {
             }
         }
         assert_eq!(cut_ctas, [0, 1, 2, 3], "a cut in every CTA");
+    }
+
+    /// Run `kernel` over the first `ctas` CTAs of `launch` from `mem` on the
+    /// operand pass and on the reference executor with operand tracing, the
+    /// same cap and `max_dynamic`; assert that every unit's stream and the
+    /// final memory agree, and return the pass's streams.
+    fn operands_match_executor(
+        kernel: &Kernel,
+        launch: Launch,
+        mem: &GlobalMemory,
+        ctas: u32,
+        max_dynamic: u64,
+        cap: usize,
+    ) -> OperandTrace {
+        let what = format!(
+            "{} over {ctas} CTAs, cap {cap}, max {max_dynamic}",
+            kernel.name()
+        );
+        let exec = Executor {
+            config: ExecConfig {
+                trace_operands: true,
+                operand_cap: cap,
+                cta_limit: Some(ctas),
+                max_dynamic,
+                ..ExecConfig::default()
+            },
+        };
+        let mut ref_mem = mem.clone();
+        let reference = exec.run(kernel, launch, &mut ref_mem).expect(&what);
+        let mut pass_mem = mem.clone();
+        let pass =
+            operand_pass(kernel, launch, &mut pass_mem, ctas, max_dynamic, cap).expect(&what);
+        for unit in TracedUnit::all() {
+            assert_eq!(
+                pass.stream(unit),
+                reference.operands.stream(unit),
+                "{what}: {unit:?}"
+            );
+        }
+        assert_eq!(pass_mem.words(), ref_mem.words(), "{what}: final memory");
+        pass
+    }
+
+    /// R1 = `TidX`, R2 = `TidX` as an `f32`.
+    fn lane_values(b: &mut KernelBuilder) {
+        s2r(b, 1, SpecialReg::TidX);
+        b.push(Op::I2F {
+            d: Reg(2),
+            a: Reg(1),
+        });
+    }
+
+    fn f(v: f32) -> u64 {
+        u64::from(v.to_bits())
+    }
+
+    #[test]
+    fn operand_pass_samples_executing_lanes_and_original_roles() {
+        // Lanes 5.. of one 32-lane fragment pass the guard.
+        let mut b = KernelBuilder::new("lanes");
+        lane_values(&mut b);
+        setp(&mut b, 0, CmpOp::Ge, 1, 5);
+        let guarded = |op| Instr::guarded(op, Pred(0), true);
+        let fadd = Op::FAdd {
+            d: Reg(3),
+            a: Reg(2),
+            b: Src::Reg(Reg(2)),
+        };
+        let ffma = Op::FFma {
+            d: Reg(4),
+            a: Reg(2),
+            b: Reg(2),
+            c: Reg(2),
+        };
+        b.push_instr(guarded(fadd));
+        b.push_instr(guarded(ffma));
+        // Shadow copies: the two-source op still samples, the FMA does not.
+        b.push_instr(guarded(fadd).with_role(Role::Shadow));
+        b.push_instr(guarded(ffma).with_role(Role::Shadow));
+        b.push(Op::Exit);
+        let kernel = b.finish();
+        let launch = Launch::grid(1, 32);
+        let mem = GlobalMemory::new(4);
+        let ops = operands_match_executor(&kernel, launch, &mem, 1, MAX_DYNAMIC, 10_000);
+        let lane = |l: u32| f(l as f32);
+        assert_eq!(
+            ops.stream(TracedUnit::FpAdd32),
+            [[lane(5), lane(5), 0]; 2],
+            "the first executing lane, of either role"
+        );
+        let fma: Vec<_> = (5..32).map(|l| [lane(l), lane(l), lane(l)]).collect();
+        assert_eq!(
+            ops.stream(TracedUnit::FpFma32),
+            fma,
+            "executing lanes, Original role"
+        );
+        // The cap keeps the first tuples, cutting an instruction's lanes.
+        let ops = operands_match_executor(&kernel, launch, &mem, 1, MAX_DYNAMIC, 20);
+        assert_eq!(ops.stream(TracedUnit::FpFma32), &fma[..20]);
+        assert_eq!(ops.stream(TracedUnit::FpAdd32).len(), 2);
+    }
+
+    #[test]
+    fn operand_pass_reads_rz_immediates_and_register_pairs() {
+        let mut b = KernelBuilder::new("sources");
+        lane_values(&mut b);
+        let mov = |b: &mut KernelBuilder, d: u8, v: u32| {
+            b.push(Op::Mov {
+                d: Reg(d),
+                a: Src::Imm(v as i32),
+            });
+        };
+        // Pairs: R4:R5 = 1.5, R6:R7 = -2.25, R8:R9 = 2^40 + 7.
+        for (d, v) in [
+            (4, 1.5f64.to_bits()),
+            (6, (-2.25f64).to_bits()),
+            (8, (1 << 40) + 7),
+        ] {
+            mov(&mut b, d, v as u32);
+            mov(&mut b, d + 1, (v >> 32) as u32);
+        }
+        b.push(Op::IAdd {
+            d: Reg(10),
+            a: RZ,
+            b: Src::Imm(-7),
+        });
+        b.push(Op::ISub {
+            d: Reg(10),
+            a: Reg(1),
+            b: Src::Reg(RZ),
+        });
+        b.push(Op::IMul {
+            d: Reg(10),
+            a: Reg(1),
+            b: Src::Imm(-1),
+        });
+        b.push(Op::FMul {
+            d: Reg(10),
+            a: Reg(2),
+            b: Src::Imm(0x4000_0000),
+        });
+        b.push(Op::FFma {
+            d: Reg(10),
+            a: RZ,
+            b: Reg(2),
+            c: RZ,
+        });
+        b.push(Op::IMadWide {
+            d: Reg(12),
+            a: Reg(1),
+            b: Reg(1),
+            c: Reg(8),
+        });
+        b.push(Op::IMadWide {
+            d: Reg(12),
+            a: Reg(1),
+            b: RZ,
+            c: RZ,
+        });
+        b.push(Op::DAdd {
+            d: Reg(12),
+            a: Reg(4),
+            b: Reg(6),
+        });
+        b.push(Op::DMul {
+            d: Reg(12),
+            a: Reg(6),
+            b: RZ,
+        });
+        b.push(Op::DFma {
+            d: Reg(12),
+            a: Reg(4),
+            b: Reg(6),
+            c: Reg(8),
+        });
+        b.push(Op::Exit);
+        let kernel = b.finish();
+        let launch = Launch::grid(1, 2);
+        let mem = GlobalMemory::new(4);
+        let ops = operands_match_executor(&kernel, launch, &mem, 1, MAX_DYNAMIC, 10_000);
+        let (p4, p6, p8) = (1.5f64.to_bits(), (-2.25f64).to_bits(), (1u64 << 40) + 7);
+        assert_eq!(
+            ops.stream(TracedUnit::FxpAdd32),
+            [[0, 0xFFFF_FFF9, 0], [0, 0, 0]]
+        );
+        assert_eq!(
+            ops.stream(TracedUnit::FxpMad32),
+            [
+                [0, 0xFFFF_FFFF, 0],
+                [0, 0, p8],
+                [1, 1, p8],
+                [0, 0, 0],
+                [1, 0, 0]
+            ]
+        );
+        assert_eq!(
+            ops.stream(TracedUnit::FpFma32),
+            [[0, 0x4000_0000, 0], [0, 0, 0], [0, f(1.0), 0]]
+        );
+        assert_eq!(ops.stream(TracedUnit::FpAdd64), [[p4, p6, 0]; 2]);
+        assert_eq!(
+            ops.stream(TracedUnit::FpFma64),
+            [[p6, 0, 0], [p6, 0, 0], [p4, p6, p8], [p4, p6, p8]]
+        );
+    }
+
+    #[test]
+    fn operand_pass_records_pre_execution_values() {
+        // Each destination is one of the instruction's own sources.
+        let mut b = KernelBuilder::new("alias");
+        lane_values(&mut b);
+        b.push(Op::FFma {
+            d: Reg(2),
+            a: Reg(2),
+            b: Reg(2),
+            c: Reg(2),
+        });
+        b.push(Op::IAdd {
+            d: Reg(1),
+            a: Reg(1),
+            b: Src::Imm(10),
+        });
+        b.push(Op::Mov {
+            d: Reg(4),
+            a: Src::Imm(3),
+        });
+        b.push(Op::Mov {
+            d: Reg(5),
+            a: Src::Imm(0),
+        });
+        b.push(Op::IMadWide {
+            d: Reg(4),
+            a: Reg(1),
+            b: Reg(1),
+            c: Reg(4),
+        });
+        b.push(Op::Exit);
+        let kernel = b.finish();
+        let ops = operands_match_executor(
+            &kernel,
+            Launch::grid(1, 2),
+            &GlobalMemory::new(4),
+            1,
+            MAX_DYNAMIC,
+            10_000,
+        );
+        assert_eq!(ops.stream(TracedUnit::FpFma32), [[0; 3], [f(1.0); 3]]);
+        assert_eq!(ops.stream(TracedUnit::FxpAdd32), [[0, 10, 0]]);
+        assert_eq!(ops.stream(TracedUnit::FxpMad32), [[10, 10, 3], [11, 11, 3]]);
+    }
+
+    /// Per CTA: every thread runs an FMA on its global index, then stores
+    /// it; threads with a global index of at least `split` skip the
+    /// barrier that follows.
+    fn fma_barrier_kernel(split: i32) -> Kernel {
+        let mut b = KernelBuilder::new("fmabar");
+        global_index(&mut b);
+        b.push(Op::I2F {
+            d: Reg(5),
+            a: Reg(3),
+        });
+        b.push(Op::FFma {
+            d: Reg(6),
+            a: Reg(5),
+            b: Reg(5),
+            c: Reg(5),
+        });
+        b.push(st(MemSpace::Global, 4, 0, 6));
+        setp(&mut b, 0, CmpOp::Ge, 3, split);
+        let skip = b.label();
+        b.branch_if(skip, Pred(0), true);
+        b.push(Op::Bar);
+        b.bind(skip);
+        b.push(Op::Exit);
+        b.finish()
+    }
+
+    #[test]
+    fn operand_pass_keeps_the_operands_of_a_cut_cta() {
+        let launch = Launch::grid(3, 64);
+        let mem = GlobalMemory::new(3 * 64 * 4);
+        let fma = |ops: &OperandTrace| ops.stream(TracedUnit::FpFma32).len();
+        let kernel = fma_barrier_kernel(i32::MAX);
+        let full = operands_match_executor(&kernel, launch, &mem, 3, MAX_DYNAMIC, 100_000);
+        assert_eq!(fma(&full), 192);
+        // 12 instructions per warp: a cap on CTA 1's first FMA keeps that
+        // warp's 32 tuples, though the pass drops the CTA's traces.
+        let cap = 2 * 12 + 7;
+        let cut = operands_match_executor(&kernel, launch, &mem, 3, cap, 100_000);
+        assert_eq!(fma(&cut), 96);
+        let mut pass_mem = mem.clone();
+        let pass = traced_pass(&kernel, launch, &mut pass_mem, 3, cap).expect("a cut");
+        assert!(pass.truncated);
+        assert_eq!(pass.traces.len(), 2, "CTA 1's traces are dropped");
+        // Global thread 80 splits warp 0 of CTA 1 at the barrier, which
+        // hangs before warp 1 runs: warp 0's 32 tuples stay.
+        let hung = operands_match_executor(
+            &fma_barrier_kernel(80),
+            launch,
+            &mem,
+            3,
+            MAX_DYNAMIC,
+            100_000,
+        );
+        assert_eq!(fma(&hung), 96);
+        let mut pass_mem = mem.clone();
+        let pass = traced_pass(
+            &fma_barrier_kernel(80),
+            launch,
+            &mut pass_mem,
+            3,
+            MAX_DYNAMIC,
+        )
+        .expect("a hang is a detection");
+        assert!(matches!(pass.detection, Detection::Hang { .. }));
     }
 }
