@@ -17,11 +17,14 @@ fn main() {
          >=4-bit errors — the only SDC-risk category under SEC-DED — reach \
          ~25% only in the 64-bit floating-point units).",
     );
-    println!("  operand tuples per unit: {n} (traced from the workload suite)\n");
+    println!(
+        "  operand tuples per unit: at most {n}, traced from the workload suite; a \
+         unit whose traced stream is shorter runs on fewer (the `inputs` column)\n"
+    );
 
     let streams = workload_operand_streams(&all(), n, 4_000_000);
     let mut table = Table::new(vec![
-        "unit", "unmasked", "masking", "1 bit", "2-3 bits", ">=4 bits",
+        "unit", "inputs", "unmasked", "masking", "1 bit", "2-3 bits", ">=4 bits",
     ]);
     for kind in [
         UnitKind::FxpAdd32,
@@ -38,6 +41,7 @@ fn main() {
         let p = res.patterns();
         table.row(vec![
             kind.label().to_owned(),
+            inputs.len().to_string(),
             p.total().to_string(),
             format!("{:.0}%", res.masking_rate().point() * 100.0),
             p.one_bit_proportion().to_string(),

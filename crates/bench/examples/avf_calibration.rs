@@ -18,11 +18,11 @@
 //!
 //! `SWAPCODES_FAST=1` shrinks trial counts for CI smoke runs.
 
+use swapcodes_bench::fast_mode;
 use swapcodes_inject::avf_calibration;
 
 fn main() {
-    let fast = std::env::var_os("SWAPCODES_FAST").is_some();
-    let trials: u64 = if fast { 120 } else { 360 };
+    let trials: u64 = if fast_mode() { 120 } else { 360 };
     let seed = 0xACE_CA1Bu64;
 
     let verdict = avf_calibration(trials, seed).expect("calibration matrix prepares");

@@ -17,12 +17,13 @@
 //!   executor, proving the taxonomy plumbing did not perturb the legacy
 //!   draw order or the fast-forward engine.
 //! * **Control-fault coverage gap** — statically-clean Swap-ECC kernels
-//!   leak SDCs under a control-only mix; the measured gap goes into the
-//!   report (the coverage boundary the paper's §VI discussion predicts for
-//!   intra-thread codes).
+//!   (matmul, kmeans, hspot) leak SDCs under a control-only mix; matmul's
+//!   measured gap goes into the report (the coverage boundary the paper's
+//!   §VI discussion predicts for intra-thread codes).
 //!
 //! `SWAPCODES_FAST=1` shrinks trial counts for CI smoke runs.
 
+use swapcodes_bench::fast_mode;
 use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_inject::{
     control_fault_gap, ArchCampaign, ArchOutcomes, CampaignOptions, FaultClassTallies, FaultMix,
@@ -49,7 +50,7 @@ fn outcomes_json(o: &ArchOutcomes) -> String {
 }
 
 fn main() {
-    let fast = std::env::var_os("SWAPCODES_FAST").is_some();
+    let fast = fast_mode();
     let trials: u64 = if fast { 120 } else { 360 };
     let seed = 0xFA17_0007u64;
     let workloads = ["matmul", "kmeans", "hspot", "bprop", "pathf", "srad_v2"];
@@ -114,6 +115,16 @@ fn main() {
         bucket_sum, matrix_trials,
         "per-class buckets must sum to the matrix trial count"
     );
+    for (label, o) in totals.classes() {
+        println!(
+            "  {label:<9} {:>5} trials: {:.1}% covered, {} masked, {} SDC, {} hang",
+            o.total(),
+            o.coverage() * 100.0,
+            o.masked,
+            o.sdc,
+            o.hang
+        );
+    }
 
     // --- Pure-transient identity: taxonomy plumbing left the legacy path --
     // byte-identical to the from-scratch reference executor.
@@ -144,21 +155,31 @@ fn main() {
          reference executor"
     );
 
-    // --- Control-fault coverage gap on a statically-clean kernel. ---------
+    // --- Control-fault coverage gap on statically-clean kernels. ----------
+    // The JSON report keeps matmul's row.
     let gap_trials = if fast { 120 } else { 240 };
-    let gap = control_fault_gap(&w, Scheme::SwapEcc, gap_trials, seed).expect("gap cell prepares");
-    assert!(
-        gap.report.is_clean(),
-        "stock Swap-ECC transform must verify clean"
-    );
-    assert_eq!(gap.outcomes.total(), gap_trials);
-    println!(
-        "  control gap: matmul x swap-ecc static clean, dynamic coverage \
-         {:.1}%, gap {:.1}%, {} SDC escapes",
-        gap.outcomes.coverage() * 100.0,
-        gap.gap() * 100.0,
-        gap.escapes.len()
-    );
+    let gaps: Vec<_> = ["matmul", "kmeans", "hspot"]
+        .into_iter()
+        .map(|name| {
+            let w = by_name(name).expect("workload");
+            let gap = control_fault_gap(&w, Scheme::SwapEcc, gap_trials, seed)
+                .expect("gap cell prepares");
+            assert!(
+                gap.report.is_clean(),
+                "{name}: stock Swap-ECC transform must verify clean"
+            );
+            assert_eq!(gap.outcomes.total(), gap_trials);
+            println!(
+                "  control gap: {name} x swap-ecc static clean, dynamic coverage \
+                 {:.1}%, gap {:.1}%, {} SDC escapes",
+                gap.outcomes.coverage() * 100.0,
+                gap.gap() * 100.0,
+                gap.escapes.len()
+            );
+            gap
+        })
+        .collect();
+    let gap = &gaps[0];
 
     // --- Report. ----------------------------------------------------------
     let json = format!(

@@ -1,17 +1,17 @@
-//! Perf baseline: wall-clock comparison of the pre-optimization paths
-//! against this revision, written to `BENCH_sweep.json`.
+//! Perf baseline: wall-clock timings of the production paths, and of the
+//! campaign references they are checked against, written to
+//! `BENCH_sweep.json`.
 //!
-//! Three comparisons, each on identical work:
+//! Four legs:
 //!
-//! * **Figure sweep** — the five figure benches' cells walked the old way
-//!   (each figure recomputes its own cells serially on the reference
-//!   `Executor` and the seed `replay_wave`, kept together as
-//!   `simulate_kernel_reference`, and Figs. 13–14 re-execute theirs for
-//!   profiles and traces) versus the shared parallel memoized
-//!   [`SweepEngine`], which runs one traced pass per cell on the campaign
-//!   engine's exact-step core (`sim::snapshot::traced_pass`) and the
-//!   event-driven replay, and serves all five figures from it. Every walked
-//!   cell's engine timing is asserted equal to its reference timing.
+//! * **Figure sweep** — the shared parallel memoized [`SweepEngine`] over
+//!   every cell the five timing figures read: one traced pass per distinct
+//!   cell on the campaign engine's exact-step core
+//!   (`sim::snapshot::traced_pass`) and the event-driven replay, then a walk
+//!   of each figure's cells, duplicates included, from the cache. No cell
+//!   may fail. The serial references are not timed here: the
+//!   `timing_matches_reference` and `sweep_matches_serial` tests check the
+//!   engine's cells against them.
 //! * **Gate campaign** — the one-site-at-a-time reference
 //!   (`run_unit_campaign_reference`: every input's whole injection order
 //!   drawn up front, one `evaluate_flipped` per site, single-threaded)
@@ -41,16 +41,15 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
-use swapcodes_bench::{profile, traces_for, SweepEngine};
-use swapcodes_core::{apply, PredictorSet, Scheme};
+use swapcodes_bench::{fast_mode, SweepEngine};
+use swapcodes_core::Scheme;
 use swapcodes_gates::units::{build_unit, UnitKind};
 use swapcodes_inject::{
     default_thread_count, run_unit_campaign, run_unit_campaign_reference, ArchCampaign,
     ArchOutcomes, CampaignConfig, CampaignOptions,
 };
-use swapcodes_sim::timing::{simulate_kernel_reference, KernelTiming, TimingConfig};
 use swapcodes_sim::ExecTier;
-use swapcodes_workloads::{all, by_name, Workload};
+use swapcodes_workloads::{all, by_name};
 
 /// The timing cells each figure bench walks, duplication included — exactly
 /// what the five standalone benches used to recompute.
@@ -81,58 +80,15 @@ fn figure_timing_cells() -> Vec<(usize, Scheme)> {
     cells
 }
 
-/// `measure` as the seed revision computed it: per-cycle-allocating replay.
-fn measure_reference(w: &Workload, scheme: Scheme) -> Option<KernelTiming> {
-    let t = apply(scheme, &w.kernel, w.launch).ok()?;
-    let mut mem = w.build_memory();
-    let cfg = TimingConfig::default();
-    simulate_kernel_reference(&t.kernel, t.launch, &mut mem, &cfg).ok()
-}
-
 fn main() {
     let workloads = all();
     let threads = default_thread_count();
     println!("perf baseline: {threads} worker thread(s)");
 
-    let fig14_schemes = [
-        Scheme::Baseline,
-        Scheme::SwDup,
-        Scheme::SwapEcc,
-        Scheme::SwapPredict(PredictorSet::MAD),
-    ];
-    let fig14_names = ["snap", "lavaMD"];
-
-    // --- Old path: per-figure serial recomputation, seed replay loop. -----
-    let timing_cells = figure_timing_cells();
-    let t0 = Instant::now();
-    let reference_timings: Vec<Option<KernelTiming>> = timing_cells
-        .iter()
-        .map(|&(w, s)| measure_reference(&workloads[w], s))
-        .collect();
-    // fig13 profiles (profiling never used the replay loop; unchanged cost).
-    for w in &workloads {
-        for s in Scheme::figure12_sweep() {
-            std::hint::black_box(profile(w, s));
-        }
-    }
-    // fig14: the old traces_and_timing simulated timing, then re-executed
-    // the same wave again with tracing on.
-    for name in fig14_names {
-        let w = by_name(name).expect("workload");
-        for s in fig14_schemes {
-            let timing = measure_reference(&w, s).expect("fig14 schemes apply");
-            std::hint::black_box(traces_for(&w, s, &timing));
-        }
-    }
-    let serial_s = t0.elapsed().as_secs_f64();
-    println!(
-        "  per-figure serial (seed replay)   {serial_s:7.2}s ({} timing cells)",
-        timing_cells.len()
-    );
-
-    // --- New path: shared engine, one pass per cell, worker pool. --------
+    // --- Figure sweep: shared engine, one pass per cell, worker pool. -----
     // The fig13 and fig14 cells are part of the timing matrix, so the one
     // prewarm runs every pass the five figures read.
+    let timing_cells = figure_timing_cells();
     let t1 = Instant::now();
     let engine = SweepEngine::new();
     let distinct: HashSet<Scheme> = timing_cells.iter().map(|&(_, s)| s).collect();
@@ -143,23 +99,11 @@ fn main() {
         std::hint::black_box(engine.timing(&workloads[w], s));
     }
     let sweep_s = t1.elapsed().as_secs_f64();
-    let sweep_speedup = serial_s / sweep_s;
     println!(
-        "  parallel memoized sweep           {sweep_s:7.2}s ({sweep_speedup:.1}x, {} cached cells)",
+        "  parallel memoized sweep           {sweep_s:7.2}s ({} timing cells walked, {} cached cells)",
+        timing_cells.len(),
         engine.cached_cells()
     );
-
-    // Sanity: the optimized sweep reproduces the reference timing of every
-    // walked cell, and no cell of the matrix degraded to a failure.
-    for (&(w, s), reference) in timing_cells.iter().zip(&reference_timings) {
-        assert_eq!(
-            engine.timing(&workloads[w], s).value().copied(),
-            *reference,
-            "optimized sweep must reproduce the reference timing of {} / {}",
-            workloads[w].name,
-            s.label()
-        );
-    }
     assert!(
         engine.failures().is_empty(),
         "sweep cells failed: {:?}",
@@ -171,11 +115,7 @@ fn main() {
     // `SWAPCODES_FAST` turns the campaign leg into a CI smoke run; the
     // sweep leg always walks the full matrix (memoization is what's under
     // test there).
-    let input_count: u64 = if std::env::var_os("SWAPCODES_FAST").is_some() {
-        400
-    } else {
-        2_000
-    };
+    let input_count: u64 = if fast_mode() { 400 } else { 2_000 };
     let inputs: Vec<[u64; 3]> = (0..input_count)
         .map(|i| {
             let x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -205,11 +145,7 @@ fn main() {
     // is the differential gate guarding both tiers of the fast-forward
     // engine at campaign scale.
     let arch_cells = [("matmul", Scheme::SwapEcc), ("kmeans", Scheme::SwDup)];
-    let arch_trials: u64 = if std::env::var_os("SWAPCODES_FAST").is_some() {
-        250
-    } else {
-        600
-    };
+    let arch_trials: u64 = if fast_mode() { 250 } else { 600 };
     let arch_seed = 0xA2C4_0005u64;
     let mut arch_reference_s = 0.0f64;
     let mut arch_tier1_s = 0.0f64;
@@ -325,11 +261,7 @@ fn main() {
         ("hspot", Scheme::SwapEcc),
         ("kmeans", Scheme::SwapEcc),
     ];
-    let tier2_trials: u64 = if std::env::var_os("SWAPCODES_FAST").is_some() {
-        400
-    } else {
-        600
-    };
+    let tier2_trials: u64 = if fast_mode() { 400 } else { 600 };
     let tier2_seed = 0xA2C4_0006u64;
     let mut tier1_leg_s = 0.0f64;
     let mut tier2_leg_s = 0.0f64;
@@ -387,7 +319,7 @@ fn main() {
 
     // --- Report. ----------------------------------------------------------
     let json = format!(
-        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"serial_seed_s\": {serial_s:.3},\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"speedup\": {sweep_speedup:.2},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"reference_s\": {campaign_reference_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"errors\": {ref_found},\n    \"attempts\": {ref_attempts}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_tier1_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"confined_rate\": {arch_confined_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
+        "{{\n  \"threads\": {threads},\n  \"sweep\": {{\n    \"parallel_memoized_s\": {sweep_s:.3},\n    \"timing_cells_walked\": {},\n    \"distinct_cells_cached\": {}\n  }},\n  \"gate_campaign\": {{\n    \"unit\": \"FxpMad32\",\n    \"inputs\": {},\n    \"reference_s\": {campaign_reference_s:.3},\n    \"pool_s\": {campaign_parallel_s:.3},\n    \"errors\": {ref_found},\n    \"attempts\": {ref_attempts}\n  }},\n  \"arch_campaign\": {{\n    \"cells\": {},\n    \"trials\": {arch_total},\n    \"reference_s\": {arch_reference_s:.3},\n    \"fast_forward_s\": {arch_tier1_s:.3},\n    \"cow_s\": {arch_cow_s:.3},\n    \"speedup\": {arch_speedup:.2},\n    \"speedup_cow\": {arch_speedup_cow:.2},\n    \"snapshots\": {arch_snapshots},\n    \"early_exit_rate\": {arch_early_rate:.3},\n    \"confined_rate\": {arch_confined_rate:.3},\n    \"bytes_cloned_per_trial\": {arch_bytes_per_trial:.1},\n    \"cow_page_hit_rate\": {arch_page_hit_rate:.4}\n  }},\n  \"tier2\": {{\n    \"cells\": {},\n    \"trials\": {tier2_total},\n    \"tier1_s\": {tier1_leg_s:.3},\n    \"tier2_s\": {tier2_leg_s:.3},\n    \"speedup\": {tier2_speedup:.2},\n    \"fused_pairs\": {tier2_fused},\n    \"peephole_removed\": {tier2_removed}\n  }}\n}}\n",
         timing_cells.len(),
         engine.cached_cells(),
         inputs.len(),

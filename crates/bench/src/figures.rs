@@ -1,22 +1,15 @@
 //! The figure 12–16 reports as library functions over a shared
-//! [`SweepEngine`].
+//! [`SweepEngine`]: the code the `fig12`–`fig16` benches and perfbench's
+//! `figures` workload share.
 //!
-//! Each `cargo bench` target used to recompute its own slice of the
-//! (workload × scheme) matrix from scratch. The logic now lives here: every
-//! report takes a `&SweepEngine`, prewarms exactly the cells it needs (a
-//! parallel fan-out), and then renders from cache. Running several figures
-//! against one engine — as `examples/perf_baseline.rs` and a combined
-//! `cargo bench` session do — shares every overlapping cell: the fifteen
-//! `Baseline` passes run once instead of four times, the four schemes
-//! common to fig12 and fig16 once instead of twice, and Figs. 13 and 14
-//! read the passes fig12 ran.
+//! Every report takes a `&SweepEngine`, prewarms exactly the cells it needs
+//! (a parallel fan-out), and then renders from cache. Several figures run
+//! against one engine — as perfbench's `figures` workload runs them — share
+//! every overlapping cell: the fifteen `Baseline` passes run once instead
+//! of four times, the four schemes common to fig12 and fig16 once instead
+//! of twice, and Figs. 13 and 14 read the passes fig12 ran.
 
-use swapcodes_core::{apply, PredictorSet, Scheme};
-use swapcodes_inject::recovery::{run_recovery_campaign, RecoveryCampaignConfig};
-use swapcodes_inject::{
-    avf_calibration, control_fault_gap, ArchCampaign, CampaignOptions, FaultClassTallies, FaultMix,
-};
-use swapcodes_sim::recovery::{RecoveryConfig, RecoverySpec};
+use swapcodes_core::{PredictorSet, Scheme};
 use swapcodes_sim::timing::KernelTiming;
 use swapcodes_workloads::{all, by_name};
 
@@ -337,329 +330,4 @@ pub fn fig16_future_predictors(engine: &SweepEngine) {
         );
     }
     engine.print_failure_summary();
-}
-
-/// Static protection coverage: what the dataflow verifier can *prove* about
-/// each transformed kernel, with no injection trials at all. The companion
-/// to the injection-measured coverage of Figs. 10–11: dynamic campaigns
-/// sample the fault space, the verifier exhausts the path space.
-pub fn static_coverage_report() {
-    banner(
-        "Static protection coverage",
-        "Per-scheme verified coverage points (dataflow proof over the \
-         transformed kernel; 'n/a' = scheme not applicable). Any finding \
-         would print below its row — a clean suite prints none.",
-    );
-
-    let workloads = all();
-    let schemes = [
-        Scheme::SwDup,
-        Scheme::SwapEcc,
-        Scheme::SwapPredict(PredictorSet::ADD_SUB),
-        Scheme::SwapPredict(PredictorSet::MAD),
-        Scheme::InterThread { checked: true },
-    ];
-
-    let mut headers = vec!["benchmark".to_owned()];
-    headers.extend(schemes.iter().map(Scheme::label));
-    let mut table = Table::new(headers);
-
-    let mut dirty = Vec::new();
-    for w in &workloads {
-        let mut cells = vec![w.name.to_owned()];
-        for &s in &schemes {
-            let Ok(t) = apply(s, &w.kernel, w.launch) else {
-                cells.push("n/a".to_owned());
-                continue;
-            };
-            let report = swapcodes_verify::verify(s, &t.kernel);
-            cells.push(format!(
-                "{}/{}",
-                report.coverage.covered, report.coverage.points
-            ));
-            if !report.is_clean() {
-                dirty.push(format!("{} x {}: {report}", w.name, report.scheme));
-            }
-        }
-        table.row(cells);
-    }
-    table.print();
-    for d in &dirty {
-        println!("  FINDING {d}");
-    }
-    assert!(dirty.is_empty(), "static verification found holes");
-}
-
-/// Detect-and-recover report: DUE→recovered conversion, recovery cycle
-/// overhead and (for the opt-in correction mode) the miscorrection rate,
-/// per workload and scheme.
-///
-/// Two passes per cell:
-///
-/// 1. **Safe ladder** (warp replay → kernel relaunch, no storage
-///    correction): the deployment mode. Recovery here can only turn
-///    detections into verified-correct completions — a miscorrection in
-///    this table would be a bug.
-/// 2. **Correction-enabled ladder** (Swap-ECC only): the experiment
-///    quantifying why in-place correction under swapped codewords is a
-///    gamble — roughly the shadow-strike half of correctable syndromes
-///    rewrite good data toward faulty check bits.
-///
-/// # Panics
-///
-/// Panics when a requested workload is unknown or a scheme fails to
-/// prepare (the cells here are all stock-transform combinations).
-pub fn recovery_report(names: &[&str], trials: u32, seed: u64) {
-    banner(
-        "Detect-and-recover",
-        "Fraction of detection-bearing trials converted into verified-\
-         correct completions by the bounded ladder (replay -> relaunch), \
-         with the recovery cycle overhead per trial. 'degraded' marks \
-         Swap-Predict cells that fell back to SW-Dup.",
-    );
-
-    let schemes = [
-        Scheme::SwDup,
-        Scheme::SwapEcc,
-        Scheme::SwapPredict(PredictorSet::MAD),
-    ];
-    let cfg = RecoveryCampaignConfig::default();
-
-    let mut headers = vec!["benchmark".to_owned()];
-    for s in &schemes {
-        headers.push(format!("{} rec%", s.label()));
-        headers.push(format!("{} ovh/trial", s.label()));
-    }
-    let mut table = Table::new(headers);
-    let mut recovered_total = 0u64;
-    let mut miscorrected_total = 0u64;
-    for name in names {
-        let w = by_name(name).expect("known workload");
-        let mut cells = vec![w.name.to_owned()];
-        for &s in &schemes {
-            let cell = run_recovery_campaign(&w, s, trials, seed, &cfg).expect("cell prepares");
-            recovered_total += cell.outcomes.recovered();
-            miscorrected_total += cell.outcomes.miscorrected;
-            let tag = if cell.degraded { " (degraded)" } else { "" };
-            cells.push(format!("{:.0}%{tag}", cell.recovered_fraction() * 100.0));
-            cells.push(format!("{:.0}cy", cell.mean_overhead_cycles()));
-        }
-        table.row(cells);
-    }
-    table.print();
-    println!(
-        "  {recovered_total} detections recovered across the sweep, \
-         {miscorrected_total} recovery-induced SDCs (must be 0 in safe mode)"
-    );
-
-    banner(
-        "In-place storage correction (opt-in, Swap-ECC)",
-        "The same cells with correctable DUE syndromes rewritten in place. \
-         Under swapped codewords a shadow-side strike lands in the check \
-         bits, so correction rewrites good data toward them: the \
-         miscorrection rate is the price of skipping replay.",
-    );
-    let correcting = RecoveryCampaignConfig {
-        recovery: RecoveryConfig {
-            spec: RecoverySpec {
-                storage_correction: true,
-                ..RecoverySpec::default()
-            },
-            ..RecoveryConfig::default()
-        },
-        ..RecoveryCampaignConfig::default()
-    };
-    let mut ctable = Table::new(vec![
-        "benchmark".to_owned(),
-        "corrected".to_owned(),
-        "miscorrected".to_owned(),
-        "miscorrection rate".to_owned(),
-    ]);
-    for name in names {
-        let w = by_name(name).expect("known workload");
-        let cell =
-            run_recovery_campaign(&w, Scheme::SwapEcc, trials, seed, &correcting).expect("cell");
-        ctable.row(vec![
-            w.name.to_owned(),
-            cell.outcomes.recovered_correct.to_string(),
-            cell.outcomes.miscorrected.to_string(),
-            format!("{:.1}%", cell.miscorrection_rate() * 100.0),
-        ]);
-    }
-    ctable.print();
-}
-
-/// Fault-model taxonomy report: detection coverage per fault class under a
-/// mixed transient / control-state / stuck-at campaign, then the
-/// control-fault coverage gap of statically-clean kernels.
-///
-/// The first table samples every trial's class from an equal-weight
-/// [`FaultMix::all_classes`] draw: burst-capable datapath transients,
-/// control-state strikes (predicate registers, active masks, barrier
-/// counters, scheduler slots) and area-weighted stuck-at sites from the
-/// FxpMad32 netlist that persist across kernel relaunch. Each cell prints
-/// the per-class coverage so the reader sees directly which classes a
-/// register-file code can and cannot catch.
-///
-/// The second table is the boundary measurement: under a control-only mix,
-/// kernels whose dataflow proof is *clean* still leak SDCs, because the
-/// static argument covers datapath values, not the machine state steering
-/// them. The gap column is `1 - dynamic coverage` over unmasked control
-/// faults.
-///
-/// # Panics
-///
-/// Panics when a requested workload is unknown, a scheme fails to prepare,
-/// or a class bucket loses a trial (the bucket sum must equal the trial
-/// count).
-pub fn fault_taxonomy_report(names: &[&str], trials: u64, seed: u64) {
-    banner(
-        "Fault-model taxonomy",
-        "Detection coverage per fault class (transient/control/stuck-at, \
-         equal-weight mixed draw). Control-state strikes hit predicates, \
-         active masks, barrier counters and scheduler slots; stuck-at \
-         sites are drawn area-weighted from the FxpMad32 netlist and \
-         persist across relaunch.",
-    );
-
-    let schemes = [
-        Scheme::SwDup,
-        Scheme::SwapEcc,
-        Scheme::SwapPredict(PredictorSet::MAD),
-    ];
-    let opts = CampaignOptions {
-        mix: FaultMix::all_classes(),
-        ..CampaignOptions::default()
-    };
-
-    let mut headers = vec!["benchmark".to_owned()];
-    for s in &schemes {
-        headers.push(format!("{} t/c/s cov%", s.label()));
-    }
-    let mut table = Table::new(headers);
-    let mut totals = FaultClassTallies::default();
-    for name in names {
-        let w = by_name(name).expect("known workload");
-        let mut cells = vec![w.name.to_owned()];
-        for &s in &schemes {
-            let campaign = ArchCampaign::prepare_with(&w, s, seed, opts).expect("cell prepares");
-            let classes = campaign.run_range_classed(0, trials);
-            assert_eq!(
-                classes.total(),
-                trials,
-                "class buckets must account for every trial"
-            );
-            let [t, c, st] = classes.classes().map(|(_, o)| o.coverage() * 100.0);
-            cells.push(format!("{t:.0}/{c:.0}/{st:.0}"));
-            totals.merge(&classes);
-        }
-        table.row(cells);
-    }
-    table.print();
-    for (label, o) in totals.classes() {
-        println!(
-            "  {label:<9} {:>5} trials: {:.1}% covered, {} masked, {} SDC, {} hang",
-            o.total(),
-            o.coverage() * 100.0,
-            o.masked,
-            o.sdc,
-            o.hang
-        );
-    }
-
-    banner(
-        "Control-fault coverage gap",
-        "Statically-clean kernels under a control-only mix: the dataflow \
-         proof covers datapath values, so corrupted control state can \
-         still complete with wrong output. The gap is 1 - dynamic \
-         coverage over unmasked control faults.",
-    );
-    let mut gtable = Table::new(vec![
-        "benchmark".to_owned(),
-        "scheme".to_owned(),
-        "static".to_owned(),
-        "dyn cov%".to_owned(),
-        "gap%".to_owned(),
-        "sdc escapes".to_owned(),
-    ]);
-    for name in names {
-        let w = by_name(name).expect("known workload");
-        let v = control_fault_gap(&w, Scheme::SwapEcc, trials, seed).expect("gap cell prepares");
-        gtable.row(vec![
-            w.name.to_owned(),
-            Scheme::SwapEcc.label(),
-            if v.report.is_clean() {
-                "clean"
-            } else {
-                "dirty"
-            }
-            .to_owned(),
-            format!("{:.1}", v.outcomes.coverage() * 100.0),
-            format!("{:.1}", v.gap() * 100.0),
-            v.escapes.len().to_string(),
-        ]);
-    }
-    gtable.print();
-}
-
-/// Predicted-vs-measured AVF report: the static analyzer's coverage
-/// prediction for every (workload, scheme, fault class) cell next to a
-/// fresh injection measurement, with the Wilson 95% interval the
-/// prediction must land in (or the documented per-class tolerance).
-///
-/// This is the calibration table for `swapcodes_verify::avf`: the
-/// analyzer builds ACE windows from static liveness and a fault-free
-/// issue profile — no injection trials — and the campaign here is the
-/// ground truth it is scored against. A `MISS` in the last column would
-/// fail the oracle gate in CI.
-///
-/// # Panics
-///
-/// Panics when a calibration cell fails to prepare (all cells are stock
-/// workload x scheme combinations) or a prediction misses its gate.
-pub fn avf_report(trials: u64, seed: u64) {
-    banner(
-        "Predicted vs. measured vulnerability (AVF calibration)",
-        "Static liveness ACE windows x scheme protection windows predict \
-         per-class coverage; each prediction is gated against a fresh \
-         injection measurement (inside the Wilson 95% interval, or within \
-         the per-class tolerance).",
-    );
-
-    let verdict = avf_calibration(trials, seed).expect("calibration cells prepare");
-    let mut table = Table::new(vec![
-        "benchmark".to_owned(),
-        "scheme".to_owned(),
-        "class".to_owned(),
-        "pred%".to_owned(),
-        "meas%".to_owned(),
-        "wilson95%".to_owned(),
-        "unmasked".to_owned(),
-        "gate".to_owned(),
-    ]);
-    for cell in &verdict.cells {
-        table.row(vec![
-            cell.workload.clone(),
-            cell.scheme.clone(),
-            cell.class.to_owned(),
-            format!("{:.1}", cell.predicted * 100.0),
-            format!("{:.1}", cell.measured * 100.0),
-            format!("{:.0}-{:.0}", cell.wilson.0 * 100.0, cell.wilson.1 * 100.0),
-            cell.unmasked.to_string(),
-            if cell.within() { "ok" } else { "MISS" }.to_owned(),
-        ]);
-    }
-    table.print();
-    println!(
-        "  {} cells x {} trials; control-SDC escape attribution on \
-         matmul x swap-ecc: {}/{} listed by the ranked site report",
-        verdict.cells.len(),
-        verdict.trials_per_cell,
-        verdict.escapes_listed,
-        verdict.escapes_total,
-    );
-    assert!(
-        verdict.all_within(),
-        "an AVF prediction missed its calibration gate"
-    );
 }

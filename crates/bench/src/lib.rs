@@ -1,7 +1,9 @@
 //! Shared machinery for the figure/table regeneration benches.
 //!
 //! Every `cargo bench` target in this crate regenerates one table or figure
-//! of the SwapCodes paper, printing the same rows/series the paper reports.
+//! of the SwapCodes paper (or the adder ablation), printing the same
+//! rows/series the paper reports; the examples regenerate the extension
+//! reports and the committed `BENCH_*.json` files.
 //! Absolute numbers differ (the substrate is a simulator, not a Tesla P100),
 //! but the comparisons — who wins, by what factor, where the crossovers fall
 //! — are the reproduction targets. See `EXPERIMENTS.md` at the workspace

@@ -15,10 +15,9 @@
 //! ([`ArchCampaign::run_trial_recovering`]) rather than the fast-forward
 //! engine used for plain campaigns: the recovery ladder needs live warp
 //! checkpoints, replay, and per-action cycle accounting that only the full
-//! executor records. The warp checkpoints themselves share the
-//! [`swapcodes_sim::snapshot::WarpSnapshot`] representation with the
-//! campaign epoch ladder, so both paths roll state back through one
-//! mechanism.
+//! executor records. Each warp checkpoint is a
+//! [`swapcodes_sim::snapshot::WarpSnapshot`]: PC fragments, predicates and
+//! the full ECC-encoded register file.
 
 use swapcodes_core::Scheme;
 use swapcodes_sim::recovery::{RecoveryConfig, RecoveryStats};

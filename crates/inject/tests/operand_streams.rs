@@ -6,7 +6,9 @@
 //! instructions), at a cap of 37 that fills streams in the middle of a
 //! warp-instruction's lanes, and at a 1,500-instruction cut that stops
 //! CTAs mid-run. `workload_operand_streams`' suite merge must equal the
-//! `Executor`'s streams merged in suite order under the same cap.
+//! `Executor`'s streams merged in suite order under the same cap. At the
+//! figures' setting the suite's stream sizes are pinned: two units stay
+//! short of the cap under the sampling contract.
 
 use swapcodes_gates::units::UnitKind;
 use swapcodes_inject::trace::workload_operand_streams;
@@ -20,6 +22,20 @@ const SETTINGS: [(usize, u64); 3] = [(10_000, 4_000_000), (37, 4_000_000), (10_0
 
 /// CTAs `workload_operand_streams` traces per workload.
 const CTAS: u32 = 2;
+
+/// The suite's tuples per unit at the figures' setting, which Figs. 10–11
+/// inject on. FxpMad32 and FpAdd32 fall short of the 10,000 cap: only the
+/// first executing lane of an `IMul` or `FAdd` is sampled, and no `IMad`
+/// is (DESIGN §15). A change to the sampling moves both figures, so it
+/// must change these counts on purpose.
+const FIGURE_STREAM_LENS: [(UnitKind, usize); 6] = [
+    (UnitKind::FxpAdd32, 10_000),
+    (UnitKind::FxpMad32, 712),
+    (UnitKind::FpAdd32, 800),
+    (UnitKind::FpFma32, 10_000),
+    (UnitKind::FpAdd64, 10_000),
+    (UnitKind::FpFma64, 10_000),
+];
 
 fn unit_kind(t: TracedUnit) -> UnitKind {
     match t {
@@ -71,6 +87,15 @@ fn engine_operand_streams_equal_executor_streams() {
             let what = format!("suite at cap {cap}, max_dynamic {max_dynamic}: {unit:?}");
             assert_eq!(streams[&unit_kind(unit)], merged.stream(unit), "{what}");
             assert!(!merged.stream(unit).is_empty(), "{what}: an empty stream");
+        }
+        if (cap, max_dynamic) == SETTINGS[0] {
+            for (kind, len) in FIGURE_STREAM_LENS {
+                assert_eq!(
+                    streams[&kind].len(),
+                    len,
+                    "{kind:?} at the figures' setting"
+                );
+            }
         }
         if max_dynamic == 1_500 {
             assert!(cut >= 10, "the cut stops most workloads mid-run ({cut})");

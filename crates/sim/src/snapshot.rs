@@ -81,7 +81,7 @@ use crate::predecode::{
 use crate::profiler::{traced_unit, OperandTrace, TracedUnit};
 use crate::regfile::{CowRegFile, DueLanes, Lanes, Protection, WarpRegFile};
 use crate::tier2::{CompiledKernel, ExecTier};
-use swapcodes_isa::{Kernel, Liveness, MemSpace, Op, Role, SpecialReg};
+use swapcodes_isa::{Kernel, LiveSet, Liveness, MemSpace, Op, Role, SpecialReg};
 
 /// One PC-reconvergence fragment of a warp: a program counter and the lanes
 /// currently at it.
@@ -95,8 +95,8 @@ pub struct Fragment {
 
 /// Architectural snapshot of one warp, sufficient to resume it: PC
 /// fragments, predicate registers, and the full (ECC-encoded) register
-/// file. Shared by the recovery engine's warp checkpoints
-/// ([`crate::exec`]) and the campaign epoch ladder.
+/// file. The recovery engine's warp checkpoints ([`crate::exec`]) hold
+/// one per warp; the campaign epoch ladder keeps its own per-warp record.
 #[derive(Debug, Clone)]
 pub struct WarpSnapshot {
     /// Divergence fragments.
@@ -122,59 +122,41 @@ struct EpochWarp {
     rf: Arc<WarpRegFile>,
     /// Registers the golden run wrote in `(previous rung, this rung]`.
     delta_regs: Vec<u64>,
-    /// What the warp can still read from this rung on.
-    live: LiveMask,
+    /// What the warp can still read from this rung on ([`live_at`]).
+    live: LiveSet,
 }
 
-/// The registers and predicate bits a warp can still read from a rung on
-/// (rule 1 of DESIGN §9): the union of the static live-in sets at its
-/// fragment PCs plus every `SHFL` source register, compared on all 32
-/// lanes. A finished warp reads nothing.
-#[derive(Debug, Clone, Copy, Default)]
-struct LiveMask {
-    regs: [u64; 4],
-    preds: u8,
-}
-
-impl LiveMask {
-    /// The union of `live`'s live-in sets at `frags`' PCs, plus `shfl`.
-    ///
-    /// A lane only reads its own registers through instructions its own
-    /// fragment issues, so the live-in set at its PC covers it; an `SHFL`
-    /// also reads the source register of lanes outside the issuing fragment
-    /// (other fragments, exited lanes), whose values no kill on the issuing
-    /// fragment's path overwrites — hence the kernel's `SHFL` sources.
-    fn at(frags: &[Fragment], live: &Liveness, shfl: [u64; 4]) -> Self {
-        if frags.is_empty() {
-            return Self::default();
-        }
-        let mut m = Self {
-            regs: shfl,
-            preds: 0,
-        };
-        // A PC past the end reads nothing: the fragment retires on issue.
-        for f in frags.iter().filter(|f| f.pc < live.len()) {
-            let s = live.live_in(f.pc);
-            for (d, x) in m.regs.iter_mut().zip(s.reg_bits()) {
-                *d |= x;
-            }
-            m.preds |= s.pred_bits();
-        }
-        m
+/// The registers and predicate bits a warp at `frags` can still read (rule
+/// 1 of DESIGN §9): the union of `live`'s live-in sets at the fragment PCs
+/// plus `shfl`, compared on all 32 lanes. A finished warp reads nothing.
+///
+/// A lane only reads its own registers through instructions its own
+/// fragment issues, so the live-in set at its PC covers it; an `SHFL` also
+/// reads the source register of lanes outside the issuing fragment (other
+/// fragments, exited lanes), whose values no kill on the issuing fragment's
+/// path overwrites — hence the kernel's `SHFL` sources.
+fn live_at(frags: &[Fragment], live: &Liveness, shfl: LiveSet) -> LiveSet {
+    if frags.is_empty() {
+        return LiveSet::EMPTY;
     }
+    let mut m = shfl;
+    // A PC past the end reads nothing: the fragment retires on issue.
+    for f in frags.iter().filter(|f| f.pc < live.len()) {
+        m.union_with(live.live_in(f.pc));
+    }
+    m
 }
 
-/// The source registers of every `SHFL` in `pk` (rule 1's cross-lane reads).
-fn shfl_sources(pk: &PredecodedKernel) -> [u64; 4] {
-    let mut regs = [0u64; 4];
-    for pc in 0..pk.len() {
-        if let UOp::Shfl { a, .. } = pk.op_ref(pc).uop {
-            if a != RZ8 {
-                regs[usize::from(a >> 6)] |= 1 << (a & 63);
-            }
+/// The source registers of every `SHFL` in `kernel` (rule 1's cross-lane
+/// reads).
+fn shfl_sources(kernel: &Kernel) -> LiveSet {
+    let mut s = LiveSet::EMPTY;
+    for instr in kernel.instrs() {
+        if let Op::Shfl { a, .. } = instr.op {
+            s.insert_reg(a);
         }
     }
-    regs
+    s
 }
 
 /// Where the round scheduler stands at a warp boundary: the warp it visits
@@ -389,7 +371,7 @@ impl CampaignEngine {
         let page_words = config.cow_page_words.max(1).next_power_of_two();
         let compiled = match config.tier {
             ExecTier::Tier1 => None,
-            ExecTier::Tier2 => Some(CompiledKernel::compile(&pk)),
+            ExecTier::Tier2 => Some(CompiledKernel::compile(kernel)),
         };
         let mut ctx = FastCtx {
             pk: &pk,
@@ -431,7 +413,7 @@ impl CampaignEngine {
             next: 0,
             out: &mut snapshots,
             live: &live,
-            shfl: shfl_sources(&pk),
+            shfl: shfl_sources(kernel),
         };
         run_rounds(
             &mut ctx,
@@ -1447,7 +1429,7 @@ impl DeltaAcc {
 /// What the scheduler does at every warp boundary: before each warp's turn
 /// in a round, the round top included.
 enum Hook<'l> {
-    /// The traced pass: nothing.
+    /// The fault-free passes, `traced_pass` and `operand_pass`: nothing.
     Off,
     /// Golden run: capture an epoch snapshot at the first boundary at or
     /// past `next`.
@@ -1455,10 +1437,10 @@ enum Hook<'l> {
         interval: u64,
         next: u64,
         out: &'l mut Vec<EpochSnapshot>,
-        /// The kernel's static liveness, for each rung's [`LiveMask`].
+        /// The kernel's static liveness, for each rung's [`live_at`].
         live: &'l Liveness,
         /// The kernel's `SHFL` source registers.
-        shfl: [u64; 4],
+        shfl: LiveSet,
     },
     /// Trial run: test for golden convergence at every warp boundary after
     /// the strike.
@@ -1542,7 +1524,7 @@ fn capture_epoch(
     warps: &mut [FastWarp],
     sched: SchedPos,
     live: &Liveness,
-    shfl: [u64; 4],
+    shfl: LiveSet,
     prev: Option<&EpochSnapshot>,
 ) -> EpochSnapshot {
     let (mem, delta_pages) = ctx.mem.rebase();
@@ -1571,7 +1553,7 @@ fn capture_epoch(
                     preds: w.preds,
                     rf,
                     delta_regs,
-                    live: LiveMask::at(&w.frags, live, shfl),
+                    live: live_at(&w.frags, live, shfl),
                 }
             })
             .collect(),
@@ -1604,7 +1586,7 @@ fn positions_match(s: &EpochSnapshot, sched: SchedPos, warps: &[FastWarp]) -> bo
 /// read decodes equals a (fault-free, hence consistent) golden codeword.
 ///
 /// Registers and predicates are compared only where the rung's
-/// [`LiveMask`] says a later read can reach them, on all 32 lanes (rule 1
+/// live set says a later read can reach them, on all 32 lanes (rule 1
 /// of DESIGN §9), and bulk state only over the dirty superset: the trial's
 /// materialized pages / touched registers / materialized shared memory,
 /// unioned with the golden deltas accumulated in `acc`. Locations outside
@@ -1612,18 +1594,18 @@ fn positions_match(s: &EpochSnapshot, sched: SchedPos, warps: &[FastWarp]) -> bo
 /// them cannot mask a difference (DESIGN §14).
 fn state_matches(s: &EpochSnapshot, ctx: &FastCtx<'_>, warps: &[FastWarp], acc: &DeltaAcc) -> bool {
     for ((w, ws), acc_regs) in warps.iter().zip(&s.warps).zip(&acc.regs) {
-        let live = ws.live;
+        let live_preds = ws.live.pred_bits();
         if w.preds
             .iter()
             .zip(&ws.preds)
-            .any(|(a, b)| (a ^ b) & live.preds != 0)
+            .any(|(a, b)| (a ^ b) & live_preds != 0)
         {
             return false;
         }
         // An unmaterialized file has an all-zero touched bitmap (drained at
         // capture), so only the golden deltas are walked for it.
         let touched = w.rf.touched_bits();
-        for (word, (&acc_bits, &live_bits)) in acc_regs.iter().zip(&live.regs).enumerate() {
+        for (word, (&acc_bits, live_bits)) in acc_regs.iter().zip(ws.live.reg_bits()).enumerate() {
             let mut bits = (acc_bits | touched.get(word).copied().unwrap_or(0)) & live_bits;
             while bits != 0 {
                 let reg = (word * 64) as u32 + bits.trailing_zeros();

@@ -81,8 +81,10 @@
 
 use core::fmt;
 
+use swapcodes_isa::{Kernel, Op};
+
 use crate::fault::FaultTarget;
-use crate::predecode::{Guard, MicroOp, PSrc, PredecodedKernel, UOp, WriteMode};
+use crate::predecode::{Guard, MicroOp, PredecodedKernel, UOp, WriteMode};
 use crate::snapshot::{
     account_issue, eval_guard, exec_uop, merge_frags, pick_fragment, promote_due, step_with,
     target_and_bump, FastCtx, FastWarp,
@@ -141,12 +143,14 @@ impl fmt::Debug for CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Compile every micro-op of `pk` into its dispatch closure, fusing
-    /// straight-line runs into superblocks. Every PC gets the maximal
+    /// Compile every instruction of `kernel` into its dispatch closure,
+    /// fusing straight-line runs into superblocks. Every PC gets the maximal
     /// superblock *starting there* (suffixes overlap), so a branch into the
     /// middle of one block lands on another block's own closure.
     #[must_use]
-    pub fn compile(pk: &PredecodedKernel) -> Self {
+    pub fn compile(kernel: &Kernel) -> Self {
+        let pk = PredecodedKernel::new(kernel);
+        let instrs = kernel.instrs();
         let n = pk.len();
         let mut thunks: Vec<Thunk> = Vec::with_capacity(n);
         let mut fused_pairs = 0;
@@ -163,7 +167,7 @@ impl CompiledKernel {
                 }
                 if q + 1 < n {
                     let s = *pk.op_ref(q + 1);
-                    if is_ecc_pair(&m, &s) {
+                    if is_ecc_pair(&instrs[q].op, &m, &s) {
                         elems.push(BlockElem::Pair(EccPair {
                             orig: m,
                             shadow_eligible: s.eligible,
@@ -491,100 +495,19 @@ fn register_only(u: &UOp) -> bool {
     )
 }
 
-const RZ8: u8 = 255;
-
-fn push_reg(out: &mut Vec<u8>, r: u8) {
-    if r != RZ8 {
-        out.push(r);
-    }
-}
-
-fn push_reg64(out: &mut Vec<u8>, r: u8) {
-    if r != RZ8 {
-        out.push(r);
-        out.push(r + 1);
-    }
-}
-
-fn push_src(out: &mut Vec<u8>, s: PSrc) {
-    if let PSrc::Reg(r) = s {
-        push_reg(out, r);
-    }
-}
-
-/// Architectural registers a micro-op writes (pair-high halves included).
-fn defs(u: &UOp) -> Vec<u8> {
-    let mut out = Vec::new();
-    match *u {
-        UOp::S2R { d, .. }
-        | UOp::Mov { d, .. }
-        | UOp::Alu2 { d, .. }
-        | UOp::Alu1 { d, .. }
-        | UOp::IMad { d, .. }
-        | UOp::FFma { d, .. }
-        | UOp::Sel { d, .. } => push_reg(&mut out, d),
-        UOp::IMadWide { d, .. }
-        | UOp::DAdd { d, .. }
-        | UOp::DMul { d, .. }
-        | UOp::DFma { d, .. } => {
-            push_reg64(&mut out, d);
-        }
-        _ => {}
-    }
-    out
-}
-
-/// Architectural registers a micro-op reads (pair-high halves included).
-fn uses(u: &UOp) -> Vec<u8> {
-    let mut out = Vec::new();
-    match *u {
-        UOp::Mov { a, .. } => push_src(&mut out, a),
-        UOp::Alu2 { a, b, .. } => {
-            push_reg(&mut out, a);
-            push_src(&mut out, b);
-        }
-        UOp::Alu1 { a, .. } => push_reg(&mut out, a),
-        UOp::IMad { a, b, c, .. } | UOp::FFma { a, b, c, .. } => {
-            push_reg(&mut out, a);
-            push_reg(&mut out, b);
-            push_reg(&mut out, c);
-        }
-        UOp::IMadWide { a, b, c, .. } => {
-            push_reg(&mut out, a);
-            push_reg(&mut out, b);
-            push_reg64(&mut out, c);
-        }
-        UOp::DAdd { a, b, .. } | UOp::DMul { a, b, .. } => {
-            push_reg64(&mut out, a);
-            push_reg64(&mut out, b);
-        }
-        UOp::DFma { a, b, c, .. } => {
-            push_reg64(&mut out, a);
-            push_reg64(&mut out, b);
-            push_reg64(&mut out, c);
-        }
-        UOp::Sel { a, b, .. } => {
-            push_reg(&mut out, a);
-            push_src(&mut out, b);
-        }
-        _ => {}
-    }
-    out
-}
-
 /// SwapCodes original + check-bit shadow: identical register-only micro-op
-/// under the same guard, full write followed by ECC-only write, with
-/// destinations disjoint from sources (so the shadow's recomputation reads
-/// unchanged registers).
-fn is_ecc_pair(mop0: &MicroOp, mop1: &MicroOp) -> bool {
+/// under the same guard, full write followed by ECC-only write, with the
+/// destinations of `op`, the original's instruction, disjoint from its
+/// sources (so the shadow's recomputation reads unchanged registers).
+fn is_ecc_pair(op: &Op, mop0: &MicroOp, mop1: &MicroOp) -> bool {
     mop0.uop == mop1.uop
         && mop0.guard == mop1.guard
         && mop0.write == WriteMode::Full
         && mop1.write == WriteMode::EccOnly
         && register_only(&mop0.uop)
         && {
-            let ds = defs(&mop0.uop);
-            !ds.is_empty() && uses(&mop0.uop).iter().all(|u| !ds.contains(u))
+            let defs = op.defs();
+            !defs.is_empty() && op.uses().iter().all(|u| !defs.contains(u))
         }
 }
 
@@ -604,7 +527,10 @@ fn is_setp_bra(mop0: &MicroOp, mop1: &MicroOp) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use swapcodes_isa::{Instr, Reg, Role, Src};
+
     use super::*;
+    use crate::predecode::PSrc;
 
     fn plain(uop: UOp, write: WriteMode) -> MicroOp {
         MicroOp {
@@ -622,38 +548,53 @@ mod tests {
         assert_eq!(ExecTier::default(), ExecTier::Tier1);
     }
 
+    /// Lower `op` as an original followed by its Swap-ECC shadow: whether
+    /// the pair fuses in that order, and in the reverse order.
+    fn fuses(op: Op) -> (bool, bool) {
+        let k = Kernel::from_instrs(
+            "pair",
+            vec![
+                Instr::new(op),
+                Instr::new(op).with_ecc_only().with_role(Role::Shadow),
+            ],
+        );
+        let pk = PredecodedKernel::new(&k);
+        (
+            is_ecc_pair(&op, pk.op_ref(0), pk.op_ref(1)),
+            is_ecc_pair(&op, pk.op_ref(1), pk.op_ref(0)),
+        )
+    }
+
     #[test]
     fn ecc_pair_requires_disjoint_defs_and_uses() {
-        let orig = plain(
-            UOp::Alu2 {
-                kind: crate::predecode::Alu2Kind::IAdd,
-                d: 2,
-                a: 0,
-                b: PSrc::Reg(1),
-            },
-            WriteMode::Full,
-        );
-        let mut shadow = orig;
-        shadow.write = WriteMode::EccOnly;
-        assert!(is_ecc_pair(&orig, &shadow));
+        let (fused, reversed) = fuses(Op::IAdd {
+            d: Reg(2),
+            a: Reg(0),
+            b: Src::Reg(Reg(1)),
+        });
+        assert!(fused);
+        // Different write-mode order is not the SwapCodes shadow idiom.
+        assert!(!reversed);
 
         // d aliases a source: the shadow's recomputation would read the
         // freshly written register, so the pair must not fuse.
-        let alias = plain(
-            UOp::Alu2 {
-                kind: crate::predecode::Alu2Kind::IAdd,
-                d: 0,
-                a: 0,
-                b: PSrc::Reg(1),
-            },
-            WriteMode::Full,
-        );
-        let mut alias_shadow = alias;
-        alias_shadow.write = WriteMode::EccOnly;
-        assert!(!is_ecc_pair(&alias, &alias_shadow));
+        let alias = Op::IAdd {
+            d: Reg(0),
+            a: Reg(0),
+            b: Src::Reg(Reg(1)),
+        };
+        assert_eq!(fuses(alias), (false, false));
 
-        // Different write-mode order is not the SwapCodes shadow idiom.
-        assert!(!is_ecc_pair(&shadow, &orig));
+        // 64-bit: disjoint pairs fuse; a source that is the destination
+        // pair's high half does not.
+        let wide = |a| Op::IMadWide {
+            d: Reg(2),
+            a,
+            b: Reg(0),
+            c: Reg(4),
+        };
+        assert_eq!(fuses(wide(Reg(1))), (true, false));
+        assert_eq!(fuses(wide(Reg(3))), (false, false));
     }
 
     #[test]
@@ -690,8 +631,7 @@ mod tests {
 
     #[test]
     fn compile_reports_fused_pairs() {
-        use swapcodes_isa::{KernelBuilder, Op, Reg, Src};
-        let mut b = KernelBuilder::new("t2");
+        let mut b = swapcodes_isa::KernelBuilder::new("t2");
         b.push(Op::Mov {
             d: Reg(0),
             a: Src::Imm(1),
@@ -701,8 +641,7 @@ mod tests {
             a: Src::Imm(2),
         });
         b.push(Op::Exit);
-        let pk = PredecodedKernel::new(&b.finish());
-        let ck = CompiledKernel::compile(&pk);
+        let ck = CompiledKernel::compile(&b.finish());
         assert_eq!(ck.len(), 3);
         assert!(!ck.is_empty());
         assert_eq!(ck.fused_pairs(), 1, "the two Movs fuse as a superblock");

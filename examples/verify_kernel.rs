@@ -17,6 +17,7 @@ fn main() {
         for scheme in [
             Scheme::SwDup,
             Scheme::SwapEcc,
+            Scheme::SwapPredict(swapcodes::core::PredictorSet::ADD_SUB),
             Scheme::SwapPredict(swapcodes::core::PredictorSet::MAD),
             Scheme::InterThread { checked: true },
         ] {
